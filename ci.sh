@@ -13,30 +13,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test -q
 
-echo "== dtl-event queue + determinism properties =="
-cargo test -q -p dtl-event
-
-echo "== dtl-dram power-policy + ladder properties =="
-cargo test -q -p dtl-dram
-
-echo "== dtl-check differential harness =="
-cargo test -q -p dtl-check
-
-echo "== dtl-pool orchestration suite =="
-cargo test -q -p dtl-pool
-
-echo "== dtl-fabric interconnect suite =="
-cargo test -q -p dtl-fabric
-
 echo "== smoke suite on the parallel path (--jobs 2) =="
-cargo build --release -q -p dtl-bench --bin diff_fuzz --bin fault_campaign --bin pool_scale \
-    --bin policy_ablation --bin vm_campaign --bin fabric_load --bin all
-timeout 30 ./target/release/diff_fuzz --smoke --jobs 2
-timeout 60 ./target/release/fault_campaign --tiny --jobs 2
-timeout 30 ./target/release/pool_scale --tiny --jobs 2
-timeout 30 ./target/release/policy_ablation --tiny --jobs 2 > /tmp/dtl_ci_policy.txt
-timeout 30 ./target/release/vm_campaign --tiny --jobs 2
-timeout 30 ./target/release/fabric_load --tiny --jobs 2 > /tmp/dtl_ci_fabric.txt
+cargo build --release -q -p dtl-bench
+dtl=./target/release/dtl
+timeout 30 $dtl diff_fuzz --smoke --jobs 2
+timeout 60 $dtl fault_campaign --tiny --jobs 2
+timeout 30 $dtl pool_scale --tiny --jobs 2
+timeout 30 $dtl policy_ablation --tiny --jobs 2 > /tmp/dtl_ci_policy.txt
+timeout 30 $dtl vm_campaign --tiny --jobs 2
+timeout 30 $dtl fabric_load --tiny --jobs 2 > /tmp/dtl_ci_fabric.txt
 
 echo "== policy_ablation covers every PowerPolicy impl =="
 for policy in FixedThreshold AdaptiveDemotion RefreshAware; do
@@ -51,20 +36,19 @@ for variant in pack_one_switch spread_switches; do
 done
 
 echo "== windowed time-series output (--timeseries-out) =="
-timeout 30 ./target/release/vm_campaign --tiny --jobs 2 \
+timeout 30 $dtl vm_campaign --tiny --jobs 2 \
     --timeseries-out /tmp/dtl_ci_series.csv --timeseries-width-s 3600
 head -1 /tmp/dtl_ci_series.csv | grep -q '^window,start_ps,end_ps,standby_ps' \
   || { echo "time-series CSV header drifted"; exit 1; }
-
-echo "== experiment registry vs src/bin/ drift =="
-diff <(./target/release/all --list | sed 's/ — .*//' | sort) \
-     <(ls crates/bench/src/bin | sed 's/\.rs$//' | grep -vx all | sort) \
-  || { echo "registry and crates/bench/src/bin drifted apart"; exit 1; }
 
 echo "== cargo doc (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "== telemetry overhead guard (release) =="
 cargo test -p dtl-telemetry --release --test overhead_guard -q -- --ignored
+
+echo "== perf ledger builds against the crates and reproduces the registry JSON =="
+(cd benchmark && cargo test --offline -q)
+timeout 300 benchmark/run.sh --quick > /dev/null
 
 echo "ci: all green"

@@ -1,12 +1,17 @@
-//! # dtl-bench — the uniform experiment driver and its binaries
+//! # dtl-bench — the `dtl` binary and its experiment driver
 //!
-//! Every `src/bin/<name>.rs` binary is one line: `dtl_bench::drive("<name>")`.
-//! The driver resolves the experiment in the
-//! [`dtl_sim::experiments::registry`], parses the shared CLI surface, runs
-//! it, prints the rendered tables, and drops machine-readable JSON under
-//! `results/`.
+//! One binary drives every experiment: `dtl <experiment> [flags]` runs one
+//! entry of the [`dtl_sim::experiments::registry`], `dtl all [flags]` runs
+//! them all in registry order (the one-command reproduction of the paper's
+//! evaluation section), and `dtl list` prints what is registered — so a
+//! newly registered experiment is runnable with no list to maintain here.
+//! The driver parses the shared CLI surface, runs the experiment, prints
+//! the rendered tables, and drops machine-readable JSON under `results/`.
+//! A command line that does not parse — an unknown experiment, a
+//! non-numeric `--jobs`, a flag missing its value — is reported on stderr
+//! with exit code 2, never a panic.
 //!
-//! Shared flags (every binary):
+//! Shared flags (every experiment):
 //!
 //! * `--tiny` (alias `--quick`) — reduced scale instead of paper scale;
 //! * `--seed N` — override the experiment's historical default seed;
@@ -35,18 +40,19 @@
 pub use dtl_sim::render;
 
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use dtl_sim::experiments::{Experiment, RunContext};
+use dtl_sim::experiments::{find, registry, Experiment, RunContext};
 use dtl_telemetry::{chrome_trace, jsonl, MetricsRegistry, PowerTimeline, RingSink, Telemetry};
 
 /// Ring capacity: a fig10/fig12-class run emits well under a million
 /// events; overflow is reported, not silently truncated mid-run.
 const RING_CAPACITY: usize = 1 << 20;
 
-/// The CLI surface shared by every experiment binary. Parse once with
-/// [`ExperimentCli::from_args`], hand [`ExperimentCli::context`] to the
+/// The CLI surface shared by every experiment. Parse once with
+/// [`ExperimentCli::parse`], hand [`ExperimentCli::context`] to the
 /// experiment, then [`ExperimentCli::finish`] the telemetry outputs.
 #[derive(Debug)]
 pub struct ExperimentCli {
@@ -70,31 +76,35 @@ pub struct ExperimentCli {
 }
 
 impl ExperimentCli {
-    /// Parses the process arguments.
-    pub fn from_args() -> Self {
-        Self::parse(std::env::args().skip(1).collect())
-    }
-
-    fn parse(args: Vec<String>) -> Self {
-        let value_of = |flag: &str| -> Option<&String> {
-            args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1))
+    /// Parses the flags following the experiment name.
+    ///
+    /// # Errors
+    ///
+    /// The message to print when a flag is missing its value or a numeric
+    /// flag does not parse.
+    pub fn parse(args: Vec<String>) -> Result<Self, String> {
+        let value_of = |flag: &str| -> Result<Option<&String>, String> {
+            match args.iter().position(|a| a == flag) {
+                None => Ok(None),
+                Some(i) => args.get(i + 1).map(Some).ok_or(format!("{flag} expects a value")),
+            }
         };
-        let parsed = |flag: &str| -> Option<u64> {
-            value_of(flag).map(|v| {
-                v.parse().unwrap_or_else(|_| panic!("{flag} expects an integer, got {v:?}"))
-            })
+        let parsed = |flag: &str| -> Result<Option<u64>, String> {
+            value_of(flag)?
+                .map(|v| v.parse().map_err(|_| format!("{flag} expects an integer, got {v:?}")))
+                .transpose()
         };
+        let path_of = |flag: &str| Ok::<_, String>(value_of(flag)?.map(PathBuf::from));
         let tiny = args.iter().any(|a| a == "--tiny" || a == "--quick");
-        let seed = parsed("--seed");
+        let seed = parsed("--seed")?;
         let jobs =
-            parsed("--jobs").map_or_else(dtl_sim::exec::available_jobs, |n| (n as usize).max(1));
-        let out = value_of("--out").map(PathBuf::from);
-        let trace_out = value_of("--trace-out").map(PathBuf::from);
-        let metrics_out = value_of("--metrics-out").map(PathBuf::from);
-        let timeseries_out = value_of("--timeseries-out").map(PathBuf::from);
-        let series_width = timeseries_out
-            .as_ref()
-            .map(|_| parsed("--timeseries-width-s").unwrap_or(300) * 1_000_000_000_000);
+            parsed("--jobs")?.map_or_else(dtl_sim::exec::available_jobs, |n| (n as usize).max(1));
+        let out = path_of("--out")?;
+        let trace_out = path_of("--trace-out")?;
+        let metrics_out = path_of("--metrics-out")?;
+        let timeseries_out = path_of("--timeseries-out")?;
+        let width_s = parsed("--timeseries-width-s")?.unwrap_or(300);
+        let series_width = timeseries_out.as_ref().map(|_| width_s * 1_000_000_000_000);
         let registry = Arc::new(MetricsRegistry::new());
         let (sink, telemetry) = if trace_out.is_some() || metrics_out.is_some() {
             let sink = Arc::new(RingSink::with_capacity(RING_CAPACITY));
@@ -104,7 +114,7 @@ impl ExperimentCli {
         } else {
             (None, Telemetry::disabled())
         };
-        ExperimentCli {
+        Ok(ExperimentCli {
             tiny,
             seed,
             jobs,
@@ -117,7 +127,7 @@ impl ExperimentCli {
             registry,
             telemetry,
             args,
-        }
+        })
     }
 
     /// The [`RunContext`] this invocation describes.
@@ -153,8 +163,8 @@ impl ExperimentCli {
     ///
     /// # Panics
     ///
-    /// Panics if an output path cannot be written — the binaries have
-    /// nothing useful to do without their output.
+    /// Panics if an output path cannot be written — a run has nothing
+    /// useful to do without its output.
     pub fn finish(&self, horizon_ps: Option<u64>) {
         if let Some(sink) = &self.sink {
             // Surfaced in both places a consumer might look: the metrics
@@ -188,22 +198,72 @@ impl ExperimentCli {
     }
 }
 
-/// Runs the registered experiment `name` under the process arguments —
-/// the entire body of every experiment binary. Exits nonzero on a device
-/// error or an acceptance failure.
+/// What `dtl list` prints: `name — summary` for every registered
+/// experiment, one per line, in registry order.
+pub fn list() -> String {
+    registry().iter().map(|e| format!("{} — {}\n", e.name(), e.summary())).collect()
+}
+
+/// The experiments a `dtl` command names: the whole registry for `all`,
+/// otherwise the one entry called `command`.
+fn select(command: &str) -> Result<Vec<&'static dyn Experiment>, String> {
+    if command == "all" {
+        return Ok(registry().to_vec());
+    }
+    find(command).map(|exp| vec![exp]).ok_or_else(|| {
+        format!("{command:?} is not a registered experiment; `dtl list` prints:\n{}", list())
+    })
+}
+
+/// The entire body of the `dtl` binary, given the process arguments after
+/// the program name: `<experiment> [flags]`, `all [flags]` or `list`.
+/// Returns the exit code — 0 on success, 1 on a device error or an
+/// acceptance failure, 2 (with the reason on stderr) for a command line
+/// that does not parse.
 ///
 /// # Panics
 ///
-/// Panics if `name` is not in the registry or an output path cannot be
-/// written.
-pub fn drive(name: &str) {
-    let exp = dtl_sim::experiments::find(name)
-        .unwrap_or_else(|| panic!("{name} is not in the experiment registry"));
-    let cli = ExperimentCli::from_args();
-    if let Err(msg) = drive_experiment(exp, &cli) {
-        eprintln!("{msg}");
-        std::process::exit(1);
+/// Panics if an output path cannot be written.
+pub fn dtl(args: &[String]) -> u8 {
+    let Some((command, flags)) = args.split_first() else {
+        eprintln!("usage: dtl <experiment> [flags] | dtl all [flags] | dtl list");
+        return 2;
+    };
+    if command == "list" {
+        print!("{}", list());
+        return 0;
     }
+    let parsed = select(command)
+        .and_then(|experiments| Ok((experiments, ExperimentCli::parse(flags.to_vec())?)));
+    let (experiments, cli) = match parsed {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            // Not `eprintln!`: the long unknown-experiment message is what
+            // gets piped through `head`, and a closed pipe must not panic.
+            let _ = writeln!(std::io::stderr(), "{msg}");
+            return 2;
+        }
+    };
+    let sweep = command == "all";
+    for exp in &experiments {
+        if sweep {
+            println!("\n########## {} ##########", exp.name());
+        }
+        if let Err(msg) = drive_experiment(*exp, &cli) {
+            eprintln!("{msg}");
+            if sweep {
+                eprintln!("{} failed; aborting the sweep", exp.name());
+            }
+            return 1;
+        }
+    }
+    if sweep {
+        println!(
+            "\nall {} experiments regenerated; JSON results under results/",
+            experiments.len()
+        );
+    }
+    0
 }
 
 /// Runs one registry entry under an already-parsed CLI: build the context,
@@ -265,8 +325,66 @@ pub fn drive_experiment(exp: &dyn Experiment, cli: &ExperimentCli) -> Result<(),
 mod tests {
     use super::*;
 
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| (*s).to_string()).collect()
+    }
+
     fn cli(args: &[&str]) -> ExperimentCli {
-        ExperimentCli::parse(args.iter().map(|s| (*s).to_string()).collect())
+        ExperimentCli::parse(strings(args)).expect("well-formed flags")
+    }
+
+    #[test]
+    fn list_prints_the_registry_names_in_order() {
+        let listing = list();
+        let listed: Vec<&str> =
+            listing.lines().map(|l| l.split(' ').next().expect("a name")).collect();
+        let names: Vec<&str> = registry().iter().map(|e| e.name()).collect();
+        assert_eq!(listed, names);
+    }
+
+    #[test]
+    fn every_listed_name_resolves_through_the_dispatch() {
+        for exp in registry() {
+            let selected = select(exp.name()).expect("a registered name resolves");
+            assert_eq!(selected.len(), 1);
+            assert_eq!(selected[0].name(), exp.name());
+        }
+        let all: Vec<&str> = select("all").unwrap().iter().map(|e| e.name()).collect();
+        let names: Vec<&str> = registry().iter().map(|e| e.name()).collect();
+        assert_eq!(all, names, "`all` is the registry, in order");
+    }
+
+    #[test]
+    fn an_unknown_experiment_is_an_error_that_lists_the_registry() {
+        let msg = select("nosuch").err().expect("not registered");
+        assert!(msg.contains("\"nosuch\""), "{msg}");
+        assert!(msg.ends_with(&list()), "{msg}");
+        assert_eq!(dtl(&strings(&["nosuch"])), 2);
+        assert_eq!(dtl(&[]), 2, "no command at all is a usage error");
+    }
+
+    #[test]
+    fn malformed_flags_are_errors_not_panics() {
+        let err = |args: &[&str]| ExperimentCli::parse(strings(args)).expect_err("malformed");
+        assert_eq!(err(&["--jobs", "abc"]), "--jobs expects an integer, got \"abc\"");
+        assert_eq!(err(&["--seed", "x"]), "--seed expects an integer, got \"x\"");
+        assert_eq!(err(&["--tiny", "--seed"]), "--seed expects a value");
+        assert_eq!(err(&["--out"]), "--out expects a value");
+        assert_eq!(
+            err(&["--timeseries-width-s", "wide"]),
+            "--timeseries-width-s expects an integer, got \"wide\""
+        );
+        assert_eq!(dtl(&strings(&["fig12", "--jobs", "abc"])), 2);
+        assert_eq!(dtl(&strings(&["fig12", "--seed"])), 2);
+    }
+
+    #[test]
+    fn experiment_specific_flags_pass_through() {
+        let c = cli(&["--replay", "{\"ops\": []}", "--jobs", "2", "--campaigns", "3"]);
+        let ctx = c.context();
+        assert_eq!(ctx.value("--replay"), Some("{\"ops\": []}"));
+        assert_eq!(ctx.value("--campaigns"), Some("3"));
+        assert_eq!(ctx.jobs, 2);
     }
 
     #[test]

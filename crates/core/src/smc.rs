@@ -169,7 +169,9 @@ impl SegmentMappingCache {
     pub fn invalidate(&mut self, hsn: Hsn) -> bool {
         let key = hsn.pack();
         let mut any = false;
-        for e in self.l1.iter_mut().chain(self.l2.iter_mut()) {
+        // A key only ever lives in its own L2 set (where `insert_l2` put it).
+        let range = self.l2_set_range(key);
+        for e in self.l1.iter_mut().chain(&mut self.l2[range]) {
             if e.valid && e.key == key {
                 e.valid = false;
                 any = true;
@@ -248,6 +250,42 @@ mod tests {
         assert!(smc.invalidate(hsn(1)));
         assert_eq!(smc.lookup(hsn(1)), (SmcOutcome::Miss, None));
         assert!(!smc.invalidate(hsn(1)), "second invalidate finds nothing");
+    }
+
+    #[test]
+    fn invalidate_leaves_every_other_key_valid() {
+        // A 1-entry L1, so the lookups below are answered by the L2.
+        let mut smc = SegmentMappingCache::new(1, 16, 2);
+        let sets = 8u32;
+        // Two keys per set: offsets `s` and `s + sets` share L2 set `s`.
+        for off in 0..2 * sets {
+            smc.fill(hsn(off), Dsn(u64::from(off)));
+        }
+        assert!(smc.invalidate(hsn(3)));
+        for off in (0..2 * sets).filter(|&o| o != 3) {
+            assert_eq!(smc.lookup(hsn(off)).1, Some(Dsn(u64::from(off))), "offset {off}");
+        }
+        assert_eq!(smc.lookup(hsn(3)), (SmcOutcome::Miss, None));
+    }
+
+    #[test]
+    fn invalidate_misses_at_both_levels_wherever_the_entry_lived() {
+        let mut smc = SegmentMappingCache::new(2, 64, 4);
+        // L1-resident: the most recent fill.
+        smc.fill(hsn(100), Dsn(100));
+        assert!(smc.invalidate(hsn(100)));
+        assert_eq!(smc.lookup(hsn(100)), (SmcOutcome::Miss, None));
+        // L2-only: evicted from the 2-entry L1 by later fills.
+        for i in 0..8 {
+            smc.fill(hsn(i), Dsn(u64::from(i)));
+        }
+        assert!(smc.invalidate(hsn(0)));
+        assert_eq!(smc.lookup(hsn(0)), (SmcOutcome::Miss, None));
+        // Promoted: an L2 hit copied it back into L1, so both levels hold it.
+        assert_eq!(smc.lookup(hsn(1)).0, SmcOutcome::L2Hit);
+        assert!(smc.invalidate(hsn(1)));
+        assert_eq!(smc.lookup(hsn(1)), (SmcOutcome::Miss, None));
+        assert!(!smc.invalidate(hsn(1)), "nothing left at either level");
     }
 
     #[test]

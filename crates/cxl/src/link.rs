@@ -246,12 +246,6 @@ impl RetryEngine {
         released
     }
 
-    /// Tick-era entry point from before submissions carried a timestamp.
-    #[deprecated(note = "use `on_submit_at(now)`; this stamps telemetry at time zero")]
-    pub fn on_submit(&mut self) -> LinkDelivery {
-        self.on_submit_at(Picos::ZERO)
-    }
-
     /// Passes one request through the link at instant `now`, consuming a
     /// queued corruption burst if present, and returns the latency it
     /// cost. A consumed burst additionally emits one `CxlRetry` telemetry

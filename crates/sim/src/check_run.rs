@@ -3,7 +3,7 @@
 //!
 //! The heavy lifting (oracle, invariant suite, minimizer) lives in
 //! [`dtl_check`]; this module is the experiment-facing wrapper that the
-//! `diff_fuzz` experiment and binary consume.
+//! `diff_fuzz` experiment consumes.
 
 use dtl_check::{fuzz, CheckSetup, Counterexample, FuzzOutcome};
 use dtl_dram::PowerPolicyKind;
@@ -106,20 +106,14 @@ impl CheckRunResult {
     }
 }
 
-/// Runs the whole batch sequentially. Deterministic: equal configs yield
-/// equal results. Equivalent to [`run_checks_jobs`] at `jobs = 1`.
-pub fn run_checks(cfg: &CheckRunConfig) -> CheckRunResult {
-    run_checks_jobs(cfg, 1)
-}
-
 /// Runs the whole batch with (seed, policy) pairs sharded across up to
-/// `jobs` workers.
+/// `jobs` workers. Deterministic: equal configs yield equal results.
 ///
 /// Each pair is an independent work unit — its own device, oracle, and
 /// preassigned RNG stream — so the result (including every per-seed row
 /// and the aggregation order) is **bit-identical** for every `jobs` value;
 /// only wall-clock time changes.
-pub fn run_checks_jobs(cfg: &CheckRunConfig, jobs: usize) -> CheckRunResult {
+pub fn run_checks(cfg: &CheckRunConfig, jobs: usize) -> CheckRunResult {
     let policies: &[PowerPolicyKind] =
         if cfg.policies.is_empty() { &[PowerPolicyKind::FixedThreshold] } else { &cfg.policies };
     let mut runs: Vec<(u64, bool, PowerPolicyKind)> = Vec::new();
@@ -173,7 +167,7 @@ mod tests {
     #[test]
     fn smoke_batch_is_clean_and_deterministic() {
         let cfg = CheckRunConfig::smoke();
-        let a = run_checks(&cfg);
+        let a = run_checks(&cfg, 1);
         assert!(a.all_clean(), "smoke batch must verify: {:?}", a.first_counterexample());
         // Fault splices can only add ops on top of the configured stream.
         assert!(a.total_ops >= cfg.total_ops() as u64);
@@ -183,7 +177,7 @@ mod tests {
         for kind in PowerPolicyKind::ALL {
             assert_eq!(a.seeds.iter().filter(|s| s.policy == kind).count(), seeds_per_policy);
         }
-        let b = run_checks(&cfg);
+        let b = run_checks(&cfg, 1);
         assert_eq!(a, b, "equal configs must replay identically");
     }
 }

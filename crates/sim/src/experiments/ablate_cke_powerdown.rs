@@ -110,15 +110,10 @@ fn measure(gbps: f64, requests: u64, timeouts_ns: &[u64]) -> Vec<(u64, f64)> {
         .collect()
 }
 
-/// Runs the study sequentially. Equivalent to [`run_jobs`] at `jobs = 1`.
-pub fn run(requests: u64) -> CkeResult {
-    run_jobs(requests, 1)
-}
-
 /// Runs the study with the three traffic levels sharded across `jobs`
 /// workers (each level replays an independent mixer and simulator, so the
 /// decomposition is exact).
-pub fn run_jobs(requests: u64, jobs: usize) -> CkeResult {
+pub fn run(requests: u64, jobs: usize) -> CkeResult {
     let p = PowerParams::ddr4_128gb_dimm();
     // 0.65 of background power is reclaimable in precharge power-down; the
     // DTL reference is Figure 12's background saving at the same occupancy.
@@ -150,7 +145,7 @@ mod tests {
 
     #[test]
     fn interleaving_starves_cke_powerdown() {
-        let r = run_jobs(4_000, 2);
+        let r = run(4_000, 2);
         assert_eq!(r.rows.len(), 9);
         for row in &r.rows {
             assert!(row.pd_residency >= 0.0 && row.pd_residency <= 1.0);

@@ -40,16 +40,7 @@ pub const FACTORS: [f64; 5] = [0.25, 0.5, 1.0, 2.0, 4.0];
 fn run_one(base: &HotnessRunConfig, factor: f64) -> Result<HotnessRunResult, DtlError> {
     let cfg =
         HotnessRunConfig { accesses: (base.accesses as f64 * factor.max(1.0)) as u64, ..*base };
-    crate::run_hotness_with_threshold_factor(&cfg, factor)
-}
-
-/// Runs the sweep sequentially. Equivalent to [`run_jobs`] at `jobs = 1`.
-///
-/// # Errors
-///
-/// Propagates device errors from any replay.
-pub fn run(base: &HotnessRunConfig) -> Result<ThresholdResult, DtlError> {
-    run_jobs(base, 1)
+    crate::run_hotness(&cfg, factor, &dtl_telemetry::Telemetry::disabled())
 }
 
 /// Runs the sweep with one worker unit per threshold factor (each factor
@@ -58,7 +49,7 @@ pub fn run(base: &HotnessRunConfig) -> Result<ThresholdResult, DtlError> {
 /// # Errors
 ///
 /// Propagates device errors from any replay (first failing factor wins).
-pub fn run_jobs(base: &HotnessRunConfig, jobs: usize) -> Result<ThresholdResult, DtlError> {
+pub fn run(base: &HotnessRunConfig, jobs: usize) -> Result<ThresholdResult, DtlError> {
     let outcomes =
         crate::exec::run_units(jobs, FACTORS.to_vec(), |_, factor| run_one(base, factor));
     let mut rows = Vec::new();
@@ -88,7 +79,7 @@ mod tests {
             channels: 2,
             ..HotnessRunConfig::tiny(1, true)
         };
-        let r = run_jobs(&base, 2).unwrap();
+        let r = run(&base, 2).unwrap();
         assert_eq!(r.rows.len(), FACTORS.len());
         assert_eq!(r.rows[2].threshold_ms_unscaled, 50.0, "paper default in the middle");
         for row in &r.rows {

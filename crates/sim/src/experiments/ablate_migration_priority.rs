@@ -107,15 +107,9 @@ fn run_one(policy_background: bool, requests: u64) -> PriorityRow {
     }
 }
 
-/// Runs both policies sequentially. Equivalent to [`run_jobs`] at
-/// `jobs = 1`.
-pub fn run(requests: u64) -> PriorityResult {
-    run_jobs(requests, 1)
-}
-
 /// Runs the two policy replays as independent units (each owns its own
 /// simulator and trace generator).
-pub fn run_jobs(requests: u64, jobs: usize) -> PriorityResult {
+pub fn run(requests: u64, jobs: usize) -> PriorityResult {
     let rows = crate::exec::run_units(jobs, vec![true, false], |_, background| {
         run_one(background, requests)
     });
@@ -128,7 +122,7 @@ mod tests {
 
     #[test]
     fn background_migration_protects_foreground_latency() {
-        let r = run_jobs(4_000, 2);
+        let r = run(4_000, 2);
         assert_eq!(r.rows.len(), 2);
         assert!(r.rows[0].policy.contains("background"));
         assert!(

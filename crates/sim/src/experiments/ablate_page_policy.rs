@@ -33,14 +33,9 @@ pub struct PagePolicyResult {
 pub const WORKLOADS: [WorkloadKind; 3] =
     [WorkloadKind::MediaStreaming, WorkloadKind::DataServing, WorkloadKind::GraphAnalytics];
 
-/// Runs the sweep sequentially. Equivalent to [`run_jobs`] at `jobs = 1`.
-pub fn run(requests: u64) -> PagePolicyResult {
-    run_jobs(requests, 1)
-}
-
 /// Runs the sweep with one worker unit per (workload, policy) cell — each
 /// cell replays its own cycle-level simulator.
-pub fn run_jobs(requests: u64, jobs: usize) -> PagePolicyResult {
+pub fn run(requests: u64, jobs: usize) -> PagePolicyResult {
     let mut cells = Vec::new();
     for kind in WORKLOADS {
         for policy in [PagePolicy::OpenPage, PagePolicy::ClosedPage] {
@@ -68,7 +63,7 @@ mod tests {
 
     #[test]
     fn open_page_keeps_more_row_hits() {
-        let r = run_jobs(4_000, 2);
+        let r = run(4_000, 2);
         assert_eq!(r.rows.len(), 6);
         for pair in r.rows.chunks(2) {
             let (open, closed) = (&pair[0], &pair[1]);

@@ -37,16 +37,11 @@ pub const L1_SIZES: [usize; 4] = [16, 32, 64, 128];
 /// The swept L2 sizes.
 pub const L2_SIZES: [usize; 3] = [256, 1024, 4096];
 
-/// Runs the sweep sequentially. Equivalent to [`run_jobs`] at `jobs = 1`.
-pub fn run(seed: u64, accesses: usize) -> SmcResult {
-    run_jobs(seed, accesses, 1)
-}
-
 /// Runs the sweep with one worker unit per (L1, L2) sizing. The mixed
 /// post-cache trace is generated **once** and shared read-only by every
 /// unit, so all sizings replay the identical access stream regardless of
 /// worker count.
-pub fn run_jobs(seed: u64, accesses: usize, jobs: usize) -> SmcResult {
+pub fn run(seed: u64, accesses: usize, jobs: usize) -> SmcResult {
     // One mixed post-cache trace reused across all SMC sizings.
     let specs: Vec<_> = WorkloadKind::TRACED.iter().map(|k| k.spec().scaled(16)).collect();
     let mut mix = Mixer::new(&specs, seed);
@@ -89,7 +84,7 @@ mod tests {
 
     #[test]
     fn bigger_caches_translate_faster() {
-        let r = run_jobs(3, 40_000, 2);
+        let r = run(3, 40_000, 2);
         assert_eq!(r.rows.len(), L1_SIZES.len() * L2_SIZES.len());
         let smallest = &r.rows[0];
         let biggest = r.rows.last().unwrap();

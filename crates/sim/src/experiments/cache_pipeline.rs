@@ -46,14 +46,10 @@ pub struct CachePipelineResult {
 /// recency buffer, ~88 % of loads/stores re-touch recent lines) at
 /// core-side intensity (~300 accesses per kilo-instruction — roughly one
 /// load/store per three instructions).
-pub fn run(seed: u64, records: usize, workloads: &[WorkloadKind]) -> CachePipelineResult {
-    run_jobs(seed, records, workloads, 1)
-}
-
-/// Like [`run`], with one worker unit per workload — every workload owns
-/// its own generator, RNG, recency buffer, and hierarchy, so the sharding
-/// is exact.
-pub fn run_jobs(
+///
+/// One worker unit per workload — every workload owns its own generator,
+/// RNG, recency buffer, and hierarchy, so the sharding is exact.
+pub fn run(
     seed: u64,
     records: usize,
     workloads: &[WorkloadKind],
@@ -112,7 +108,7 @@ mod tests {
 
     #[test]
     fn caches_compress_intensity_and_widen_strides() {
-        let r = run(7, 300_000, &[WorkloadKind::DataServing, WorkloadKind::WebSearch]);
+        let r = run(7, 300_000, &[WorkloadKind::DataServing, WorkloadKind::WebSearch], 1);
         for row in &r.rows {
             // Order-of-magnitude compression: ~300 raw APKI down to tens
             // at most (real CloudSuite reaches single digits with full-size

@@ -12,7 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::check_run::{run_checks_jobs, CheckRunConfig, CheckRunResult};
+use crate::check_run::{run_checks, CheckRunConfig, CheckRunResult};
 
 /// Summary row of one differential-fuzz batch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -35,16 +35,11 @@ pub struct DiffFuzzResult {
     pub batch: CheckRunResult,
 }
 
-/// Runs one differential-fuzz batch and summarizes it. Equivalent to
-/// [`run_jobs`] at `jobs = 1`.
-pub fn run(cfg: &CheckRunConfig) -> DiffFuzzResult {
-    run_jobs(cfg, 1)
-}
-
-/// Like [`run`], with the batch's seeds sharded across up to `jobs`
-/// workers (each seed is an independent lockstep replay).
-pub fn run_jobs(cfg: &CheckRunConfig, jobs: usize) -> DiffFuzzResult {
-    let batch = run_checks_jobs(cfg, jobs);
+/// Runs one differential-fuzz batch, its seeds sharded across up to
+/// `jobs` workers (each seed is an independent lockstep replay), and
+/// summarizes it.
+pub fn run(cfg: &CheckRunConfig, jobs: usize) -> DiffFuzzResult {
+    let batch = run_checks(cfg, jobs);
     DiffFuzzResult {
         seeds: batch.seeds.len() as u64,
         faulted_seeds: batch.seeds.iter().filter(|s| s.faulted).count() as u64,
@@ -62,12 +57,12 @@ mod tests {
     use super::*;
 
     // The acceptance batch itself (≥ 20 seeds, ≥ 10k ops, ≥ 1 fault plan,
-    // zero violations) runs in the diff_fuzz binary and CI smoke; here a
+    // zero violations) runs as `dtl diff_fuzz` and in the CI smoke; here a
     // smaller batch keeps unit-test time in budget while still covering a
     // faulted seed.
     #[test]
     fn smoke_batch_reports_zero_violations() {
-        let r = run(&CheckRunConfig::smoke());
+        let r = run(&CheckRunConfig::smoke(), 1);
         assert_eq!(r.violations, 0, "counterexample: {:?}", r.first_counterexample);
         // 4 seeds × 3 power policies.
         assert_eq!(r.seeds, 12);

@@ -7,12 +7,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{
-    run_fabric_cell, run_fabric_cell_observed, FabricCellResult, FabricRunConfig, Heartbeat,
-    RunObservations,
-};
+use crate::{run_fabric_cell, FabricCellResult, FabricRunConfig, Heartbeat, RunObservations};
 use dtl_core::DtlError;
 use dtl_pool::PlacementPolicy;
+use dtl_telemetry::Telemetry;
 
 /// The two placement variants, swept in this order. The first is the
 /// headline and the only one traced.
@@ -70,43 +68,21 @@ pub fn ladder(cfg: &FabricRunConfig) -> [u64; 4] {
     }
 }
 
-/// Runs the full placement × load sweep sequentially.
+/// Runs the full placement × load sweep with its cells as parallel work
+/// units. Only the first (pack, lightest-load) cell records telemetry —
+/// the cells are independent fabrics whose timelines would not compose
+/// into one trace; per-unit buffers merge back in unit order, so the
+/// emitted trace and the result are bit-identical for any `jobs`. The
+/// returned [`RunObservations`] (SLO report including the fabric-queue
+/// population, plus event-spine queue counters) are that **headline**
+/// cell's. The heartbeat ticks once per completed cell.
 ///
 /// # Errors
 ///
 /// Propagates pool/device errors from any cell.
-pub fn run(cfg: &FabricRunConfig) -> Result<FabricLoadResult, DtlError> {
-    run_jobs_traced(cfg, &dtl_telemetry::Telemetry::disabled(), 1)
-}
-
-/// Like [`run`], with the cells as parallel work units. Only the first
-/// (pack, lightest-load) cell records telemetry — the cells are
-/// independent fabrics whose timelines would not compose into one trace;
-/// per-unit buffers merge back in unit order, so the emitted trace and the
-/// result are bit-identical for any `jobs`.
-///
-/// # Errors
-///
-/// Propagates pool/device errors from any cell.
-pub fn run_jobs_traced(
+pub fn run(
     cfg: &FabricRunConfig,
-    telemetry: &dtl_telemetry::Telemetry,
-    jobs: usize,
-) -> Result<FabricLoadResult, DtlError> {
-    run_jobs_observed(cfg, telemetry, jobs, &Heartbeat::disabled()).map(|(result, _)| result)
-}
-
-/// Like [`run_jobs_traced`], additionally returning the **headline**
-/// cell's out-of-band [`RunObservations`] (SLO report including the
-/// fabric-queue population, plus event-spine queue counters). The
-/// heartbeat ticks once per completed cell.
-///
-/// # Errors
-///
-/// Propagates pool/device errors from any cell.
-pub fn run_jobs_observed(
-    cfg: &FabricRunConfig,
-    telemetry: &dtl_telemetry::Telemetry,
+    telemetry: &Telemetry,
     jobs: usize,
     heartbeat: &Heartbeat,
 ) -> Result<(FabricLoadResult, RunObservations), DtlError> {
@@ -123,24 +99,14 @@ pub fn run_jobs_observed(
             let mut cell = *cfg;
             cell.placement = placement;
             cell.burst = burst;
-            let (result, obs) = if i == 0 {
-                run_fabric_cell_observed(&cell, t).map(|(r, o)| (r, Some(o)))?
-            } else {
-                (run_fabric_cell(&cell)?, None)
-            };
+            let untraced = Telemetry::disabled();
+            let out = run_fabric_cell(&cell, if i == 0 { t } else { &untraced });
             heartbeat.tick(total_units);
-            Ok::<_, DtlError>((result, obs))
+            out
         });
-    let mut cells = Vec::with_capacity(total_units as usize);
-    let mut headline_obs = RunObservations::default();
-    for outcome in outcomes {
-        let (cell, obs) = outcome?;
-        if let Some(obs) = obs {
-            headline_obs = obs;
-        }
-        cells.push(cell);
-    }
-    Ok((FabricLoadResult { cells }, headline_obs))
+    let (cells, obs): (Vec<_>, Vec<_>) =
+        outcomes.into_iter().collect::<Result<Vec<_>, _>>()?.into_iter().unzip();
+    Ok((FabricLoadResult { cells }, obs[0]))
 }
 
 #[cfg(test)]
@@ -155,7 +121,7 @@ mod tests {
 
     #[test]
     fn tail_latency_rises_and_pack_wins_on_port_energy() {
-        let r = run(&quick()).unwrap();
+        let (r, _) = run(&quick(), &Telemetry::disabled(), 1, &Heartbeat::disabled()).unwrap();
         assert_eq!(r.cells.len(), VARIANTS.len() * BURSTS_TINY.len());
         assert!(r.p99_monotone(), "{:#?}", r.cells);
         assert!(r.pack_energy_edge_mj() > 0.0, "{:#?}", r.cells);
@@ -164,8 +130,8 @@ mod tests {
     #[test]
     fn jobs_do_not_change_the_result() {
         let cfg = quick();
-        let a = run_jobs_traced(&cfg, &dtl_telemetry::Telemetry::disabled(), 1).unwrap();
-        let b = run_jobs_traced(&cfg, &dtl_telemetry::Telemetry::disabled(), 4).unwrap();
+        let (a, _) = run(&cfg, &Telemetry::disabled(), 1, &Heartbeat::disabled()).unwrap();
+        let (b, _) = run(&cfg, &Telemetry::disabled(), 4, &Heartbeat::disabled()).unwrap();
         assert_eq!(a, b);
     }
 }

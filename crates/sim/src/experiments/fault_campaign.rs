@@ -11,6 +11,7 @@ use crate::{
     run_faulted, FaultRunConfig, FaultRunResult, Heartbeat, PowerDownRunConfig, RunObservations,
 };
 use dtl_core::DtlError;
+use dtl_telemetry::Telemetry;
 
 /// Combined result of the fault-free and faulted replays.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -35,71 +36,36 @@ pub struct FaultCampaignResult {
 }
 
 /// Runs the campaign: a quiet baseline and the faulted replay of the same
-/// schedule seed.
+/// schedule seed, as two parallel work units.
+///
+/// Telemetry streams from the **faulted replay** only (the quiet baseline
+/// stays untraced so its events do not interleave into the same timeline);
+/// the faulted unit records into a per-unit buffer merged back in unit
+/// order, so the emitted trace is bit-identical for any `jobs`. The
+/// returned [`RunObservations`] are likewise the faulted replay's — its
+/// SLO report is the one that matters (the baseline's latency carries no
+/// retry penalty by construction). The heartbeat ticks once per completed
+/// replay.
 ///
 /// # Errors
 ///
 /// Propagates device errors from either replay; an invariant violation
 /// after any injected fault fails the faulted run.
-pub fn run(cfg: &FaultRunConfig) -> Result<FaultCampaignResult, DtlError> {
-    run_traced(cfg, &dtl_telemetry::Telemetry::disabled())
-}
-
-/// Like [`run`], but streams telemetry from the **faulted replay** (the
-/// quiet baseline stays untraced so its events do not interleave into the
-/// same timeline).
-///
-/// # Errors
-///
-/// Propagates device errors from either replay; an invariant violation
-/// after any injected fault fails the faulted run.
-pub fn run_traced(
+pub fn run(
     cfg: &FaultRunConfig,
-    telemetry: &dtl_telemetry::Telemetry,
-) -> Result<FaultCampaignResult, DtlError> {
-    run_jobs_traced(cfg, telemetry, 1)
-}
-
-/// Like [`run_traced`], with the quiet baseline and the faulted replay as
-/// two parallel work units. The baseline unit keeps its telemetry disabled
-/// (as in the sequential path) and the faulted unit records into a
-/// per-unit buffer merged back in unit order, so the emitted trace is
-/// bit-identical for any `jobs`.
-///
-/// # Errors
-///
-/// Propagates device errors from either replay; an invariant violation
-/// after any injected fault fails the faulted run.
-pub fn run_jobs_traced(
-    cfg: &FaultRunConfig,
-    telemetry: &dtl_telemetry::Telemetry,
-    jobs: usize,
-) -> Result<FaultCampaignResult, DtlError> {
-    run_jobs_observed(cfg, telemetry, jobs, &Heartbeat::disabled()).map(|(result, _)| result)
-}
-
-/// Like [`run_jobs_traced`], additionally returning the **faulted**
-/// replay's out-of-band [`RunObservations`] — its SLO report is the one
-/// that matters (the quiet baseline's latency carries no retry penalty by
-/// construction). The heartbeat ticks once per completed replay.
-///
-/// # Errors
-///
-/// Propagates device errors from either replay; an invariant violation
-/// after any injected fault fails the faulted run.
-pub fn run_jobs_observed(
-    cfg: &FaultRunConfig,
-    telemetry: &dtl_telemetry::Telemetry,
+    telemetry: &Telemetry,
     jobs: usize,
     heartbeat: &Heartbeat,
 ) -> Result<(FaultCampaignResult, RunObservations), DtlError> {
     let mut outcomes =
         crate::exec::run_units_traced(jobs, telemetry, vec![false, true], |_, inject, t| {
             let out = if inject {
-                crate::run_faulted_observed(cfg, t).map(|(r, o)| (r, Some(o)))
+                run_faulted(cfg, t)
             } else {
-                run_faulted(&FaultRunConfig::fault_free(cfg.faults.seed, cfg.run))
-                    .map(|r| (r, None))
+                run_faulted(
+                    &FaultRunConfig::fault_free(cfg.faults.seed, cfg.run),
+                    &Telemetry::disabled(),
+                )
             };
             heartbeat.tick(2);
             out
@@ -116,7 +82,7 @@ pub fn run_jobs_observed(
         energy_delta_fraction: faulted.total_energy_mj / baseline.total_energy_mj - 1.0,
         latency_penalty_ns: faulted.latency_penalty_ns,
     };
-    Ok((result, obs.unwrap_or_default()))
+    Ok((result, obs))
 }
 
 /// The paper-scale campaign: the Figure 12 schedule (6 h, 4×8 ranks) under
@@ -145,7 +111,9 @@ mod tests {
 
     #[test]
     fn campaign_quantifies_fault_cost() {
-        let r = run(&FaultRunConfig::tiny_storm(7)).unwrap();
+        let (r, _) =
+            run(&FaultRunConfig::tiny_storm(7), &Telemetry::disabled(), 1, &Heartbeat::disabled())
+                .unwrap();
         assert_eq!(r.baseline.faults_injected, 0);
         assert!(r.faulted.faults_injected > 0);
         assert_eq!(r.faulted.ranks_retired, 1, "the storm retires its victim");

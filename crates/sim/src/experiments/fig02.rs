@@ -36,16 +36,11 @@ pub struct Fig02Result {
     pub mean_slowdown_at_min_ranks: f64,
 }
 
-/// Runs the experiment. `requests` bounds per-configuration replay length.
-/// Equivalent to [`run_jobs`] at `jobs = 1`.
-pub fn run(requests: u64, workloads: &[WorkloadKind]) -> Fig02Result {
-    run_jobs(requests, workloads, 1)
-}
-
 /// Runs the experiment with one worker unit per workload (each unit owns
-/// its three rank-count replays). The geometric-mean fold happens after the
-/// join, in workload order, so the result is bit-identical for any `jobs`.
-pub fn run_jobs(requests: u64, workloads: &[WorkloadKind], jobs: usize) -> Fig02Result {
+/// its three rank-count replays). `requests` bounds per-configuration
+/// replay length. The geometric-mean fold happens after the join, in
+/// workload order, so the result is bit-identical for any `jobs`.
+pub fn run(requests: u64, workloads: &[WorkloadKind], jobs: usize) -> Fig02Result {
     let rank_counts = [8u32, 4, 2];
     let perf = PerfModel::cloudsuite();
     let rows = crate::exec::run_units(jobs, workloads.to_vec(), |_, kind| {
@@ -83,7 +78,7 @@ mod tests {
 
     #[test]
     fn two_ranks_cost_little() {
-        let r = run(6_000, &[WorkloadKind::DataServing, WorkloadKind::WebSearch]);
+        let r = run(6_000, &[WorkloadKind::DataServing, WorkloadKind::WebSearch], 1);
         assert_eq!(r.rows.len(), 2);
         for row in &r.rows {
             assert!((row.slowdown[0] - 1.0).abs() < 1e-9, "baseline is 1.0");

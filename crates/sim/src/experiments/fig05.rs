@@ -43,16 +43,11 @@ pub struct Fig05Result {
     pub series: Vec<Fig05Series>,
 }
 
-/// Runs the experiment. Equivalent to [`run_jobs`] at `jobs = 1`.
-pub fn run(requests: u64, workloads: &[WorkloadKind]) -> Fig05Result {
-    run_jobs(requests, workloads, 1)
-}
-
 /// Runs the experiment with one worker unit per (link latency, workload)
 /// cell — each cell replays its own pair of simulators. The per-series
 /// geometric-mean fold happens after the join, in workload order, so the
 /// result is bit-identical for any `jobs`.
-pub fn run_jobs(requests: u64, workloads: &[WorkloadKind], jobs: usize) -> Fig05Result {
+pub fn run(requests: u64, workloads: &[WorkloadKind], jobs: usize) -> Fig05Result {
     let perf = PerfModel::cloudsuite();
     let links = [("local", 0u64), ("cxl", 89)];
     let mut cells = Vec::new();
@@ -122,7 +117,7 @@ mod tests {
 
     #[test]
     fn interleaving_cost_small_and_smaller_over_cxl() {
-        let r = run(6_000, &[WorkloadKind::DataServing, WorkloadKind::GraphAnalytics]);
+        let r = run(6_000, &[WorkloadKind::DataServing, WorkloadKind::GraphAnalytics], 1);
         let local = r.local_mean();
         let cxl = r.cxl_mean();
         assert!(local >= 0.999, "local {local}");

@@ -38,15 +38,10 @@ enum TraceUnit {
     Mix(usize),
 }
 
-/// Runs the experiment: each workload solo, then 4- and 8-app mixes.
-/// Equivalent to [`run_jobs`] at `jobs = 1`.
-pub fn run(seed: u64, records_per_trace: usize, scale: u64) -> Fig09Result {
-    run_jobs(seed, records_per_trace, scale, 1)
-}
-
-/// Runs the experiment with one worker unit per trace (solo workloads and
-/// mixes alike own their own generator and histogram).
-pub fn run_jobs(seed: u64, records_per_trace: usize, scale: u64, jobs: usize) -> Fig09Result {
+/// Runs the experiment: each workload solo, then 4- and 8-app mixes, one
+/// worker unit per trace (solo workloads and mixes alike own their own
+/// generator and histogram).
+pub fn run(seed: u64, records_per_trace: usize, scale: u64, jobs: usize) -> Fig09Result {
     let mut units: Vec<TraceUnit> =
         WorkloadKind::TRACED.iter().map(|k| TraceUnit::Solo(*k)).collect();
     units.push(TraceUnit::Mix(4));
@@ -84,7 +79,7 @@ mod tests {
 
     #[test]
     fn mixes_are_dominated_by_large_strides() {
-        let r = run(3, 30_000, 64);
+        let r = run(3, 30_000, 64, 1);
         assert_eq!(r.rows.len(), 10);
         let mix8 = r.rows.last().unwrap();
         assert_eq!(mix8.label, "mix-8");

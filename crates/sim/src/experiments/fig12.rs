@@ -7,6 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::{run_schedule, IntervalSample, PowerDownRunConfig, PowerDownRunResult};
 use dtl_core::DtlError;
+use dtl_telemetry::Telemetry;
 
 /// Combined result of the baseline and DTL runs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -58,11 +59,17 @@ impl Totals {
     }
 }
 
-/// Runs baseline and DTL replays of the same schedule.
+/// Runs baseline and DTL replays of the same schedule as two parallel
+/// work units.
 ///
 /// `exec_overhead_inputs` is `(interleaving_cost, translation_cost)` —
 /// typically the Figure 5 CXL mean slowdown minus one and the §6.1
 /// execution inflation.
+///
+/// Telemetry streams from the **DTL replay** only (the baseline stays
+/// untraced so its events do not interleave into the same timeline); the
+/// DTL unit records into a per-unit buffer that merges back in unit order,
+/// so the emitted trace is bit-identical for any `jobs`.
 ///
 /// # Errors
 ///
@@ -70,47 +77,14 @@ impl Totals {
 pub fn run(
     cfg_base: &PowerDownRunConfig,
     exec_overhead_inputs: (f64, f64),
-) -> Result<Fig12Result, DtlError> {
-    run_traced(cfg_base, exec_overhead_inputs, &dtl_telemetry::Telemetry::disabled())
-}
-
-/// Like [`run`], but streams telemetry from the **DTL replay** (the
-/// baseline stays untraced so its events do not interleave into the same
-/// timeline).
-///
-/// # Errors
-///
-/// Propagates device errors from either replay.
-pub fn run_traced(
-    cfg_base: &PowerDownRunConfig,
-    exec_overhead_inputs: (f64, f64),
-    telemetry: &dtl_telemetry::Telemetry,
-) -> Result<Fig12Result, DtlError> {
-    run_jobs_traced(cfg_base, exec_overhead_inputs, telemetry, 1)
-}
-
-/// Like [`run_traced`], with the baseline and DTL replays as two parallel
-/// work units. The baseline unit keeps its telemetry disabled (as in the
-/// sequential path) and the DTL unit records into a per-unit buffer that
-/// merges back in unit order, so the emitted trace is bit-identical for
-/// any `jobs`.
-///
-/// # Errors
-///
-/// Propagates device errors from either replay.
-pub fn run_jobs_traced(
-    cfg_base: &PowerDownRunConfig,
-    exec_overhead_inputs: (f64, f64),
-    telemetry: &dtl_telemetry::Telemetry,
+    telemetry: &Telemetry,
     jobs: usize,
 ) -> Result<Fig12Result, DtlError> {
     let mut outcomes =
         crate::exec::run_units_traced(jobs, telemetry, vec![false, true], |_, powerdown, t| {
-            if powerdown {
-                crate::run_schedule_traced(&PowerDownRunConfig { powerdown: true, ..*cfg_base }, t)
-            } else {
-                run_schedule(&PowerDownRunConfig { powerdown: false, ..*cfg_base })
-            }
+            let untraced = Telemetry::disabled();
+            let cfg = PowerDownRunConfig { powerdown, ..*cfg_base };
+            run_schedule(&cfg, if powerdown { t } else { &untraced })
         });
     let dtl = outcomes.pop().expect("two units")?;
     let baseline = outcomes.pop().expect("two units")?;
@@ -138,7 +112,8 @@ mod tests {
 
     #[test]
     fn dtl_saves_substantial_energy_at_tiny_scale() {
-        let r = run(&PowerDownRunConfig::tiny(7, true), (0.014, 0.0018)).unwrap();
+        let r = run(&PowerDownRunConfig::tiny(7, true), (0.014, 0.0018), &Telemetry::disabled(), 1)
+            .unwrap();
         assert!(r.energy_saving > 0.10, "energy saving {}", r.energy_saving);
         assert!(r.background_saving > r.energy_saving * 0.8, "background drives the saving");
         assert!(r.groups_powered_down > 0);

@@ -47,22 +47,13 @@ pub const PAPER_POINTS: [(&str, u32, f64); 4] = [
 ];
 
 /// Runs the sweep. `base` carries scale/bandwidth/accesses; rank count and
-/// allocation are overridden per point.
-///
-/// # Errors
-///
-/// Propagates device errors.
-pub fn run(base: &HotnessRunConfig, points: &[(&str, u32, f64)]) -> Result<Fig14Result, DtlError> {
-    run_jobs(base, points, 1)
-}
-
-/// Like [`run`], with one worker unit per allocation point — each point
-/// replays an independent pair of devices.
+/// allocation are overridden per point. One worker unit per allocation
+/// point — each point replays an independent pair of devices.
 ///
 /// # Errors
 ///
 /// Propagates device errors (first failing point wins).
-pub fn run_jobs(
+pub fn run(
     base: &HotnessRunConfig,
     points: &[(&str, u32, f64)],
     jobs: usize,
@@ -103,7 +94,7 @@ mod tests {
             channels: 2,
             ..HotnessRunConfig::tiny(1, true)
         };
-        let r = run(&base, &[("loose", 4, 0.55), ("tight", 4, 0.95)]).unwrap();
+        let r = run(&base, &[("loose", 4, 0.55), ("tight", 4, 0.95)], 1).unwrap();
         assert_eq!(r.rows.len(), 2);
         let loose = &r.rows[0];
         let tight = &r.rows[1];

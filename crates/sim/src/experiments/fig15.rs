@@ -39,26 +39,14 @@ pub struct Fig15Result {
 /// The power-down component is the deterministic background arithmetic
 /// (MPSM on `8 - active` ranks); the hotness component is measured by the
 /// trace-driven replay on the remaining active ranks and applies to the
-/// active-rank share of the energy.
-///
-/// # Errors
-///
-/// Propagates device errors from the hotness replays.
-pub fn run(
-    base: &HotnessRunConfig,
-    physical_ranks: u32,
-    points: &[(&str, u32, f64)],
-) -> Result<Fig15Result, DtlError> {
-    run_jobs(base, physical_ranks, points, 1)
-}
-
-/// Like [`run`], with one worker unit per configuration point.
+/// active-rank share of the energy. One worker unit per configuration
+/// point.
 ///
 /// # Errors
 ///
 /// Propagates device errors from the hotness replays (first failing point
 /// wins).
-pub fn run_jobs(
+pub fn run(
     base: &HotnessRunConfig,
     physical_ranks: u32,
     points: &[(&str, u32, f64)],
@@ -106,7 +94,7 @@ mod tests {
             channels: 2,
             ..HotnessRunConfig::tiny(5, true)
         };
-        let r = run(&base, 4, &[("6rk", 3, 0.6), ("8rk", 4, 0.8)]).unwrap();
+        let r = run(&base, 4, &[("6rk", 3, 0.6), ("8rk", 4, 0.8)], 1).unwrap();
         assert_eq!(r.rows.len(), 2);
         let six = &r.rows[0];
         // 1 of 4 ranks in MPSM: saving = (1 - 0.068)/4 = 23.3%.

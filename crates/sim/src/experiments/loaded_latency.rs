@@ -33,16 +33,10 @@ pub struct LoadedLatencyResult {
 }
 
 /// Sweeps offered load on a single channel with random (row-miss-heavy)
-/// traffic and compares the measured mean latency against the model.
-/// Equivalent to [`run_jobs`] at `jobs = 1`.
-pub fn run(seed: u64, requests_per_point: u64) -> LoadedLatencyResult {
-    run_jobs(seed, requests_per_point, 1)
-}
-
-/// Like [`run`], with one worker unit per utilization point — every point
-/// builds its own simulator and reseeds its own RNG from `seed`, exactly
-/// as the sequential sweep does.
-pub fn run_jobs(seed: u64, requests_per_point: u64, jobs: usize) -> LoadedLatencyResult {
+/// traffic and compares the measured mean latency against the model. One
+/// worker unit per utilization point — every point builds its own
+/// simulator and reseeds its own RNG from `seed`.
+pub fn run(seed: u64, requests_per_point: u64, jobs: usize) -> LoadedLatencyResult {
     let geometry = Geometry { channels: 1, ranks_per_channel: 4, ..Geometry::cxl_1tb() };
     let model = LoadedLatencyModel::ddr4_2933_channel(Picos::ZERO);
     let points = crate::exec::run_units(jobs, vec![5u32, 15, 30, 45, 60, 75], |_, pct| {
@@ -82,7 +76,7 @@ mod tests {
 
     #[test]
     fn simulator_and_model_agree_on_shape() {
-        let r = run(3, 4_000);
+        let r = run(3, 4_000, 1);
         // Monotone growth in both.
         for w in r.points.windows(2) {
             assert!(

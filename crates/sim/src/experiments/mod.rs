@@ -1,6 +1,7 @@
-//! One module per paper table/figure. Every `run` function is
-//! deterministic given its parameters and returns plain-data rows that the
-//! `dtl-bench` binaries render as text and JSON.
+//! One module per paper table/figure, each with exactly one `run`
+//! function: deterministic given its parameters (bit-identical for every
+//! `jobs` value where it takes one) and returning plain-data rows that
+//! `dtl <experiment>` renders as text and JSON.
 //!
 //! | Module | Paper artifact | Headline |
 //! |---|---|---|
@@ -35,7 +36,7 @@
 //!
 //! Every experiment is also registered behind the [`Experiment`] trait —
 //! [`registry()`] returns the full set and [`find()`] resolves one by
-//! name, which is what the `dtl-bench` driver and `all` binary consume.
+//! name, which is what `dtl <name>`, `dtl all` and `dtl list` consume.
 
 pub mod ablate_cke_powerdown;
 pub mod ablate_hotness_params;
@@ -196,15 +197,14 @@ impl RunOutput {
 }
 
 /// A named, uniformly-drivable experiment: the unit the registry hands to
-/// the `dtl-bench` driver and the `all` binary. Implementations wrap the
-/// typed `run`/`run_jobs` functions of their module; the trait only fixes
-/// configuration defaults (paper vs tiny scale, historical seeds) and
-/// rendering.
+/// the `dtl` binary. Implementations wrap the typed `run` function of
+/// their module; the trait only fixes configuration defaults (paper vs
+/// tiny scale, historical seeds) and rendering.
 pub trait Experiment: Sync {
-    /// Stable name: binary name, registry key, and `results/<name>.json`.
+    /// Stable name: `dtl <name>`, registry key, and `results/<name>.json`.
     fn name(&self) -> &'static str;
 
-    /// One-line description for `all --list` output and docs.
+    /// One-line description for `dtl list` output and docs.
     fn summary(&self) -> &'static str;
 
     /// Runs the experiment under `ctx` and renders its output.

@@ -13,9 +13,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{run_pool_observed, Heartbeat, PoolRunConfig, PoolRunResult, RunObservations};
+use crate::{run_pool, Heartbeat, PoolRunConfig, PoolRunResult, RunObservations};
 use dtl_core::DtlError;
 use dtl_dram::PowerPolicyKind;
+use dtl_telemetry::Telemetry;
 
 /// The workload mixes swept, as (name, trickle burst length).
 pub const MIXES: [(&str, u64); 2] = [("cold-touch", 1), ("burst-256", 256)];
@@ -96,43 +97,21 @@ impl PolicyAblationResult {
     }
 }
 
-/// Runs the whole matrix sequentially.
-///
-/// # Errors
-///
-/// Propagates pool/device errors from any replay.
-pub fn run(cfg: &PoolRunConfig) -> Result<PolicyAblationResult, DtlError> {
-    run_jobs_traced(cfg, &dtl_telemetry::Telemetry::disabled(), 1)
-}
-
-/// Like [`run`], with the matrix cells as parallel work units. Only the
+/// Runs the whole matrix with its cells as parallel work units. Only the
 /// first cell records telemetry (the cells are independent pools whose
 /// timelines would not compose into one trace); per-unit buffers merge
 /// back in unit order, so the emitted trace and the result are
-/// bit-identical for any `jobs`.
+/// bit-identical for any `jobs`. The returned [`RunObservations`] (SLO
+/// report and event-spine queue counters) are the **first** cell's. The
+/// heartbeat ticks once per completed cell — wall-clock stderr only,
+/// provably outside the result path.
 ///
 /// # Errors
 ///
 /// Propagates pool/device errors from any replay.
-pub fn run_jobs_traced(
+pub fn run(
     cfg: &PoolRunConfig,
-    telemetry: &dtl_telemetry::Telemetry,
-    jobs: usize,
-) -> Result<PolicyAblationResult, DtlError> {
-    run_jobs_observed(cfg, telemetry, jobs, &Heartbeat::disabled()).map(|(result, _)| result)
-}
-
-/// Like [`run_jobs_traced`], additionally returning the **first** cell's
-/// out-of-band [`RunObservations`] (SLO report and event-spine queue
-/// counters). The heartbeat ticks once per completed cell — wall-clock
-/// stderr only, provably outside the result path.
-///
-/// # Errors
-///
-/// Propagates pool/device errors from any replay.
-pub fn run_jobs_observed(
-    cfg: &PoolRunConfig,
-    telemetry: &dtl_telemetry::Telemetry,
+    telemetry: &Telemetry,
     jobs: usize,
     heartbeat: &Heartbeat,
 ) -> Result<(PolicyAblationResult, RunObservations), DtlError> {
@@ -145,9 +124,8 @@ pub fn run_jobs_observed(
             variant.power_policy = policy;
             variant.trickle_burst = burst;
             variant.coordinator = coord;
-            let disabled = dtl_telemetry::Telemetry::disabled();
-            let telemetry = if i == 0 { t } else { &disabled };
-            let (result, obs) = run_pool_observed(&variant, telemetry)?;
+            let untraced = Telemetry::disabled();
+            let (result, obs) = run_pool(&variant, if i == 0 { t } else { &untraced })?;
             heartbeat.tick(total_units);
             let (access_p99_ps, access_mean_ps) = match obs.slo.access {
                 Some(a) => (a.p99_ps, a.mean_ps),
@@ -162,19 +140,12 @@ pub fn run_jobs_observed(
                 access_mean_ps,
                 result,
             };
-            Ok::<_, DtlError>((cell, if i == 0 { Some(obs) } else { None }))
+            Ok::<_, DtlError>((cell, obs))
         });
-    let mut cells = Vec::with_capacity(total_units as usize);
-    let mut headline_obs = RunObservations::default();
-    for outcome in outcomes {
-        let (cell, obs) = outcome?;
-        if let Some(obs) = obs {
-            headline_obs = obs;
-        }
-        cells.push(cell);
-    }
+    let (cells, obs): (Vec<_>, Vec<_>) =
+        outcomes.into_iter().collect::<Result<Vec<_>, _>>()?.into_iter().unzip();
     let wins = score(&cells);
-    Ok((PolicyAblationResult { cells, wins }, headline_obs))
+    Ok((PolicyAblationResult { cells, wins }, obs[0]))
 }
 
 /// Compares every ladder-policy cell against the fixed-threshold cell of
@@ -217,7 +188,9 @@ mod tests {
 
     #[test]
     fn matrix_covers_every_policy_and_finds_a_win() {
-        let r = run(&PoolRunConfig::tiny(7)).unwrap();
+        let (r, _) =
+            run(&PoolRunConfig::tiny(7), &Telemetry::disabled(), 1, &Heartbeat::disabled())
+                .unwrap();
         assert_eq!(r.cells.len(), PowerPolicyKind::ALL.len() * MIXES.len() * 2);
         for kind in PowerPolicyKind::ALL {
             assert!(r.cells.iter().any(|c| c.policy == kind), "missing {}", kind.name());
@@ -250,8 +223,8 @@ mod tests {
     #[test]
     fn jobs_do_not_change_the_result() {
         let cfg = PoolRunConfig::tiny(11);
-        let a = run_jobs_traced(&cfg, &dtl_telemetry::Telemetry::disabled(), 1).unwrap();
-        let b = run_jobs_traced(&cfg, &dtl_telemetry::Telemetry::disabled(), 4).unwrap();
+        let (a, _) = run(&cfg, &Telemetry::disabled(), 1, &Heartbeat::disabled()).unwrap();
+        let (b, _) = run(&cfg, &Telemetry::disabled(), 4, &Heartbeat::disabled()).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -40,28 +40,18 @@ pub struct PoolFailoverResult {
     pub total_segments_evacuated: u64,
 }
 
-/// Runs `campaigns` retirement campaigns sequentially. Campaign `i` uses
-/// the SplitMix64-derived seed `derive_seed(base.seed, i)` and schedules
-/// `1 + i % 2` retirements, so the batch alternates single and double
-/// device losses.
+/// Runs `campaigns` retirement campaigns as parallel work units sharded
+/// across `jobs` workers. Campaign `i` uses the SplitMix64-derived seed
+/// `derive_seed(base.seed, i)` and schedules `1 + i % 2` retirements, so
+/// the batch alternates single and double device losses. Campaigns are
+/// independent replays; results assemble in campaign order, so the output
+/// is bit-identical for any `jobs`.
 ///
 /// # Errors
 ///
 /// Propagates pool/device errors; an invariant violation after any
 /// injected fault fails its campaign and the batch.
-pub fn run(base: &PoolRunConfig, campaigns: u64) -> Result<PoolFailoverResult, DtlError> {
-    run_jobs(base, campaigns, 1)
-}
-
-/// Like [`run`], with the campaigns as parallel work units sharded across
-/// `jobs` workers. Campaigns are independent replays; results assemble in
-/// campaign order, so the output is bit-identical for any `jobs`.
-///
-/// # Errors
-///
-/// Propagates pool/device errors; an invariant violation after any
-/// injected fault fails its campaign and the batch.
-pub fn run_jobs(
+pub fn run(
     base: &PoolRunConfig,
     campaigns: u64,
     jobs: usize,
@@ -73,7 +63,7 @@ pub fn run_jobs(
         let mut run = *base;
         run.seed = seed;
         let cfg = PoolFaultRunConfig::retirement_campaign(seed, run, retirements);
-        let result = run_pool_faulted(&cfg)?;
+        let result = run_pool_faulted(&cfg, &dtl_telemetry::Telemetry::disabled())?;
         Ok::<_, DtlError>(FailoverCampaign { seed, retirements, result })
     });
     let mut out = PoolFailoverResult {
@@ -102,7 +92,7 @@ mod tests {
 
     #[test]
     fn small_batch_loses_nothing() {
-        let r = run(&PoolRunConfig::tiny(7), 3).unwrap();
+        let r = run(&PoolRunConfig::tiny(7), 3, 1).unwrap();
         assert_eq!(r.campaigns.len(), 3);
         assert_eq!(r.total_lost_aus, 0, "no allocation unit may ever be lost");
         assert_eq!(r.total_devices_retired, 1 + 2 + 1, "alternating 1/2 retirements");
@@ -114,8 +104,8 @@ mod tests {
     #[test]
     fn jobs_do_not_change_the_batch() {
         let base = PoolRunConfig::tiny(5);
-        let a = run_jobs(&base, 2, 1).unwrap();
-        let b = run_jobs(&base, 2, 2).unwrap();
+        let a = run(&base, 2, 1).unwrap();
+        let b = run(&base, 2, 2).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -8,11 +8,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{
-    run_pool, run_pool_observed, Heartbeat, PoolRunConfig, PoolRunResult, RunObservations,
-};
+use crate::{run_pool, Heartbeat, PoolRunConfig, PoolRunResult, RunObservations};
 use dtl_core::DtlError;
 use dtl_pool::PlacementPolicy;
+use dtl_telemetry::Telemetry;
 
 /// The four (policy, coordinator) variants, replayed in this order. The
 /// first is the headline configuration and the only one traced.
@@ -55,43 +54,21 @@ impl PoolScaleResult {
     }
 }
 
-/// Runs all four variants sequentially.
+/// Runs all four variants as parallel work units. Only the headline
+/// pack+coordinator unit records telemetry (the variants are independent
+/// pools whose timelines would not compose into one trace); per-unit
+/// buffers merge back in unit order, so the emitted trace and the result
+/// are bit-identical for any `jobs`. The returned [`RunObservations`] (SLO
+/// report and event-spine queue counters) are the **headline** variant's.
+/// The heartbeat ticks once per completed variant — wall-clock stderr
+/// only, provably outside the result path.
 ///
 /// # Errors
 ///
 /// Propagates pool/device errors from any replay.
-pub fn run(cfg: &PoolRunConfig) -> Result<PoolScaleResult, DtlError> {
-    run_jobs_traced(cfg, &dtl_telemetry::Telemetry::disabled(), 1)
-}
-
-/// Like [`run`], with the four variants as parallel work units. Only the
-/// headline pack+coordinator unit records telemetry (the variants are
-/// independent pools whose timelines would not compose into one trace);
-/// per-unit buffers merge back in unit order, so the emitted trace and the
-/// result are bit-identical for any `jobs`.
-///
-/// # Errors
-///
-/// Propagates pool/device errors from any replay.
-pub fn run_jobs_traced(
+pub fn run(
     cfg: &PoolRunConfig,
-    telemetry: &dtl_telemetry::Telemetry,
-    jobs: usize,
-) -> Result<PoolScaleResult, DtlError> {
-    run_jobs_observed(cfg, telemetry, jobs, &Heartbeat::disabled()).map(|(result, _)| result)
-}
-
-/// Like [`run_jobs_traced`], additionally returning the **headline**
-/// variant's out-of-band [`RunObservations`] (SLO report and event-spine
-/// queue counters). The heartbeat ticks once per completed variant —
-/// wall-clock stderr only, provably outside the result path.
-///
-/// # Errors
-///
-/// Propagates pool/device errors from any replay.
-pub fn run_jobs_observed(
-    cfg: &PoolRunConfig,
-    telemetry: &dtl_telemetry::Telemetry,
+    telemetry: &Telemetry,
     jobs: usize,
     heartbeat: &Heartbeat,
 ) -> Result<(PoolScaleResult, RunObservations), DtlError> {
@@ -104,28 +81,18 @@ pub fn run_jobs_observed(
             let mut variant = *cfg;
             variant.policy = policy;
             variant.coordinator = coord;
-            let (result, obs) = if i == 0 {
-                run_pool_observed(&variant, t).map(|(r, o)| (r, Some(o)))
-            } else {
-                run_pool(&variant).map(|r| (r, None))
-            }?;
+            let untraced = Telemetry::disabled();
+            let (result, obs) = run_pool(&variant, if i == 0 { t } else { &untraced })?;
             heartbeat.tick(total_units);
             Ok::<_, DtlError>((PoolScaleVariant { policy, coordinator: coord, result }, obs))
         },
     );
-    let mut variants = Vec::with_capacity(VARIANTS.len());
-    let mut headline_obs = RunObservations::default();
-    for outcome in outcomes {
-        let (variant, obs) = outcome?;
-        if let Some(obs) = obs {
-            headline_obs = obs;
-        }
-        variants.push(variant);
-    }
+    let (variants, obs): (Vec<_>, Vec<_>) =
+        outcomes.into_iter().collect::<Result<Vec<_>, _>>()?.into_iter().unzip();
     let headline = variants[0].result.total_energy_mj;
     let baseline = variants[3].result.total_energy_mj;
     let savings_fraction = if baseline > 0.0 { 1.0 - headline / baseline } else { 0.0 };
-    Ok((PoolScaleResult { variants, savings_fraction }, headline_obs))
+    Ok((PoolScaleResult { variants, savings_fraction }, obs[0]))
 }
 
 #[cfg(test)]
@@ -134,7 +101,9 @@ mod tests {
 
     #[test]
     fn pack_with_coordinator_beats_spread_without() {
-        let r = run(&PoolRunConfig::tiny(7)).unwrap();
+        let (r, _) =
+            run(&PoolRunConfig::tiny(7), &Telemetry::disabled(), 1, &Heartbeat::disabled())
+                .unwrap();
         assert_eq!(r.variants.len(), 4);
         assert!(
             r.savings_fraction > 0.0,
@@ -152,8 +121,8 @@ mod tests {
     #[test]
     fn jobs_do_not_change_the_result() {
         let cfg = PoolRunConfig::tiny(11);
-        let a = run_jobs_traced(&cfg, &dtl_telemetry::Telemetry::disabled(), 1).unwrap();
-        let b = run_jobs_traced(&cfg, &dtl_telemetry::Telemetry::disabled(), 4).unwrap();
+        let (a, _) = run(&cfg, &Telemetry::disabled(), 1, &Heartbeat::disabled()).unwrap();
+        let (b, _) = run(&cfg, &Telemetry::disabled(), 4, &Heartbeat::disabled()).unwrap();
         assert_eq!(a, b);
     }
 }

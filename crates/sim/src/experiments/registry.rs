@@ -1,12 +1,12 @@
 //! The experiment registry: one [`Experiment`] impl per paper artifact,
 //! each a thin adapter from the uniform [`RunContext`] onto its module's
-//! typed `run`/`run_jobs` functions. The registry is the single source of
-//! truth the `dtl-bench` driver, the `all` binary, and CI's drift check
-//! consume — adding an experiment here is what makes it runnable.
+//! typed `run` function. The registry is the single source of truth
+//! behind `dtl <name>`, `dtl all` and `dtl list` — adding an experiment
+//! here is what makes it runnable.
 //!
 //! Scale defaults (paper vs `--tiny`) and the historical per-experiment
-//! seeds are pinned here, so a bare `dtl-bench <name>` reproduces exactly
-//! what the pre-registry binaries produced.
+//! seeds are pinned here, so a bare `dtl <name>` reproduces exactly what
+//! the pre-registry binaries produced.
 
 use super::{
     ablate_cke_powerdown, ablate_hotness_params, ablate_migration_priority, ablate_page_policy,
@@ -50,19 +50,19 @@ experiment!(Fig01, "fig01", "Figure 1: VM memory usage profiling", |ctx| {
 
 experiment!(Fig02, "fig02", "Figure 2: performance vs active ranks per channel", |ctx| {
     let requests = if ctx.tiny { 10_000 } else { 60_000 };
-    let r = fig02::run_jobs(requests, &WorkloadKind::ALL, ctx.jobs);
+    let r = fig02::run(requests, &WorkloadKind::ALL, ctx.jobs);
     Ok(RunOutput::new(render::fig02(&r).render(), to_json(&r)))
 });
 
 experiment!(Fig05, "fig05", "Figure 5: rank-interleaving cost, local vs CXL", |ctx| {
     let requests = if ctx.tiny { 10_000 } else { 60_000 };
-    let r = fig05::run_jobs(requests, &WorkloadKind::TRACED, ctx.jobs);
+    let r = fig05::run(requests, &WorkloadKind::TRACED, ctx.jobs);
     Ok(RunOutput::new(render::fig05(&r).render(), to_json(&r)))
 });
 
 experiment!(Fig09, "fig09", "Figure 9: post-cache stride distributions", |ctx| {
     let records = if ctx.tiny { 50_000 } else { 400_000 };
-    let r = fig09::run_jobs(ctx.seed_or(1), records, 16, ctx.jobs);
+    let r = fig09::run(ctx.seed_or(1), records, 16, ctx.jobs);
     Ok(RunOutput::new(render::fig09(&r).render(), to_json(&r)))
 });
 
@@ -88,7 +88,7 @@ experiment!(Fig12, "fig12", "Figures 12-13: rank-level power-down over the VM sc
     };
     // Execution-overhead inputs: Figure 5's CXL interleaving cost plus the
     // Section 6.1 translation inflation.
-    let r = fig12::run_jobs_traced(&cfg, (0.014, 0.0018), &ctx.telemetry, ctx.jobs)?;
+    let r = fig12::run(&cfg, (0.014, 0.0018), &ctx.telemetry, ctx.jobs)?;
     let mut out = RunOutput::new(
         format!("{}\n{}", render::fig12(&r).render(), render::fig13(&r).render()),
         to_json(&r),
@@ -103,7 +103,7 @@ experiment!(Fig14, "fig14", "Figure 14: hotness-aware self-refresh savings", |ct
         base.accesses = 1_000_000;
         base.scale = 256;
     }
-    let r = fig14::run_jobs(&base, &fig14::PAPER_POINTS, ctx.jobs)?;
+    let r = fig14::run(&base, &fig14::PAPER_POINTS, ctx.jobs)?;
     let mut out = RunOutput::new(render::fig14(&r).render(), to_json(&r));
     if ctx.telemetry.enabled() {
         // One additional traced treatment replay at the first allocation
@@ -111,7 +111,7 @@ experiment!(Fig14, "fig14", "Figure 14: hotness-aware self-refresh savings", |ct
         // timelines would not compose into one trace.
         let (_, ranks, frac) = fig14::PAPER_POINTS[0];
         let cfg = HotnessRunConfig { active_ranks: ranks, allocated_fraction: frac, ..base };
-        let traced = crate::run_hotness_traced(&cfg, &ctx.telemetry)?;
+        let traced = crate::run_hotness(&cfg, 1.0, &ctx.telemetry)?;
         out.horizon_ps = Some(traced.duration.as_ps());
     }
     Ok(out)
@@ -123,12 +123,12 @@ experiment!(Fig15, "fig15", "Figure 15: stacked savings from both mechanisms", |
         base.accesses = 1_000_000;
         base.scale = 256;
     }
-    let r = fig15::run_jobs(&base, 8, &fig14::PAPER_POINTS, ctx.jobs)?;
+    let r = fig15::run(&base, 8, &fig14::PAPER_POINTS, ctx.jobs)?;
     Ok(RunOutput::new(render::fig15(&r).render(), to_json(&r)))
 });
 
 experiment!(Tab04, "tab04", "Table 4: per-workload MAPKI calibration", |ctx| {
-    let r = tab04::run_jobs(ctx.seed_or(1), 100_000, ctx.jobs);
+    let r = tab04::run(ctx.seed_or(1), 100_000, ctx.jobs);
     Ok(RunOutput::new(render::tab04(&r).render(), to_json(&r)))
 });
 
@@ -152,7 +152,7 @@ experiment!(Sec61, "sec6_1", "Section 6.1: AMAT under DTL translation", |ctx| {
 
 experiment!(Sec66, "sec6_6", "Section 6.6: device scaling and the mapping cost", |ctx| {
     let requests = if ctx.tiny { 8_000 } else { 40_000 };
-    let r = sec6_6::run_jobs(requests, &WorkloadKind::TRACED, ctx.jobs);
+    let r = sec6_6::run(requests, &WorkloadKind::TRACED, ctx.jobs);
     Ok(RunOutput::new(render::sec6_6(&r).render(), to_json(&r)))
 });
 
@@ -179,7 +179,7 @@ experiment!(
     "Section 5.2 methodology: the trace cache pipeline",
     |ctx| {
         let records = if ctx.tiny { 200_000 } else { 1_500_000 };
-        let r = cache_pipeline::run_jobs(ctx.seed_or(7), records, &WorkloadKind::TRACED, ctx.jobs);
+        let r = cache_pipeline::run(ctx.seed_or(7), records, &WorkloadKind::TRACED, ctx.jobs);
         Ok(RunOutput::new(render::cache_pipeline(&r).render(), to_json(&r)))
     }
 );
@@ -190,7 +190,7 @@ experiment!(
     "Model validation: loaded latency vs cycle simulator",
     |ctx| {
         let requests = if ctx.tiny { 4_000 } else { 20_000 };
-        let r = loaded_latency::run_jobs(ctx.seed_or(3), requests, ctx.jobs);
+        let r = loaded_latency::run(ctx.seed_or(3), requests, ctx.jobs);
         Ok(RunOutput::new(render::loaded_latency(&r).render(), to_json(&r)))
     }
 );
@@ -208,7 +208,7 @@ experiment!(
 
 experiment!(AblateSmc, "ablate_smc", "Ablation: segment mapping cache sizing", |ctx| {
     let accesses = if ctx.tiny { 100_000 } else { 600_000 };
-    let r = ablate_smc::run_jobs(ctx.seed_or(3), accesses, ctx.jobs);
+    let r = ablate_smc::run(ctx.seed_or(3), accesses, ctx.jobs);
     Ok(RunOutput::new(render::ablate_smc(&r).render(), to_json(&r)))
 });
 
@@ -222,7 +222,7 @@ experiment!(
             base.accesses = 1_500_000;
             base.scale = 256;
         }
-        let r = ablate_hotness_params::run_jobs(&base, ctx.jobs)?;
+        let r = ablate_hotness_params::run(&base, ctx.jobs)?;
         Ok(RunOutput::new(render::ablate_hotness_params(&r).render(), to_json(&r)))
     }
 );
@@ -233,7 +233,7 @@ experiment!(
     "Ablation: migration scheduling priority",
     |ctx| {
         let requests = if ctx.tiny { 5_000 } else { 30_000 };
-        let r = ablate_migration_priority::run_jobs(requests, ctx.jobs);
+        let r = ablate_migration_priority::run(requests, ctx.jobs);
         let text = format!(
             "{}\nstrict-background migration keeps foreground latency {:.1} ns lower on average",
             render::ablate_migration_priority(&r).render(),
@@ -249,7 +249,7 @@ experiment!(
     "Ablation: CKE power-down vs DTL consolidation",
     |ctx| {
         let requests = if ctx.tiny { 20_000 } else { 120_000 };
-        let r = ablate_cke_powerdown::run_jobs(requests, ctx.jobs);
+        let r = ablate_cke_powerdown::run(requests, ctx.jobs);
         let text = format!(
             "{}\ninterleaving keeps every rank lukewarm: CKE power-down cannot touch\n\
          what DTL consolidation reclaims unless traffic nearly stops",
@@ -265,7 +265,7 @@ experiment!(
     "Ablation: page policy under the DTL mapping",
     |ctx| {
         let requests = if ctx.tiny { 8_000 } else { 40_000 };
-        let r = ablate_page_policy::run_jobs(requests, ctx.jobs);
+        let r = ablate_page_policy::run(requests, ctx.jobs);
         Ok(RunOutput::new(render::ablate_page_policy(&r).render(), to_json(&r)))
     }
 );
@@ -289,7 +289,7 @@ experiment!(
             }
         }
         let heartbeat = crate::Heartbeat::new(ctx.flag("--heartbeat"), "fault_campaign");
-        let (r, obs) = fault_campaign::run_jobs_observed(&cfg, &telemetry, ctx.jobs, &heartbeat)?;
+        let (r, obs) = fault_campaign::run(&cfg, &telemetry, ctx.jobs, &heartbeat)?;
         let text = format!("{}\n{}", render::fault_campaign(&r).render(), render::slo(&obs.slo));
         let mut out = RunOutput::new(text, to_json(&r));
         out.horizon_ps = Some(horizon);
@@ -323,7 +323,7 @@ experiment!(
             }
         }
         let heartbeat = crate::Heartbeat::new(ctx.flag("--heartbeat"), "fabric_load");
-        let (r, obs) = fabric_load::run_jobs_observed(&cfg, &telemetry, ctx.jobs, &heartbeat)?;
+        let (r, obs) = fabric_load::run(&cfg, &telemetry, ctx.jobs, &heartbeat)?;
         let text = format!(
             "{}\npacking under one switch saves {:.3} mJ of switch-port energy at the \
              lightest load\n{}",
@@ -369,7 +369,7 @@ experiment!(
             }
         }
         let heartbeat = crate::Heartbeat::new(ctx.flag("--heartbeat"), "pool_scale");
-        let (r, obs) = pool_scale::run_jobs_observed(&cfg, &telemetry, ctx.jobs, &heartbeat)?;
+        let (r, obs) = pool_scale::run(&cfg, &telemetry, ctx.jobs, &heartbeat)?;
         let text = format!(
             "{}\npack+coordination saves {} pool energy over spread/no-coordination\n{}",
             render::pool_scale(&r).render(),
@@ -407,7 +407,7 @@ experiment!(
             }
         }
         let heartbeat = crate::Heartbeat::new(ctx.flag("--heartbeat"), "policy_ablation");
-        let (r, obs) = policy_ablation::run_jobs_observed(&cfg, &telemetry, ctx.jobs, &heartbeat)?;
+        let (r, obs) = policy_ablation::run(&cfg, &telemetry, ctx.jobs, &heartbeat)?;
         let text = format!("{}\n{}", render::policy_ablation(&r).render(), render::slo(&obs.slo));
         let mut out = RunOutput::new(text, to_json(&r));
         out.horizon_ps = Some(horizon);
@@ -433,7 +433,7 @@ experiment!(
             .value("--campaigns")
             .and_then(|v| v.parse::<u64>().ok())
             .unwrap_or(if ctx.tiny { 6 } else { 24 });
-        let r = pool_failover::run_jobs(&cfg, campaigns, ctx.jobs)?;
+        let r = pool_failover::run(&cfg, campaigns, ctx.jobs)?;
         let mut out = RunOutput::new(render::pool_failover(&r).render(), to_json(&r));
         if r.total_lost_aus > 0 {
             out.failure = Some(format!(
@@ -463,8 +463,7 @@ experiment!(
             cfg.duration_min = n;
         }
         let heartbeat = crate::Heartbeat::new(ctx.flag("--heartbeat"), "vm_campaign");
-        let (r, obs) =
-            vm_campaign::run_jobs_observed(&cfg, ctx.jobs, ctx.series_width, &heartbeat)?;
+        let (r, obs) = vm_campaign::run(&cfg, ctx.jobs, ctx.series_width, &heartbeat)?;
         if let Some(m) = ctx.telemetry.metrics() {
             // Hosts run their own event spines; export the fleet-merged
             // queue counters here (the per-host runs carry no registry).
@@ -505,7 +504,7 @@ experiment!(
         if let Some(n) = ctx.value("--ops").and_then(|v| v.parse::<usize>().ok()) {
             cfg.ops_per_seed = n;
         }
-        let r = diff_fuzz::run_jobs(&cfg, ctx.jobs);
+        let r = diff_fuzz::run(&cfg, ctx.jobs);
         let mut out = RunOutput::new(render::diff_fuzz(&r).render(), to_json(&r));
         if let Some(ce) = &r.first_counterexample {
             out.failure =
@@ -536,7 +535,7 @@ fn replay_counterexample(json: &str) -> RunOutput {
     out
 }
 
-/// Every registered experiment, in the order `all` runs them.
+/// Every registered experiment, in the order `dtl all` runs them.
 pub fn registry() -> &'static [&'static dyn Experiment] {
     static REGISTRY: [&dyn Experiment; 30] = [
         &Fig01,

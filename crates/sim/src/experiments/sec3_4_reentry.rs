@@ -2,8 +2,7 @@
 //! victim rank is woken by an access, most of its segments are still cold,
 //! so re-entering self-refresh needs only a little migration.
 
-use crate::{run_reentry, HotnessRunConfig, ReentryResult};
-use dtl_core::DtlError;
+use crate::HotnessRunConfig;
 
 /// The paper-scale configuration (224 GB on 6 ranks).
 pub fn paper(seed: u64) -> HotnessRunConfig {
@@ -19,16 +18,10 @@ pub fn tiny(seed: u64) -> HotnessRunConfig {
     }
 }
 
-/// Runs the re-entry study — a single sequential replay (the probe, wake,
-/// and re-entry phases observe one device's evolving state, so there is no
+/// The re-entry study — a single sequential replay (the probe, wake, and
+/// re-entry phases observe one device's evolving state, so there is no
 /// independent unit decomposition).
-///
-/// # Errors
-///
-/// Propagates device errors.
-pub fn run(cfg: &HotnessRunConfig) -> Result<ReentryResult, DtlError> {
-    run_reentry(cfg)
-}
+pub use crate::run_reentry as run;
 
 #[cfg(test)]
 mod tests {

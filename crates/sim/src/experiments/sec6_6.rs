@@ -48,16 +48,11 @@ const GEOMETRIES: [(&str, u32, u32, u32); 3] = [
     ("8ch x 16rk, scaled demand", 8, 16, 56),
 ];
 
-/// Runs the scaling comparison under both load models. Equivalent to
-/// [`run_jobs`] at `jobs = 1`.
-pub fn run(requests: u64, workloads: &[WorkloadKind]) -> Sec66Result {
-    run_jobs(requests, workloads, 1)
-}
-
-/// Runs the comparison with one worker unit per (geometry, workload) cell;
-/// the per-geometry geometric-mean fold happens after the join, in
-/// workload order, so the result is bit-identical for any `jobs`.
-pub fn run_jobs(requests: u64, workloads: &[WorkloadKind], jobs: usize) -> Sec66Result {
+/// Runs the scaling comparison under both load models with one worker
+/// unit per (geometry, workload) cell; the per-geometry geometric-mean fold
+/// happens after the join, in workload order, so the result is
+/// bit-identical for any `jobs`.
+pub fn run(requests: u64, workloads: &[WorkloadKind], jobs: usize) -> Sec66Result {
     let perf = PerfModel::cloudsuite();
     let mut cells = Vec::new();
     for (g, (_, channels, ranks, cores)) in GEOMETRIES.iter().enumerate() {
@@ -101,7 +96,7 @@ mod tests {
 
     #[test]
     fn scaling_behaviour_matches_both_readings() {
-        let r = run(6_000, &[WorkloadKind::DataServing, WorkloadKind::GraphAnalytics]);
+        let r = run(6_000, &[WorkloadKind::DataServing, WorkloadKind::GraphAnalytics], 1);
         assert_eq!(r.rows.len(), 3);
         let small = &r.rows[0];
         let fixed = &r.rows[1];

@@ -27,15 +27,10 @@ pub struct Tab04Result {
     pub max_relative_error: f64,
 }
 
-/// Runs the calibration measurement. Equivalent to [`run_jobs`] at
-/// `jobs = 1`.
-pub fn run(seed: u64, records: usize) -> Tab04Result {
-    run_jobs(seed, records, 1)
-}
-
-/// Runs the calibration with one worker unit per workload (each generator
-/// is independent); the worst-error fold happens after the join.
-pub fn run_jobs(seed: u64, records: usize, jobs: usize) -> Tab04Result {
+/// Runs the calibration measurement with one worker unit per workload
+/// (each generator is independent); the worst-error fold happens after the
+/// join.
+pub fn run(seed: u64, records: usize, jobs: usize) -> Tab04Result {
     let rows = crate::exec::run_units(jobs, WorkloadKind::ALL.to_vec(), |_, kind| {
         let spec = kind.spec().scaled(64);
         let mut gen = TraceGen::new(spec, seed);
@@ -62,7 +57,7 @@ mod tests {
 
     #[test]
     fn all_generators_hit_their_mapki() {
-        let r = run(1, 40_000);
+        let r = run(1, 40_000, 1);
         assert_eq!(r.rows.len(), 10);
         assert!(r.max_relative_error < 0.08, "worst error {}", r.max_relative_error);
         // Spot-check the extremes of Table 4.

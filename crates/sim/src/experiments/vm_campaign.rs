@@ -4,24 +4,9 @@
 //! `vm_campaign_run`). The headline is the fleet-wide background energy
 //! saved by rank consolidation against an always-standby baseline, and
 //! the run itself doubles as the event-spine throughput benchmark: the
-//! result carries the fleet's processed-event count so BENCH.md can quote
-//! events/sec against an externally measured wall clock.
+//! result carries the fleet's processed-event count so the perf ledger's
+//! `fleet_events` workload can quote events/sec against its wall clock.
 
 pub use crate::vm_campaign_run::{
-    run_campaign as run, run_campaign_jobs as run_jobs, run_campaign_observed as run_jobs_observed,
-    CampaignObservations, HostOutcome, VmCampaignConfig, VmCampaignResult,
+    run_campaign as run, CampaignObservations, HostOutcome, VmCampaignConfig, VmCampaignResult,
 };
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn experiment_alias_reaches_the_harness() {
-        let mut cfg = VmCampaignConfig::tiny(5);
-        cfg.hosts = 2;
-        let r = run(&cfg).unwrap();
-        assert_eq!(r.hosts, 2);
-        assert_eq!(r.sample.len(), 2);
-    }
-}

@@ -167,24 +167,16 @@ impl GridDriven for FabricEpoch<'_> {
     }
 }
 
-/// Runs one fabric-load cell.
+/// Runs one fabric-load cell. Fabric port events stream into `telemetry`;
+/// beside the serialized [`FabricCellResult`] come the out-of-band
+/// [`RunObservations`] (SLO report including the fabric-queue population,
+/// plus event-spine counters).
 ///
 /// # Errors
 ///
 /// Propagates pool/device errors (the harness never over-commits the
 /// pool or routes to unreachable devices).
-pub fn run_fabric_cell(cfg: &FabricRunConfig) -> Result<FabricCellResult, DtlError> {
-    run_fabric_cell_observed(cfg, &Telemetry::disabled()).map(|(r, _)| r)
-}
-
-/// Like [`run_fabric_cell`], with a telemetry handle (fabric port events
-/// stream into it) and the out-of-band [`RunObservations`] (SLO report
-/// including the fabric-queue population, plus event-spine counters).
-///
-/// # Errors
-///
-/// Propagates pool/device errors.
-pub fn run_fabric_cell_observed(
+pub fn run_fabric_cell(
     cfg: &FabricRunConfig,
     telemetry: &Telemetry,
 ) -> Result<(FabricCellResult, RunObservations), DtlError> {
@@ -269,9 +261,9 @@ mod tests {
         let mut cfg = FabricRunConfig::tiny(3);
         cfg.windows = 6;
         cfg.burst = 8;
-        let (light, _) = run_fabric_cell_observed(&cfg, &Telemetry::disabled()).unwrap();
+        let (light, _) = run_fabric_cell(&cfg, &Telemetry::disabled()).unwrap();
         cfg.burst = 512;
-        let (heavy, _) = run_fabric_cell_observed(&cfg, &Telemetry::disabled()).unwrap();
+        let (heavy, _) = run_fabric_cell(&cfg, &Telemetry::disabled()).unwrap();
         assert_eq!(light.accesses, 8 * 4 * 6);
         assert!(heavy.access_p99_ps > light.access_p99_ps, "{heavy:?} vs {light:?}");
         assert!(heavy.queue_mean_ps > light.queue_mean_ps);
@@ -282,9 +274,9 @@ mod tests {
     fn packing_under_one_switch_saves_port_energy() {
         let mut cfg = FabricRunConfig::tiny(3);
         cfg.windows = 6;
-        let (pack, _) = run_fabric_cell_observed(&cfg, &Telemetry::disabled()).unwrap();
+        let (pack, _) = run_fabric_cell(&cfg, &Telemetry::disabled()).unwrap();
         cfg.placement = PlacementPolicy::SpreadForBandwidth;
-        let (spread, _) = run_fabric_cell_observed(&cfg, &Telemetry::disabled()).unwrap();
+        let (spread, _) = run_fabric_cell(&cfg, &Telemetry::disabled()).unwrap();
         assert!(pack.ports_used < spread.ports_used, "{pack:?} vs {spread:?}");
         assert!(pack.switch_port_energy_mj < spread.switch_port_energy_mj);
         // Equal per-host traffic must see equal fabric shares either way.
@@ -297,8 +289,8 @@ mod tests {
         let mut cfg = FabricRunConfig::tiny(11);
         cfg.windows = 4;
         cfg.burst = 16;
-        let a = run_fabric_cell(&cfg).unwrap();
-        let b = run_fabric_cell(&cfg).unwrap();
+        let (a, _) = run_fabric_cell(&cfg, &Telemetry::disabled()).unwrap();
+        let (b, _) = run_fabric_cell(&cfg, &Telemetry::disabled()).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -13,21 +13,15 @@
 //! leave the mapping tables, allocator, or SMC inconsistent fails the run
 //! immediately.
 
-use dtl_core::{
-    AnalyticBackend, DtlConfig, DtlDevice, DtlError, HealthStats, HostId, MemoryBackend,
-    SegmentGeometry, VmHandle,
-};
+use dtl_core::{DtlError, HealthStats};
 use dtl_cxl::{LinkRetryStats, RetryEngine, RetryPolicy};
-use dtl_dram::{Picos, PowerParams};
-use dtl_event::Simulation;
+use dtl_dram::Picos;
 use dtl_fault::{FaultInjector, FaultKind, FaultPlanConfig, StormConfig};
 use dtl_telemetry::{BacklogSummary, LatencySummary, SloReport, Telemetry};
-use dtl_trace::{VmEventKind, VmId, VmSchedule};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
-use crate::event_drive::{self, GridDriven};
-use crate::{assert_residency_consistency, PowerDownRunConfig, RunObservations};
+use crate::powerdown_run::{replay_schedule, ReplayHooks, Replayed, ScheduleDevice};
+use crate::{PowerDownRunConfig, RunObservations};
 
 /// Configuration of one faulted schedule replay.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -108,62 +102,24 @@ pub struct FaultRunResult {
     pub latency_penalty_ns: f64,
 }
 
-/// Replays a VM schedule with faults injected along the way.
+/// Replays a VM schedule with faults injected along the way. Fault
+/// strikes, health transitions, CXL retries, and power transitions stream
+/// into `telemetry`'s sink; an attached metrics registry additionally
+/// receives the `fault.released.*` counters and every engine's statistics.
+///
+/// Beside the serialized [`FaultRunResult`] (pinned by replay tooling)
+/// come the out-of-band [`RunObservations`]: link-transaction latency
+/// (base round trip plus any CRC retry penalty), VM admission latency, the
+/// migration-drain backlog, and the event spine's queue counters.
 ///
 /// # Errors
 ///
 /// Propagates device errors; an invariant violation after an injected
 /// fault surfaces here as [`DtlError::Internal`].
-pub fn run_faulted(cfg: &FaultRunConfig) -> Result<FaultRunResult, DtlError> {
-    run_faulted_traced(cfg, &Telemetry::disabled())
-}
-
-/// Like [`run_faulted`], but with a live telemetry handle: fault strikes,
-/// health transitions, CXL retries, and power transitions stream into its
-/// sink; an attached metrics registry additionally receives the
-/// `fault.released.*` counters and every engine's statistics.
-///
-/// # Errors
-///
-/// Propagates device errors; an invariant violation after an injected
-/// fault surfaces here as [`DtlError::Internal`].
-pub fn run_faulted_traced(
-    cfg: &FaultRunConfig,
-    telemetry: &Telemetry,
-) -> Result<FaultRunResult, DtlError> {
-    run_faulted_observed(cfg, telemetry).map(|(result, _)| result)
-}
-
-/// Like [`run_faulted_traced`], additionally returning the out-of-band
-/// [`RunObservations`]: link-transaction latency (base round trip plus any
-/// CRC retry penalty), VM admission latency, the migration-drain backlog,
-/// and the event spine's queue counters. The serialized [`FaultRunResult`]
-/// is unchanged, so goldens stay byte-stable.
-///
-/// # Errors
-///
-/// Propagates device errors; an invariant violation after an injected
-/// fault surfaces here as [`DtlError::Internal`].
-pub fn run_faulted_observed(
+pub fn run_faulted(
     cfg: &FaultRunConfig,
     telemetry: &Telemetry,
 ) -> Result<(FaultRunResult, RunObservations), DtlError> {
-    let rcfg = &cfg.run;
-    let dtl_cfg = DtlConfig::paper();
-    let geo = SegmentGeometry {
-        channels: rcfg.channels,
-        ranks_per_channel: rcfg.ranks_per_channel,
-        segs_per_rank: rcfg.segs_per_rank(dtl_cfg.segment_bytes),
-    };
-    let backend = AnalyticBackend::new(geo, dtl_cfg.segment_bytes, PowerParams::ddr4_128gb_dimm());
-    let mut dev = DtlDevice::new(dtl_cfg, backend);
-    dev.set_telemetry(telemetry.clone());
-    dev.set_hotness_enabled(false);
-    dev.set_powerdown_enabled(rcfg.powerdown);
-    for h in 0..rcfg.hosts.max(1) {
-        dev.register_host(HostId(h))?;
-    }
-
     let mut injector = cfg.faults.generate().injector();
     if let Some(m) = telemetry.metrics() {
         injector.set_metrics(m);
@@ -175,71 +131,16 @@ pub fn run_faulted_observed(
     // [`LinkRetryStats`] is untouched.
     link.set_base_latency(dtl_cxl::LinkModel::cxl().round_trip());
     link.set_telemetry(telemetry.clone());
-    let mut faults_injected = 0u64;
-    let mut segments_at_risk = 0u64;
-    let mut foreground_lines = 0u64;
+    // Grid ticks ride the shared schedule replay; faults fire on its side
+    // lane at their exact scheduled instants instead of being quantized
+    // up to the next tick.
+    let mut lane = FaultLane { link, injector, segments_at_risk: 0, faults_injected: 0 };
+    let Replayed { dev, report, queue, foreground_lines } =
+        replay_schedule(&cfg.run, telemetry, &mut lane)?;
 
-    let schedule = VmSchedule::synthesize(rcfg.seed, rcfg.node, rcfg.duration_min);
-    let mut handles: HashMap<VmId, (VmHandle, u32, u64)> = HashMap::new();
-    let mut vcpus_active: u32 = 0;
-    let mut events = schedule.events().iter().peekable();
-    let epoch = Picos::from_secs(300);
-    let tick_step = Picos::from_secs(10);
-    // One event-spine clock for the whole replay. Grid ticks ride the
-    // compatibility shim; faults fire on its side lane at their exact
-    // scheduled instants instead of being quantized up to the next tick.
-    let mut sim = Simulation::new(Picos::ZERO);
-
-    let mut t_min = 0u32;
-    while t_min < rcfg.duration_min {
-        let t_start = Picos::from_secs(u64::from(t_min) * 60);
-        while let Some(ev) = events.peek() {
-            if ev.at_min > t_min {
-                break;
-            }
-            let ev = events.next().expect("peeked");
-            match ev.kind {
-                VmEventKind::Alloc(vm) => {
-                    let host = HostId((vm.id.0 % u32::from(rcfg.hosts.max(1))) as u16);
-                    match dev.alloc_vm(host, vm.mem_bytes, t_start) {
-                        Ok(alloc) => {
-                            vcpus_active += vm.vcpus;
-                            handles.insert(vm.id, (alloc.handle, vm.vcpus, vm.mem_bytes));
-                        }
-                        // AU rounding and fault-driven capacity loss can
-                        // both push a near-full schedule over the edge;
-                        // such VMs go elsewhere in the cluster.
-                        Err(DtlError::OutOfCapacity { .. }) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-                VmEventKind::Dealloc(id) => {
-                    if let Some((h, vcpus, _)) = handles.remove(&id) {
-                        dev.dealloc_vm(h, t_start)?;
-                        vcpus_active -= vcpus;
-                    }
-                }
-            }
-        }
-        foreground_lines += record_epoch_traffic(&mut dev, rcfg, vcpus_active, epoch);
-        let t_end = t_start + epoch;
-        let mut client = FaultedEpoch {
-            dev: &mut dev,
-            link: &mut link,
-            injector: &mut injector,
-            segments_at_risk: &mut segments_at_risk,
-            faults_injected: &mut faults_injected,
-        };
-        event_drive::drive_epoch(&mut sim, &mut client, t_start, t_end, tick_step)?;
-        t_min += 5;
-    }
-    let final_t = Picos::from_secs(u64::from(rcfg.duration_min) * 60);
-    let report = dev.power_report(final_t);
-    dev.check_invariants()?;
-    assert_residency_consistency(&dev, &report);
     let obs = RunObservations {
         slo: SloReport {
-            access: LatencySummary::from_histogram(link.latency_histogram()),
+            access: LatencySummary::from_histogram(lane.link.latency_histogram()),
             admission: LatencySummary::from_histogram(dev.admission_histogram()),
             evac_backlog: BacklogSummary::from_parts(
                 dev.drain_age_histogram(),
@@ -247,30 +148,29 @@ pub fn run_faulted_observed(
             ),
             fabric_queue: None,
         },
-        queue: sim.queue_stats(),
+        queue,
     };
     if let Some(m) = telemetry.metrics() {
-        dev.export_metrics(m);
         crate::export_queue_metrics(m, &obs.queue);
     }
 
     let ranks_retired = dev.powerdown_stats().ranks_retired;
-    let rank_bytes = geo.segs_per_rank * dtl_cfg.segment_bytes;
-    let link_stats = link.stats();
+    let rank_bytes = cfg.run.segs_per_rank(dev.config().segment_bytes) * dev.config().segment_bytes;
+    let link_stats = lane.link.stats();
     let latency_penalty_ns = if foreground_lines == 0 {
         0.0
     } else {
         link_stats.retry_time.as_ns_f64() / foreground_lines as f64
     };
-    let duration_s = final_t.as_secs_f64();
+    let duration_s = Picos::from_secs(u64::from(cfg.run.duration_min) * 60).as_secs_f64();
     let result = FaultRunResult {
         total_energy_mj: report.total.total_mj(),
         background_mj: report.total.background_mj,
         mean_power_mw: report.total.total_mj() / duration_s,
         vms_allocated: dev.stats().vms_allocated,
-        faults_injected,
+        faults_injected: lane.faults_injected,
         errors: dev.health_stats(),
-        segments_at_risk,
+        segments_at_risk: lane.segments_at_risk,
         auto_retirements: dev.stats().auto_retirements,
         ranks_retired,
         capacity_lost_bytes: ranks_retired * rank_bytes,
@@ -283,40 +183,32 @@ pub fn run_faulted_observed(
     Ok((result, obs))
 }
 
-/// One epoch of the faulted replay as the event spine's grid client:
-/// grid ticks advance the device, the side lane releases faults at their
-/// exact scheduled instants.
-struct FaultedEpoch<'x> {
-    dev: &'x mut DtlDevice<AnalyticBackend>,
-    link: &'x mut RetryEngine,
-    injector: &'x mut FaultInjector,
-    segments_at_risk: &'x mut u64,
-    faults_injected: &'x mut u64,
+/// The faulted replay's side lane: releases faults at their exact
+/// scheduled instants and asserts the device invariants after each.
+struct FaultLane {
+    link: RetryEngine,
+    injector: FaultInjector,
+    segments_at_risk: u64,
+    faults_injected: u64,
 }
 
-impl GridDriven for FaultedEpoch<'_> {
-    type Error = DtlError;
-
-    fn tick(&mut self, now: Picos) -> Result<(), DtlError> {
-        self.dev.tick(now)
-    }
-
+impl ReplayHooks for FaultLane {
     fn side_deadline(&mut self) -> Option<Picos> {
         self.injector.peek_next_at()
     }
 
-    fn side_fire(&mut self, now: Picos) -> Result<(), DtlError> {
+    fn side_fire(&mut self, dev: &mut ScheduleDevice, now: Picos) -> Result<(), DtlError> {
         for fault in self.injector.pop_due(now) {
-            apply_fault(self.dev, self.link, fault.kind, now, self.segments_at_risk)?;
-            *self.faults_injected += 1;
-            self.dev.check_invariants()?;
+            apply_fault(dev, &mut self.link, fault.kind, now, &mut self.segments_at_risk)?;
+            self.faults_injected += 1;
+            dev.check_invariants()?;
         }
         Ok(())
     }
 }
 
 fn apply_fault(
-    dev: &mut DtlDevice<AnalyticBackend>,
+    dev: &mut ScheduleDevice,
     link: &mut RetryEngine,
     kind: FaultKind,
     now: Picos,
@@ -348,34 +240,6 @@ fn apply_fault(
     Ok(())
 }
 
-fn record_epoch_traffic(
-    dev: &mut DtlDevice<AnalyticBackend>,
-    cfg: &PowerDownRunConfig,
-    vcpus: u32,
-    epoch: Picos,
-) -> u64 {
-    let bytes = f64::from(vcpus) * cfg.per_vcpu_bw * epoch.as_secs_f64();
-    let lines = (bytes / 64.0) as u64;
-    let reads = (lines as f64 * cfg.read_fraction) as u64;
-    let writes = lines - reads;
-    let mut active: Vec<(u32, u32)> = Vec::new();
-    for c in 0..cfg.channels {
-        for r in 0..cfg.ranks_per_channel {
-            if dev.backend().rank_state(c, r) == dtl_dram::PowerState::Standby {
-                active.push((c, r));
-            }
-        }
-    }
-    if active.is_empty() {
-        return 0;
-    }
-    let per = active.len() as u64;
-    for (c, r) in active {
-        dev.backend_mut().record_foreground_bulk(c, r, reads / per, writes / per);
-    }
-    lines
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,7 +247,7 @@ mod tests {
     #[test]
     fn fault_free_run_matches_quiet_plan() {
         let cfg = FaultRunConfig::fault_free(7, PowerDownRunConfig::tiny(7, true));
-        let r = run_faulted(&cfg).unwrap();
+        let (r, _) = run_faulted(&cfg, &Telemetry::disabled()).unwrap();
         assert_eq!(r.faults_injected, 0);
         assert_eq!(r.errors, HealthStats::default());
         assert_eq!(r.ranks_retired, 0);
@@ -395,7 +259,7 @@ mod tests {
 
     #[test]
     fn storm_campaign_retires_the_victim() {
-        let r = run_faulted(&FaultRunConfig::tiny_storm(7)).unwrap();
+        let (r, _) = run_faulted(&FaultRunConfig::tiny_storm(7), &Telemetry::disabled()).unwrap();
         assert!(r.faults_injected > 0);
         assert!(r.errors.retire_trips >= 1, "the storm trips retirement");
         assert_eq!(r.auto_retirements, 1, "one victim rank auto-retired");
@@ -407,16 +271,32 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = run_faulted(&FaultRunConfig::tiny_storm(11)).unwrap();
-        let b = run_faulted(&FaultRunConfig::tiny_storm(11)).unwrap();
+        let (a, _) = run_faulted(&FaultRunConfig::tiny_storm(11), &Telemetry::disabled()).unwrap();
+        let (b, _) = run_faulted(&FaultRunConfig::tiny_storm(11), &Telemetry::disabled()).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn quiet_plan_replays_the_plain_schedule() {
+        // The shared replay's contract: with no fault to fire, the faulted
+        // harness is `run_schedule` minus the per-epoch power sampling,
+        // which only re-associates the energy integration.
+        for powerdown in [false, true] {
+            let run = PowerDownRunConfig::tiny(7, powerdown);
+            let plain = crate::run_schedule(&run, &Telemetry::disabled()).unwrap();
+            let (quiet, _) =
+                run_faulted(&FaultRunConfig::fault_free(7, run), &Telemetry::disabled()).unwrap();
+            assert_eq!(quiet.vms_allocated, plain.vms_allocated);
+            let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs();
+            assert!(close(quiet.total_energy_mj, plain.total_energy_mj), "{quiet:?} vs {plain:?}");
+            assert!(close(quiet.background_mj, plain.background_mj), "{quiet:?} vs {plain:?}");
+        }
     }
 
     #[test]
     fn observed_run_reports_slo_and_queue_counters() {
         let cfg = FaultRunConfig::tiny_storm(7);
-        let (r, obs) = run_faulted_observed(&cfg, &Telemetry::disabled()).unwrap();
-        assert_eq!(r, run_faulted(&cfg).unwrap(), "observability must not change the result");
+        let (r, obs) = run_faulted(&cfg, &Telemetry::disabled()).unwrap();
         let base = dtl_cxl::LinkModel::cxl().round_trip().as_ps();
         let access = obs.slo.access.expect("CRC bursts drive link transactions");
         assert!(access.count >= 1);

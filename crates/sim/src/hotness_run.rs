@@ -114,54 +114,26 @@ pub struct HotnessRunResult {
 }
 
 /// Replays a mixed trace against a DTL device with only the hotness
-/// mechanism active.
+/// mechanism active. `threshold_factor` scales the profiling idle
+/// threshold relative to the paper's 50 ms default (1.0 everywhere but the
+/// threshold ablation). The replay streams `SegmentMigrated` /
+/// `TspAdvance` / `SelfRefreshSwap` / `RankPowerTransition` events into
+/// `telemetry`'s sink and, if a metrics registry is attached, exports
+/// every engine's statistics there at the end.
 ///
 /// # Errors
 ///
 /// Propagates device errors (which indicate harness or device bugs).
-pub fn run_hotness(cfg: &HotnessRunConfig) -> Result<HotnessRunResult, DtlError> {
-    run_hotness_instrumented(cfg, 1.0, &Telemetry::disabled())
-}
-
-/// Like [`run_hotness`], but with a live telemetry handle: the replay
-/// streams `SegmentMigrated` / `TspAdvance` / `SelfRefreshSwap` /
-/// `RankPowerTransition` events into its sink and, if a metrics registry is
-/// attached, exports every engine's statistics there at the end.
-///
-/// # Errors
-///
-/// Propagates device errors (which indicate harness or device bugs).
-pub fn run_hotness_traced(
+pub fn run_hotness(
     cfg: &HotnessRunConfig,
-    telemetry: &Telemetry,
-) -> Result<HotnessRunResult, DtlError> {
-    run_hotness_instrumented(cfg, 1.0, telemetry)
-}
-
-/// Like [`run_hotness`], but scales the profiling idle threshold by
-/// `factor` relative to the paper's 50 ms default (for the threshold
-/// ablation study).
-///
-/// # Errors
-///
-/// Propagates device errors (which indicate harness or device bugs).
-pub fn run_hotness_with_threshold_factor(
-    cfg: &HotnessRunConfig,
-    factor: f64,
-) -> Result<HotnessRunResult, DtlError> {
-    run_hotness_instrumented(cfg, factor, &Telemetry::disabled())
-}
-
-fn run_hotness_instrumented(
-    cfg: &HotnessRunConfig,
-    factor: f64,
+    threshold_factor: f64,
     telemetry: &Telemetry,
 ) -> Result<HotnessRunResult, DtlError> {
     let mut dtl_cfg = DtlConfig::paper();
     dtl_cfg.au_bytes = (2 << 30) / cfg.scale;
     dtl_cfg.profile_window = Picos::from_ps(Picos::from_us(500).as_ps() / cfg.scale);
     dtl_cfg.profile_threshold =
-        Picos::from_ps(((Picos::from_ms(50).as_ps() / cfg.scale) as f64 * factor) as u64);
+        Picos::from_ps(((Picos::from_ms(50).as_ps() / cfg.scale) as f64 * threshold_factor) as u64);
     let geo = SegmentGeometry {
         channels: cfg.channels,
         ranks_per_channel: cfg.active_ranks,
@@ -295,8 +267,9 @@ fn run_hotness_instrumented(
 pub fn hotness_savings(
     cfg: &HotnessRunConfig,
 ) -> Result<(HotnessRunResult, HotnessRunResult, f64), DtlError> {
-    let off = run_hotness(&HotnessRunConfig { hotness: false, ..*cfg })?;
-    let on = run_hotness(&HotnessRunConfig { hotness: true, ..*cfg })?;
+    let untraced = Telemetry::disabled();
+    let off = run_hotness(&HotnessRunConfig { hotness: false, ..*cfg }, 1.0, &untraced)?;
+    let on = run_hotness(&HotnessRunConfig { hotness: true, ..*cfg }, 1.0, &untraced)?;
     let saving = 1.0 - on.stable_power_mw / off.stable_power_mw;
     Ok((off, on, saving))
 }
@@ -485,8 +458,8 @@ mod tests {
     fn nearly_full_device_struggles_to_self_refresh() {
         let loose = HotnessRunConfig::tiny(5, true);
         let tight = HotnessRunConfig { allocated_fraction: 0.95, ..loose };
-        let l = run_hotness(&loose).unwrap();
-        let t = run_hotness(&tight).unwrap();
+        let l = run_hotness(&loose, 1.0, &Telemetry::disabled()).unwrap();
+        let t = run_hotness(&tight, 1.0, &Telemetry::disabled()).unwrap();
         // The paper's Figure 14 contrast: scarce unallocated capacity makes
         // cold collection harder. Our workload model includes dormant
         // (allocated-but-cold) regions, which soften the paper's cliff —
@@ -503,8 +476,8 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = run_hotness(&HotnessRunConfig::tiny(9, true)).unwrap();
-        let b = run_hotness(&HotnessRunConfig::tiny(9, true)).unwrap();
+        let a = run_hotness(&HotnessRunConfig::tiny(9, true), 1.0, &Telemetry::disabled()).unwrap();
+        let b = run_hotness(&HotnessRunConfig::tiny(9, true), 1.0, &Telemetry::disabled()).unwrap();
         assert_eq!(a.total_energy_mj, b.total_energy_mj);
         assert_eq!(a.sr_entries, b.sr_entries);
     }

@@ -2,7 +2,14 @@
 //!
 //! Glues the substrates together and reproduces every table and figure of
 //! the paper's evaluation. Each experiment lives in [`experiments`] as a
-//! function returning typed rows; the `dtl-bench` binaries render them.
+//! function returning typed rows; `dtl <experiment>` (the `dtl-bench`
+//! binary) renders them.
+//!
+//! Every harness has exactly one public entry point (`run_schedule`,
+//! `run_faulted`, `run_pool`, …) taking its instrumentation — a
+//! [`Telemetry`](dtl_telemetry::Telemetry) handle, a worker count, a
+//! [`Heartbeat`] — as plain parameters; callers that want none pass
+//! `&Telemetry::disabled()` / `1`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -23,31 +30,23 @@ pub mod render;
 mod report;
 mod vm_campaign_run;
 
-pub use check_run::{run_checks, run_checks_jobs, CheckRunConfig, CheckRunResult, SeedResult};
-pub use fabric_run::{
-    placement_label, run_fabric_cell, run_fabric_cell_observed, FabricCellResult, FabricRunConfig,
-};
-pub use fault_run::{
-    run_faulted, run_faulted_observed, run_faulted_traced, FaultRunConfig, FaultRunResult,
-};
+pub use check_run::{run_checks, CheckRunConfig, CheckRunResult, SeedResult};
+pub use fabric_run::{placement_label, run_fabric_cell, FabricCellResult, FabricRunConfig};
+pub use fault_run::{run_faulted, FaultRunConfig, FaultRunResult};
 pub use heartbeat::Heartbeat;
 pub use hotness_run::{
-    hotness_savings, run_hotness, run_hotness_traced, run_hotness_with_threshold_factor,
-    run_reentry, HotnessRunConfig, HotnessRunResult, ReentryResult,
+    hotness_savings, run_hotness, run_reentry, HotnessRunConfig, HotnessRunResult, ReentryResult,
 };
 pub use obs::{export_queue_metrics, RunObservations};
 pub use perf::PerfModel;
 pub use pool_run::{
-    run_pool, run_pool_faulted, run_pool_faulted_traced, run_pool_observed, run_pool_traced,
-    PoolFaultRunConfig, PoolFaultRunResult, PoolIntervalSample, PoolRunConfig, PoolRunResult,
+    run_pool, run_pool_faulted, PoolFaultRunConfig, PoolFaultRunResult, PoolIntervalSample,
+    PoolRunConfig, PoolRunResult,
 };
-pub use powerdown_run::{
-    run_schedule, run_schedule_traced, IntervalSample, PowerDownRunConfig, PowerDownRunResult,
-};
+pub use powerdown_run::{run_schedule, IntervalSample, PowerDownRunConfig, PowerDownRunResult};
 pub use report::{f1, f2, f3, metrics_section, pct, to_json, Table};
 pub use vm_campaign_run::{
-    run_campaign, run_campaign_jobs, run_campaign_observed, CampaignObservations, HostOutcome,
-    VmCampaignConfig, VmCampaignResult,
+    run_campaign, CampaignObservations, HostOutcome, VmCampaignConfig, VmCampaignResult,
 };
 
 /// Debug-build cross-check that the two residency sources agree: the

@@ -4,10 +4,9 @@
 //! The serialized results (`PoolRunResult`, `FaultRunResult`,
 //! `VmCampaignResult`, …) are pinned by goldens and replay tooling, so new
 //! observability never lands inside them. Instead each campaign harness
-//! grows an `*_observed` variant returning its plain result plus a
-//! [`RunObservations`]: the SLO report and the event-spine queue counters,
-//! which the experiment registry renders and exports without touching a
-//! golden byte.
+//! returns its plain result plus a [`RunObservations`]: the SLO report and
+//! the event-spine queue counters, which the experiment registry renders
+//! and exports without touching a golden byte.
 
 use dtl_event::QueueStats;
 use dtl_telemetry::{MetricsRegistry, SloReport};

@@ -183,42 +183,20 @@ impl PoolRunResult {
     }
 }
 
-/// Replays a VM schedule against a memory pool.
+/// Replays a VM schedule against a memory pool. Every member device
+/// streams its events into `telemetry` through a channel-offset shim
+/// (device *i* maps to channels `i * channels ..`), so the merged trace
+/// renders one Perfetto track group per device.
+///
+/// Beside the serialized [`PoolRunResult`] (pinned by goldens) come the
+/// out-of-band [`RunObservations`]: the pool's SLO report (access,
+/// admission, evacuation backlog) and the event spine's queue counters.
 ///
 /// # Errors
 ///
 /// Propagates device and pool errors (these indicate bugs — the harness
 /// never over-commits the pool).
-pub fn run_pool(cfg: &PoolRunConfig) -> Result<PoolRunResult, DtlError> {
-    run_pool_traced(cfg, &Telemetry::disabled())
-}
-
-/// Like [`run_pool`], but with a live telemetry handle: every member
-/// device streams its events through a channel-offset shim (device *i*
-/// maps to channels `i * channels ..`), so the merged trace renders one
-/// Perfetto track group per device.
-///
-/// # Errors
-///
-/// Propagates device and pool errors (these indicate bugs — the harness
-/// never over-commits the pool).
-pub fn run_pool_traced(
-    cfg: &PoolRunConfig,
-    telemetry: &Telemetry,
-) -> Result<PoolRunResult, DtlError> {
-    run_pool_observed(cfg, telemetry).map(|(result, _)| result)
-}
-
-/// Like [`run_pool_traced`], additionally returning the out-of-band
-/// [`RunObservations`]: the pool's SLO report (access, admission,
-/// evacuation backlog) and the event spine's queue counters. The
-/// serialized [`PoolRunResult`] is unchanged, so goldens stay byte-stable.
-///
-/// # Errors
-///
-/// Propagates device and pool errors (these indicate bugs — the harness
-/// never over-commits the pool).
-pub fn run_pool_observed(
+pub fn run_pool(
     cfg: &PoolRunConfig,
     telemetry: &Telemetry,
 ) -> Result<(PoolRunResult, RunObservations), DtlError> {
@@ -564,24 +542,13 @@ pub struct PoolFaultRunResult {
 /// fault plan fires device faults and whole-device retirements into the
 /// run. After every fault the pool's `check_invariants` is asserted, and
 /// after every retirement (plus at the end) a full reachability sweep
-/// counts lost allocation units.
+/// counts lost allocation units. Telemetry streams as in [`run_pool`].
 ///
 /// # Errors
 ///
 /// Propagates device and pool errors; an invariant violation after any
 /// injected fault surfaces here.
-pub fn run_pool_faulted(cfg: &PoolFaultRunConfig) -> Result<PoolFaultRunResult, DtlError> {
-    run_pool_faulted_traced(cfg, &Telemetry::disabled())
-}
-
-/// Like [`run_pool_faulted`], with a live telemetry handle (per-device
-/// channel-offset tracks, as in [`run_pool_traced`]).
-///
-/// # Errors
-///
-/// Propagates device and pool errors; an invariant violation after any
-/// injected fault surfaces here.
-pub fn run_pool_faulted_traced(
+pub fn run_pool_faulted(
     cfg: &PoolFaultRunConfig,
     telemetry: &Telemetry,
 ) -> Result<PoolFaultRunResult, DtlError> {
@@ -677,7 +644,7 @@ mod tests {
 
     #[test]
     fn pool_replay_places_and_consolidates() {
-        let r = run_pool(&PoolRunConfig::tiny(7)).unwrap();
+        let (r, _) = run_pool(&PoolRunConfig::tiny(7), &Telemetry::disabled()).unwrap();
         assert!(r.vms_allocated > 0, "schedule places VMs");
         assert_eq!(r.intervals.len(), 12, "one sample per 5 minutes");
         assert!(r.total_energy_mj > 0.0);
@@ -694,8 +661,8 @@ mod tests {
         on.coordinator = true;
         let mut off = on;
         off.coordinator = false;
-        let r_on = run_pool(&on).unwrap();
-        let r_off = run_pool(&off).unwrap();
+        let (r_on, _) = run_pool(&on, &Telemetry::disabled()).unwrap();
+        let (r_off, _) = run_pool(&off, &Telemetry::disabled()).unwrap();
         assert_eq!(r_on.vms_allocated, r_off.vms_allocated, "same schedule");
         assert!(
             r_on.total_energy_mj < r_off.total_energy_mj,
@@ -707,8 +674,8 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = run_pool(&PoolRunConfig::tiny(11)).unwrap();
-        let b = run_pool(&PoolRunConfig::tiny(11)).unwrap();
+        let (a, _) = run_pool(&PoolRunConfig::tiny(11), &Telemetry::disabled()).unwrap();
+        let (b, _) = run_pool(&PoolRunConfig::tiny(11), &Telemetry::disabled()).unwrap();
         assert_eq!(a, b);
     }
 
@@ -717,8 +684,8 @@ mod tests {
         let fixed = PoolRunConfig::tiny(7);
         let mut adaptive = fixed;
         adaptive.power_policy = PowerPolicyKind::AdaptiveDemotion;
-        let rf = run_pool(&fixed).unwrap();
-        let ra = run_pool(&adaptive).unwrap();
+        let (rf, _) = run_pool(&fixed, &Telemetry::disabled()).unwrap();
+        let (ra, _) = run_pool(&adaptive, &Telemetry::disabled()).unwrap();
         assert_eq!(rf.vms_allocated, ra.vms_allocated, "same schedule either way");
         assert!(
             ra.total_energy_mj < rf.total_energy_mj,
@@ -733,17 +700,15 @@ mod tests {
         let one = PoolRunConfig::tiny(7);
         let mut burst = one;
         burst.trickle_burst = 8;
-        let (_, obs1) = run_pool_observed(&one, &Telemetry::disabled()).unwrap();
-        let (_, obs8) = run_pool_observed(&burst, &Telemetry::disabled()).unwrap();
+        let (_, obs1) = run_pool(&one, &Telemetry::disabled()).unwrap();
+        let (_, obs8) = run_pool(&burst, &Telemetry::disabled()).unwrap();
         let (a1, a8) = (obs1.slo.access.unwrap(), obs8.slo.access.unwrap());
         assert_eq!(a8.count, a1.count * 8, "burst scales the trickle population");
     }
 
     #[test]
     fn observed_run_reports_slo_and_queue_counters() {
-        let (r, obs) = run_pool_observed(&PoolRunConfig::tiny(7), &Telemetry::disabled()).unwrap();
-        let plain = run_pool(&PoolRunConfig::tiny(7)).unwrap();
-        assert_eq!(r, plain, "observability must not change the result");
+        let (r, obs) = run_pool(&PoolRunConfig::tiny(7), &Telemetry::disabled()).unwrap();
         let access = obs.slo.access.expect("the access trickle populates latency");
         assert!(access.count > 0);
         assert!(access.p50_ps > 0, "access latency includes the link round trip");
@@ -756,7 +721,7 @@ mod tests {
     #[test]
     fn retirement_campaign_loses_nothing() {
         let cfg = PoolFaultRunConfig::retirement_campaign(7, PoolRunConfig::tiny(7), 2);
-        let r = run_pool_faulted(&cfg).unwrap();
+        let r = run_pool_faulted(&cfg, &Telemetry::disabled()).unwrap();
         assert_eq!(r.devices_retired, 2, "both scheduled retirements fired");
         assert_eq!(r.lost_aus, 0, "no allocation unit may ever be lost");
         assert!(r.evacuations_completed > 0, "retirement forces evacuations");
@@ -766,8 +731,8 @@ mod tests {
     #[test]
     fn faulted_replay_is_deterministic() {
         let cfg = PoolFaultRunConfig::retirement_campaign(13, PoolRunConfig::tiny(13), 1);
-        let a = run_pool_faulted(&cfg).unwrap();
-        let b = run_pool_faulted(&cfg).unwrap();
+        let a = run_pool_faulted(&cfg, &Telemetry::disabled()).unwrap();
+        let b = run_pool_faulted(&cfg, &Telemetry::disabled()).unwrap();
         assert_eq!(a, b);
     }
 }

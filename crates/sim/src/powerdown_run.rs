@@ -10,8 +10,8 @@ use dtl_core::{
     AnalyticBackend, DtlConfig, DtlDevice, DtlError, HostId, MemoryBackend, SegmentGeometry,
     VmHandle,
 };
-use dtl_dram::{Picos, PowerParams};
-use dtl_event::Simulation;
+use dtl_dram::{Picos, PowerParams, PowerReport};
+use dtl_event::{QueueStats, Simulation};
 use dtl_telemetry::Telemetry;
 use dtl_trace::{NodeConfig, VmEventKind, VmId, VmSchedule};
 use serde::{Deserialize, Serialize};
@@ -132,29 +132,126 @@ impl PowerDownRunResult {
     }
 }
 
-/// Replays a VM schedule against a DTL device.
+/// Replays a VM schedule against a DTL device. The replay streams
+/// `VmAlloc` / `VmDealloc` / `SegmentMigrated` / `RankPowerTransition`
+/// events into `telemetry`'s sink and, if a metrics registry is attached,
+/// exports every engine's statistics there at the end; callers that want
+/// neither pass [`Telemetry::disabled`].
 ///
 /// # Errors
 ///
 /// Propagates device errors (these indicate bugs — the harness never
 /// over-commits the device).
-pub fn run_schedule(cfg: &PowerDownRunConfig) -> Result<PowerDownRunResult, DtlError> {
-    run_schedule_traced(cfg, &Telemetry::disabled())
-}
-
-/// Like [`run_schedule`], but with a live telemetry handle: the replay
-/// streams `VmAlloc` / `VmDealloc` / `SegmentMigrated` /
-/// `RankPowerTransition` events into its sink and, if a metrics registry
-/// is attached, exports every engine's statistics there at the end.
-///
-/// # Errors
-///
-/// Propagates device errors (these indicate bugs — the harness never
-/// over-commits the device).
-pub fn run_schedule_traced(
+pub fn run_schedule(
     cfg: &PowerDownRunConfig,
     telemetry: &Telemetry,
 ) -> Result<PowerDownRunResult, DtlError> {
+    let mut sampler =
+        IntervalSampler { channels: cfg.channels, prev_energy: 0.0, intervals: Vec::new() };
+    let replay = replay_schedule(cfg, telemetry, &mut sampler)?;
+    let stats = replay.dev.powerdown_stats();
+    Ok(PowerDownRunResult {
+        intervals: sampler.intervals,
+        total_energy_mj: replay.report.total.total_mj(),
+        background_mj: replay.report.total.background_mj,
+        active_mj: replay.report.total.active_mj(),
+        segments_drained: stats.segments_drained,
+        groups_powered_down: stats.groups_powered_down,
+        groups_woken: stats.groups_woken,
+        vms_allocated: replay.dev.stats().vms_allocated,
+    })
+}
+
+/// Integrates DRAM power over each finished epoch into an
+/// [`IntervalSample`].
+struct IntervalSampler {
+    channels: u32,
+    prev_energy: f64,
+    intervals: Vec<IntervalSample>,
+}
+
+impl ReplayHooks for IntervalSampler {
+    fn epoch_end(&mut self, dev: &mut ScheduleDevice, epoch: &Epoch) {
+        // Power over the epoch: energy delta [mJ] / time [s] = mW.
+        let energy = dev.power_report(epoch.end).total.total_mj();
+        let power_mw = (energy - self.prev_energy) / EPOCH.as_secs_f64();
+        self.prev_energy = energy;
+        self.intervals.push(IntervalSample {
+            t_min: epoch.t_min,
+            active_ranks: (0..self.channels).map(|c| dev.active_ranks(c)).sum(),
+            power_mw,
+            committed_bytes: epoch.committed_bytes,
+            migrating: epoch.migrating || epoch.migration_bytes > 0,
+            migration_bytes: epoch.migration_bytes,
+        });
+    }
+}
+
+/// The device every schedule replay drives.
+pub(crate) type ScheduleDevice = DtlDevice<AnalyticBackend>;
+
+/// Schedule events apply, and power is sampled, every 5 minutes.
+const EPOCH: Picos = Picos::from_secs(300);
+/// The legacy device tick grid inside an epoch.
+const TICK_STEP: Picos = Picos::from_secs(10);
+
+/// One finished epoch, as [`ReplayHooks::epoch_end`] sees it.
+pub(crate) struct Epoch {
+    /// Epoch start, minutes.
+    pub t_min: u32,
+    /// Epoch end instant.
+    pub end: Picos,
+    /// Committed VM memory over the epoch, bytes.
+    pub committed_bytes: u64,
+    /// Whether any tick of the epoch saw migrations queued or in flight.
+    pub migrating: bool,
+    /// Segment bytes moved by migrations during the epoch.
+    pub migration_bytes: u64,
+}
+
+/// Everything the plain and the faulted schedule replay do differently:
+/// the faulted one fires exactly-timed work on the event spine's side
+/// lane, the plain one samples power at every epoch end.
+pub(crate) trait ReplayHooks {
+    /// Next side-lane instant, if any.
+    fn side_deadline(&mut self) -> Option<Picos> {
+        None
+    }
+
+    /// Releases all side-lane work due at `now`.
+    fn side_fire(&mut self, dev: &mut ScheduleDevice, now: Picos) -> Result<(), DtlError> {
+        let _ = (dev, now);
+        Ok(())
+    }
+
+    /// Called once per epoch after its last tick.
+    fn epoch_end(&mut self, dev: &mut ScheduleDevice, epoch: &Epoch) {
+        let _ = (dev, epoch);
+    }
+}
+
+/// What [`replay_schedule`] leaves behind.
+pub(crate) struct Replayed {
+    /// The device at the horizon, invariants checked.
+    pub dev: ScheduleDevice,
+    /// Its power report at the horizon.
+    pub report: PowerReport,
+    /// Event-spine counters of the replay's one clock.
+    pub queue: QueueStats,
+    /// Foreground cache lines charged over the run.
+    pub foreground_lines: u64,
+}
+
+/// The schedule replay shared by [`run_schedule`] and
+/// [`run_faulted`](crate::run_faulted): build the device, apply each
+/// epoch's VM events, charge its foreground traffic in bulk, and drive
+/// the tick grid (plus the hooks' side lane) through one event-spine
+/// clock.
+pub(crate) fn replay_schedule<H: ReplayHooks>(
+    cfg: &PowerDownRunConfig,
+    telemetry: &Telemetry,
+    hooks: &mut H,
+) -> Result<Replayed, DtlError> {
     let dtl_cfg = DtlConfig::paper();
     let geo = SegmentGeometry {
         channels: cfg.channels,
@@ -174,11 +271,8 @@ pub fn run_schedule_traced(
     let mut handles: HashMap<VmId, (VmHandle, u32, u64)> = HashMap::new();
     let mut committed: u64 = 0;
     let mut vcpus_active: u32 = 0;
-    let mut intervals = Vec::new();
+    let mut foreground_lines = 0u64;
     let mut events = schedule.events().iter().peekable();
-    let mut prev_energy = 0.0f64;
-    let epoch = Picos::from_secs(300);
-    let tick_step = Picos::from_secs(10);
     // One event-spine clock for the whole replay; each epoch drains its
     // posted tick cascade on the legacy grid (see `event_drive`).
     let mut sim = Simulation::new(Picos::ZERO);
@@ -187,17 +281,14 @@ pub fn run_schedule_traced(
     while t_min < cfg.duration_min {
         let t_start = Picos::from_secs(u64::from(t_min) * 60);
         // Apply the schedule events of this instant.
-        while let Some(ev) = events.peek() {
-            if ev.at_min > t_min {
-                break;
-            }
-            let ev = events.next().expect("peeked");
+        while let Some(ev) = events.next_if(|ev| ev.at_min <= t_min) {
             match ev.kind {
                 VmEventKind::Alloc(vm) => {
                     // VMs land round-robin on the pool's compute hosts. AU
-                    // rounding can overshoot a schedule that sits at the
-                    // node's capacity edge; such VMs are skipped (the real
-                    // cluster scheduler would place them elsewhere).
+                    // rounding and fault-driven capacity loss can both push
+                    // a schedule at the node's capacity edge over it; such
+                    // VMs are skipped (the real cluster scheduler would
+                    // place them elsewhere).
                     let host = HostId((vm.id.0 % u32::from(cfg.hosts.max(1))) as u16);
                     match dev.alloc_vm(host, vm.mem_bytes, t_start) {
                         Ok(alloc) => {
@@ -219,28 +310,16 @@ pub fn run_schedule_traced(
             }
         }
         // Bulk foreground energy for this epoch, spread over active ranks.
-        record_epoch_traffic(&mut dev, cfg, vcpus_active, epoch);
+        foreground_lines += record_epoch_traffic(&mut dev, cfg, vcpus_active);
         // Let migrations progress through the epoch.
-        let mut migrating = false;
         let moved_before = dev.migration_stats().bytes_moved;
-        let t_end = t_start + epoch;
-        let mut client = DeviceEpoch { dev: &mut dev, migrating: &mut migrating };
-        event_drive::drive_epoch(&mut sim, &mut client, t_start, t_end, tick_step)?;
+        let end = t_start + EPOCH;
+        let mut client = EpochClient { dev: &mut dev, hooks: &mut *hooks, migrating: false };
+        event_drive::drive_epoch(&mut sim, &mut client, t_start, end, TICK_STEP)?;
+        let migrating = client.migrating;
         let migration_bytes = dev.migration_stats().bytes_moved - moved_before;
-        // Power over the epoch: energy delta [mJ] / time [s] = mW.
-        let report = dev.power_report(t_end);
-        let energy = report.total.total_mj();
-        let power_mw = (energy - prev_energy) / epoch.as_secs_f64();
-        prev_energy = energy;
-        let active_ranks: u32 = (0..cfg.channels).map(|c| dev.active_ranks(c)).sum();
-        intervals.push(IntervalSample {
-            t_min,
-            active_ranks,
-            power_mw,
-            committed_bytes: committed,
-            migrating: migrating || migration_bytes > 0,
-            migration_bytes,
-        });
+        let epoch = Epoch { t_min, end, committed_bytes: committed, migrating, migration_bytes };
+        hooks.epoch_end(&mut dev, &epoch);
         t_min += 5;
     }
     let final_t = Picos::from_secs(u64::from(cfg.duration_min) * 60);
@@ -250,41 +329,39 @@ pub fn run_schedule_traced(
     if let Some(m) = telemetry.metrics() {
         dev.export_metrics(m);
     }
-    Ok(PowerDownRunResult {
-        intervals,
-        total_energy_mj: report.total.total_mj(),
-        background_mj: report.total.background_mj,
-        active_mj: report.total.active_mj(),
-        segments_drained: dev.powerdown_stats().segments_drained,
-        groups_powered_down: dev.powerdown_stats().groups_powered_down,
-        groups_woken: dev.powerdown_stats().groups_woken,
-        vms_allocated: dev.stats().vms_allocated,
-    })
+    Ok(Replayed { dev, report, queue: sim.queue_stats(), foreground_lines })
 }
 
-/// One epoch of the schedule replay as the event spine's grid client.
-struct DeviceEpoch<'x> {
-    dev: &'x mut DtlDevice<AnalyticBackend>,
-    migrating: &'x mut bool,
+/// One epoch of the schedule replay as the event spine's grid client:
+/// grid ticks advance the device, the side lane belongs to the hooks.
+struct EpochClient<'x, H> {
+    dev: &'x mut ScheduleDevice,
+    hooks: &'x mut H,
+    migrating: bool,
 }
 
-impl GridDriven for DeviceEpoch<'_> {
+impl<H: ReplayHooks> GridDriven for EpochClient<'_, H> {
     type Error = DtlError;
 
     fn tick(&mut self, now: Picos) -> Result<(), DtlError> {
         self.dev.tick(now)?;
-        *self.migrating |= self.dev.migrations_pending() > 0;
+        self.migrating |= self.dev.migrations_pending() > 0;
         Ok(())
+    }
+
+    fn side_deadline(&mut self) -> Option<Picos> {
+        self.hooks.side_deadline()
+    }
+
+    fn side_fire(&mut self, now: Picos) -> Result<(), DtlError> {
+        self.hooks.side_fire(self.dev, now)
     }
 }
 
-fn record_epoch_traffic(
-    dev: &mut DtlDevice<AnalyticBackend>,
-    cfg: &PowerDownRunConfig,
-    vcpus: u32,
-    epoch: Picos,
-) {
-    let bytes = f64::from(vcpus) * cfg.per_vcpu_bw * epoch.as_secs_f64();
+/// Charges one epoch of foreground traffic in bulk and returns the cache
+/// lines it carried (zero when no rank is in standby to take them).
+fn record_epoch_traffic(dev: &mut ScheduleDevice, cfg: &PowerDownRunConfig, vcpus: u32) -> u64 {
+    let bytes = f64::from(vcpus) * cfg.per_vcpu_bw * EPOCH.as_secs_f64();
     let lines = (bytes / 64.0) as u64;
     let reads = (lines as f64 * cfg.read_fraction) as u64;
     let writes = lines - reads;
@@ -299,12 +376,13 @@ fn record_epoch_traffic(
         }
     }
     if active.is_empty() {
-        return;
+        return 0;
     }
     let per = active.len() as u64;
     for (c, r) in active {
         dev.backend_mut().record_foreground_bulk(c, r, reads / per, writes / per);
     }
+    lines
 }
 
 #[cfg(test)]
@@ -313,8 +391,9 @@ mod tests {
 
     #[test]
     fn baseline_vs_powerdown_energy() {
-        let base = run_schedule(&PowerDownRunConfig::tiny(7, false)).unwrap();
-        let dtl = run_schedule(&PowerDownRunConfig::tiny(7, true)).unwrap();
+        let base =
+            run_schedule(&PowerDownRunConfig::tiny(7, false), &Telemetry::disabled()).unwrap();
+        let dtl = run_schedule(&PowerDownRunConfig::tiny(7, true), &Telemetry::disabled()).unwrap();
         assert_eq!(base.vms_allocated, dtl.vms_allocated, "same schedule");
         assert!(dtl.groups_powered_down > 0, "power-down must trigger");
         let saving = 1.0 - dtl.total_energy_mj / base.total_energy_mj;
@@ -329,7 +408,7 @@ mod tests {
     #[test]
     fn intervals_cover_schedule() {
         let cfg = PowerDownRunConfig::tiny(3, true);
-        let r = run_schedule(&cfg).unwrap();
+        let r = run_schedule(&cfg, &Telemetry::disabled()).unwrap();
         assert_eq!(r.intervals.len(), (cfg.duration_min / 5) as usize);
         assert!(r.intervals.iter().all(|i| i.power_mw > 0.0));
         // Active ranks never exceed the device size.
@@ -340,7 +419,7 @@ mod tests {
     #[test]
     fn baseline_keeps_all_ranks_active() {
         let cfg = PowerDownRunConfig::tiny(3, false);
-        let r = run_schedule(&cfg).unwrap();
+        let r = run_schedule(&cfg, &Telemetry::disabled()).unwrap();
         let max = cfg.channels * cfg.ranks_per_channel;
         assert!(r.intervals.iter().all(|i| i.active_ranks == max));
         assert_eq!(r.groups_powered_down, 0);
@@ -348,8 +427,8 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = run_schedule(&PowerDownRunConfig::tiny(11, true)).unwrap();
-        let b = run_schedule(&PowerDownRunConfig::tiny(11, true)).unwrap();
+        let a = run_schedule(&PowerDownRunConfig::tiny(11, true), &Telemetry::disabled()).unwrap();
+        let b = run_schedule(&PowerDownRunConfig::tiny(11, true), &Telemetry::disabled()).unwrap();
         assert_eq!(a.total_energy_mj, b.total_energy_mj);
         assert_eq!(a.groups_powered_down, b.groups_powered_down);
     }

@@ -875,7 +875,7 @@ mod tests {
 
     #[test]
     fn tab04_renders() {
-        let t = tab04(&tab04::run(1, 20_000));
+        let t = tab04(&tab04::run(1, 20_000, 1));
         assert_eq!(t.len(), 10);
         assert!(t.render().contains("graph-analytics"));
     }
@@ -890,7 +890,7 @@ mod more_render_tests {
 
     #[test]
     fn fig09_and_fig10_render() {
-        let r = f09::run(1, 5_000, 64);
+        let r = f09::run(1, 5_000, 64, 1);
         let t = fig09(&r);
         assert_eq!(t.len(), 10);
         assert!(t.render().contains("mix-8"));
@@ -902,15 +902,20 @@ mod more_render_tests {
 
     #[test]
     fn fig02_renders_three_rank_points_per_workload() {
-        let r = f02::run(2_000, &[WorkloadKind::WebSearch]);
+        let r = f02::run(2_000, &[WorkloadKind::WebSearch], 1);
         let t = fig02(&r);
         assert_eq!(t.len(), 3);
     }
 
     #[test]
     fn fig12_and_fig13_render_from_one_run() {
-        let r = crate::experiments::fig12::run(&PowerDownRunConfig::tiny(3, true), (0.014, 0.0018))
-            .unwrap();
+        let r = crate::experiments::fig12::run(
+            &PowerDownRunConfig::tiny(3, true),
+            (0.014, 0.0018),
+            &dtl_telemetry::Telemetry::disabled(),
+            1,
+        )
+        .unwrap();
         let t12 = fig12(&r);
         assert_eq!(t12.len(), r.baseline.len());
         let t13 = fig13(&r);
@@ -926,9 +931,9 @@ mod more_render_tests {
             channels: 2,
             ..HotnessRunConfig::tiny(5, true)
         };
-        let r14 = crate::experiments::fig14::run(&base, &[("x", 4, 0.6)]).unwrap();
+        let r14 = crate::experiments::fig14::run(&base, &[("x", 4, 0.6)], 1).unwrap();
         assert_eq!(fig14(&r14).len(), 1);
-        let r15 = crate::experiments::fig15::run(&base, 8, &[("x", 4, 0.6)]).unwrap();
+        let r15 = crate::experiments::fig15::run(&base, 8, &[("x", 4, 0.6)], 1).unwrap();
         assert_eq!(fig15(&r15).len(), 1);
         let r61 = s61::run(1, 30_000, 64).unwrap();
         let t = sec6_1(&r61);

@@ -1,4 +1,4 @@
-//! Plain-text table rendering and JSON dumping for experiment binaries.
+//! Plain-text table rendering and JSON dumping for the experiments.
 
 use serde::Serialize;
 
@@ -108,7 +108,7 @@ pub fn to_json<T: Serialize>(value: &T) -> String {
 }
 
 /// Renders a metrics registry as a titled report section (the plain-text
-/// dump the experiment binaries append when `--metrics-out` is given, and
+/// dump an experiment run appends when `--metrics-out` is given, and
 /// what lands at the end of a traced run's console report).
 pub fn metrics_section(title: &str, registry: &dtl_telemetry::MetricsRegistry) -> String {
     format!("== {} ==\n{}", title, registry.render_text())

@@ -387,44 +387,23 @@ fn baseline_host_energy_mj(cfg: &VmCampaignConfig) -> f64 {
     dev.power_report(cfg.horizon()).total.total_mj()
 }
 
-/// Runs the fleet campaign sequentially.
+/// Runs the fleet campaign with hosts as parallel work units sharded
+/// across `jobs` workers.
+///
+/// Beside the serialized [`VmCampaignResult`] come the fleet's out-of-band
+/// [`CampaignObservations`]: merged SLO histograms, summed event-spine
+/// queue counters, and (when `series_width` is set) the merged windowed
+/// time series. Hosts are independent replays whose results and
+/// observations fold in host-index order, so every byte — including the
+/// series CSV — is identical for any `jobs`. The heartbeat ticks once per
+/// completed host; it is wall-clock-only stderr output and cannot perturb
+/// the result.
 ///
 /// # Errors
 ///
 /// Propagates device errors (these indicate bugs — the harness never
 /// over-commits a host).
-pub fn run_campaign(cfg: &VmCampaignConfig) -> Result<VmCampaignResult, DtlError> {
-    run_campaign_jobs(cfg, 1)
-}
-
-/// Like [`run_campaign`], with hosts as parallel work units sharded
-/// across `jobs` workers. Hosts are independent replays; results assemble
-/// in host order, so the output is bit-identical for any `jobs`.
-///
-/// # Errors
-///
-/// Propagates device errors (these indicate bugs — the harness never
-/// over-commits a host).
-pub fn run_campaign_jobs(
-    cfg: &VmCampaignConfig,
-    jobs: usize,
-) -> Result<VmCampaignResult, DtlError> {
-    run_campaign_observed(cfg, jobs, None, &Heartbeat::disabled()).map(|(result, _)| result)
-}
-
-/// Like [`run_campaign_jobs`], additionally returning the fleet's
-/// out-of-band [`CampaignObservations`]: merged SLO histograms, summed
-/// event-spine queue counters, and (when `series_width` is set) the merged
-/// windowed time series. Per-host observations fold in host-index order,
-/// so every byte — including the series CSV — is identical for any `jobs`.
-/// The heartbeat ticks once per completed host; it is wall-clock-only
-/// stderr output and cannot perturb the result.
-///
-/// # Errors
-///
-/// Propagates device errors (these indicate bugs — the harness never
-/// over-commits a host).
-pub fn run_campaign_observed(
+pub fn run_campaign(
     cfg: &VmCampaignConfig,
     jobs: usize,
     series_width: Option<u64>,
@@ -505,7 +484,8 @@ mod tests {
 
     #[test]
     fn tiny_campaign_places_and_saves() {
-        let r = run_campaign(&VmCampaignConfig::tiny(7)).unwrap();
+        let (r, _) =
+            run_campaign(&VmCampaignConfig::tiny(7), 1, None, &Heartbeat::disabled()).unwrap();
         assert_eq!(r.hosts, 8);
         assert!(r.vms_placed > 100, "a day of schedule places many VMs: {}", r.vms_placed);
         assert!(r.groups_powered_down > 0, "consolidation must park rank groups");
@@ -520,8 +500,8 @@ mod tests {
     #[test]
     fn jobs_do_not_change_the_fleet() {
         let cfg = VmCampaignConfig::tiny(11);
-        let a = run_campaign_jobs(&cfg, 1).unwrap();
-        let b = run_campaign_jobs(&cfg, 3).unwrap();
+        let (a, _) = run_campaign(&cfg, 1, None, &Heartbeat::disabled()).unwrap();
+        let (b, _) = run_campaign(&cfg, 3, None, &Heartbeat::disabled()).unwrap();
         assert_eq!(a, b);
     }
 
@@ -533,7 +513,7 @@ mod tests {
         let mut cfg = VmCampaignConfig::tiny(7);
         cfg.hosts = 2;
         let width = Picos::from_secs(3600).as_ps();
-        let (r, obs) = run_campaign_observed(&cfg, 1, Some(width), &Heartbeat::disabled()).unwrap();
+        let (r, obs) = run_campaign(&cfg, 1, Some(width), &Heartbeat::disabled()).unwrap();
         let series = obs.series.expect("a width was requested");
         assert_eq!(series.residency_totals_ps(), obs.residency_ps);
         let geo = cfg.geometry();
@@ -553,10 +533,8 @@ mod tests {
     fn series_and_slo_are_identical_for_any_job_count() {
         let cfg = VmCampaignConfig::tiny(11);
         let width = Picos::from_secs(3600).as_ps();
-        let (a, obs_a) =
-            run_campaign_observed(&cfg, 1, Some(width), &Heartbeat::disabled()).unwrap();
-        let (b, obs_b) =
-            run_campaign_observed(&cfg, 3, Some(width), &Heartbeat::disabled()).unwrap();
+        let (a, obs_a) = run_campaign(&cfg, 1, Some(width), &Heartbeat::disabled()).unwrap();
+        let (b, obs_b) = run_campaign(&cfg, 3, Some(width), &Heartbeat::disabled()).unwrap();
         assert_eq!(a, b);
         assert_eq!(
             obs_a.series.as_ref().unwrap().to_csv(),
@@ -571,10 +549,10 @@ mod tests {
     fn heartbeat_and_series_do_not_perturb_the_result() {
         let mut cfg = VmCampaignConfig::tiny(5);
         cfg.hosts = 2;
-        let plain = run_campaign_jobs(&cfg, 1).unwrap();
+        let (plain, _) = run_campaign(&cfg, 1, None, &Heartbeat::disabled()).unwrap();
         let width = Picos::from_secs(3600).as_ps();
         let (observed, obs) =
-            run_campaign_observed(&cfg, 1, Some(width), &Heartbeat::new(true, "test")).unwrap();
+            run_campaign(&cfg, 1, Some(width), &Heartbeat::new(true, "test")).unwrap();
         assert_eq!(plain, observed, "observability must never change a result byte");
         assert!(obs.slo.admission.is_some(), "fleet admissions populate the SLO");
         assert!(obs.queue.posted > 0);
@@ -586,7 +564,7 @@ mod tests {
         // doubles schedule activity, but the event count stays far below
         // what any 10 s tick grid would burn.
         let cfg = VmCampaignConfig { hosts: 1, ..VmCampaignConfig::tiny(3) };
-        let r = run_campaign(&cfg).unwrap();
+        let (r, _) = run_campaign(&cfg, 1, None, &Heartbeat::disabled()).unwrap();
         let grid_ticks = u64::from(cfg.duration_min) * 6;
         assert!(
             r.events_processed < grid_ticks / 4,

@@ -8,6 +8,7 @@
 //! ```
 
 use dtl_sim::{run_schedule, PowerDownRunConfig};
+use dtl_telemetry::Telemetry;
 
 fn main() {
     let seed = 7;
@@ -17,8 +18,9 @@ fn main() {
     };
     println!("replaying a {}-minute VM schedule on a 384 GB CXL device...", cfg.duration_min);
     let baseline =
-        run_schedule(&PowerDownRunConfig { powerdown: false, ..cfg }).expect("baseline replay");
-    let dtl = run_schedule(&cfg).expect("DTL replay");
+        run_schedule(&PowerDownRunConfig { powerdown: false, ..cfg }, &Telemetry::disabled())
+            .expect("baseline replay");
+    let dtl = run_schedule(&cfg, &Telemetry::disabled()).expect("DTL replay");
 
     println!("\n  t(min)  committed(GB)  ranks  baseline(W)  dtl(W)");
     for (b, d) in baseline.intervals.iter().zip(dtl.intervals.iter()) {

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use dtl_sim::{run_hotness_traced, HotnessRunConfig};
+use dtl_sim::{run_hotness, HotnessRunConfig};
 use dtl_telemetry::{
     chrome_trace, jsonl, MetricsRegistry, PowerTimeline, RingSink, Telemetry, TelemetrySink,
 };
@@ -26,7 +26,7 @@ fn main() {
     let registry = Arc::new(MetricsRegistry::new());
     let telemetry =
         Telemetry::new(sink.clone() as Arc<dyn TelemetrySink>).with_metrics(registry.clone());
-    let result = run_hotness_traced(&cfg, &telemetry).expect("hotness replay");
+    let result = run_hotness(&cfg, 1.0, &telemetry).expect("hotness replay");
 
     let events = sink.drain();
     // Close the timeline at the replay's end (not the last event) so

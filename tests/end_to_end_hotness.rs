@@ -4,11 +4,12 @@
 //! experiment runs.
 
 use dtl_sim::{hotness_savings, run_hotness, HotnessRunConfig};
+use dtl_telemetry::Telemetry;
 
 #[test]
 fn hotness_parks_a_victim_rank_per_channel() {
     let cfg = HotnessRunConfig::tiny(5, true);
-    let r = run_hotness(&cfg).unwrap();
+    let r = run_hotness(&cfg, 1.0, &Telemetry::disabled()).unwrap();
     assert!(r.sr_entries >= u64::from(cfg.channels), "one victim per channel: {r:?}");
     // Residency approaches one rank per channel (1/ranks).
     let per_channel_cap = 1.0 / f64::from(cfg.active_ranks);
@@ -45,8 +46,8 @@ fn eight_rank_configuration_still_saves() {
 
 #[test]
 fn mechanism_is_deterministic() {
-    let a = run_hotness(&HotnessRunConfig::tiny(9, true)).unwrap();
-    let b = run_hotness(&HotnessRunConfig::tiny(9, true)).unwrap();
+    let a = run_hotness(&HotnessRunConfig::tiny(9, true), 1.0, &Telemetry::disabled()).unwrap();
+    let b = run_hotness(&HotnessRunConfig::tiny(9, true), 1.0, &Telemetry::disabled()).unwrap();
     assert_eq!(a.total_energy_mj, b.total_energy_mj);
     assert_eq!(a.sr_entries, b.sr_entries);
     assert_eq!(a.swaps_executed, b.swaps_executed);

@@ -4,12 +4,15 @@
 //! experiment runs.
 
 use dtl_sim::{run_schedule, PowerDownRunConfig};
+use dtl_telemetry::Telemetry;
 
 #[test]
 fn schedule_replay_saves_energy_and_respects_structure() {
     let cfg = PowerDownRunConfig::tiny(21, true);
-    let base = run_schedule(&PowerDownRunConfig { powerdown: false, ..cfg }).unwrap();
-    let dtl = run_schedule(&cfg).unwrap();
+    let base =
+        run_schedule(&PowerDownRunConfig { powerdown: false, ..cfg }, &Telemetry::disabled())
+            .unwrap();
+    let dtl = run_schedule(&cfg, &Telemetry::disabled()).unwrap();
 
     // Same workload either way.
     assert_eq!(base.vms_allocated, dtl.vms_allocated);
@@ -38,7 +41,7 @@ fn capacity_pressure_wakes_groups_back_up() {
         node: dtl_trace::NodeConfig { vcpus: 24, mem_bytes: 96 << 30 },
         ..PowerDownRunConfig::tiny(3, true)
     };
-    let r = run_schedule(&cfg).unwrap();
+    let r = run_schedule(&cfg, &Telemetry::disabled()).unwrap();
     assert!(r.groups_powered_down > 0);
     // Power-down happened and the device kept serving every allocation:
     // wakes may or may not occur depending on the schedule, but committed
@@ -50,8 +53,8 @@ fn capacity_pressure_wakes_groups_back_up() {
 
 #[test]
 fn different_seeds_give_different_but_valid_runs() {
-    let a = run_schedule(&PowerDownRunConfig::tiny(1, true)).unwrap();
-    let b = run_schedule(&PowerDownRunConfig::tiny(2, true)).unwrap();
+    let a = run_schedule(&PowerDownRunConfig::tiny(1, true), &Telemetry::disabled()).unwrap();
+    let b = run_schedule(&PowerDownRunConfig::tiny(2, true), &Telemetry::disabled()).unwrap();
     assert_ne!(a.total_energy_mj, b.total_energy_mj);
     for r in [&a, &b] {
         assert!(r.total_energy_mj > 0.0);

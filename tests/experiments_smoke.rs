@@ -1,13 +1,14 @@
 //! Smoke-level integration of every experiment module: each runs at
 //! reduced scale and must satisfy its paper-shape constraint. The
-//! full-scale numbers live in EXPERIMENTS.md and regenerate via the
-//! `dtl-bench` binaries.
+//! full-scale numbers live in EXPERIMENTS.md and regenerate via
+//! `dtl <experiment>`.
 
 use dtl_sim::experiments::{
     fault_campaign, fig01, fig02, fig05, fig09, fig10, fig11, fig14, fig15, sec6_1, tab04, tab05,
     tab06,
 };
-use dtl_sim::{FaultRunConfig, HotnessRunConfig};
+use dtl_sim::{FaultRunConfig, Heartbeat, HotnessRunConfig};
+use dtl_telemetry::Telemetry;
 use dtl_trace::WorkloadKind;
 
 #[test]
@@ -19,21 +20,21 @@ fn fig01_average_usage_below_half() {
 
 #[test]
 fn fig02_rank_reduction_costs_single_digits() {
-    let r = fig02::run(5_000, &[WorkloadKind::DataServing, WorkloadKind::MediaStreaming]);
+    let r = fig02::run(5_000, &[WorkloadKind::DataServing, WorkloadKind::MediaStreaming], 1);
     assert!(r.mean_slowdown_at_min_ranks >= 1.0);
     assert!(r.mean_slowdown_at_min_ranks < 1.06, "{}", r.mean_slowdown_at_min_ranks);
 }
 
 #[test]
 fn fig05_interleaving_cost_small_and_diluted_by_cxl() {
-    let r = fig05::run(5_000, &[WorkloadKind::DataServing, WorkloadKind::WebSearch]);
+    let r = fig05::run(5_000, &[WorkloadKind::DataServing, WorkloadKind::WebSearch], 1);
     assert!(r.local_mean() < 1.08);
     assert!(r.cxl_mean() <= r.local_mean() + 1e-9);
 }
 
 #[test]
 fn fig09_mixes_dominated_by_large_strides() {
-    let r = fig09::run(1, 20_000, 64);
+    let r = fig09::run(1, 20_000, 64, 1);
     let mix8 = r.rows.last().unwrap();
     assert!(mix8.at_least_4m > 0.75, "{}", mix8.at_least_4m);
 }
@@ -61,9 +62,9 @@ fn fig14_and_fig15_shapes() {
         ..HotnessRunConfig::tiny(5, true)
     };
     let points = [("loose", 4u32, 0.6)];
-    let f14 = fig14::run(&base, &points).unwrap();
+    let f14 = fig14::run(&base, &points, 1).unwrap();
     assert!(f14.rows[0].additional_saving > 0.0, "{:?}", f14.rows[0]);
-    let f15 = fig15::run(&base, 8, &[("6rk", 6, 0.72)]).unwrap();
+    let f15 = fig15::run(&base, 8, &[("6rk", 6, 0.72)], 1).unwrap();
     let row = &f15.rows[0];
     // Two of eight ranks in MPSM: (1 - 0.068) * 2/8 = 23.3%.
     assert!((row.powerdown_saving - 0.233).abs() < 0.01);
@@ -72,7 +73,13 @@ fn fig14_and_fig15_shapes() {
 
 #[test]
 fn fault_campaign_reports_capacity_energy_and_latency_cost() {
-    let r = fault_campaign::run(&FaultRunConfig::tiny_storm(7)).unwrap();
+    let (r, _) = fault_campaign::run(
+        &FaultRunConfig::tiny_storm(7),
+        &Telemetry::disabled(),
+        1,
+        &Heartbeat::disabled(),
+    )
+    .unwrap();
     // The error storm retires its victim rank; the pool loses exactly one
     // rank of capacity and reports the loss.
     assert_eq!(r.faulted.ranks_retired, 1);
@@ -83,7 +90,7 @@ fn fault_campaign_reports_capacity_energy_and_latency_cost() {
     // Link CRC faults surface as a (small) foreground latency penalty.
     assert!(r.faulted.link.crc_errors > 0);
     assert!(r.latency_penalty_ns >= 0.0);
-    // The JSON report round-trips (the dtl-bench binary emits this).
+    // The JSON report round-trips (`dtl fault_campaign` emits this).
     let json = dtl_sim::to_json(&r);
     assert!(json.contains("capacity_lost_bytes"));
     assert!(json.contains("latency_penalty_ns"));
@@ -91,7 +98,7 @@ fn fault_campaign_reports_capacity_energy_and_latency_cost() {
 
 #[test]
 fn tables_and_amat() {
-    let t4 = tab04::run(1, 20_000);
+    let t4 = tab04::run(1, 20_000, 1);
     assert!(t4.max_relative_error < 0.1);
     let t5 = tab05::run();
     assert!(t5.columns[1].metadata_fraction < 1e-5);

@@ -15,7 +15,10 @@
 use std::path::{Path, PathBuf};
 
 use dtl_sim::experiments::{fabric_load, fig12, fig14, policy_ablation, pool_failover, pool_scale};
-use dtl_sim::{to_json, FabricRunConfig, HotnessRunConfig, PoolRunConfig, PowerDownRunConfig};
+use dtl_sim::{
+    to_json, FabricRunConfig, Heartbeat, HotnessRunConfig, PoolRunConfig, PowerDownRunConfig,
+};
+use dtl_telemetry::Telemetry;
 use serde::Value;
 
 /// Relative tolerance for float comparisons. The runs are deterministic;
@@ -117,19 +120,29 @@ fn check_golden(name: &str, json: &str) {
 
 #[test]
 fn fig12_tiny_matches_golden() {
-    let r = fig12::run(&PowerDownRunConfig::tiny(7, true), (0.014, 0.0018)).expect("fig12 tiny");
+    let r =
+        fig12::run(&PowerDownRunConfig::tiny(7, true), (0.014, 0.0018), &Telemetry::disabled(), 1)
+            .expect("fig12 tiny");
     check_golden("fig12_tiny", &to_json(&r));
 }
 
 #[test]
 fn pool_scale_tiny_matches_golden() {
-    let r = pool_scale::run(&PoolRunConfig::tiny(7)).expect("pool_scale tiny");
+    let (r, _) =
+        pool_scale::run(&PoolRunConfig::tiny(7), &Telemetry::disabled(), 1, &Heartbeat::disabled())
+            .expect("pool_scale tiny");
     check_golden("pool_scale_tiny", &to_json(&r));
 }
 
 #[test]
 fn policy_ablation_tiny_matches_golden() {
-    let r = policy_ablation::run(&PoolRunConfig::tiny(7)).expect("policy_ablation tiny");
+    let (r, _) = policy_ablation::run(
+        &PoolRunConfig::tiny(7),
+        &Telemetry::disabled(),
+        1,
+        &Heartbeat::disabled(),
+    )
+    .expect("policy_ablation tiny");
     check_golden("policy_ablation_tiny", &to_json(&r));
 }
 
@@ -138,13 +151,19 @@ fn pool_failover_tiny_matches_golden() {
     // Two retirement campaigns: enough to pin the exact-time fault lane
     // (device retirements, evacuations, CRC bursts) without making the
     // golden run the slowest in the suite.
-    let r = pool_failover::run(&PoolRunConfig::tiny(7), 2).expect("pool_failover tiny");
+    let r = pool_failover::run(&PoolRunConfig::tiny(7), 2, 1).expect("pool_failover tiny");
     check_golden("pool_failover_tiny", &to_json(&r));
 }
 
 #[test]
 fn fabric_load_tiny_matches_golden() {
-    let r = fabric_load::run(&FabricRunConfig::tiny(7)).expect("fabric_load tiny");
+    let (r, _) = fabric_load::run(
+        &FabricRunConfig::tiny(7),
+        &Telemetry::disabled(),
+        1,
+        &Heartbeat::disabled(),
+    )
+    .expect("fabric_load tiny");
     assert!(r.p99_monotone(), "access p99 must rise with offered load");
     assert!(r.pack_energy_edge_mj() > 0.0, "pack must beat spread on switch-port energy");
     check_golden("fabric_load_tiny", &to_json(&r));
@@ -158,6 +177,6 @@ fn fig14_tiny_matches_golden() {
         channels: 2,
         ..HotnessRunConfig::tiny(5, true)
     };
-    let r = fig14::run(&base, &[("loose", 4, 0.55), ("tight", 4, 0.95)]).expect("fig14 tiny");
+    let r = fig14::run(&base, &[("loose", 4, 0.55), ("tight", 4, 0.95)], 1).expect("fig14 tiny");
     check_golden("fig14_tiny", &to_json(&r));
 }

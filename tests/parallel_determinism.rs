@@ -3,18 +3,15 @@
 //! the sequential run — same JSON bytes, same telemetry event stream.
 //! Determinism is what lets CI and the goldens ignore the worker count
 //! entirely.
-//!
-//! Also pins the registry to `src/bin/`: every experiment binary must be a
-//! registry entry and vice versa, so the `all` sweep can never silently
-//! drop an experiment again.
 
 use std::sync::Arc;
 
 use dtl_sim::experiments::{
-    diff_fuzz, fault_campaign, fig12, fig14, find, pool_failover, pool_scale, registry, RunContext,
+    diff_fuzz, fault_campaign, fig12, fig14, find, pool_failover, pool_scale, RunContext,
 };
 use dtl_sim::{
-    to_json, CheckRunConfig, FaultRunConfig, HotnessRunConfig, PoolRunConfig, PowerDownRunConfig,
+    to_json, CheckRunConfig, FaultRunConfig, Heartbeat, HotnessRunConfig, PoolRunConfig,
+    PowerDownRunConfig,
 };
 use dtl_telemetry::{BufferSink, Telemetry, TIMESERIES_CSV_HEADER};
 
@@ -30,8 +27,8 @@ fn fig12_jobs4_is_bit_identical_to_jobs1_including_the_trace() {
     let cfg = PowerDownRunConfig::tiny(7, true);
     let (t1, s1) = traced();
     let (t4, s4) = traced();
-    let r1 = fig12::run_jobs_traced(&cfg, (0.014, 0.0018), &t1, 1).unwrap();
-    let r4 = fig12::run_jobs_traced(&cfg, (0.014, 0.0018), &t4, 4).unwrap();
+    let r1 = fig12::run(&cfg, (0.014, 0.0018), &t1, 1).unwrap();
+    let r4 = fig12::run(&cfg, (0.014, 0.0018), &t4, 4).unwrap();
     assert_eq!(to_json(&r1), to_json(&r4), "fig12 JSON must not depend on --jobs");
     let (e1, e4) = (s1.take(), s4.take());
     assert!(!e1.is_empty(), "the treatment replay must emit events");
@@ -48,8 +45,8 @@ fn fig14_jobs4_is_bit_identical_to_jobs1() {
         ..HotnessRunConfig::tiny(5, true)
     };
     let points = [("loose", 4u32, 0.55f64), ("tight", 4, 0.95)];
-    let r1 = fig14::run_jobs(&base, &points, 1).unwrap();
-    let r4 = fig14::run_jobs(&base, &points, 4).unwrap();
+    let r1 = fig14::run(&base, &points, 1).unwrap();
+    let r4 = fig14::run(&base, &points, 4).unwrap();
     assert_eq!(to_json(&r1), to_json(&r4), "fig14 JSON must not depend on --jobs");
 }
 
@@ -58,8 +55,8 @@ fn fault_campaign_jobs4_is_bit_identical_to_jobs1_including_the_trace() {
     let cfg = FaultRunConfig::tiny_storm(3);
     let (t1, s1) = traced();
     let (t4, s4) = traced();
-    let r1 = fault_campaign::run_jobs_traced(&cfg, &t1, 1).unwrap();
-    let r4 = fault_campaign::run_jobs_traced(&cfg, &t4, 4).unwrap();
+    let (r1, _) = fault_campaign::run(&cfg, &t1, 1, &Heartbeat::disabled()).unwrap();
+    let (r4, _) = fault_campaign::run(&cfg, &t4, 4, &Heartbeat::disabled()).unwrap();
     assert_eq!(to_json(&r1), to_json(&r4), "fault_campaign JSON must not depend on --jobs");
     assert_eq!(s1.take(), s4.take(), "fault_campaign telemetry must not depend on --jobs");
 }
@@ -69,8 +66,8 @@ fn pool_scale_jobs4_is_bit_identical_to_jobs1_including_the_trace() {
     let cfg = PoolRunConfig::tiny(7);
     let (t1, s1) = traced();
     let (t4, s4) = traced();
-    let r1 = pool_scale::run_jobs_traced(&cfg, &t1, 1).unwrap();
-    let r4 = pool_scale::run_jobs_traced(&cfg, &t4, 4).unwrap();
+    let (r1, _) = pool_scale::run(&cfg, &t1, 1, &Heartbeat::disabled()).unwrap();
+    let (r4, _) = pool_scale::run(&cfg, &t4, 4, &Heartbeat::disabled()).unwrap();
     assert_eq!(to_json(&r1), to_json(&r4), "pool_scale JSON must not depend on --jobs");
     let (e1, e4) = (s1.take(), s4.take());
     assert!(!e1.is_empty(), "the headline pool replay must emit events");
@@ -80,23 +77,23 @@ fn pool_scale_jobs4_is_bit_identical_to_jobs1_including_the_trace() {
 #[test]
 fn pool_failover_jobs4_is_bit_identical_to_jobs1() {
     let base = PoolRunConfig::tiny(3);
-    let r1 = pool_failover::run_jobs(&base, 3, 1).unwrap();
-    let r4 = pool_failover::run_jobs(&base, 3, 4).unwrap();
+    let r1 = pool_failover::run(&base, 3, 1).unwrap();
+    let r4 = pool_failover::run(&base, 3, 4).unwrap();
     assert_eq!(to_json(&r1), to_json(&r4), "pool_failover JSON must not depend on --jobs");
 }
 
 #[test]
 fn diff_fuzz_jobs4_is_bit_identical_to_jobs1() {
     let cfg = CheckRunConfig::smoke();
-    let r1 = diff_fuzz::run_jobs(&cfg, 1);
-    let r4 = diff_fuzz::run_jobs(&cfg, 4);
+    let r1 = diff_fuzz::run(&cfg, 1);
+    let r4 = diff_fuzz::run(&cfg, 4);
     assert_eq!(to_json(&r1), to_json(&r4), "diff_fuzz JSON must not depend on --jobs");
 }
 
 #[test]
 fn jobs_beyond_unit_count_still_match() {
     let cfg = CheckRunConfig::smoke();
-    assert_eq!(to_json(&diff_fuzz::run_jobs(&cfg, 1)), to_json(&diff_fuzz::run_jobs(&cfg, 64)));
+    assert_eq!(to_json(&diff_fuzz::run(&cfg, 1)), to_json(&diff_fuzz::run(&cfg, 64)));
 }
 
 /// A tiny registry context with 1-hour time-series windows.
@@ -175,18 +172,4 @@ fn fabric_load_timeseries_csv_jobs4_is_byte_identical_to_jobs1() {
     assert_eq!(csv1, csv4, "fabric_load time-series CSV must not depend on --jobs");
     // The switched interconnect reports the port-queue population.
     assert!(o1.slo.is_some_and(|s| s.fabric_queue.is_some()), "fabric SLO carries queue waits");
-}
-
-#[test]
-fn every_binary_is_registered_and_vice_versa() {
-    let bin_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
-    let mut bins: Vec<String> = std::fs::read_dir(&bin_dir)
-        .expect("list src/bin")
-        .map(|e| e.unwrap().path().file_stem().unwrap().to_string_lossy().into_owned())
-        .filter(|n| n != "all")
-        .collect();
-    bins.sort();
-    let mut names: Vec<String> = registry().iter().map(|e| e.name().to_string()).collect();
-    names.sort();
-    assert_eq!(bins, names, "src/bin/ and the experiment registry drifted apart");
 }
