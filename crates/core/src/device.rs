@@ -766,17 +766,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
         }
         let released: Vec<AuId> = aus.split_off(aus.len() - n_aus as usize);
         for au in released {
-            let dsns = self.tables.remove_au(handle.host, au)?;
-            for (off, dsn) in dsns.iter().enumerate() {
-                let cancelled = self.migrate.cancel_involving(*dsn);
-                for job in cancelled {
-                    self.cancel_job(job.id, job.kind, *dsn, now)?;
-                }
-                self.translator.invalidate(Hsn { host: handle.host, au, au_offset: off as u32 });
-            }
-            self.alloc.free_segments(&dsns)?;
-            self.tap.record(DeviceCommand::AuRemoved { host: handle.host, au, dsns, at: now });
-            self.hosts.get_mut(&handle.host).expect("still present").free_aus.push(au);
+            self.release_au(handle.host, au, now)?;
         }
         if self.powerdown_enabled {
             self.try_power_down(now)?;
@@ -795,18 +785,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
         let aus = state.vms.remove(&handle.vm).ok_or(DtlError::UnknownVm(handle))?;
         let released = aus.len() as u64 * self.config.segments_per_au();
         for au in aus {
-            let dsns = self.tables.remove_au(handle.host, au)?;
-            for (off, dsn) in dsns.iter().enumerate() {
-                let cancelled = self.migrate.cancel_involving(*dsn);
-                for job in cancelled {
-                    self.cancel_job(job.id, job.kind, *dsn, now)?;
-                }
-                self.translator.invalidate(Hsn { host: handle.host, au, au_offset: off as u32 });
-            }
-            self.alloc.free_segments(&dsns)?;
-            self.tap.record(DeviceCommand::AuRemoved { host: handle.host, au, dsns, at: now });
-            let state = self.hosts.get_mut(&handle.host).expect("still present");
-            state.free_aus.push(au);
+            self.release_au(handle.host, au, now)?;
         }
         self.stats.vms_deallocated += 1;
         self.telemetry.emit(
@@ -819,6 +798,24 @@ impl<B: MemoryBackend> DtlDevice<B> {
         if self.powerdown_enabled {
             self.try_power_down(now)?;
         }
+        Ok(())
+    }
+
+    /// Releases one AU a VM no longer holds: unmaps it, cancels the
+    /// migrations touching its segments, frees the segments and hands the
+    /// AU id back to the host.
+    fn release_au(&mut self, host: HostId, au: AuId, now: Picos) -> Result<(), DtlError> {
+        let dsns = self.tables.remove_au(host, au)?;
+        for (off, dsn) in dsns.iter().enumerate() {
+            let cancelled = self.migrate.cancel_involving(*dsn);
+            for job in cancelled {
+                self.cancel_job(job.id, job.kind, *dsn, now)?;
+            }
+            self.translator.invalidate(Hsn { host, au, au_offset: off as u32 });
+        }
+        self.alloc.free_segments(&dsns)?;
+        self.tap.record(DeviceCommand::AuRemoved { host, au, dsns, at: now });
+        self.hosts.get_mut(&host).expect("still present").free_aus.push(au);
         Ok(())
     }
 
@@ -882,6 +879,9 @@ impl<B: MemoryBackend> DtlDevice<B> {
     }
 
     /// Plans and launches rank-group power-downs while capacity allows.
+    /// Ranks that a migration touches are excluded; the planner asks once
+    /// per candidate rank, and each answer is a lookup in the migration
+    /// engine's endpoint index, not a walk of its queues.
     fn try_power_down(&mut self, now: Picos) -> Result<(), DtlError> {
         loop {
             let plan = {
@@ -1455,8 +1455,9 @@ impl<B: MemoryBackend> DtlDevice<B> {
     /// Inert under [`PowerPolicyKind::FixedThreshold`] (the power-down and
     /// hotness engines own every transition there). Ranks owned by another
     /// engine — draining, parked, retired, the hotness victim already in
-    /// self-refresh, or an endpoint of an in-flight migration — are
-    /// skipped so the pump never fights them.
+    /// self-refresh, or an endpoint of a queued or in-flight migration (a
+    /// lookup in the migration engine's endpoint index) — are skipped so
+    /// the pump never fights them.
     fn pump_power_policy(&mut self, now: Picos) -> Result<(), DtlError> {
         if self.policy.is_inert() {
             return Ok(());
@@ -1714,12 +1715,16 @@ impl<B: MemoryBackend> DtlDevice<B> {
     /// [`DtlError::Internal`] describing the first violation:
     /// * forward/reverse mapping consistency;
     /// * allocator free/allocated partitioning;
+    /// * in debug builds, the migration engine's endpoint index against a
+    ///   recount of its queues ([`MigrationEngine::check_index`]);
     /// * **no mapped (live) segment may sit in an MPSM rank** — MPSM loses
     ///   data;
     /// * every mapped segment is marked allocated.
     pub fn check_invariants(&self) -> Result<(), DtlError> {
         self.tables.check_consistency()?;
         self.alloc.check_consistency()?;
+        #[cfg(debug_assertions)]
+        self.migrate.check_index()?;
         for (dsn, hsn) in self.tables.iter_mapped() {
             let loc = self.geo.location(dsn);
             if self.backend.rank_state(loc.channel, loc.rank) == PowerState::Mpsm {

@@ -12,6 +12,15 @@
 //! * a write after the job's data movement completed but before the mapping
 //!   update (the *completion bit* window) is routed to the new location;
 //! * reads always proceed against the still-valid old location.
+//!
+//! Jobs wait in one FIFO per channel. Every queued job carries a *ticket*,
+//! its place in the device-wide arrival order: an enqueue (or a demotion to
+//! the tail) takes the next ticket above every live one, an abort or
+//! interrupt that puts a job back at the head takes the next one below.
+//! A pump round starts the head of each idle channel in ticket order, which
+//! is the order a single device-wide FIFO would have started them in. An
+//! *endpoint index* — jobs per DSN, endpoints per (channel, rank) — answers
+//! "does anything touch this segment / rank" without looking at a queue.
 
 use std::collections::VecDeque;
 
@@ -48,6 +57,11 @@ impl MigrationKind {
             MigrationKind::Copy { src, dst } => (src, dst),
             MigrationKind::Swap { a, b } => (a, b),
         }
+    }
+
+    fn touches(&self, dsn: Dsn) -> bool {
+        let (x, y) = self.endpoints();
+        x == dsn || y == dsn
     }
 }
 
@@ -150,7 +164,7 @@ pub struct MigrationStats {
     pub rollbacks: u64,
 }
 
-/// The migration engine: one in-flight job per channel, FIFO queue behind.
+/// The migration engine: one in-flight job per channel, a FIFO behind each.
 ///
 /// # Examples
 ///
@@ -171,13 +185,26 @@ pub struct MigrationEngine {
     geo: SegmentGeometry,
     segment_bytes: u64,
     retry_limit: u32,
-    queue: VecDeque<MigrationJob>,
+    /// Waiting jobs, one FIFO per channel; tickets rise front to back.
+    queues: Vec<VecDeque<QueuedJob>>,
+    /// Ticket of the next job queued at the tail (counts up).
+    next_back_ticket: i64,
+    /// Ticket of the next job put back at the head (counts down).
+    next_front_ticket: i64,
     in_flight: Vec<Option<ActiveJob>>,
     /// When each channel's migration slot last freed (successor jobs chain
     /// back-to-back from here, not from the next pump call).
     channel_free_at: Vec<Picos>,
     /// Energy of aborted partial copies, charged at the next pump.
     pending_charges: Vec<(SegmentLocation, SegmentLocation, u64)>,
+    /// Endpoint index: endpoints of queued or in-flight jobs on each DSN.
+    /// One byte per device segment; enqueue refuses a job that would wrap it.
+    dsn_jobs: Vec<u8>,
+    /// Endpoint index: job endpoints in each (channel, rank). Two per job,
+    /// so a `u64` outlives any run.
+    rank_endpoints: Vec<u64>,
+    /// Copy jobs queued or in flight.
+    copies: u64,
     next_id: u64,
     stats: MigrationStats,
     /// Deepest the backlog (queued + in flight) ever got. Kept outside
@@ -186,17 +213,30 @@ pub struct MigrationEngine {
     telemetry: Telemetry,
 }
 
+/// A waiting job and its place in the device-wide start order.
+#[derive(Debug, Clone, Copy)]
+struct QueuedJob {
+    ticket: i64,
+    job: MigrationJob,
+}
+
 impl MigrationEngine {
     /// Builds an idle engine.
     pub fn new(geo: SegmentGeometry, segment_bytes: u64, retry_limit: u32) -> Self {
+        let channels = geo.channels as usize;
         MigrationEngine {
             geo,
             segment_bytes,
             retry_limit,
-            queue: VecDeque::new(),
-            in_flight: vec![None; geo.channels as usize],
-            channel_free_at: vec![Picos::ZERO; geo.channels as usize],
+            queues: vec![VecDeque::new(); channels],
+            next_back_ticket: 0,
+            next_front_ticket: -1,
+            in_flight: vec![None; channels],
+            channel_free_at: vec![Picos::ZERO; channels],
             pending_charges: Vec::new(),
+            dsn_jobs: vec![0; geo.total_segments() as usize],
+            rank_endpoints: vec![0; channels * geo.ranks_per_channel as usize],
+            copies: 0,
             next_id: 0,
             stats: MigrationStats::default(),
             backlog_high_water: 0,
@@ -217,7 +257,7 @@ impl MigrationEngine {
 
     /// Queued jobs (not yet started).
     pub fn queued(&self) -> usize {
-        self.queue.len()
+        self.queues.iter().map(VecDeque::len).sum()
     }
 
     /// Jobs currently moving data.
@@ -227,24 +267,23 @@ impl MigrationEngine {
 
     /// True when no work is queued or in flight.
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.in_flight() == 0
+        self.queued() == 0 && self.in_flight() == 0
     }
 
     /// Copy jobs queued or in flight — each holds one allocated but
     /// still-unmapped destination reservation in the segment allocator.
     pub fn pending_copies(&self) -> u64 {
-        let is_copy = |j: &MigrationJob| matches!(j.kind, MigrationKind::Copy { .. });
-        (self.queue.iter().filter(|j| is_copy(j)).count()
-            + self.in_flight.iter().flatten().filter(|a| is_copy(&a.job)).count()) as u64
+        self.copies
     }
 
     /// Queues a copy job at time `now`.
     ///
     /// # Errors
     ///
-    /// [`DtlError::Internal`] if source and destination are on different
-    /// channels (DTL migrations are always intra-channel so per-VM channel
-    /// balance is preserved).
+    /// [`DtlError::Internal`] if either segment lies outside the device, if
+    /// source and destination are on different channels (DTL migrations are
+    /// always intra-channel so per-VM channel balance is preserved), or if
+    /// a segment already carries as many jobs as the endpoint index counts.
     pub fn enqueue_copy(&mut self, src: Dsn, dst: Dsn, now: Picos) -> Result<u64, DtlError> {
         self.enqueue(MigrationKind::Copy { src, dst }, now)
     }
@@ -253,25 +292,76 @@ impl MigrationEngine {
     ///
     /// # Errors
     ///
-    /// Same channel restriction as [`MigrationEngine::enqueue_copy`].
+    /// Same restrictions as [`MigrationEngine::enqueue_copy`].
     pub fn enqueue_swap(&mut self, a: Dsn, b: Dsn, now: Picos) -> Result<u64, DtlError> {
         self.enqueue(MigrationKind::Swap { a, b }, now)
     }
 
     fn enqueue(&mut self, kind: MigrationKind, now: Picos) -> Result<u64, DtlError> {
         let (x, y) = kind.endpoints();
+        let total = self.geo.total_segments();
+        if x.0 >= total || y.0 >= total {
+            return Err(DtlError::Internal {
+                reason: format!("migration {x} -> {y} outside the device's {total} segments"),
+            });
+        }
         let (cx, cy) = (self.geo.location(x).channel, self.geo.location(y).channel);
         if cx != cy {
             return Err(DtlError::Internal {
                 reason: format!("cross-channel migration {x} -> {y} (ch{cx} vs ch{cy})"),
             });
         }
+        // A job adds one per endpoint, two when both are the same segment.
+        if let Some(d) = [x, y].into_iter().find(|d| self.dsn_jobs[d.0 as usize] > u8::MAX - 2) {
+            return Err(DtlError::Internal {
+                reason: format!(
+                    "{d} is already an endpoint of {} migration jobs",
+                    self.dsn_jobs[d.0 as usize]
+                ),
+            });
+        }
+        for d in [x, y] {
+            self.dsn_jobs[d.0 as usize] += 1;
+            let slot = self.rank_slot(d);
+            self.rank_endpoints[slot] += 1;
+        }
+        self.copies += u64::from(matches!(kind, MigrationKind::Copy { .. }));
         let id = self.next_id;
         self.next_id += 1;
-        self.queue.push_back(MigrationJob { id, kind, retries: 0, enqueued_at: now });
-        let depth = (self.queue.len() + self.in_flight()) as u64;
+        self.push_back(cx as usize, MigrationJob { id, kind, retries: 0, enqueued_at: now });
+        let depth = (self.queued() + self.in_flight()) as u64;
         self.backlog_high_water = self.backlog_high_water.max(depth);
         Ok(id)
+    }
+
+    /// Takes a job that left the engine (completed, cancelled or rolled
+    /// back) out of the endpoint index.
+    fn unindex(&mut self, kind: MigrationKind) {
+        let (x, y) = kind.endpoints();
+        for d in [x, y] {
+            self.dsn_jobs[d.0 as usize] -= 1;
+            let slot = self.rank_slot(d);
+            self.rank_endpoints[slot] -= 1;
+        }
+        self.copies -= u64::from(matches!(kind, MigrationKind::Copy { .. }));
+    }
+
+    /// Slot of an in-range DSN's (channel, rank) in `rank_endpoints`.
+    fn rank_slot(&self, dsn: Dsn) -> usize {
+        let loc = self.geo.location(dsn);
+        (loc.channel * self.geo.ranks_per_channel + loc.rank) as usize
+    }
+
+    /// Queues `job` behind every waiting job of the device.
+    fn push_back(&mut self, ch: usize, job: MigrationJob) {
+        self.queues[ch].push_back(QueuedJob { ticket: self.next_back_ticket, job });
+        self.next_back_ticket += 1;
+    }
+
+    /// Puts `job` ahead of every waiting job of the device.
+    fn push_front(&mut self, ch: usize, job: MigrationJob) {
+        self.queues[ch].push_front(QueuedJob { ticket: self.next_front_ticket, job });
+        self.next_front_ticket -= 1;
     }
 
     /// Deepest the backlog (queued + in flight) ever got, sampled at every
@@ -296,52 +386,50 @@ impl MigrationEngine {
         loop {
             let mut progressed = false;
             // Collect completions (charging the moved lines).
-            for (ch, slot) in self.in_flight.iter_mut().enumerate() {
-                if let Some(active) = slot {
-                    if now >= active.complete_at {
-                        self.stats.completed += 1;
-                        self.stats.bytes_moved += active.bytes;
-                        self.channel_free_at[ch] = active.complete_at;
-                        let (x, y) = active.job.kind.endpoints();
-                        let (sl, dl) = (self.geo.location(x), self.geo.location(y));
-                        match active.job.kind {
-                            MigrationKind::Copy { .. } => {
-                                backend.charge_migration(sl, dl, active.bytes / 64);
-                            }
-                            MigrationKind::Swap { .. } => {
-                                let half = active.bytes / 2 / 64;
-                                backend.charge_migration(sl, dl, half);
-                                backend.charge_migration(dl, sl, half);
-                            }
-                        }
-                        self.telemetry.emit(
-                            active.complete_at.as_ps(),
-                            EventKind::SegmentMigrated {
-                                channel: ch as u32,
-                                src: x.0,
-                                dst: y.0,
-                                swap: matches!(active.job.kind, MigrationKind::Swap { .. }),
-                                bytes: active.bytes,
-                            },
-                        );
-                        done.push(CompletedMigration {
-                            job: active.job,
-                            finished: active.complete_at,
-                        });
-                        *slot = None;
-                        progressed = true;
-                    }
-                }
-            }
-            // Start queued jobs on idle channels, in queue order.
-            let mut remaining = VecDeque::with_capacity(self.queue.len());
-            while let Some(job) = self.queue.pop_front() {
-                let (x, y) = job.kind.endpoints();
-                let ch = self.geo.location(x).channel as usize;
-                if self.in_flight[ch].is_some() {
-                    remaining.push_back(job);
+            for ch in 0..self.in_flight.len() {
+                let Some(active) = self.in_flight[ch] else { continue };
+                if now < active.complete_at {
                     continue;
                 }
+                self.stats.completed += 1;
+                self.stats.bytes_moved += active.bytes;
+                self.channel_free_at[ch] = active.complete_at;
+                let (x, y) = active.job.kind.endpoints();
+                let (sl, dl) = (self.geo.location(x), self.geo.location(y));
+                match active.job.kind {
+                    MigrationKind::Copy { .. } => {
+                        backend.charge_migration(sl, dl, active.bytes / 64);
+                    }
+                    MigrationKind::Swap { .. } => {
+                        let half = active.bytes / 2 / 64;
+                        backend.charge_migration(sl, dl, half);
+                        backend.charge_migration(dl, sl, half);
+                    }
+                }
+                self.telemetry.emit(
+                    active.complete_at.as_ps(),
+                    EventKind::SegmentMigrated {
+                        channel: ch as u32,
+                        src: x.0,
+                        dst: y.0,
+                        swap: matches!(active.job.kind, MigrationKind::Swap { .. }),
+                        bytes: active.bytes,
+                    },
+                );
+                done.push(CompletedMigration { job: active.job, finished: active.complete_at });
+                self.in_flight[ch] = None;
+                self.unindex(active.job.kind);
+                progressed = true;
+            }
+            // Start the head of every idle channel, lowest ticket first.
+            while let Some(ch) = self.next_startable_channel() {
+                let job = self.queues[ch].pop_front().expect("channel has a head").job;
+                if self.queues[ch].is_empty() {
+                    // A rank drain leaves tens of thousands of slots behind;
+                    // hand them back rather than hold them for the run.
+                    self.queues[ch].shrink_to_fit();
+                }
+                let (x, y) = job.kind.endpoints();
                 let start = job.enqueued_at.max(self.channel_free_at[ch]);
                 let (src_loc, dst_loc) = (self.geo.location(x), self.geo.location(y));
                 let bytes = match job.kind {
@@ -360,7 +448,6 @@ impl MigrationEngine {
                 self.in_flight[ch] = Some(ActiveJob { job, start, complete_at, bytes });
                 progressed = true;
             }
-            self.queue = remaining;
             if !progressed {
                 break;
             }
@@ -374,6 +461,15 @@ impl MigrationEngine {
         done
     }
 
+    /// The idle channel whose waiting head holds the lowest ticket.
+    fn next_startable_channel(&self) -> Option<usize> {
+        (0..self.queues.len())
+            .filter(|&ch| self.in_flight[ch].is_none())
+            .filter_map(|ch| Some((self.queues[ch].front()?.ticket, ch)))
+            .min()
+            .map(|(_, ch)| ch)
+    }
+
     /// The next time at which [`MigrationEngine::pump`] would make
     /// progress, for event-driven callers: the earliest in-flight
     /// completion, or the earliest start time of a queued job whose channel
@@ -382,23 +478,17 @@ impl MigrationEngine {
     /// completion event. `None` means the engine is quiescent — no pump is
     /// needed until new work is enqueued.
     pub fn next_event_at(&self) -> Option<Picos> {
-        let in_flight = self.in_flight.iter().flatten().map(|a| a.complete_at).min();
-        let queued = self
-            .queue
-            .iter()
-            .filter_map(|job| {
-                let ch = self.geo.location(job.kind.endpoints().0).channel as usize;
-                if self.in_flight[ch].is_some() {
-                    None
-                } else {
-                    Some(job.enqueued_at.max(self.channel_free_at[ch]))
+        (0..self.queues.len())
+            .filter_map(|ch| match self.in_flight[ch] {
+                Some(active) => Some(active.complete_at),
+                // Every waiting job counts, not only the head: a head that
+                // is backing off can be due later than the job behind it.
+                None => {
+                    let earliest = self.queues[ch].iter().map(|q| q.job.enqueued_at).min()?;
+                    Some(earliest.max(self.channel_free_at[ch]))
                 }
             })
-            .min();
-        match (in_flight, queued) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+            .min()
     }
 
     /// Classifies a foreground **write** to segment `dsn` at line `offset`
@@ -456,9 +546,9 @@ impl MigrationEngine {
             if job.retries > self.retry_limit {
                 self.stats.requeues += 1;
                 job.retries = 0;
-                self.queue.push_back(job);
+                self.push_back(ch, job);
             } else {
-                self.queue.push_front(job);
+                self.push_front(ch, job);
             }
             WriteRouting::AbortedJob
         } else {
@@ -494,12 +584,13 @@ impl MigrationEngine {
         job.retries += 1;
         if job.retries > self.retry_limit {
             self.stats.rollbacks += 1;
+            self.unindex(job.kind);
             return MigrationInterrupt::RolledBack { job };
         }
         let duration = active.complete_at.saturating_sub(active.start);
         let backoff = duration * (1u64 << job.retries.min(8));
         job.enqueued_at = now + backoff;
-        self.queue.push_front(job);
+        self.push_front(channel as usize, job);
         MigrationInterrupt::Replayed { id: job.id, retries: job.retries }
     }
 
@@ -507,26 +598,43 @@ impl MigrationEngine {
     /// owning VM deallocates mid-migration). Returns the cancelled jobs so
     /// the caller can release reservations and fix bookkeeping.
     pub fn cancel_involving(&mut self, dsn: Dsn) -> Vec<MigrationJob> {
-        let hits = |j: &MigrationJob| {
-            let (x, y) = j.kind.endpoints();
-            x == dsn || y == dsn
-        };
-        let mut out = Vec::new();
-        self.queue.retain(|j| {
-            if hits(j) {
-                out.push(*j);
-                false
-            } else {
-                true
-            }
-        });
-        for slot in &mut self.in_flight {
-            if let Some(active) = slot {
-                if hits(&active.job) {
-                    out.push(active.job);
-                    *slot = None;
+        if !self.involves(dsn) {
+            return Vec::new();
+        }
+        // Migrations are intra-channel: every hit waits or runs on the
+        // segment's own channel.
+        let ch = self.geo.location(dsn).channel as usize;
+        self.cancel_where(ch..ch + 1, |j| j.kind.touches(dsn))
+    }
+
+    /// Removes the jobs `hits` selects from the given channels: waiting
+    /// jobs first, in the order they would have started, then in-flight
+    /// ones by channel.
+    fn cancel_where(
+        &mut self,
+        channels: std::ops::Range<usize>,
+        hits: impl Fn(&MigrationJob) -> bool,
+    ) -> Vec<MigrationJob> {
+        let mut waiting = Vec::new();
+        for queue in &mut self.queues[channels.clone()] {
+            queue.retain(|q| {
+                if hits(&q.job) {
+                    waiting.push(*q);
+                    false
+                } else {
+                    true
                 }
+            });
+        }
+        waiting.sort_by_key(|q| q.ticket);
+        let mut out: Vec<MigrationJob> = waiting.into_iter().map(|q| q.job).collect();
+        for slot in &mut self.in_flight[channels] {
+            if let Some(active) = slot.take_if(|a| hits(&a.job)) {
+                out.push(active.job);
             }
+        }
+        for job in &out {
+            self.unindex(job.kind);
         }
         out
     }
@@ -534,66 +642,97 @@ impl MigrationEngine {
     /// Lists (without cancelling) every queued or in-flight job with an
     /// endpoint in the given rank.
     pub fn jobs_involving_rank(&self, channel: u32, rank: u32) -> Vec<MigrationJob> {
+        if !self.involves_rank(channel, rank) {
+            return Vec::new();
+        }
         let hits = |j: &MigrationJob| {
             let (x, y) = j.kind.endpoints();
-            [x, y].into_iter().any(|d| {
-                let loc = self.geo.location(d);
-                loc.channel == channel && loc.rank == rank
-            })
+            [x, y].into_iter().any(|d| self.geo.location(d).rank == rank)
         };
-        self.queue
+        let ch = channel as usize;
+        self.queues[ch]
             .iter()
-            .copied()
-            .filter(&hits)
-            .chain(self.in_flight.iter().flatten().map(|a| a.job).filter(&hits))
+            .map(|q| q.job)
+            .chain(self.in_flight[ch].map(|a| a.job))
+            .filter(hits)
             .collect()
     }
 
     /// Cancels the jobs with the given ids (queued or in flight); returns
-    /// the ones actually found.
+    /// the ones actually found, waiting jobs first in the order they would
+    /// have started. An id does not say which channel holds it, so this
+    /// visits every channel.
     pub fn cancel_ids(&mut self, ids: &[u64]) -> Vec<MigrationJob> {
-        let mut out = Vec::new();
-        self.queue.retain(|j| {
-            if ids.contains(&j.id) {
-                out.push(*j);
-                false
-            } else {
-                true
-            }
-        });
-        for slot in &mut self.in_flight {
-            if let Some(active) = slot {
-                if ids.contains(&active.job.id) {
-                    out.push(active.job);
-                    *slot = None;
-                }
-            }
+        if ids.is_empty() {
+            return Vec::new();
         }
-        out
+        self.cancel_where(0..self.queues.len(), |j| ids.contains(&j.id))
     }
 
     /// Whether any queued or in-flight job has an endpoint in the given
     /// rank (used by rank-level power-down to avoid draining a rank that
     /// migrations are concurrently writing into).
     pub fn involves_rank(&self, channel: u32, rank: u32) -> bool {
-        let hits = |j: &MigrationJob| {
-            let (x, y) = j.kind.endpoints();
-            [x, y].into_iter().any(|d| {
-                let loc = self.geo.location(d);
-                loc.channel == channel && loc.rank == rank
-            })
-        };
-        self.queue.iter().any(hits) || self.in_flight.iter().flatten().any(|a| hits(&a.job))
+        channel < self.geo.channels
+            && rank < self.geo.ranks_per_channel
+            && self.rank_endpoints[(channel * self.geo.ranks_per_channel + rank) as usize] > 0
     }
 
     /// Whether `dsn` is an endpoint of any queued or in-flight job (used to
-    /// avoid planning conflicting migrations).
+    /// avoid planning conflicting migrations). A DSN outside the device is
+    /// an endpoint of nothing.
     pub fn involves(&self, dsn: Dsn) -> bool {
-        let check = |j: &MigrationJob| {
-            let (x, y) = j.kind.endpoints();
-            x == dsn || y == dsn
+        usize::try_from(dsn.0).ok().and_then(|i| self.dsn_jobs.get(i)).is_some_and(|&n| n > 0)
+    }
+
+    /// Audits the bookkeeping the queries above rely on: every job sits on
+    /// its own channel, tickets rise front to back inside the range handed
+    /// out so far, and the endpoint index equals a recount from the queues
+    /// and the in-flight slots.
+    ///
+    /// # Errors
+    ///
+    /// [`DtlError::Internal`] naming the first discrepancy.
+    pub fn check_index(&self) -> Result<(), DtlError> {
+        let broken = |reason: String| Err(DtlError::Internal { reason });
+        let mut dsn_jobs = vec![0u8; self.dsn_jobs.len()];
+        let mut rank_endpoints = vec![0u64; self.rank_endpoints.len()];
+        let mut copies = 0u64;
+        let mut count = |job: &MigrationJob, ch: usize| {
+            let (x, y) = job.kind.endpoints();
+            for d in [x, y] {
+                if self.geo.location(d).channel as usize != ch {
+                    return broken(format!("job {} ({d}) held by channel {ch}", job.id));
+                }
+                dsn_jobs[d.0 as usize] += 1;
+                rank_endpoints[self.rank_slot(d)] += 1;
+            }
+            copies += u64::from(matches!(job.kind, MigrationKind::Copy { .. }));
+            Ok(())
         };
-        self.queue.iter().any(check) || self.in_flight.iter().flatten().any(|a| check(&a.job))
+        for (ch, queue) in self.queues.iter().enumerate() {
+            let mut floor = self.next_front_ticket;
+            for q in queue {
+                if q.ticket <= floor || q.ticket >= self.next_back_ticket {
+                    return broken(format!(
+                        "job {} on channel {ch}: ticket out of order",
+                        q.job.id
+                    ));
+                }
+                floor = q.ticket;
+                count(&q.job, ch)?;
+            }
+            if let Some(active) = &self.in_flight[ch] {
+                count(&active.job, ch)?;
+            }
+        }
+        if dsn_jobs != self.dsn_jobs || rank_endpoints != self.rank_endpoints {
+            return broken("migration endpoint index disagrees with the queues".into());
+        }
+        if copies != self.copies {
+            return broken(format!("{copies} copy jobs held, {} counted", self.copies));
+        }
+        Ok(())
     }
 }
 
@@ -602,6 +741,7 @@ mod tests {
     use super::*;
     use crate::backend::AnalyticBackend;
     use dtl_dram::PowerParams;
+    use proptest::prelude::*;
 
     fn geo() -> SegmentGeometry {
         SegmentGeometry { channels: 2, ranks_per_channel: 4, segs_per_rank: 16 }
@@ -835,5 +975,637 @@ mod tests {
         assert!(eng.involves(dsn_ch0(0)), "in flight");
         assert!(eng.involves(dsn_ch0(6)), "queued");
         assert!(!eng.involves(dsn_ch0(12)));
+    }
+
+    #[test]
+    fn enqueue_copy_rejects_out_of_range_dsn() {
+        let (mut eng, _) = setup();
+        // Dsn(128) is one past the device and would land on channel 0.
+        let past = Dsn(geo().total_segments());
+        assert!(matches!(
+            eng.enqueue_copy(Dsn(0), past, Picos::ZERO),
+            Err(DtlError::Internal { .. })
+        ));
+        assert!(eng.enqueue_copy(Dsn(u64::MAX), Dsn(0), Picos::ZERO).is_err());
+        assert!(eng.is_idle());
+        eng.check_index().unwrap();
+    }
+
+    #[test]
+    fn enqueue_swap_rejects_out_of_range_dsn() {
+        let (mut eng, _) = setup();
+        let past = Dsn(geo().total_segments());
+        assert!(matches!(
+            eng.enqueue_swap(past, Dsn(0), Picos::ZERO),
+            Err(DtlError::Internal { .. })
+        ));
+        assert!(eng.enqueue_swap(past, past, Picos::ZERO).is_err());
+        assert!(eng.is_idle());
+        eng.check_index().unwrap();
+    }
+
+    #[test]
+    fn involves_is_false_for_out_of_range_dsn() {
+        let (mut eng, _) = setup();
+        eng.enqueue_copy(dsn_ch0(0), dsn_ch0(5), Picos::ZERO).unwrap();
+        assert!(!eng.involves(Dsn(geo().total_segments())));
+        assert!(!eng.involves(Dsn(u64::MAX)));
+        assert!(!eng.involves_rank(geo().channels, 0));
+        assert!(!eng.involves_rank(0, geo().ranks_per_channel), "not channel 1, rank 0");
+    }
+
+    #[test]
+    fn cancel_involving_out_of_range_dsn_cancels_nothing() {
+        let (mut eng, _) = setup();
+        eng.enqueue_copy(dsn_ch0(0), dsn_ch0(5), Picos::ZERO).unwrap();
+        assert!(eng.cancel_involving(Dsn(geo().total_segments())).is_empty());
+        assert!(eng.cancel_involving(Dsn(u64::MAX)).is_empty());
+        assert_eq!(eng.queued(), 1);
+        eng.check_index().unwrap();
+    }
+
+    #[test]
+    fn endpoint_index_refuses_to_wrap() {
+        let (mut eng, _) = setup();
+        // Each swap of a segment with itself counts twice on that segment.
+        for _ in 0..127 {
+            eng.enqueue_swap(dsn_ch0(0), dsn_ch0(0), Picos::ZERO).unwrap();
+        }
+        assert!(matches!(
+            eng.enqueue_copy(dsn_ch0(0), dsn_ch0(1), Picos::ZERO),
+            Err(DtlError::Internal { .. })
+        ));
+        assert_eq!(eng.queued(), 127, "the refused job left no trace");
+        eng.check_index().unwrap();
+        assert_eq!(eng.cancel_involving(dsn_ch0(0)).len(), 127);
+        assert!(!eng.involves(dsn_ch0(0)));
+        eng.check_index().unwrap();
+    }
+
+    /// What the engine asked of the backend, in order.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Call {
+        BulkCopy { src: SegmentLocation, dst: SegmentLocation, bytes: u64, at: Picos },
+        Charge { src: SegmentLocation, dst: SegmentLocation, lines: u64 },
+    }
+
+    /// Backend that logs the two calls the engine makes and gives every
+    /// transfer the same duration.
+    #[derive(Debug, Default)]
+    struct Recorder {
+        calls: Vec<Call>,
+    }
+
+    const COPY_TIME: Picos = Picos::from_us(100);
+
+    impl MemoryBackend for Recorder {
+        fn bulk_copy(
+            &mut self,
+            src: SegmentLocation,
+            dst: SegmentLocation,
+            bytes: u64,
+            at: Picos,
+        ) -> Picos {
+            self.calls.push(Call::BulkCopy { src, dst, bytes, at });
+            at + COPY_TIME
+        }
+        fn charge_migration(&mut self, src: SegmentLocation, dst: SegmentLocation, lines: u64) {
+            self.calls.push(Call::Charge { src, dst, lines });
+        }
+        fn geometry(&self) -> SegmentGeometry {
+            unreachable!("the engine only moves data")
+        }
+        fn segment_bytes(&self) -> u64 {
+            unreachable!("the engine only moves data")
+        }
+        fn now(&self) -> Picos {
+            unreachable!("the engine only moves data")
+        }
+        fn advance_to(&mut self, _: Picos) {
+            unreachable!("the engine only moves data")
+        }
+        fn access(
+            &mut self,
+            _: SegmentLocation,
+            _: u64,
+            _: dtl_dram::AccessKind,
+            _: dtl_dram::Priority,
+            _: Picos,
+        ) -> Picos {
+            unreachable!("the engine only moves data")
+        }
+        fn set_rank_state(
+            &mut self,
+            _: u32,
+            _: u32,
+            _: dtl_dram::PowerState,
+            _: Picos,
+        ) -> Result<Picos, DtlError> {
+            unreachable!("the engine only moves data")
+        }
+        fn rank_state(&self, _: u32, _: u32) -> dtl_dram::PowerState {
+            unreachable!("the engine only moves data")
+        }
+        fn power_report(&mut self, _: Picos) -> dtl_dram::PowerReport {
+            unreachable!("the engine only moves data")
+        }
+        fn drain_power_events(&mut self) -> Vec<dtl_dram::PowerEvent> {
+            unreachable!("the engine only moves data")
+        }
+        fn est_access_latency(&self) -> Picos {
+            unreachable!("the engine only moves data")
+        }
+    }
+
+    #[test]
+    fn cross_channel_start_order_follows_tickets() {
+        let mut eng = MigrationEngine::new(geo(), SEG, 3);
+        let mut be = Recorder::default();
+        // X runs on channel 1; Y then waits on the idle channel 0, unpumped.
+        let x = eng.enqueue_copy(Dsn(1), Dsn(9), Picos::ZERO).unwrap();
+        eng.pump(Picos::ZERO, &mut be);
+        let y = eng.enqueue_copy(dsn_ch0(0), dsn_ch0(5), Picos::from_us(1)).unwrap();
+        // A write to X's first line mid-copy puts X back at the head of the
+        // device-wide order, ahead of the older-by-channel Y.
+        let r = eng.on_foreground_write(Dsn(1), 0, Picos::from_us(50));
+        assert_eq!(r, WriteRouting::AbortedJob);
+        assert_eq!(eng.queued(), 2);
+        eng.check_index().unwrap();
+        be.calls.clear();
+        eng.pump(Picos::from_us(50), &mut be);
+        let started: Vec<u32> = be
+            .calls
+            .iter()
+            .filter_map(|c| match c {
+                Call::BulkCopy { src, .. } => Some(src.channel),
+                Call::Charge { .. } => None,
+            })
+            .collect();
+        assert_eq!(started, [1, 0], "the aborted job restarts before channel 0's head");
+        assert_eq!(eng.in_flight(), 2);
+        eng.check_index().unwrap();
+        // Both complete; the one that started earlier in simulated time
+        // (Y: X is backing off) is still collected in channel order.
+        let done = eng.pump(Picos::from_ms(10), &mut be);
+        assert_eq!(done.iter().map(|d| d.job.id).collect::<Vec<_>>(), [y, x]);
+        eng.check_index().unwrap();
+    }
+
+    #[test]
+    fn next_event_at_sees_past_a_backed_off_head() {
+        let mut eng = MigrationEngine::new(geo(), SEG, 3);
+        let mut be = Recorder::default();
+        eng.enqueue_copy(dsn_ch0(0), dsn_ch0(5), Picos::ZERO).unwrap();
+        eng.pump(Picos::ZERO, &mut be);
+        let behind = Picos::from_us(10);
+        eng.enqueue_copy(dsn_ch0(1), dsn_ch0(6), behind).unwrap();
+        let at = Picos::from_us(50);
+        assert_eq!(eng.on_foreground_write(dsn_ch0(0), 0, at), WriteRouting::AbortedJob);
+        // Channel 0 is idle; its head backs off for two copy times, the job
+        // behind it could start at once.
+        assert_eq!(eng.queues[0].front().unwrap().job.enqueued_at, at + COPY_TIME * 2);
+        assert_eq!(eng.next_event_at(), Some(behind));
+        eng.check_index().unwrap();
+    }
+
+    /// Today's predecessor of [`MigrationEngine`], kept as the model the
+    /// differential test holds it to: one device-wide FIFO, rescanned end to
+    /// end by every operation.
+    #[derive(Debug)]
+    struct ReferenceEngine {
+        geo: SegmentGeometry,
+        segment_bytes: u64,
+        retry_limit: u32,
+        queue: VecDeque<MigrationJob>,
+        in_flight: Vec<Option<ActiveJob>>,
+        channel_free_at: Vec<Picos>,
+        pending_charges: Vec<(SegmentLocation, SegmentLocation, u64)>,
+        next_id: u64,
+        stats: MigrationStats,
+        backlog_high_water: u64,
+    }
+
+    impl ReferenceEngine {
+        fn new(geo: SegmentGeometry, segment_bytes: u64, retry_limit: u32) -> Self {
+            ReferenceEngine {
+                geo,
+                segment_bytes,
+                retry_limit,
+                queue: VecDeque::new(),
+                in_flight: vec![None; geo.channels as usize],
+                channel_free_at: vec![Picos::ZERO; geo.channels as usize],
+                pending_charges: Vec::new(),
+                next_id: 0,
+                stats: MigrationStats::default(),
+                backlog_high_water: 0,
+            }
+        }
+
+        fn in_flight(&self) -> usize {
+            self.in_flight.iter().filter(|j| j.is_some()).count()
+        }
+
+        fn pending_copies(&self) -> u64 {
+            let is_copy = |j: &MigrationJob| matches!(j.kind, MigrationKind::Copy { .. });
+            (self.queue.iter().filter(|j| is_copy(j)).count()
+                + self.in_flight.iter().flatten().filter(|a| is_copy(&a.job)).count())
+                as u64
+        }
+
+        fn enqueue(&mut self, kind: MigrationKind, now: Picos) -> Result<u64, DtlError> {
+            let (x, y) = kind.endpoints();
+            let (cx, cy) = (self.geo.location(x).channel, self.geo.location(y).channel);
+            if cx != cy {
+                return Err(DtlError::Internal { reason: "cross-channel".into() });
+            }
+            let id = self.next_id;
+            self.next_id += 1;
+            self.queue.push_back(MigrationJob { id, kind, retries: 0, enqueued_at: now });
+            let depth = (self.queue.len() + self.in_flight()) as u64;
+            self.backlog_high_water = self.backlog_high_water.max(depth);
+            Ok(id)
+        }
+
+        fn pump(&mut self, now: Picos, backend: &mut Recorder) -> Vec<CompletedMigration> {
+            let mut done = Vec::new();
+            for (src, dst, lines) in self.pending_charges.drain(..) {
+                backend.charge_migration(src, dst, lines);
+            }
+            loop {
+                let mut progressed = false;
+                for (ch, slot) in self.in_flight.iter_mut().enumerate() {
+                    if let Some(active) = slot {
+                        if now >= active.complete_at {
+                            self.stats.completed += 1;
+                            self.stats.bytes_moved += active.bytes;
+                            self.channel_free_at[ch] = active.complete_at;
+                            let (x, y) = active.job.kind.endpoints();
+                            let (sl, dl) = (self.geo.location(x), self.geo.location(y));
+                            match active.job.kind {
+                                MigrationKind::Copy { .. } => {
+                                    backend.charge_migration(sl, dl, active.bytes / 64);
+                                }
+                                MigrationKind::Swap { .. } => {
+                                    let half = active.bytes / 2 / 64;
+                                    backend.charge_migration(sl, dl, half);
+                                    backend.charge_migration(dl, sl, half);
+                                }
+                            }
+                            done.push(CompletedMigration {
+                                job: active.job,
+                                finished: active.complete_at,
+                            });
+                            *slot = None;
+                            progressed = true;
+                        }
+                    }
+                }
+                let mut remaining = VecDeque::with_capacity(self.queue.len());
+                while let Some(job) = self.queue.pop_front() {
+                    let (x, y) = job.kind.endpoints();
+                    let ch = self.geo.location(x).channel as usize;
+                    if self.in_flight[ch].is_some() {
+                        remaining.push_back(job);
+                        continue;
+                    }
+                    let start = job.enqueued_at.max(self.channel_free_at[ch]);
+                    let (src_loc, dst_loc) = (self.geo.location(x), self.geo.location(y));
+                    let bytes = match job.kind {
+                        MigrationKind::Copy { .. } => self.segment_bytes,
+                        MigrationKind::Swap { .. } => self.segment_bytes * 2,
+                    };
+                    let complete_at = match job.kind {
+                        MigrationKind::Copy { .. } => {
+                            backend.bulk_copy(src_loc, dst_loc, self.segment_bytes, start)
+                        }
+                        MigrationKind::Swap { .. } => {
+                            let t1 = backend.bulk_copy(src_loc, dst_loc, self.segment_bytes, start);
+                            backend.bulk_copy(dst_loc, src_loc, self.segment_bytes, t1)
+                        }
+                    };
+                    self.in_flight[ch] = Some(ActiveJob { job, start, complete_at, bytes });
+                    progressed = true;
+                }
+                self.queue = remaining;
+                if !progressed {
+                    break;
+                }
+                if !self.in_flight.iter().flatten().any(|a| a.complete_at <= now) {
+                    break;
+                }
+            }
+            done
+        }
+
+        fn next_event_at(&self) -> Option<Picos> {
+            let in_flight = self.in_flight.iter().flatten().map(|a| a.complete_at).min();
+            let queued = self
+                .queue
+                .iter()
+                .filter_map(|job| {
+                    let ch = self.geo.location(job.kind.endpoints().0).channel as usize;
+                    if self.in_flight[ch].is_some() {
+                        None
+                    } else {
+                        Some(job.enqueued_at.max(self.channel_free_at[ch]))
+                    }
+                })
+                .min();
+            match (in_flight, queued) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            }
+        }
+
+        fn on_foreground_write(&mut self, dsn: Dsn, offset: u64, now: Picos) -> WriteRouting {
+            let ch = self.geo.location(dsn).channel as usize;
+            let Some(active) = self.in_flight[ch] else {
+                return WriteRouting::Proceed;
+            };
+            let (src, dst) = active.job.kind.endpoints();
+            let involved = match active.job.kind {
+                MigrationKind::Copy { .. } => dsn == src,
+                MigrationKind::Swap { .. } => dsn == src || dsn == dst,
+            };
+            if !involved {
+                return WriteRouting::Proceed;
+            }
+            if now >= active.complete_at {
+                let new = match active.job.kind {
+                    MigrationKind::Copy { .. } => dst,
+                    MigrationKind::Swap { a, b } => {
+                        if dsn == a {
+                            b
+                        } else {
+                            a
+                        }
+                    }
+                };
+                return WriteRouting::RouteTo(new);
+            }
+            if offset / 64 >= active.lines_done(now) {
+                return WriteRouting::Proceed;
+            }
+            self.stats.aborts += 1;
+            let mut job = active.job;
+            job.retries += 1;
+            let duration = active.complete_at.saturating_sub(active.start);
+            job.enqueued_at = now + duration * (1u64 << job.retries.min(8));
+            let wasted = active.lines_done(now);
+            if wasted > 0 {
+                let (x, y) = job.kind.endpoints();
+                self.pending_charges.push((self.geo.location(x), self.geo.location(y), wasted));
+            }
+            self.in_flight[ch] = None;
+            if job.retries > self.retry_limit {
+                self.stats.requeues += 1;
+                job.retries = 0;
+                self.queue.push_back(job);
+            } else {
+                self.queue.push_front(job);
+            }
+            WriteRouting::AbortedJob
+        }
+
+        fn interrupt_channel(&mut self, channel: u32, now: Picos) -> MigrationInterrupt {
+            let Some(slot) = self.in_flight.get_mut(channel as usize) else {
+                return MigrationInterrupt::Idle;
+            };
+            let Some(active) = slot.take() else {
+                return MigrationInterrupt::Idle;
+            };
+            self.stats.interrupts += 1;
+            let wasted = active.lines_done(now);
+            if wasted > 0 {
+                let (x, y) = active.job.kind.endpoints();
+                self.pending_charges.push((self.geo.location(x), self.geo.location(y), wasted));
+            }
+            let mut job = active.job;
+            job.retries += 1;
+            if job.retries > self.retry_limit {
+                self.stats.rollbacks += 1;
+                return MigrationInterrupt::RolledBack { job };
+            }
+            let duration = active.complete_at.saturating_sub(active.start);
+            job.enqueued_at = now + duration * (1u64 << job.retries.min(8));
+            self.queue.push_front(job);
+            MigrationInterrupt::Replayed { id: job.id, retries: job.retries }
+        }
+
+        /// Removes and returns the jobs `hits` selects, queue first.
+        fn cancel_where(&mut self, hits: impl Fn(&MigrationJob) -> bool) -> Vec<MigrationJob> {
+            let mut out = Vec::new();
+            self.queue.retain(|j| {
+                if hits(j) {
+                    out.push(*j);
+                    false
+                } else {
+                    true
+                }
+            });
+            for slot in &mut self.in_flight {
+                if let Some(active) = slot.take_if(|a| hits(&a.job)) {
+                    out.push(active.job);
+                }
+            }
+            out
+        }
+
+        fn cancel_involving(&mut self, dsn: Dsn) -> Vec<MigrationJob> {
+            self.cancel_where(|j| j.kind.touches(dsn))
+        }
+
+        fn cancel_ids(&mut self, ids: &[u64]) -> Vec<MigrationJob> {
+            self.cancel_where(|j| ids.contains(&j.id))
+        }
+
+        fn all_jobs(&self) -> impl Iterator<Item = MigrationJob> + '_ {
+            self.queue.iter().copied().chain(self.in_flight.iter().flatten().map(|a| a.job))
+        }
+
+        fn touches_rank(&self, j: &MigrationJob, channel: u32, rank: u32) -> bool {
+            let (x, y) = j.kind.endpoints();
+            [x, y].into_iter().any(|d| {
+                let loc = self.geo.location(d);
+                loc.channel == channel && loc.rank == rank
+            })
+        }
+
+        fn jobs_involving_rank(&self, channel: u32, rank: u32) -> Vec<MigrationJob> {
+            self.all_jobs().filter(|j| self.touches_rank(j, channel, rank)).collect()
+        }
+
+        fn involves_rank(&self, channel: u32, rank: u32) -> bool {
+            self.all_jobs().any(|j| self.touches_rank(&j, channel, rank))
+        }
+
+        fn involves(&self, dsn: Dsn) -> bool {
+            self.all_jobs().any(|j| j.kind.touches(dsn))
+        }
+    }
+
+    /// One step of the differential test. Segments are named by channel
+    /// and slot so that enqueues stay intra-channel and in range (the
+    /// reference has neither check's error path to compare).
+    #[derive(Debug, Clone)]
+    enum Op {
+        Copy {
+            ch: u64,
+            src: u64,
+            dst: u64,
+        },
+        Swap {
+            ch: u64,
+            a: u64,
+            b: u64,
+        },
+        Pump,
+        /// A foreground write to line 0 (copied as soon as the job moves)
+        /// or to the last line (uncopied until it completes). `aim` 1..=3
+        /// redirects it to an endpoint of the job in flight on `dsn`'s
+        /// channel, if there is one — random DSNs alone rarely conflict.
+        Write {
+            dsn: u64,
+            last_line: bool,
+            aim: u8,
+        },
+        Interrupt {
+            ch: u32,
+        },
+        CancelInvolving {
+            dsn: u64,
+        },
+        CancelIds {
+            ids: Vec<u64>,
+        },
+        JobsInvolvingRank {
+            ch: u32,
+            rank: u32,
+        },
+    }
+
+    const PROP_GEO: SegmentGeometry =
+        SegmentGeometry { channels: 3, ranks_per_channel: 2, segs_per_rank: 4 };
+    const PROP_SLOTS: u64 = 8; // per channel
+    const PROP_SEGMENTS: u64 = 24;
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        let ch = 0..PROP_GEO.channels as u64;
+        let slot = 0..PROP_SLOTS;
+        // Queries and cancels also get DSNs, a channel and a rank just past
+        // the device; writes reach the engine translated, so never do.
+        let dsn = 0..PROP_SEGMENTS + 2;
+        prop_oneof![
+            4 => (ch.clone(), slot.clone(), slot.clone())
+                .prop_map(|(ch, src, dst)| Op::Copy { ch, src, dst }),
+            2 => (ch, slot.clone(), slot).prop_map(|(ch, a, b)| Op::Swap { ch, a, b }),
+            4 => Just(Op::Pump),
+            6 => (0..PROP_SEGMENTS, any::<bool>(), 0u8..4)
+                .prop_map(|(dsn, last_line, aim)| Op::Write { dsn, last_line, aim }),
+            3 => (0..PROP_GEO.channels + 1).prop_map(|ch| Op::Interrupt { ch }),
+            2 => dsn.prop_map(|dsn| Op::CancelInvolving { dsn }),
+            1 => prop::collection::vec(0u64..40, 0..4).prop_map(|ids| Op::CancelIds { ids }),
+            1 => (0..PROP_GEO.channels + 1, 0..PROP_GEO.ranks_per_channel + 1)
+                .prop_map(|(ch, rank)| Op::JobsInvolvingRank { ch, rank }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The per-channel engine and the single-FIFO reference, fed the
+        /// same operations at the same instants, return the same values in
+        /// the same order, report the same state after every step, and make
+        /// the same backend calls in the same order.
+        #[test]
+        fn matches_the_single_fifo_reference(
+            retry_limit in 0u32..3,
+            steps in prop::collection::vec((op_strategy(), 0u64..150), 1..120),
+        ) {
+            let mut eng = MigrationEngine::new(PROP_GEO, SEG, retry_limit);
+            let mut model = ReferenceEngine::new(PROP_GEO, SEG, retry_limit);
+            let (mut be, mut model_be) = (Recorder::default(), Recorder::default());
+            let at = |ch: u64, slot: u64| Dsn(slot * u64::from(PROP_GEO.channels) + ch);
+            let mut now = Picos::ZERO;
+            for (op, dt_us) in steps {
+                now += Picos::from_us(dt_us);
+                match op {
+                    Op::Copy { ch, src, dst } => {
+                        let (src, dst) = (at(ch, src), at(ch, dst));
+                        prop_assert_eq!(
+                            eng.enqueue_copy(src, dst, now).unwrap(),
+                            model.enqueue(MigrationKind::Copy { src, dst }, now).unwrap()
+                        );
+                    }
+                    Op::Swap { ch, a, b } => {
+                        let (a, b) = (at(ch, a), at(ch, b));
+                        prop_assert_eq!(
+                            eng.enqueue_swap(a, b, now).unwrap(),
+                            model.enqueue(MigrationKind::Swap { a, b }, now).unwrap()
+                        );
+                    }
+                    Op::Pump => {
+                        prop_assert_eq!(eng.pump(now, &mut be), model.pump(now, &mut model_be));
+                    }
+                    Op::Write { dsn, last_line, aim } => {
+                        let moving = model.in_flight[(dsn % u64::from(PROP_GEO.channels)) as usize]
+                            .map(|a| a.job.kind.endpoints());
+                        let dsn = match (aim, moving) {
+                            (1 | 2, Some((first, _))) => first,
+                            (3, Some((_, second))) => second,
+                            _ => Dsn(dsn),
+                        };
+                        let offset = if last_line { SEG - 64 } else { 0 };
+                        prop_assert_eq!(
+                            eng.on_foreground_write(dsn, offset, now),
+                            model.on_foreground_write(dsn, offset, now)
+                        );
+                    }
+                    Op::Interrupt { ch } => {
+                        prop_assert_eq!(
+                            eng.interrupt_channel(ch, now),
+                            model.interrupt_channel(ch, now)
+                        );
+                    }
+                    Op::CancelInvolving { dsn } => {
+                        prop_assert_eq!(
+                            eng.cancel_involving(Dsn(dsn)),
+                            model.cancel_involving(Dsn(dsn))
+                        );
+                    }
+                    Op::CancelIds { ids } => {
+                        prop_assert_eq!(eng.cancel_ids(&ids), model.cancel_ids(&ids));
+                    }
+                    Op::JobsInvolvingRank { ch, rank } => {
+                        prop_assert_eq!(
+                            eng.jobs_involving_rank(ch, rank),
+                            model.jobs_involving_rank(ch, rank)
+                        );
+                    }
+                }
+                if let Err(e) = eng.check_index() {
+                    prop_assert!(false, "{e}");
+                }
+                prop_assert_eq!(eng.stats(), model.stats);
+                prop_assert_eq!(eng.queued(), model.queue.len());
+                prop_assert_eq!(eng.in_flight(), model.in_flight());
+                prop_assert_eq!(eng.pending_copies(), model.pending_copies());
+                prop_assert_eq!(eng.backlog_high_water(), model.backlog_high_water);
+                prop_assert_eq!(eng.next_event_at(), model.next_event_at());
+                for dsn in (0..PROP_SEGMENTS + 2).map(Dsn) {
+                    prop_assert_eq!(eng.involves(dsn), model.involves(dsn), "{}", dsn);
+                }
+                for ch in 0..=PROP_GEO.channels {
+                    for rank in 0..=PROP_GEO.ranks_per_channel {
+                        prop_assert_eq!(
+                            eng.involves_rank(ch, rank),
+                            model.involves_rank(ch, rank),
+                            "ch{} rk{}", ch, rank
+                        );
+                    }
+                }
+                prop_assert_eq!(&be.calls, &model_be.calls);
+            }
+        }
     }
 }
