@@ -1,5 +1,6 @@
-//! Golden-file regression tests: the tiny fig12 (power-down), fig14
-//! (hotness self-refresh), pool_scale, and pool_failover runs are fully
+//! Golden-file regression tests: the tiny fig12 (power-down), fig14 and
+//! fig15 (hotness self-refresh), sec3_4_reentry, pool_scale,
+//! pool_failover, fault_campaign and vm_campaign runs are fully
 //! deterministic, so their JSON outputs are pinned under `results/golden/`
 //! and compared field by field with an explicit numeric tolerance.
 //!
@@ -14,9 +15,13 @@
 
 use std::path::{Path, PathBuf};
 
-use dtl_sim::experiments::{fabric_load, fig12, fig14, policy_ablation, pool_failover, pool_scale};
+use dtl_sim::experiments::{
+    fabric_load, fault_campaign, fig12, fig14, fig15, policy_ablation, pool_failover, pool_scale,
+    sec3_4_reentry, vm_campaign,
+};
 use dtl_sim::{
-    to_json, FabricRunConfig, Heartbeat, HotnessRunConfig, PoolRunConfig, PowerDownRunConfig,
+    to_json, FabricRunConfig, FaultRunConfig, Heartbeat, HotnessRunConfig, PoolRunConfig,
+    PowerDownRunConfig, VmCampaignConfig,
 };
 use dtl_telemetry::Telemetry;
 use serde::Value;
@@ -179,4 +184,43 @@ fn fig14_tiny_matches_golden() {
     };
     let r = fig14::run(&base, &[("loose", 4, 0.55), ("tight", 4, 0.95)], 1).expect("fig14 tiny");
     check_golden("fig14_tiny", &to_json(&r));
+}
+
+#[test]
+fn fig15_tiny_matches_golden() {
+    let base = HotnessRunConfig {
+        accesses: 900_000,
+        n_apps: 3,
+        channels: 2,
+        ..HotnessRunConfig::tiny(5, true)
+    };
+    let r = fig15::run(&base, 4, &[("6rk", 3, 0.6), ("8rk", 4, 0.8)], 1).expect("fig15 tiny");
+    check_golden("fig15_tiny", &to_json(&r));
+}
+
+#[test]
+fn sec3_4_reentry_tiny_matches_golden() {
+    let r = sec3_4_reentry::run(&sec3_4_reentry::tiny(5)).expect("sec3_4_reentry tiny");
+    check_golden("sec3_4_reentry_tiny", &to_json(&r));
+}
+
+#[test]
+fn fault_campaign_tiny_matches_golden() {
+    // The storm plan: exact-time faults between (and, at t = 600 s, tied
+    // with) grid ticks, an auto-retirement and CRC retries.
+    let (r, _) = fault_campaign::run(
+        &FaultRunConfig::tiny_storm(7),
+        &Telemetry::disabled(),
+        1,
+        &Heartbeat::disabled(),
+    )
+    .expect("fault_campaign tiny");
+    check_golden("fault_campaign_tiny", &to_json(&r));
+}
+
+#[test]
+fn vm_campaign_tiny_matches_golden() {
+    let (r, _) = vm_campaign::run(&VmCampaignConfig::tiny(7), 1, None, &Heartbeat::disabled())
+        .expect("vm_campaign tiny");
+    check_golden("vm_campaign_tiny", &to_json(&r));
 }
