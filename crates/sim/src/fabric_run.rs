@@ -13,13 +13,12 @@
 
 use dtl_core::{DtlError, HostId};
 use dtl_dram::{AccessKind, Picos};
-use dtl_event::Simulation;
 use dtl_fabric::{CxlFabric, TopologyConfig};
-use dtl_pool::{AnalyticMemoryPool, DeviceId, MemoryPool, PlacementPolicy, PoolConfig};
+use dtl_pool::{DeviceId, MemoryPool, PlacementPolicy, PoolConfig};
 use dtl_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 
-use crate::event_drive::{self, GridDriven, GridEv};
+use crate::scenario::Clock;
 use crate::RunObservations;
 
 /// Configuration of one fabric-load cell.
@@ -153,20 +152,6 @@ pub fn placement_label(placement: PlacementPolicy) -> &'static str {
     }
 }
 
-/// A fabric window as the event spine's grid client: one pool tick at the
-/// window boundary.
-struct FabricEpoch<'x> {
-    pool: &'x mut AnalyticMemoryPool,
-}
-
-impl GridDriven for FabricEpoch<'_> {
-    type Error = DtlError;
-
-    fn tick(&mut self, now: Picos) -> Result<(), DtlError> {
-        self.pool.tick(now).map_err(DtlError::from)
-    }
-}
-
 /// Runs one fabric-load cell. Fabric port events stream into `telemetry`;
 /// beside the serialized [`FabricCellResult`] come the out-of-band
 /// [`RunObservations`] (SLO report including the fabric-queue population,
@@ -203,7 +188,7 @@ pub fn run_fabric_cell(
     }
     let vms = pool.vm_ids();
     let window = Picos::from_us(cfg.window_us);
-    let mut sim: Simulation<GridEv> = Simulation::new(Picos::ZERO);
+    let mut clock = Clock::default();
     let lines_per_au = au / 64;
     for w in 0..cfg.windows {
         let t0 = window * u64::from(w);
@@ -218,13 +203,13 @@ pub fn run_fabric_cell(
                 pool.access(*vm, line * 64, AccessKind::Read, t0)?;
             }
         }
-        let mut client = FabricEpoch { pool: &mut pool };
-        event_drive::drive_epoch(&mut sim, &mut client, t0, t0 + window, window)?;
+        // One pool tick at the window boundary.
+        clock.run(&mut pool, &mut (), (t0, t0 + window, window), |_, _| {})?;
     }
     let end = cfg.horizon();
     pool.check_invariants()?;
     let slo = pool.slo_report();
-    let obs = RunObservations { slo, queue: sim.queue_stats() };
+    let obs = RunObservations { slo, queue: clock.queue_stats() };
     let access = slo.access.expect("every cell drives accesses");
     let queue = slo.fabric_queue.expect("fabric-backed pool reports port waits");
     let report = pool.interconnect().fabric_report(end).expect("fabric-backed pool");

@@ -20,7 +20,8 @@ use dtl_fault::{FaultInjector, FaultKind, FaultPlanConfig, StormConfig};
 use dtl_telemetry::{BacklogSummary, LatencySummary, SloReport, Telemetry};
 use serde::{Deserialize, Serialize};
 
-use crate::powerdown_run::{replay_schedule, ReplayHooks, Replayed, ScheduleDevice};
+use crate::powerdown_run::{replay_schedule, Foreground, Replayed, ScheduleDevice};
+use crate::scenario::Lane;
 use crate::{PowerDownRunConfig, RunObservations};
 
 /// Configuration of one faulted schedule replay.
@@ -133,10 +134,13 @@ pub fn run_faulted(
     link.set_telemetry(telemetry.clone());
     // Grid ticks ride the shared schedule replay; faults fire on its side
     // lane at their exact scheduled instants instead of being quantized
-    // up to the next tick.
+    // up to the next tick. The only epoch hook is the bulk traffic: no
+    // per-epoch power sampling here (see `IntervalSampler`).
     let mut lane = FaultLane { link, injector, segments_at_risk: 0, faults_injected: 0 };
-    let Replayed { dev, report, queue, foreground_lines } =
-        replay_schedule(&cfg.run, telemetry, &mut lane)?;
+    let mut traffic = Foreground::new(&cfg.run);
+    let Replayed { dev, report, queue } =
+        replay_schedule(&cfg.run, telemetry, &mut lane, &mut traffic)?;
+    let foreground_lines = traffic.lines;
 
     let obs = RunObservations {
         slo: SloReport {
@@ -192,12 +196,12 @@ struct FaultLane {
     faults_injected: u64,
 }
 
-impl ReplayHooks for FaultLane {
-    fn side_deadline(&mut self) -> Option<Picos> {
+impl Lane<ScheduleDevice> for FaultLane {
+    fn next_at(&self) -> Option<Picos> {
         self.injector.peek_next_at()
     }
 
-    fn side_fire(&mut self, dev: &mut ScheduleDevice, now: Picos) -> Result<(), DtlError> {
+    fn fire(&mut self, dev: &mut ScheduleDevice, now: Picos) -> Result<(), DtlError> {
         for fault in self.injector.pop_due(now) {
             apply_fault(dev, &mut self.link, fault.kind, now, &mut self.segments_at_risk)?;
             self.faults_injected += 1;

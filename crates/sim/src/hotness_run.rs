@@ -10,7 +10,9 @@
 //! segment per threshold window, migration time over threshold — is
 //! preserved.
 
-use dtl_core::{AnalyticBackend, DtlConfig, DtlDevice, DtlError, HostId, SegmentGeometry};
+use dtl_core::{
+    AnalyticBackend, DtlConfig, DtlDevice, DtlError, HostId, HostPhysAddr, SegmentGeometry,
+};
 use dtl_dram::{AccessKind, Picos, PowerParams};
 use dtl_telemetry::Telemetry;
 use dtl_trace::{Mixer, WorkloadKind, WorkloadSpec};
@@ -113,6 +115,120 @@ pub struct HotnessRunResult {
     pub accesses: u64,
 }
 
+/// The world both trace replays drive: a device fragmented by allocation
+/// churn, the application mix that runs on it, and the replay clock.
+struct TraceWorld {
+    dev: DtlDevice<AnalyticBackend>,
+    dtl_cfg: DtlConfig,
+    geo: SegmentGeometry,
+    mix: Mixer,
+    app_au_bases: Vec<Vec<HostPhysAddr>>,
+    /// Time between accesses at the target bandwidth.
+    dt: Picos,
+    now: Picos,
+}
+
+impl TraceWorld {
+    fn build(
+        cfg: &HotnessRunConfig,
+        threshold_factor: f64,
+        telemetry: &Telemetry,
+    ) -> Result<Self, DtlError> {
+        let mut dtl_cfg = DtlConfig::paper();
+        dtl_cfg.au_bytes = (2 << 30) / cfg.scale;
+        dtl_cfg.profile_window = Picos::from_ps(Picos::from_us(500).as_ps() / cfg.scale);
+        dtl_cfg.profile_threshold = Picos::from_ps(
+            ((Picos::from_ms(50).as_ps() / cfg.scale) as f64 * threshold_factor) as u64,
+        );
+        let geo = SegmentGeometry {
+            channels: cfg.channels,
+            ranks_per_channel: cfg.active_ranks,
+            segs_per_rank: cfg.segs_per_rank(),
+        };
+        let mut backend =
+            AnalyticBackend::new(geo, dtl_cfg.segment_bytes, PowerParams::ddr4_128gb_dimm());
+        // Migration must keep its real-time ratio to the (scaled) thresholds.
+        backend.migration_bw_bytes_per_sec *= cfg.scale as f64;
+        let mut dev = DtlDevice::new(dtl_cfg, backend);
+        dev.set_telemetry(telemetry.clone());
+        dev.set_powerdown_enabled(false);
+        dev.set_hotness_enabled(cfg.hotness);
+        dev.register_host(HostId(0))?;
+
+        // Build the application mix: equal working sets adding up to the
+        // allocated fraction, AU-aligned so app-local offsets map through
+        // per-AU base addresses.
+        let capacity = cfg.capacity_bytes(dtl_cfg.segment_bytes);
+        let allocated = (capacity as f64 * cfg.allocated_fraction) as u64;
+        let per_app = (allocated / cfg.n_apps as u64 / dtl_cfg.au_bytes).max(1) * dtl_cfg.au_bytes;
+        let specs: Vec<WorkloadSpec> = WorkloadKind::TRACED
+            .iter()
+            .cycle()
+            .take(cfg.n_apps)
+            .map(|k| {
+                let mut s = k.spec();
+                s.working_set_bytes = per_app;
+                s
+            })
+            .collect();
+        let mix = Mixer::new(&specs, cfg.seed);
+        // Allocate one AU at a time, round-robin over the applications and
+        // interleaved with filler AUs that are freed afterwards: live and
+        // unallocated capacity end up *fragmented across all ranks*,
+        // exactly the state a real pool reaches after allocation churn. (A
+        // freshly packed device would leave whole ranks empty and make the
+        // hotness mechanism's job trivial.)
+        let per_app_aus = per_app / dtl_cfg.au_bytes;
+        let total_aus = capacity / dtl_cfg.au_bytes;
+        let filler_aus = total_aus - per_app_aus * cfg.n_apps as u64;
+        let mut app_au_bases: Vec<Vec<HostPhysAddr>> = vec![Vec::new(); cfg.n_apps];
+        let mut fillers = Vec::new();
+        let mut filler_credit = 0.0f64;
+        let filler_per_slot = filler_aus as f64 / (per_app_aus * cfg.n_apps as u64).max(1) as f64;
+        for _ in 0..per_app_aus {
+            for bases in app_au_bases.iter_mut() {
+                let vm = dev.alloc_vm(HostId(0), dtl_cfg.au_bytes, Picos::ZERO)?;
+                bases.push(vm.hpa_base(0, dtl_cfg.au_bytes));
+                filler_credit += filler_per_slot;
+                while filler_credit >= 1.0 {
+                    filler_credit -= 1.0;
+                    let f = dev.alloc_vm(HostId(0), dtl_cfg.au_bytes, Picos::ZERO)?;
+                    fillers.push(f.handle);
+                }
+            }
+        }
+        for f in fillers {
+            dev.dealloc_vm(f, Picos::ZERO)?;
+        }
+        let dt = Picos::from_ps((64.0 / cfg.target_bw * 1e12) as u64);
+        Ok(TraceWorld { dev, dtl_cfg, geo, mix, app_au_bases, dt, now: Picos::from_ns(1) })
+    }
+
+    /// Issues the mix's next record at `now` and advances `now` by `dt`.
+    fn access_next(&mut self) -> Result<(), DtlError> {
+        let au_bytes = self.dtl_cfg.au_bytes;
+        let r = self.mix.next_record();
+        let local = r.addr - self.mix.base_of(r.instance);
+        let au_idx = (local / au_bytes) as usize;
+        let hpa = self.app_au_bases[r.instance as usize][au_idx].offset_by(local % au_bytes);
+        let kind = if r.is_write { AccessKind::Write } else { AccessKind::Read };
+        self.dev.access(HostId(0), hpa, kind, self.now)?;
+        self.now += self.dt;
+        Ok(())
+    }
+
+    /// Replays `steps` records, ticking the device every 256th.
+    fn replay(&mut self, steps: u64) -> Result<(), DtlError> {
+        for i in 0..steps {
+            self.access_next()?;
+            if i % 256 == 0 {
+                self.dev.tick(self.now)?;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Replays a mixed trace against a DTL device with only the hotness
 /// mechanism active. `threshold_factor` scales the profiling idle
 /// threshold relative to the paper's 50 ms default (1.0 everywhere but the
@@ -129,102 +245,28 @@ pub fn run_hotness(
     threshold_factor: f64,
     telemetry: &Telemetry,
 ) -> Result<HotnessRunResult, DtlError> {
-    let mut dtl_cfg = DtlConfig::paper();
-    dtl_cfg.au_bytes = (2 << 30) / cfg.scale;
-    dtl_cfg.profile_window = Picos::from_ps(Picos::from_us(500).as_ps() / cfg.scale);
-    dtl_cfg.profile_threshold =
-        Picos::from_ps(((Picos::from_ms(50).as_ps() / cfg.scale) as f64 * threshold_factor) as u64);
-    let geo = SegmentGeometry {
-        channels: cfg.channels,
-        ranks_per_channel: cfg.active_ranks,
-        segs_per_rank: cfg.segs_per_rank(),
-    };
-    let mut backend =
-        AnalyticBackend::new(geo, dtl_cfg.segment_bytes, PowerParams::ddr4_128gb_dimm());
-    // Migration must keep its real-time ratio to the (scaled) thresholds.
-    backend.migration_bw_bytes_per_sec *= cfg.scale as f64;
-    let mut dev = DtlDevice::new(dtl_cfg, backend);
-    dev.set_telemetry(telemetry.clone());
-    dev.set_powerdown_enabled(false);
-    dev.set_hotness_enabled(cfg.hotness);
-    dev.register_host(HostId(0))?;
-
-    // Build the application mix: equal working sets adding up to the
-    // allocated fraction, AU-aligned so app-local offsets map through
-    // per-AU base addresses.
-    let capacity = cfg.capacity_bytes(dtl_cfg.segment_bytes);
-    let allocated = (capacity as f64 * cfg.allocated_fraction) as u64;
-    let per_app = (allocated / cfg.n_apps as u64 / dtl_cfg.au_bytes).max(1) * dtl_cfg.au_bytes;
-    let specs: Vec<WorkloadSpec> = WorkloadKind::TRACED
-        .iter()
-        .cycle()
-        .take(cfg.n_apps)
-        .map(|k| {
-            let mut s = k.spec();
-            s.working_set_bytes = per_app;
-            s
-        })
-        .collect();
-    let mut mix = Mixer::new(&specs, cfg.seed);
-    // Allocate one AU at a time, round-robin over the applications and
-    // interleaved with filler AUs that are freed afterwards: live and
-    // unallocated capacity end up *fragmented across all ranks*, exactly
-    // the state a real pool reaches after allocation churn. (A freshly
-    // packed device would leave whole ranks empty and make the hotness
-    // mechanism's job trivial.)
-    let per_app_aus = per_app / dtl_cfg.au_bytes;
-    let total_aus = capacity / dtl_cfg.au_bytes;
-    let filler_aus = total_aus - per_app_aus * cfg.n_apps as u64;
-    let mut app_au_bases: Vec<Vec<dtl_core::HostPhysAddr>> = vec![Vec::new(); cfg.n_apps];
-    let mut fillers = Vec::new();
-    let mut filler_credit = 0.0f64;
-    let filler_per_slot = filler_aus as f64 / (per_app_aus * cfg.n_apps as u64).max(1) as f64;
-    for round in 0..per_app_aus {
-        let _ = round;
-        for bases in app_au_bases.iter_mut() {
-            let vm = dev.alloc_vm(HostId(0), dtl_cfg.au_bytes, Picos::ZERO)?;
-            bases.push(vm.hpa_base(0, dtl_cfg.au_bytes));
-            filler_credit += filler_per_slot;
-            while filler_credit >= 1.0 {
-                filler_credit -= 1.0;
-                let f = dev.alloc_vm(HostId(0), dtl_cfg.au_bytes, Picos::ZERO)?;
-                fillers.push(f.handle);
-            }
-        }
-    }
-    for f in fillers {
-        dev.dealloc_vm(f, Picos::ZERO)?;
-    }
-
-    let dt = Picos::from_ps((64.0 / cfg.target_bw * 1e12) as u64);
-    let tick_every = 256u64;
-    let mut now = Picos::from_ns(1);
+    let mut w = TraceWorld::build(cfg, threshold_factor, telemetry)?;
     let mut first_sr_entry = None;
     let stable_from = cfg.accesses * 6 / 10;
     let mut stable_start: Option<(Picos, f64)> = None;
     for i in 0..cfg.accesses {
-        let r = mix.next_record();
-        let local = r.addr - mix.base_of(r.instance);
-        let au_idx = (local / dtl_cfg.au_bytes) as usize;
-        let hpa = app_au_bases[r.instance as usize][au_idx].offset_by(local % dtl_cfg.au_bytes);
-        let kind = if r.is_write { AccessKind::Write } else { AccessKind::Read };
-        dev.access(HostId(0), hpa, kind, now)?;
-        now += dt;
-        if i % tick_every == 0 {
-            dev.tick(now)?;
-            if first_sr_entry.is_none() && dev.hotness_stats().sr_entries > 0 {
-                first_sr_entry = Some(now);
+        w.access_next()?;
+        if i % 256 == 0 {
+            w.dev.tick(w.now)?;
+            if first_sr_entry.is_none() && w.dev.hotness_stats().sr_entries > 0 {
+                first_sr_entry = Some(w.now);
             }
         }
         if i == stable_from {
-            let rep = dev.power_report(now);
-            stable_start = Some((now, rep.total.total_mj()));
+            let rep = w.dev.power_report(w.now);
+            stable_start = Some((w.now, rep.total.total_mj()));
         }
     }
+    let (dev, now) = (&mut w.dev, w.now);
     dev.tick(now)?;
     dev.check_invariants()?;
     let report = dev.power_report(now);
-    assert_residency_consistency(&dev, &report);
+    assert_residency_consistency(dev, &report);
     if let Some(m) = telemetry.metrics() {
         dev.export_metrics(m);
     }
@@ -235,7 +277,7 @@ pub fn run_hotness(
             sr_ps += u128::from(rank_res[3].as_ps()); // PowerState::ALL[3] = SelfRefresh
         }
     }
-    let total_ps = u128::from(now.as_ps()) * u128::from(geo.channels * geo.ranks_per_channel);
+    let total_ps = u128::from(now.as_ps()) * u128::from(w.geo.channels * w.geo.ranks_per_channel);
     let hs = dev.hotness_stats();
     let (t0, e0) = stable_start.expect("stable point sampled");
     let stable_power_mw = (report.total.total_mj() - e0) / (now - t0).as_secs_f64();
@@ -301,142 +343,64 @@ pub struct ReentryResult {
 /// replay never reaches self-refresh or never re-enters (use a config that
 /// is known to, e.g. [`HotnessRunConfig::tiny`] with a denser allocation).
 pub fn run_reentry(cfg: &HotnessRunConfig) -> Result<ReentryResult, DtlError> {
-    let mut dtl_cfg = DtlConfig::paper();
-    dtl_cfg.au_bytes = (2 << 30) / cfg.scale;
-    dtl_cfg.profile_window = Picos::from_ps(Picos::from_us(500).as_ps() / cfg.scale);
-    dtl_cfg.profile_threshold = Picos::from_ps(Picos::from_ms(50).as_ps() / cfg.scale);
-    let geo = SegmentGeometry {
-        channels: cfg.channels,
-        ranks_per_channel: cfg.active_ranks,
-        segs_per_rank: cfg.segs_per_rank(),
-    };
-    let mut backend =
-        AnalyticBackend::new(geo, dtl_cfg.segment_bytes, PowerParams::ddr4_128gb_dimm());
-    backend.migration_bw_bytes_per_sec *= cfg.scale as f64;
-    let mut dev = DtlDevice::new(dtl_cfg, backend);
-    dev.set_powerdown_enabled(false);
-    dev.set_hotness_enabled(true);
-    dev.register_host(HostId(0))?;
-    let capacity = cfg.capacity_bytes(dtl_cfg.segment_bytes);
-    let allocated = (capacity as f64 * cfg.allocated_fraction) as u64;
-    let per_app = (allocated / cfg.n_apps as u64 / dtl_cfg.au_bytes).max(1) * dtl_cfg.au_bytes;
-    let specs: Vec<WorkloadSpec> = WorkloadKind::TRACED
-        .iter()
-        .cycle()
-        .take(cfg.n_apps)
-        .map(|k| {
-            let mut s = k.spec();
-            s.working_set_bytes = per_app;
-            s
-        })
-        .collect();
-    let mut mix = Mixer::new(&specs, cfg.seed);
-    let per_app_aus = per_app / dtl_cfg.au_bytes;
-    let total_aus = capacity / dtl_cfg.au_bytes;
-    let filler_aus = total_aus - per_app_aus * cfg.n_apps as u64;
-    let mut app_au_bases: Vec<Vec<dtl_core::HostPhysAddr>> = vec![Vec::new(); cfg.n_apps];
-    let mut fillers = Vec::new();
-    let mut credit = 0.0f64;
-    let per_slot = filler_aus as f64 / (per_app_aus * cfg.n_apps as u64).max(1) as f64;
-    for _ in 0..per_app_aus {
-        for bases in app_au_bases.iter_mut() {
-            let vm = dev.alloc_vm(HostId(0), dtl_cfg.au_bytes, Picos::ZERO)?;
-            bases.push(vm.hpa_base(0, dtl_cfg.au_bytes));
-            credit += per_slot;
-            while credit >= 1.0 {
-                credit -= 1.0;
-                fillers.push(dev.alloc_vm(HostId(0), dtl_cfg.au_bytes, Picos::ZERO)?.handle);
-            }
-        }
-    }
-    for f in fillers {
-        dev.dealloc_vm(f, Picos::ZERO)?;
-    }
-
-    let dt = Picos::from_ps((64.0 / cfg.target_bw * 1e12) as u64);
-    let mut now = Picos::from_ns(1);
-    let replay = |dev: &mut DtlDevice<AnalyticBackend>,
-                  mix: &mut Mixer,
-                  now: &mut Picos,
-                  steps: u64|
-     -> Result<(), DtlError> {
-        for i in 0..steps {
-            let r = mix.next_record();
-            let local = r.addr - mix.base_of(r.instance);
-            let au_idx = (local / dtl_cfg.au_bytes) as usize;
-            let hpa = app_au_bases[r.instance as usize][au_idx].offset_by(local % dtl_cfg.au_bytes);
-            let kind = if r.is_write { AccessKind::Write } else { AccessKind::Read };
-            dev.access(HostId(0), hpa, kind, *now)?;
-            *now += dt;
-            if i % 256 == 0 {
-                dev.tick(*now)?;
-            }
-        }
-        Ok(())
-    };
+    // `run_hotness`'s world at the paper's threshold, hotness forced on.
+    let cfg = &HotnessRunConfig { hotness: true, ..*cfg };
+    let mut w = TraceWorld::build(cfg, 1.0, &Telemetry::disabled())?;
 
     // Phase 1: reach stable self-refresh on every channel.
     let mut budget = cfg.accesses;
-    while dev.hotness_stats().sr_entries < u64::from(cfg.channels) && budget > 0 {
-        replay(&mut dev, &mut mix, &mut now, 100_000.min(budget))?;
+    while w.dev.hotness_stats().sr_entries < u64::from(cfg.channels) && budget > 0 {
+        w.replay(100_000.min(budget))?;
         budget = budget.saturating_sub(100_000);
     }
-    if dev.hotness_stats().sr_entries < u64::from(cfg.channels) {
+    if w.dev.hotness_stats().sr_entries < u64::from(cfg.channels) {
         return Err(DtlError::Internal {
             reason: "replay never reached stable self-refresh".into(),
         });
     }
-    let initial_migrations = dev.migration_stats().completed;
-    let entries_before = dev.hotness_stats().sr_entries;
-    let exits_before = dev.hotness_stats().sr_exits;
+    let initial_migrations = w.dev.migration_stats().completed;
+    let entries_before = w.dev.hotness_stats().sr_entries;
+    let exits_before = w.dev.hotness_stats().sr_exits;
 
     // Phase 2: probe until an access lands on a self-refreshing rank (the
     // probe itself is the wake). Walk every segment of every app.
     let mut probes = 0u64;
-    'probe: for (app, bases) in app_au_bases.iter().enumerate() {
-        let _ = app;
-        for (ai, base) in bases.iter().enumerate() {
-            let _ = ai;
-            for seg in 0..dtl_cfg.segments_per_au() {
-                dev.access(
-                    HostId(0),
-                    base.offset_by(seg * dtl_cfg.segment_bytes),
-                    AccessKind::Read,
-                    now,
-                )?;
-                now += dt;
-                probes += 1;
-                dev.tick(now)?;
-                if dev.hotness_stats().sr_exits > exits_before {
-                    break 'probe;
-                }
+    'probe: for base in w.app_au_bases.iter().flatten() {
+        for seg in 0..w.dtl_cfg.segments_per_au() {
+            let hpa = base.offset_by(seg * w.dtl_cfg.segment_bytes);
+            w.dev.access(HostId(0), hpa, AccessKind::Read, w.now)?;
+            w.now += w.dt;
+            probes += 1;
+            w.dev.tick(w.now)?;
+            if w.dev.hotness_stats().sr_exits > exits_before {
+                break 'probe;
             }
         }
     }
-    if dev.hotness_stats().sr_exits == exits_before {
+    if w.dev.hotness_stats().sr_exits == exits_before {
         return Err(DtlError::Internal {
             reason: "no probe reached a self-refreshing rank (victims hold no live data)".into(),
         });
     }
-    let wake_time = now;
-    let migrations_at_wake = dev.migration_stats().completed;
+    let wake_time = w.now;
+    let migrations_at_wake = w.dev.migration_stats().completed;
 
     // Phase 3: keep replaying until the woken rank re-enters.
     let mut budget = cfg.accesses;
-    while dev.hotness_stats().sr_entries == entries_before && budget > 0 {
-        replay(&mut dev, &mut mix, &mut now, 50_000.min(budget))?;
+    while w.dev.hotness_stats().sr_entries == entries_before && budget > 0 {
+        w.replay(50_000.min(budget))?;
         budget = budget.saturating_sub(50_000);
     }
-    if dev.hotness_stats().sr_entries == entries_before {
+    if w.dev.hotness_stats().sr_entries == entries_before {
         return Err(DtlError::Internal { reason: "woken rank never re-entered".into() });
     }
-    dev.check_invariants()?;
+    w.dev.check_invariants()?;
     Ok(ReentryResult {
         initial_migrations,
         probes_to_wake: probes,
-        reentry_migrations: dev.migration_stats().completed - migrations_at_wake,
-        reentry_time: now - wake_time,
-        sr_entries: dev.hotness_stats().sr_entries,
+        reentry_migrations: w.dev.migration_stats().completed - migrations_at_wake,
+        reentry_time: w.now - wake_time,
+        sr_entries: w.dev.hotness_stats().sr_entries,
     })
 }
 

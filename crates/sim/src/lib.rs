@@ -15,7 +15,6 @@
 #![warn(missing_debug_implementations)]
 
 mod check_run;
-mod event_drive;
 pub mod exec;
 pub mod experiments;
 mod fabric_run;
@@ -28,6 +27,7 @@ mod pool_run;
 mod powerdown_run;
 pub mod render;
 mod report;
+pub mod scenario;
 mod vm_campaign_run;
 
 pub use check_run::{run_checks, CheckRunConfig, CheckRunResult, SeedResult};

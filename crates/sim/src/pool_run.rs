@@ -12,19 +12,18 @@
 use dtl_core::{DtlConfig, DtlError, HealthStats, HostId, MemoryBackend};
 use dtl_cxl::LinkRetryStats;
 use dtl_dram::{AccessKind, Picos, PowerPolicyKind};
-use dtl_event::Simulation;
-use dtl_fault::{FaultKind, FaultPlanConfig, PoolFaultKind, PoolFaultPlanConfig};
+use dtl_event::QueueStats;
+use dtl_fault::{
+    FaultKind, FaultPlanConfig, PoolFaultInjector, PoolFaultKind, PoolFaultPlanConfig,
+};
 use dtl_pool::{
-    AnalyticMemoryPool, DeviceId, MemoryPool, PlacementPolicy, PoolConfig, PoolStats, PoolVmId,
+    AnalyticMemoryPool, CoordState, DeviceId, MemoryPool, PlacementPolicy, PoolConfig, PoolStats,
 };
 use dtl_telemetry::Telemetry;
-use dtl_trace::{NodeConfig, VmEventKind, VmId, VmSchedule};
+use dtl_trace::{NodeConfig, VmSchedule};
 use serde::{Deserialize, Serialize};
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
-use std::rc::Rc;
 
-use crate::event_drive::{self, GridDriven, GridEv};
+use crate::scenario::{replay_epochs, Epoch, EpochHooks, Lane, EPOCH};
 use crate::RunObservations;
 
 /// Configuration of one pool schedule replay.
@@ -200,48 +199,28 @@ pub fn run_pool(
     cfg: &PoolRunConfig,
     telemetry: &Telemetry,
 ) -> Result<(PoolRunResult, RunObservations), DtlError> {
-    let mut driver = PoolDriver::new(cfg, telemetry)?;
-    while driver.t_min < cfg.duration_min {
-        driver.epoch()?;
-    }
-    let obs = driver.observations();
-    let result = driver.finish(telemetry)?;
-    Ok((result, obs))
+    let replay = PoolReplay::run(cfg, telemetry, &mut ())?;
+    // The SLO snapshot is taken before `finish` closes the books.
+    let obs = RunObservations { slo: replay.pool.slo_report(), queue: replay.queue };
+    Ok((replay.finish(cfg, telemetry)?, obs))
 }
 
-/// The shared epoch-stepping machinery of the quiet and faulted replays.
-struct PoolDriver<'a> {
-    cfg: &'a PoolRunConfig,
+/// A pool at the end of its schedule replay, books still open.
+struct PoolReplay {
     pool: AnalyticMemoryPool,
-    schedule_events: std::vec::IntoIter<dtl_trace::VmEvent>,
-    pending: Option<dtl_trace::VmEvent>,
-    handles: HashMap<VmId, (PoolVmId, u32, u64)>,
-    committed: u64,
-    vcpus_active: u32,
-    vms_rejected: u64,
     intervals: Vec<PoolIntervalSample>,
-    prev_energy: f64,
-    t_min: u32,
-    epoch: Picos,
-    tick_step: Picos,
-    /// The event-spine clock shared by every epoch of the replay.
-    sim: Simulation<GridEv>,
-    /// Next scheduled fault instant, if any — the faulted replay plugs the
-    /// injector's `peek_next_at` in here so faults ride the event spine's
-    /// side lane at their exact times instead of the 10 s tick grid.
-    faults_next: Option<DeadlineFn<'a>>,
-    /// Releases every fault due at the given instant.
-    faults_fire: Option<FaultHook<'a>>,
+    vms_rejected: u64,
+    queue: QueueStats,
 }
 
-/// Boxed callback used by the faulted replay to inject due faults.
-type FaultHook<'a> = Box<dyn FnMut(&mut AnalyticMemoryPool, Picos) -> Result<(), DtlError> + 'a>;
-
-/// Boxed query for the next scheduled fault instant.
-type DeadlineFn<'a> = Box<dyn FnMut() -> Option<Picos> + 'a>;
-
-impl<'a> PoolDriver<'a> {
-    fn new(cfg: &'a PoolRunConfig, telemetry: &Telemetry) -> Result<Self, DtlError> {
+impl PoolReplay {
+    /// Builds the pool and replays the schedule against it, `lane` riding
+    /// along.
+    fn run<L: Lane<AnalyticMemoryPool>>(
+        cfg: &PoolRunConfig,
+        telemetry: &Telemetry,
+        lane: &mut L,
+    ) -> Result<Self, DtlError> {
         let mut pool = MemoryPool::analytic(cfg.pool_config())?;
         pool.set_telemetry(telemetry.clone());
         for i in 0..cfg.devices {
@@ -253,184 +232,27 @@ impl<'a> PoolDriver<'a> {
             pool.register_host(HostId(h))?;
         }
         let schedule = VmSchedule::synthesize(cfg.seed, cfg.node, cfg.duration_min);
-        Ok(PoolDriver {
-            cfg,
+        let mut sampler = PoolSampler { cfg: *cfg, prev_energy: 0.0, intervals: Vec::new() };
+        let (tenants, queue) = replay_epochs(&mut pool, &schedule, cfg.hosts, lane, &mut sampler)?;
+        Ok(PoolReplay {
             pool,
-            schedule_events: schedule.events().to_vec().into_iter(),
-            pending: None,
-            handles: HashMap::new(),
-            committed: 0,
-            vcpus_active: 0,
-            vms_rejected: 0,
-            intervals: Vec::new(),
-            prev_energy: 0.0,
-            t_min: 0,
-            epoch: Picos::from_secs(300),
-            tick_step: Picos::from_secs(10),
-            sim: Simulation::new(Picos::ZERO),
-            faults_next: None,
-            faults_fire: None,
+            intervals: sampler.intervals,
+            vms_rejected: tenants.rejected(),
+            queue,
         })
     }
 
-    fn next_event(&mut self) -> Option<dtl_trace::VmEvent> {
-        if self.pending.is_none() {
-            self.pending = self.schedule_events.next();
-        }
-        match &self.pending {
-            Some(ev) if ev.at_min <= self.t_min => self.pending.take(),
-            _ => None,
-        }
-    }
-
-    /// Runs one 5-minute epoch: schedule events, bulk foreground traffic,
-    /// a deterministic access trickle, and the tick loop.
-    fn epoch(&mut self) -> Result<(), DtlError> {
-        let t_start = Picos::from_secs(u64::from(self.t_min) * 60);
-        while let Some(ev) = self.next_event() {
-            match ev.kind {
-                VmEventKind::Alloc(vm) => {
-                    // VMs land round-robin on the pool's compute hosts. AU
-                    // rounding can overshoot a schedule at the capacity
-                    // edge; such VMs go elsewhere in the cluster.
-                    let host = HostId((vm.id.0 % u32::from(self.cfg.hosts.max(1))) as u16);
-                    match self.pool.alloc_vm(host, vm.mem_bytes, t_start) {
-                        Ok(id) => {
-                            self.committed += vm.mem_bytes;
-                            self.vcpus_active += vm.vcpus;
-                            self.handles.insert(vm.id, (id, vm.vcpus, vm.mem_bytes));
-                        }
-                        Err(dtl_pool::PoolError::NoCapacity { .. }) => self.vms_rejected += 1,
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                VmEventKind::Dealloc(id) => {
-                    if let Some((vm, vcpus, bytes)) = self.handles.remove(&id) {
-                        self.pool.dealloc_vm(vm, t_start).map_err(DtlError::from)?;
-                        self.committed -= bytes;
-                        self.vcpus_active -= vcpus;
-                    }
-                }
-            }
-        }
-        self.record_epoch_traffic(t_start);
-        self.access_trickle(t_start)?;
-        let t_end = t_start + self.epoch;
-        let mut client = PoolEpoch {
-            pool: &mut self.pool,
-            faults_next: &mut self.faults_next,
-            faults_fire: &mut self.faults_fire,
-        };
-        event_drive::drive_epoch(&mut self.sim, &mut client, t_start, t_end, self.tick_step)?;
-        let energy = self.pool.pool_energy(t_end).total_mj();
-        let power_mw = (energy - self.prev_energy) / self.epoch.as_secs_f64();
-        self.prev_energy = energy;
-        let snap = self.pool.snapshot();
-        let active =
-            snap.devices.iter().filter(|d| d.coord == dtl_pool::CoordState::Active).count();
-        let parked =
-            snap.devices.iter().filter(|d| d.coord == dtl_pool::CoordState::Parked).count();
-        self.intervals.push(PoolIntervalSample {
-            t_min: self.t_min,
-            active_devices: active as u32,
-            parked_devices: parked as u32,
-            power_mw,
-            committed_bytes: self.committed,
-            evacuations_in_flight: snap.evacuations_pending as u64,
-        });
-        self.t_min += 5;
-        Ok(())
-    }
-
-    /// Bulk foreground energy for this epoch, split across every
-    /// data-retaining rank of the pool (the traffic concentrates wherever
-    /// data lives). MPSM-parked ranks hold no data and carry none of it;
-    /// ranks a ladder policy has demoted to a shallow state or self-refresh
-    /// still do — the bulk charge is an epoch-level approximation that does
-    /// not wake them, but it does reset their policy idle clocks.
-    fn record_epoch_traffic(&mut self, now: Picos) {
-        let bytes = f64::from(self.vcpus_active) * self.cfg.per_vcpu_bw * self.epoch.as_secs_f64();
-        let lines = (bytes / 64.0) as u64;
-        let reads = (lines as f64 * self.cfg.read_fraction) as u64;
-        let writes = lines - reads;
-        let mut active: Vec<(u16, u32, u32)> = Vec::new();
-        for i in 0..self.cfg.devices {
-            let dev = self.pool.device(DeviceId(i)).expect("configured device");
-            for c in 0..self.cfg.channels {
-                for r in 0..self.cfg.ranks_per_channel {
-                    if dev.backend().rank_state(c, r).retains_data() {
-                        active.push((i, c, r));
-                    }
-                }
-            }
-        }
-        if active.is_empty() {
-            return;
-        }
-        let per = active.len() as u64;
-        for (i, c, r) in active {
-            let dev = self.pool.device_mut(DeviceId(i)).expect("configured device");
-            dev.backend_mut().record_foreground_bulk(c, r, reads / per, writes / per);
-            dev.note_rank_traffic(c, r, now);
-        }
-    }
-
-    /// `trickle_burst` translated reads per live VM per epoch, starting at
-    /// a rotating AU offset: keeps the per-device CXL links and the SMC
-    /// path exercised without simulating per-line traffic. The first read
-    /// of a burst pays any low-power exit the target rank is in; the rest
-    /// of the burst rides the woken rank, so larger bursts dilute wake
-    /// latency in the access SLO population exactly as a streaming
-    /// workload would.
-    fn access_trickle(&mut self, t_start: Picos) -> Result<(), DtlError> {
-        let au = self.pool.config().dtl.au_bytes;
-        let round = u64::from(self.t_min) / 5;
-        let burst = self.cfg.trickle_burst.max(1);
-        let vms: Vec<PoolVmId> = self.pool.vm_ids();
-        for vm in vms {
-            let bytes = self.pool.vm_bytes(vm).expect("listed VM is live");
-            let aus = (bytes / au).max(1);
-            let base = (round % aus) * au;
-            for k in 0..burst {
-                let offset = base + (k * 64) % au;
-                self.pool.access(vm, offset, AccessKind::Read, t_start).map_err(DtlError::from)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn install_fault_lane(
-        &mut self,
-        injector: dtl_fault::PoolFaultInjector,
-        mut fire: impl FnMut(&mut AnalyticMemoryPool, dtl_fault::PoolFaultEvent, Picos) -> Result<(), DtlError>
-            + 'a,
-    ) {
-        let injector = Rc::new(RefCell::new(injector));
-        let peek = injector.clone();
-        self.faults_next = Some(Box::new(move || peek.borrow().peek_next_at()));
-        self.faults_fire = Some(Box::new(move |pool, now| {
-            let due = injector.borrow_mut().pop_due(now);
-            for fault in due {
-                fire(pool, fault, now)?;
-            }
-            Ok(())
-        }));
-    }
-
-    /// The out-of-band observability bundle: the pool's SLO populations
-    /// plus the epoch spine's queue counters. Read before [`Self::finish`]
-    /// consumes the driver.
-    fn observations(&self) -> RunObservations {
-        RunObservations { slo: self.pool.slo_report(), queue: self.sim.queue_stats() }
-    }
-
-    fn finish(mut self, telemetry: &Telemetry) -> Result<PoolRunResult, DtlError> {
-        let final_t = Picos::from_secs(u64::from(self.cfg.duration_min) * 60);
+    fn finish(
+        mut self,
+        cfg: &PoolRunConfig,
+        telemetry: &Telemetry,
+    ) -> Result<PoolRunResult, DtlError> {
+        let final_t = Picos::from_secs(u64::from(cfg.duration_min) * 60);
         let energy = self.pool.pool_energy(final_t);
-        self.pool.check_invariants().map_err(DtlError::from)?;
+        self.pool.check_invariants()?;
         if let Some(m) = telemetry.metrics() {
             self.pool.export_metrics(m);
-            crate::export_queue_metrics(m, &self.sim.queue_stats());
+            crate::export_queue_metrics(m, &self.queue);
         }
         let snap = self.pool.snapshot();
         Ok(PoolRunResult {
@@ -448,31 +270,91 @@ impl<'a> PoolDriver<'a> {
     }
 }
 
-/// One epoch of a pool replay as the event spine's grid client: grid
-/// ticks advance the pool, the side lane releases scheduled faults at
-/// their exact instants.
-struct PoolEpoch<'x, 'a> {
-    pool: &'x mut AnalyticMemoryPool,
-    faults_next: &'x mut Option<DeadlineFn<'a>>,
-    faults_fire: &'x mut Option<FaultHook<'a>>,
+/// The pool replay's epoch hook: bulk foreground traffic and a
+/// deterministic access trickle at each epoch's start, one
+/// [`PoolIntervalSample`] at its end.
+struct PoolSampler {
+    cfg: PoolRunConfig,
+    prev_energy: f64,
+    intervals: Vec<PoolIntervalSample>,
 }
 
-impl GridDriven for PoolEpoch<'_, '_> {
-    type Error = DtlError;
-
-    fn tick(&mut self, now: Picos) -> Result<(), DtlError> {
-        self.pool.tick(now).map_err(DtlError::from)
+impl EpochHooks<AnalyticMemoryPool> for PoolSampler {
+    fn begin(&mut self, pool: &mut AnalyticMemoryPool, epoch: &Epoch) -> Result<(), DtlError> {
+        self.record_epoch_traffic(pool, epoch);
+        self.access_trickle(pool, epoch)
     }
 
-    fn side_deadline(&mut self) -> Option<Picos> {
-        self.faults_next.as_mut().and_then(|next| next())
+    fn end(&mut self, pool: &mut AnalyticMemoryPool, epoch: &Epoch) {
+        let energy = pool.pool_energy(epoch.end).total_mj();
+        let power_mw = (energy - self.prev_energy) / EPOCH.as_secs_f64();
+        self.prev_energy = energy;
+        let snap = pool.snapshot();
+        let count =
+            |state: CoordState| snap.devices.iter().filter(|d| d.coord == state).count() as u32;
+        self.intervals.push(PoolIntervalSample {
+            t_min: epoch.t_min,
+            active_devices: count(CoordState::Active),
+            parked_devices: count(CoordState::Parked),
+            power_mw,
+            committed_bytes: epoch.committed_bytes,
+            evacuations_in_flight: snap.evacuations_pending as u64,
+        });
     }
+}
 
-    fn side_fire(&mut self, now: Picos) -> Result<(), DtlError> {
-        match self.faults_fire.as_mut() {
-            Some(fire) => fire(self.pool, now),
-            None => Ok(()),
+impl PoolSampler {
+    /// Bulk foreground energy for this epoch, split across every
+    /// data-retaining rank of the pool (the traffic concentrates wherever
+    /// data lives). MPSM-parked ranks hold no data and carry none of it;
+    /// ranks a ladder policy has demoted to a shallow state or self-refresh
+    /// still do — the bulk charge is an epoch-level approximation that does
+    /// not wake them, but it does reset their policy idle clocks.
+    fn record_epoch_traffic(&self, pool: &mut AnalyticMemoryPool, epoch: &Epoch) {
+        let bytes = f64::from(epoch.vcpus) * self.cfg.per_vcpu_bw * EPOCH.as_secs_f64();
+        let lines = (bytes / 64.0) as u64;
+        let reads = (lines as f64 * self.cfg.read_fraction) as u64;
+        let writes = lines - reads;
+        let mut active: Vec<(u16, u32, u32)> = Vec::new();
+        for i in 0..self.cfg.devices {
+            let dev = pool.device(DeviceId(i)).expect("configured device");
+            for c in 0..self.cfg.channels {
+                for r in 0..self.cfg.ranks_per_channel {
+                    if dev.backend().rank_state(c, r).retains_data() {
+                        active.push((i, c, r));
+                    }
+                }
+            }
         }
+        let per = active.len() as u64;
+        for (i, c, r) in active {
+            let dev = pool.device_mut(DeviceId(i)).expect("configured device");
+            dev.backend_mut().record_foreground_bulk(c, r, reads / per, writes / per);
+            dev.note_rank_traffic(c, r, epoch.start);
+        }
+    }
+
+    /// `trickle_burst` translated reads per live VM per epoch, starting at
+    /// a rotating AU offset: keeps the per-device CXL links and the SMC
+    /// path exercised without simulating per-line traffic. The first read
+    /// of a burst pays any low-power exit the target rank is in; the rest
+    /// of the burst rides the woken rank, so larger bursts dilute wake
+    /// latency in the access SLO population exactly as a streaming
+    /// workload would.
+    fn access_trickle(&self, pool: &mut AnalyticMemoryPool, epoch: &Epoch) -> Result<(), DtlError> {
+        let au = pool.config().dtl.au_bytes;
+        let round = u64::from(epoch.t_min) / 5;
+        let burst = self.cfg.trickle_burst.max(1);
+        for vm in pool.vm_ids() {
+            let bytes = pool.vm_bytes(vm).expect("listed VM is live");
+            let aus = (bytes / au).max(1);
+            let base = (round % aus) * au;
+            for k in 0..burst {
+                let offset = base + (k * 64) % au;
+                pool.access(vm, offset, AccessKind::Read, epoch.start)?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -553,42 +435,58 @@ pub fn run_pool_faulted(
     telemetry: &Telemetry,
 ) -> Result<PoolFaultRunResult, DtlError> {
     let injector = cfg.faults.generate().injector();
-    let faults_injected = Rc::new(Cell::new(0u64));
-    let lost_aus = Rc::new(Cell::new(0u64));
-    let mut driver = PoolDriver::new(&cfg.run, telemetry)?;
-    let (faults_ctr, lost_ctr) = (faults_injected.clone(), lost_aus.clone());
-    driver.install_fault_lane(injector, move |pool, fault, t| {
-        apply_pool_fault(pool, fault.kind, t, &lost_ctr)?;
-        faults_ctr.set(faults_ctr.get() + 1);
-        pool.check_invariants().map_err(DtlError::from)
-    });
-    while driver.t_min < cfg.run.duration_min {
-        driver.epoch()?;
-    }
+    let mut lane = PoolFaultLane { injector, faults_injected: 0, lost_aus: 0 };
+    let mut replay = PoolReplay::run(&cfg.run, telemetry, &mut lane)?;
+    // The final sweep issues accesses, so it runs before `finish` reads
+    // the pool's energy.
     let final_t = Picos::from_secs(u64::from(cfg.run.duration_min) * 60);
-    lost_aus.set(lost_aus.get() + count_unreachable(&mut driver.pool, final_t));
-    let run = driver.finish(telemetry)?;
+    lane.lost_aus += count_unreachable(&mut replay.pool, final_t);
+    let run = replay.finish(&cfg.run, telemetry)?;
     Ok(PoolFaultRunResult {
         total_energy_mj: run.total_energy_mj,
         vms_allocated: run.vms_allocated,
-        faults_injected: faults_injected.get(),
+        faults_injected: lane.faults_injected,
         devices_retired: run.stats.devices_retired,
         failovers: run.stats.failovers,
         evacuations_completed: run.stats.evacuations_completed,
         segments_evacuated: run.stats.segments_evacuated,
-        lost_aus: lost_aus.get(),
+        lost_aus: lane.lost_aus,
         errors: run.errors,
         link: run.link,
         stats: run.stats,
     })
 }
 
+/// The faulted pool replay's side lane: releases the plan's faults at
+/// their exact scheduled instants and asserts the pool invariants after
+/// each.
+struct PoolFaultLane {
+    injector: PoolFaultInjector,
+    faults_injected: u64,
+    lost_aus: u64,
+}
+
+impl Lane<AnalyticMemoryPool> for PoolFaultLane {
+    fn next_at(&self) -> Option<Picos> {
+        self.injector.peek_next_at()
+    }
+
+    fn fire(&mut self, pool: &mut AnalyticMemoryPool, now: Picos) -> Result<(), DtlError> {
+        for fault in self.injector.pop_due(now) {
+            self.lost_aus += apply_pool_fault(pool, fault.kind, now)?;
+            self.faults_injected += 1;
+            pool.check_invariants()?;
+        }
+        Ok(())
+    }
+}
+
+/// Applies one fault; returns the allocation units it made unreachable.
 fn apply_pool_fault(
     pool: &mut AnalyticMemoryPool,
     kind: PoolFaultKind,
     now: Picos,
-    lost_aus: &Rc<Cell<u64>>,
-) -> Result<(), DtlError> {
+) -> Result<u64, DtlError> {
     match kind {
         PoolFaultKind::Device { device, kind } => {
             let id = DeviceId(device);
@@ -604,7 +502,7 @@ fn apply_pool_fault(
                         .inject_uncorrectable_error(channel, rank, now)?;
                 }
                 FaultKind::LinkCrc { burst } => {
-                    pool.inject_crc_burst(id, burst).map_err(DtlError::from)?;
+                    pool.inject_crc_burst(id, burst)?;
                 }
                 FaultKind::MigrationInterrupt { channel } => {
                     pool.device_mut(id)
@@ -612,15 +510,15 @@ fn apply_pool_fault(
                         .inject_migration_interrupt(channel, now)?;
                 }
             }
+            Ok(0)
         }
         PoolFaultKind::RetireDevice { device } => {
-            pool.retire_device(DeviceId(device), now).map_err(DtlError::from)?;
+            pool.retire_device(DeviceId(device), now)?;
             // Every shard must stay reachable through the retirement —
             // sweep immediately, while evacuations are still in flight.
-            lost_aus.set(lost_aus.get() + count_unreachable(pool, now));
+            Ok(count_unreachable(pool, now))
         }
     }
-    Ok(())
 }
 
 /// Counts allocation units no access can reach — the lost-segment oracle.

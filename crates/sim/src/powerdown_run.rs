@@ -8,17 +8,15 @@
 
 use dtl_core::{
     AnalyticBackend, DtlConfig, DtlDevice, DtlError, HostId, MemoryBackend, SegmentGeometry,
-    VmHandle,
 };
-use dtl_dram::{Picos, PowerParams, PowerReport};
-use dtl_event::{QueueStats, Simulation};
+use dtl_dram::{Picos, PowerParams, PowerReport, PowerState};
+use dtl_event::QueueStats;
 use dtl_telemetry::Telemetry;
-use dtl_trace::{NodeConfig, VmEventKind, VmId, VmSchedule};
+use dtl_trace::{NodeConfig, VmSchedule};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 use crate::assert_residency_consistency;
-use crate::event_drive::{self, GridDriven};
+use crate::scenario::{replay_epochs, Epoch, EpochHooks, Lane, EPOCH};
 
 /// Configuration of one schedule replay.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -146,9 +144,14 @@ pub fn run_schedule(
     cfg: &PowerDownRunConfig,
     telemetry: &Telemetry,
 ) -> Result<PowerDownRunResult, DtlError> {
-    let mut sampler =
-        IntervalSampler { channels: cfg.channels, prev_energy: 0.0, intervals: Vec::new() };
-    let replay = replay_schedule(cfg, telemetry, &mut sampler)?;
+    let mut sampler = IntervalSampler {
+        traffic: Foreground::new(cfg),
+        moved_before: 0,
+        migrating: false,
+        prev_energy: 0.0,
+        intervals: Vec::new(),
+    };
+    let replay = replay_schedule(cfg, telemetry, &mut (), &mut sampler)?;
     let stats = replay.dev.powerdown_stats();
     Ok(PowerDownRunResult {
         intervals: sampler.intervals,
@@ -162,71 +165,90 @@ pub fn run_schedule(
     })
 }
 
-/// Integrates DRAM power over each finished epoch into an
-/// [`IntervalSample`].
+/// The device every schedule replay drives.
+pub(crate) type ScheduleDevice = DtlDevice<AnalyticBackend>;
+
+/// The epoch hook every schedule replay needs: charges each epoch's
+/// foreground traffic in bulk (the paper likewise measures wall power, not
+/// per-access timing, for this experiment).
+pub(crate) struct Foreground {
+    cfg: PowerDownRunConfig,
+    /// Foreground cache lines charged so far.
+    pub lines: u64,
+}
+
+impl Foreground {
+    pub(crate) fn new(cfg: &PowerDownRunConfig) -> Self {
+        Foreground { cfg: *cfg, lines: 0 }
+    }
+}
+
+impl EpochHooks<ScheduleDevice> for Foreground {
+    fn begin(&mut self, dev: &mut ScheduleDevice, epoch: &Epoch) -> Result<(), DtlError> {
+        let cfg = &self.cfg;
+        let bytes = f64::from(epoch.vcpus) * cfg.per_vcpu_bw * EPOCH.as_secs_f64();
+        let lines = (bytes / 64.0) as u64;
+        let reads = (lines as f64 * cfg.read_fraction) as u64;
+        let writes = lines - reads;
+        // Spread over active ranks (Figure 13: active power barely varies
+        // with the rank count because the same traffic concentrates on
+        // fewer ranks); none in standby means nothing carries the lines.
+        let mut active: Vec<(u32, u32)> = Vec::new();
+        for c in 0..cfg.channels {
+            for r in 0..cfg.ranks_per_channel {
+                if dev.backend().rank_state(c, r) == PowerState::Standby {
+                    active.push((c, r));
+                }
+            }
+        }
+        let per = active.len() as u64;
+        for &(c, r) in &active {
+            dev.backend_mut().record_foreground_bulk(c, r, reads / per, writes / per);
+        }
+        if per > 0 {
+            self.lines += lines;
+        }
+        Ok(())
+    }
+}
+
+/// [`Foreground`] plus what only the plain replay does: integrate DRAM
+/// power over each finished epoch into an [`IntervalSample`]. The faulted
+/// replay must not — a per-epoch `power_report` re-associates the float
+/// energy integration and moves its totals in the last digits.
 struct IntervalSampler {
-    channels: u32,
+    traffic: Foreground,
+    moved_before: u64,
+    migrating: bool,
     prev_energy: f64,
     intervals: Vec<IntervalSample>,
 }
 
-impl ReplayHooks for IntervalSampler {
-    fn epoch_end(&mut self, dev: &mut ScheduleDevice, epoch: &Epoch) {
+impl EpochHooks<ScheduleDevice> for IntervalSampler {
+    fn begin(&mut self, dev: &mut ScheduleDevice, epoch: &Epoch) -> Result<(), DtlError> {
+        self.moved_before = dev.migration_stats().bytes_moved;
+        self.migrating = false;
+        self.traffic.begin(dev, epoch)
+    }
+
+    fn after_tick(&mut self, dev: &mut ScheduleDevice, _: Picos) {
+        self.migrating |= dev.migrations_pending() > 0;
+    }
+
+    fn end(&mut self, dev: &mut ScheduleDevice, epoch: &Epoch) {
+        let migration_bytes = dev.migration_stats().bytes_moved - self.moved_before;
         // Power over the epoch: energy delta [mJ] / time [s] = mW.
         let energy = dev.power_report(epoch.end).total.total_mj();
         let power_mw = (energy - self.prev_energy) / EPOCH.as_secs_f64();
         self.prev_energy = energy;
         self.intervals.push(IntervalSample {
             t_min: epoch.t_min,
-            active_ranks: (0..self.channels).map(|c| dev.active_ranks(c)).sum(),
+            active_ranks: (0..self.traffic.cfg.channels).map(|c| dev.active_ranks(c)).sum(),
             power_mw,
             committed_bytes: epoch.committed_bytes,
-            migrating: epoch.migrating || epoch.migration_bytes > 0,
-            migration_bytes: epoch.migration_bytes,
+            migrating: self.migrating || migration_bytes > 0,
+            migration_bytes,
         });
-    }
-}
-
-/// The device every schedule replay drives.
-pub(crate) type ScheduleDevice = DtlDevice<AnalyticBackend>;
-
-/// Schedule events apply, and power is sampled, every 5 minutes.
-const EPOCH: Picos = Picos::from_secs(300);
-/// The legacy device tick grid inside an epoch.
-const TICK_STEP: Picos = Picos::from_secs(10);
-
-/// One finished epoch, as [`ReplayHooks::epoch_end`] sees it.
-pub(crate) struct Epoch {
-    /// Epoch start, minutes.
-    pub t_min: u32,
-    /// Epoch end instant.
-    pub end: Picos,
-    /// Committed VM memory over the epoch, bytes.
-    pub committed_bytes: u64,
-    /// Whether any tick of the epoch saw migrations queued or in flight.
-    pub migrating: bool,
-    /// Segment bytes moved by migrations during the epoch.
-    pub migration_bytes: u64,
-}
-
-/// Everything the plain and the faulted schedule replay do differently:
-/// the faulted one fires exactly-timed work on the event spine's side
-/// lane, the plain one samples power at every epoch end.
-pub(crate) trait ReplayHooks {
-    /// Next side-lane instant, if any.
-    fn side_deadline(&mut self) -> Option<Picos> {
-        None
-    }
-
-    /// Releases all side-lane work due at `now`.
-    fn side_fire(&mut self, dev: &mut ScheduleDevice, now: Picos) -> Result<(), DtlError> {
-        let _ = (dev, now);
-        Ok(())
-    }
-
-    /// Called once per epoch after its last tick.
-    fn epoch_end(&mut self, dev: &mut ScheduleDevice, epoch: &Epoch) {
-        let _ = (dev, epoch);
     }
 }
 
@@ -238,18 +260,15 @@ pub(crate) struct Replayed {
     pub report: PowerReport,
     /// Event-spine counters of the replay's one clock.
     pub queue: QueueStats,
-    /// Foreground cache lines charged over the run.
-    pub foreground_lines: u64,
 }
 
 /// The schedule replay shared by [`run_schedule`] and
-/// [`run_faulted`](crate::run_faulted): build the device, apply each
-/// epoch's VM events, charge its foreground traffic in bulk, and drive
-/// the tick grid (plus the hooks' side lane) through one event-spine
-/// clock.
-pub(crate) fn replay_schedule<H: ReplayHooks>(
+/// [`run_faulted`](crate::run_faulted): build the device and hand it to
+/// [`replay_epochs`] with the caller's side lane and epoch hooks.
+pub(crate) fn replay_schedule<L: Lane<ScheduleDevice>, H: EpochHooks<ScheduleDevice>>(
     cfg: &PowerDownRunConfig,
     telemetry: &Telemetry,
+    lane: &mut L,
     hooks: &mut H,
 ) -> Result<Replayed, DtlError> {
     let dtl_cfg = DtlConfig::paper();
@@ -266,62 +285,8 @@ pub(crate) fn replay_schedule<H: ReplayHooks>(
     for h in 0..cfg.hosts.max(1) {
         dev.register_host(HostId(h))?;
     }
-
     let schedule = VmSchedule::synthesize(cfg.seed, cfg.node, cfg.duration_min);
-    let mut handles: HashMap<VmId, (VmHandle, u32, u64)> = HashMap::new();
-    let mut committed: u64 = 0;
-    let mut vcpus_active: u32 = 0;
-    let mut foreground_lines = 0u64;
-    let mut events = schedule.events().iter().peekable();
-    // One event-spine clock for the whole replay; each epoch drains its
-    // posted tick cascade on the legacy grid (see `event_drive`).
-    let mut sim = Simulation::new(Picos::ZERO);
-
-    let mut t_min = 0u32;
-    while t_min < cfg.duration_min {
-        let t_start = Picos::from_secs(u64::from(t_min) * 60);
-        // Apply the schedule events of this instant.
-        while let Some(ev) = events.next_if(|ev| ev.at_min <= t_min) {
-            match ev.kind {
-                VmEventKind::Alloc(vm) => {
-                    // VMs land round-robin on the pool's compute hosts. AU
-                    // rounding and fault-driven capacity loss can both push
-                    // a schedule at the node's capacity edge over it; such
-                    // VMs are skipped (the real cluster scheduler would
-                    // place them elsewhere).
-                    let host = HostId((vm.id.0 % u32::from(cfg.hosts.max(1))) as u16);
-                    match dev.alloc_vm(host, vm.mem_bytes, t_start) {
-                        Ok(alloc) => {
-                            committed += vm.mem_bytes;
-                            vcpus_active += vm.vcpus;
-                            handles.insert(vm.id, (alloc.handle, vm.vcpus, vm.mem_bytes));
-                        }
-                        Err(DtlError::OutOfCapacity { .. }) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-                VmEventKind::Dealloc(id) => {
-                    if let Some((h, vcpus, bytes)) = handles.remove(&id) {
-                        dev.dealloc_vm(h, t_start)?;
-                        committed -= bytes;
-                        vcpus_active -= vcpus;
-                    }
-                }
-            }
-        }
-        // Bulk foreground energy for this epoch, spread over active ranks.
-        foreground_lines += record_epoch_traffic(&mut dev, cfg, vcpus_active);
-        // Let migrations progress through the epoch.
-        let moved_before = dev.migration_stats().bytes_moved;
-        let end = t_start + EPOCH;
-        let mut client = EpochClient { dev: &mut dev, hooks: &mut *hooks, migrating: false };
-        event_drive::drive_epoch(&mut sim, &mut client, t_start, end, TICK_STEP)?;
-        let migrating = client.migrating;
-        let migration_bytes = dev.migration_stats().bytes_moved - moved_before;
-        let epoch = Epoch { t_min, end, committed_bytes: committed, migrating, migration_bytes };
-        hooks.epoch_end(&mut dev, &epoch);
-        t_min += 5;
-    }
+    let (_, queue) = replay_epochs(&mut dev, &schedule, cfg.hosts, lane, hooks)?;
     let final_t = Picos::from_secs(u64::from(cfg.duration_min) * 60);
     let report = dev.power_report(final_t);
     dev.check_invariants()?;
@@ -329,60 +294,7 @@ pub(crate) fn replay_schedule<H: ReplayHooks>(
     if let Some(m) = telemetry.metrics() {
         dev.export_metrics(m);
     }
-    Ok(Replayed { dev, report, queue: sim.queue_stats(), foreground_lines })
-}
-
-/// One epoch of the schedule replay as the event spine's grid client:
-/// grid ticks advance the device, the side lane belongs to the hooks.
-struct EpochClient<'x, H> {
-    dev: &'x mut ScheduleDevice,
-    hooks: &'x mut H,
-    migrating: bool,
-}
-
-impl<H: ReplayHooks> GridDriven for EpochClient<'_, H> {
-    type Error = DtlError;
-
-    fn tick(&mut self, now: Picos) -> Result<(), DtlError> {
-        self.dev.tick(now)?;
-        self.migrating |= self.dev.migrations_pending() > 0;
-        Ok(())
-    }
-
-    fn side_deadline(&mut self) -> Option<Picos> {
-        self.hooks.side_deadline()
-    }
-
-    fn side_fire(&mut self, now: Picos) -> Result<(), DtlError> {
-        self.hooks.side_fire(self.dev, now)
-    }
-}
-
-/// Charges one epoch of foreground traffic in bulk and returns the cache
-/// lines it carried (zero when no rank is in standby to take them).
-fn record_epoch_traffic(dev: &mut ScheduleDevice, cfg: &PowerDownRunConfig, vcpus: u32) -> u64 {
-    let bytes = f64::from(vcpus) * cfg.per_vcpu_bw * EPOCH.as_secs_f64();
-    let lines = (bytes / 64.0) as u64;
-    let reads = (lines as f64 * cfg.read_fraction) as u64;
-    let writes = lines - reads;
-    // Spread over active ranks (Figure 13: active power barely varies with
-    // the rank count because the same traffic concentrates on fewer ranks).
-    let mut active: Vec<(u32, u32)> = Vec::new();
-    for c in 0..cfg.channels {
-        for r in 0..cfg.ranks_per_channel {
-            if dev.backend().rank_state(c, r) == dtl_dram::PowerState::Standby {
-                active.push((c, r));
-            }
-        }
-    }
-    if active.is_empty() {
-        return 0;
-    }
-    let per = active.len() as u64;
-    for (c, r) in active {
-        dev.backend_mut().record_foreground_bulk(c, r, reads / per, writes / per);
-    }
-    lines
+    Ok(Replayed { dev, report, queue })
 }
 
 #[cfg(test)]

@@ -24,13 +24,13 @@ use dtl_event::{EventHandler, EventId, QueueStats, Sched, Simulation};
 use dtl_telemetry::{
     BacklogSummary, Histogram, LatencySummary, SloReport, Telemetry, TimeSeries, TimeSeriesSink,
 };
-use dtl_trace::{NodeConfig, VmEventKind, VmId, VmSchedule};
+use dtl_trace::{NodeConfig, VmSchedule};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::assert_residency_consistency;
 use crate::exec::derive_seed;
+use crate::scenario::Tenants;
 use crate::Heartbeat;
 
 /// Configuration of one fleet campaign.
@@ -195,10 +195,7 @@ struct HostRunner<'a> {
     dev: &'a mut DtlDevice<AnalyticBackend>,
     events: &'a [dtl_trace::VmEvent],
     cursor: usize,
-    handles: HashMap<VmId, VmHandle>,
-    rejected: HashSet<VmId>,
-    vms_placed: u64,
-    vms_rejected: u64,
+    tenants: Tenants<VmHandle>,
     /// The in-queue device deadline, so a changed `next_activity_at`
     /// cancels and re-posts instead of accumulating stale events.
     device_ev: Option<(Picos, EventId)>,
@@ -211,29 +208,7 @@ impl HostRunner<'_> {
                 break;
             }
             self.cursor += 1;
-            match ev.kind {
-                VmEventKind::Alloc(vm) => match self.dev.alloc_vm(HostId(0), vm.mem_bytes, now) {
-                    Ok(alloc) => {
-                        self.vms_placed += 1;
-                        self.handles.insert(vm.id, alloc.handle);
-                    }
-                    // AU rounding can overshoot a schedule synthesized at
-                    // the node's capacity edge; such VMs go elsewhere in
-                    // the cluster.
-                    Err(DtlError::OutOfCapacity { .. }) => {
-                        self.vms_rejected += 1;
-                        self.rejected.insert(vm.id);
-                    }
-                    Err(e) => return Err(e),
-                },
-                VmEventKind::Dealloc(id) => {
-                    if let Some(h) = self.handles.remove(&id) {
-                        self.dev.dealloc_vm(h, now)?;
-                    } else {
-                        debug_assert!(self.rejected.remove(&id), "dealloc of unknown VM");
-                    }
-                }
-            }
+            self.tenants.apply(self.dev, ev, now)?;
         }
         Ok(())
     }
@@ -316,10 +291,7 @@ fn run_host(
             dev: &mut dev,
             events: schedule.events(),
             cursor: 0,
-            handles: HashMap::new(),
-            rejected: HashSet::new(),
-            vms_placed: 0,
-            vms_rejected: 0,
+            tenants: Tenants::new(1),
             device_ev: None,
         };
         if let Some(ev) = runner.events.first() {
@@ -329,7 +301,7 @@ fn run_host(
         // past the horizon; cut the books at the horizon like every other
         // harness.
         sim.step_until(horizon, &mut runner)?;
-        (runner.vms_placed, runner.vms_rejected)
+        (runner.tenants.placed(), runner.tenants.rejected())
     };
     // Power transitions performed during the final tick sit in the backend
     // until the next drain; flush them so the telemetry stream (and the
