@@ -8,8 +8,9 @@
 //! The driver parses the shared CLI surface, runs the experiment, prints
 //! the rendered tables, and drops machine-readable JSON under `results/`.
 //! A command line that does not parse — an unknown experiment, a
-//! non-numeric `--jobs`, a flag missing its value — is reported on stderr
-//! with exit code 2, never a panic.
+//! non-numeric `--jobs`, a flag missing its value, a span of simulated time
+//! that would wrap the picosecond clock — is reported on stderr with exit
+//! code 2, never a panic.
 //!
 //! Shared flags (every experiment):
 //!
@@ -27,7 +28,7 @@
 //!   event stream (CSV, or JSONL when `PATH` ends in `.jsonl`), for the
 //!   campaign-scale experiments that produce one;
 //! * `--timeseries-width-s N` — time-series window width in sim seconds
-//!   (default 300);
+//!   (default 300; 1 to 18 446 744, where picosecond time ends);
 //! * `--heartbeat` — campaign experiments print a wall-clock-throttled
 //!   progress line per completed work unit to stderr.
 //!
@@ -44,6 +45,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use dtl_dram::Picos;
 use dtl_sim::experiments::{find, registry, Experiment, RunContext};
 use dtl_telemetry::{chrome_trace, jsonl, MetricsRegistry, PowerTimeline, RingSink, Telemetry};
 
@@ -103,8 +105,21 @@ impl ExperimentCli {
         let trace_out = path_of("--trace-out")?;
         let metrics_out = path_of("--metrics-out")?;
         let timeseries_out = path_of("--timeseries-out")?;
-        let width_s = parsed("--timeseries-width-s")?.unwrap_or(300);
-        let series_width = timeseries_out.as_ref().map(|_| width_s * 1_000_000_000_000);
+        // Spans of simulated time are checked where they enter: `u64`
+        // picoseconds wrap after ~213 days, silently shortening the run.
+        let span = |flag: &str, unit_s: u64, min: u64| -> Result<Option<Picos>, String> {
+            let Some(n) = parsed(flag)? else { return Ok(None) };
+            let secs = n.checked_mul(unit_s).filter(|_| n >= min);
+            secs.and_then(Picos::checked_from_secs).map(Some).ok_or_else(|| {
+                let limit = Picos::MAX.as_ps() / Picos::from_secs(unit_s).as_ps();
+                format!("{flag} expects {min}..={limit}, got {n}")
+            })
+        };
+        // A zero-width window has no windows to fold events into.
+        let width = span("--timeseries-width-s", 1, 1)?.unwrap_or(Picos::from_secs(300));
+        let series_width = timeseries_out.as_ref().map(|_| width.as_ps());
+        // `vm_campaign --minutes`: the one horizon the command line sets.
+        span("--minutes", 60, 0)?;
         let registry = Arc::new(MetricsRegistry::new());
         let (sink, telemetry) = if trace_out.is_some() || metrics_out.is_some() {
             let sink = Arc::new(RingSink::with_capacity(RING_CAPACITY));
@@ -376,6 +391,35 @@ mod tests {
         );
         assert_eq!(dtl(&strings(&["fig12", "--jobs", "abc"])), 2);
         assert_eq!(dtl(&strings(&["fig12", "--seed"])), 2);
+    }
+
+    #[test]
+    fn spans_that_wrap_picosecond_time_are_errors_not_short_runs() {
+        let err = |args: &[&str]| ExperimentCli::parse(strings(args)).expect_err("out of range");
+        // 307 445 min = 18 446 700 s is the last horizon that fits a u64 of
+        // picoseconds; one more minute used to wrap to a 5-VM run.
+        assert_eq!(cli(&["--minutes", "307445"]).context().value("--minutes"), Some("307445"));
+        assert_eq!(err(&["--minutes", "307446"]), "--minutes expects 0..=307445, got 307446");
+        assert_eq!(err(&["--minutes", "400000"]), "--minutes expects 0..=307445, got 400000");
+        assert!(err(&["--minutes", "18446744073709551615"]).starts_with("--minutes expects"));
+        assert_eq!(err(&["--minutes", "soon"]), "--minutes expects an integer, got \"soon\"");
+        assert_eq!(
+            err(&["--timeseries-width-s", "18446745"]),
+            "--timeseries-width-s expects 1..=18446744, got 18446745"
+        );
+        let widest = cli(&["--timeseries-out", "/tmp/s.csv", "--timeseries-width-s", "18446744"]);
+        assert_eq!(widest.series_width, Some(18_446_744 * 1_000_000_000_000));
+        assert_eq!(dtl(&strings(&["vm_campaign", "--tiny", "--minutes", "307446"])), 2);
+    }
+
+    #[test]
+    fn a_zero_width_window_is_an_error_not_a_worker_panic() {
+        let err = |args: &[&str]| ExperimentCli::parse(strings(args)).expect_err("zero width");
+        let msg = "--timeseries-width-s expects 1..=18446744, got 0";
+        assert_eq!(err(&["--timeseries-width-s", "0"]), msg);
+        assert_eq!(err(&["--timeseries-out", "/tmp/s.csv", "--timeseries-width-s", "0"]), msg);
+        let args = ["vm_campaign", "--tiny", "--timeseries-out", "/tmp/s.csv"];
+        assert_eq!(dtl(&strings(&[&args[..], &["--timeseries-width-s", "0"]].concat())), 2);
     }
 
     #[test]

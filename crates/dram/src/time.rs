@@ -66,6 +66,17 @@ impl Picos {
         Picos(s * 1_000_000_000_000)
     }
 
+    /// [`Picos::from_secs`] for seconds that come from outside the program:
+    /// `None` when they do not fit (`u64` picoseconds end after
+    /// 18 446 744 s, about 213 days) instead of a wrapped instant.
+    #[inline]
+    pub const fn checked_from_secs(s: u64) -> Option<Self> {
+        match s.checked_mul(1_000_000_000_000) {
+            Some(ps) => Some(Picos(ps)),
+            None => None,
+        }
+    }
+
     /// Creates a time value from fractional nanoseconds, rounding to the
     /// nearest picosecond.
     ///
@@ -216,6 +227,16 @@ mod tests {
         assert_eq!(Picos::from_ms(50).as_ps(), 50_000_000_000);
         assert_eq!(Picos::from_secs(6).as_ps(), 6_000_000_000_000);
         assert_eq!(Picos::from_ns_f64(0.6818).as_ps(), 682);
+    }
+
+    #[test]
+    fn checked_seconds_stop_where_picoseconds_wrap() {
+        assert_eq!(Picos::checked_from_secs(6), Some(Picos::from_secs(6)));
+        assert_eq!(Picos::checked_from_secs(0), Some(Picos::ZERO));
+        let last = u64::MAX / 1_000_000_000_000;
+        assert_eq!(Picos::checked_from_secs(last), Some(Picos::from_secs(last)));
+        assert_eq!(Picos::checked_from_secs(last + 1), None);
+        assert_eq!(Picos::checked_from_secs(u64::MAX), None);
     }
 
     #[test]

@@ -93,8 +93,13 @@ impl VmCampaignConfig {
     }
 
     /// The campaign horizon.
+    ///
+    /// # Panics
+    ///
+    /// If `duration_min` exceeds 307 445 — picosecond time would wrap.
     pub fn horizon(&self) -> Picos {
-        Picos::from_secs(u64::from(self.duration_min) * 60)
+        Picos::checked_from_secs(u64::from(self.duration_min) * 60)
+            .expect("duration_min fits picosecond time")
     }
 }
 
