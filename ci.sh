@@ -22,8 +22,21 @@ timeout 30 $dtl pool_scale --tiny --jobs 2
 timeout 30 $dtl policy_ablation --tiny --jobs 2 > /tmp/dtl_ci_policy.txt
 timeout 30 $dtl vm_campaign --tiny --jobs 2
 timeout 30 $dtl fabric_load --tiny --jobs 2 > /tmp/dtl_ci_fabric.txt
+timeout 30 $dtl sec3_4_reentry --tiny
+timeout 60 $dtl fig15 --tiny --jobs 2
 # The one paper-scale run: fig12 is sub-second per replay.
 timeout 60 $dtl fig12 --jobs 2 > /dev/null
+
+echo "== bad input exits 2 =="
+# A horizon or window width that wraps (or zeroes) picosecond time is a
+# parse error, not a silently shortened run or a worker panic.
+expect_exit_2() {
+    local code=0
+    timeout 30 "$@" > /dev/null 2>&1 || code=$?
+    [ "$code" -eq 2 ] || { echo "expected exit 2, got $code: $*"; exit 1; }
+}
+expect_exit_2 $dtl vm_campaign --tiny --minutes 307446
+expect_exit_2 $dtl vm_campaign --tiny --timeseries-out /tmp/x.csv --timeseries-width-s 0
 
 echo "== policy_ablation covers every PowerPolicy impl =="
 for policy in FixedThreshold AdaptiveDemotion RefreshAware; do

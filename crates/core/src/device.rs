@@ -620,13 +620,8 @@ impl<B: MemoryBackend> DtlDevice<B> {
                 match self.alloc.allocate_au(self.config.segments_per_au()) {
                     Ok(dsns) => break Ok(dsns),
                     Err(DtlError::OutOfCapacity { requested, free }) => {
-                        match self.powerdown.wake_one_group(&mut self.alloc) {
-                            Ok(exits) => {
-                                for (c, r) in exits {
-                                    self.backend.set_rank_state(c, r, PowerState::Standby, now)?;
-                                }
-                                self.stats.capacity_wakes += 1;
-                            }
+                        match self.wake_group_for_capacity(now) {
+                            Ok(()) => {}
                             Err(DtlError::OutOfCapacity { .. }) => {
                                 break Err(DtlError::OutOfCapacity { requested, free });
                             }
@@ -904,25 +899,68 @@ impl<B: MemoryBackend> DtlDevice<B> {
 
     fn power_down_ranks(&mut self, ranks: &[(u32, u32)], now: Picos) -> Result<(), DtlError> {
         for &(c, r) in ranks {
-            // The rank may sit anywhere on the retention ladder (hotness
-            // parked it in self-refresh, or the power policy demoted it);
-            // MPSM requires passing through standby, and the hotness engine
-            // must forget its victim. The MPSM entry is issued at the
-            // exit's *completion* time — issuing it at `now` would
-            // back-date the entry into the exit window, producing an
-            // out-of-order command stream and charging the standby bridge
-            // to the wrong state.
-            let state = self.backend.rank_state(c, r);
-            let mut at = now;
-            if state != PowerState::Standby {
-                at = self.backend.set_rank_state(c, r, PowerState::Standby, now)?;
-                if state == PowerState::SelfRefresh {
-                    self.hotness.on_sr_exit(c, r, at);
-                }
-            }
-            self.backend.set_rank_state(c, r, PowerState::Mpsm, at)?;
+            // MPSM is entered from standby, at the completion of whatever
+            // exit gets the rank there. A rank that is *already* parked
+            // (retiring a powered-down rank) takes the same bounce; the
+            // command stream and the energy totals are pinned on it.
+            let at = self.commit_power(c, r, PowerState::Standby, now)?;
+            self.commit_power(c, r, PowerState::Mpsm, at)?;
         }
         Ok(())
+    }
+
+    /// Wakes one powered-down rank group so its capacity can be allocated.
+    ///
+    /// # Errors
+    ///
+    /// [`DtlError::OutOfCapacity`] when no group is left to wake.
+    fn wake_group_for_capacity(&mut self, now: Picos) -> Result<(), DtlError> {
+        for (c, r) in self.powerdown.wake_one_group(&mut self.alloc)? {
+            self.commit_power(c, r, PowerState::Standby, now)?;
+        }
+        self.stats.capacity_wakes += 1;
+        Ok(())
+    }
+
+    /// The one place a rank power transition is committed to the backend:
+    /// takes the rank from wherever it is to `target` along legal edges
+    /// only and returns the completion time of the last hop (`now` if the
+    /// rank is already there). A rank may sit anywhere on the retention
+    /// ladder (hotness parked it in self-refresh, or the power policy
+    /// demoted it): a deeper retention state is reached one rung at a time,
+    /// anything else — MPSM in particular — by bridging through standby,
+    /// and the hotness engine forgets a victim that leaves self-refresh.
+    /// Each hop is issued at the previous hop's *completion* time — issuing
+    /// it at `now` would back-date it into the previous transition's
+    /// window, producing an out-of-order command stream and charging the
+    /// bridge state to the wrong account.
+    fn commit_power(
+        &mut self,
+        channel: u32,
+        rank: u32,
+        target: PowerState,
+        now: Picos,
+    ) -> Result<Picos, DtlError> {
+        let mut at = now;
+        loop {
+            let state = self.backend.rank_state(channel, rank);
+            let next = match (state, target) {
+                _ if state == target => return Ok(at),
+                _ if dtl_dram::transition_is_legal(state, target) => target,
+                (PowerState::ActivePowerDown, PowerState::SelfRefresh) => {
+                    PowerState::PrechargePowerDown
+                }
+                _ => PowerState::Standby,
+            };
+            debug_assert!(
+                dtl_dram::transition_is_legal(state, next),
+                "ch{channel}/rk{rank}: {state:?} -> {next:?} on the way to {target:?}"
+            );
+            at = self.backend.set_rank_state(channel, rank, next, at)?;
+            if state == PowerState::SelfRefresh {
+                self.hotness.on_sr_exit(channel, rank, at);
+            }
+        }
     }
 
     /// Permanently retires a rank (the reliability extension the paper's
@@ -1001,14 +1039,10 @@ impl<B: MemoryBackend> DtlDevice<B> {
                         if let Some(d) = self.pick_drain_destination(src_loc.channel, rank) {
                             break Some(d);
                         }
-                        match self.powerdown.wake_one_group(&mut self.alloc) {
-                            Ok(exits) => {
-                                for (c, r) in exits {
-                                    self.backend.set_rank_state(c, r, PowerState::Standby, now)?;
-                                }
-                                self.stats.capacity_wakes += 1;
-                            }
-                            Err(_) => break None,
+                        match self.wake_group_for_capacity(now) {
+                            Ok(()) => {}
+                            Err(DtlError::OutOfCapacity { .. }) => break None,
+                            Err(e) => return Err(e),
                         }
                     };
                     let Some(new_dst) = new_dst else {
@@ -1036,19 +1070,12 @@ impl<B: MemoryBackend> DtlDevice<B> {
         // A self-refreshing victim must wake (and the hotness engine must
         // forget it) before its data can move.
         if self.backend.rank_state(channel, rank) == PowerState::SelfRefresh {
-            let at = self.backend.set_rank_state(channel, rank, PowerState::Standby, now)?;
-            self.hotness.on_sr_exit(channel, rank, at);
+            self.commit_power(channel, rank, PowerState::Standby, now)?;
         }
         let plan = loop {
             match self.powerdown.plan_retirement(&mut self.alloc, channel, rank) {
                 Ok(plan) => break plan,
-                Err(DtlError::OutOfCapacity { .. }) => {
-                    let exits = self.powerdown.wake_one_group(&mut self.alloc)?;
-                    for (c, r) in exits {
-                        self.backend.set_rank_state(c, r, PowerState::Standby, now)?;
-                    }
-                    self.stats.capacity_wakes += 1;
-                }
+                Err(DtlError::OutOfCapacity { .. }) => self.wake_group_for_capacity(now)?,
                 Err(e) => return Err(e),
             }
         };
@@ -1482,11 +1509,11 @@ impl<B: MemoryBackend> DtlDevice<B> {
                 let idle = now.saturating_sub(self.rank_last_access[idx]);
                 if let Some(next) = self.policy.demote(c, r, state, idle) {
                     debug_assert!(
-                        dtl_dram::transition_is_legal(state, next) && next.retains_data(),
+                        next.retains_data(),
                         "policy {:?} proposed {state:?} -> {next:?}",
                         self.policy.kind()
                     );
-                    self.backend.set_rank_state(c, r, next, now)?;
+                    self.commit_power(c, r, next, now)?;
                     self.policy_demotions += 1;
                 }
             }
@@ -1621,20 +1648,12 @@ impl<B: MemoryBackend> DtlDevice<B> {
     /// [`DtlError::Internal`] when the rank is in MPSM — a data-losing
     /// state no engine may silently refresh out of.
     fn enter_self_refresh(&mut self, channel: u32, rank: u32, now: Picos) -> Result<(), DtlError> {
-        let mut at = now;
-        loop {
-            let next = match self.backend.rank_state(channel, rank) {
-                PowerState::SelfRefresh => return Ok(()),
-                PowerState::Standby | PowerState::PrechargePowerDown => PowerState::SelfRefresh,
-                PowerState::ActivePowerDown => PowerState::PrechargePowerDown,
-                PowerState::Mpsm => {
-                    return Err(DtlError::Internal {
-                        reason: format!("ch{channel}/rk{rank}: cannot self-refresh out of MPSM"),
-                    });
-                }
-            };
-            at = self.backend.set_rank_state(channel, rank, next, at)?;
+        if self.backend.rank_state(channel, rank) == PowerState::Mpsm {
+            return Err(DtlError::Internal {
+                reason: format!("ch{channel}/rk{rank}: cannot self-refresh out of MPSM"),
+            });
         }
+        self.commit_power(channel, rank, PowerState::SelfRefresh, now).map(drop)
     }
 
     fn process_events(&mut self) {

@@ -137,7 +137,7 @@ pub fn run_faulted(
     // up to the next tick. The only epoch hook is the bulk traffic: no
     // per-epoch power sampling here (see `IntervalSampler`).
     let mut lane = FaultLane { link, injector, segments_at_risk: 0, faults_injected: 0 };
-    let mut traffic = Foreground::new(&cfg.run);
+    let mut traffic = Foreground { cfg: cfg.run, lines: 0 };
     let Replayed { dev, report, queue } =
         replay_schedule(&cfg.run, telemetry, &mut lane, &mut traffic)?;
     let foreground_lines = traffic.lines;

@@ -9,7 +9,8 @@
 //! `run_faulted`, `run_pool`, …) taking its instrumentation — a
 //! [`Telemetry`](dtl_telemetry::Telemetry) handle, a worker count, a
 //! [`Heartbeat`] — as plain parameters; callers that want none pass
-//! `&Telemetry::disabled()` / `1`.
+//! `&Telemetry::disabled()` / `1`. The harnesses that replay a VM schedule
+//! all do it through [`scenario`], the public world × lane × hooks driver.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -145,7 +145,7 @@ pub fn run_schedule(
     telemetry: &Telemetry,
 ) -> Result<PowerDownRunResult, DtlError> {
     let mut sampler = IntervalSampler {
-        traffic: Foreground::new(cfg),
+        traffic: Foreground { cfg: *cfg, lines: 0 },
         moved_before: 0,
         migrating: false,
         prev_energy: 0.0,
@@ -172,15 +172,9 @@ pub(crate) type ScheduleDevice = DtlDevice<AnalyticBackend>;
 /// foreground traffic in bulk (the paper likewise measures wall power, not
 /// per-access timing, for this experiment).
 pub(crate) struct Foreground {
-    cfg: PowerDownRunConfig,
+    pub cfg: PowerDownRunConfig,
     /// Foreground cache lines charged so far.
     pub lines: u64,
-}
-
-impl Foreground {
-    pub(crate) fn new(cfg: &PowerDownRunConfig) -> Self {
-        Foreground { cfg: *cfg, lines: 0 }
-    }
 }
 
 impl EpochHooks<ScheduleDevice> for Foreground {
