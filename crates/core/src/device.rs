@@ -944,8 +944,10 @@ impl<B: MemoryBackend> DtlDevice<B> {
         let mut at = now;
         loop {
             let state = self.backend.rank_state(channel, rank);
+            if state == target {
+                return Ok(at);
+            }
             let next = match (state, target) {
-                _ if state == target => return Ok(at),
                 _ if dtl_dram::transition_is_legal(state, target) => target,
                 (PowerState::ActivePowerDown, PowerState::SelfRefresh) => {
                     PowerState::PrechargePowerDown
