@@ -13,12 +13,20 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test -q
 
+# The dense tables' index arithmetic once more without debug assertions:
+# the two lockstep proptests against the hash-map / BTreeSet references.
+echo "== dtl-core lockstep proptests (release) =="
+cargo test --release -q -p dtl-core --lib lockstep_with_the
+
 echo "== smoke suite on the parallel path (--jobs 2) =="
 cargo build --release -q -p dtl-bench
 dtl=./target/release/dtl
 timeout 30 $dtl diff_fuzz --smoke --jobs 2
 timeout 60 $dtl fault_campaign --tiny --jobs 2
 timeout 30 $dtl pool_scale --tiny --jobs 2
+# The perf ledger's claimed workload through the registry: a full pool
+# invariant sweep after every injected fault, sub-second per campaign.
+timeout 60 $dtl pool_failover --tiny --campaigns 2 --jobs 2
 timeout 30 $dtl policy_ablation --tiny --jobs 2 > /tmp/dtl_ci_policy.txt
 timeout 30 $dtl vm_campaign --tiny --jobs 2
 timeout 30 $dtl fabric_load --tiny --jobs 2 > /tmp/dtl_ci_fabric.txt

@@ -97,12 +97,34 @@ pub struct Hsn {
 }
 
 impl Hsn {
-    /// Packs into a single integer key (for cache indexing). Layout:
-    /// `host << 48 | au << 20 | au_offset` — AU offsets fit comfortably in
-    /// 20 bits (a 2 GB AU of 2 MB segments has 1024 offsets).
+    /// Bits of the packed key that hold the AU offset.
+    pub(crate) const OFFSET_BITS: u32 = 20;
+    /// Bits of the packed key that hold the AU id.
+    pub(crate) const AU_BITS: u32 = 28;
+
+    /// Packs into a single integer key (for cache indexing and the reverse
+    /// mapping table). Layout: `host << 48 | au << 20 | au_offset` — AU
+    /// offsets fit comfortably in 20 bits (a 2 GB AU of 2 MB segments has
+    /// 1024 offsets). A wider field would alias another key;
+    /// [`crate::DtlConfig::validate_geometry`] rejects devices that could
+    /// produce one.
     #[inline]
     pub fn pack(self) -> u64 {
-        (u64::from(self.host.0) << 48) | (u64::from(self.au.0) << 20) | u64::from(self.au_offset)
+        debug_assert!(self.au_offset < 1 << Self::OFFSET_BITS, "AU offset wider than its field");
+        debug_assert!(self.au.0 < 1 << Self::AU_BITS, "AU id wider than its field");
+        (u64::from(self.host.0) << 48)
+            | (u64::from(self.au.0) << Self::OFFSET_BITS)
+            | u64::from(self.au_offset)
+    }
+
+    /// Inverse of [`Hsn::pack`].
+    #[inline]
+    pub(crate) fn unpack(key: u64) -> Hsn {
+        Hsn {
+            host: HostId((key >> 48) as u16),
+            au: AuId((key >> Self::OFFSET_BITS) as u32 & ((1 << Self::AU_BITS) - 1)),
+            au_offset: key as u32 & ((1 << Self::OFFSET_BITS) - 1),
+        }
     }
 }
 
@@ -249,6 +271,30 @@ mod tests {
         assert_ne!(a.pack(), b.pack());
         assert_ne!(a.pack(), c.pack());
         assert_eq!(a.pack(), Hsn { ..a }.pack());
+    }
+
+    #[test]
+    fn hsn_unpack_inverts_pack_at_the_field_limits() {
+        for (host, au, au_offset) in
+            [(0, 0, 0), (1, 2, 3), (u16::MAX, (1 << 28) - 1, (1 << 20) - 1)]
+        {
+            let h = Hsn { host: HostId(host), au: AuId(au), au_offset };
+            assert_eq!(Hsn::unpack(h.pack()), h);
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "AU offset wider than its field")]
+    fn hsn_pack_rejects_a_wide_offset_in_debug() {
+        let _ = Hsn { host: HostId(0), au: AuId(0), au_offset: 1 << 20 }.pack();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "AU id wider than its field")]
+    fn hsn_pack_rejects_a_wide_au_in_debug() {
+        let _ = Hsn { host: HostId(0), au: AuId(1 << 28), au_offset: 0 }.pack();
     }
 
     #[test]

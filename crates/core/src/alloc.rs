@@ -6,12 +6,67 @@
 //! has priority, which packs data into few ranks and keeps the rest
 //! drainable for power-down.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
 use crate::addr::{Dsn, SegmentGeometry, SegmentLocation};
 use crate::error::DtlError;
+
+/// One rank's slots: every slot in `0..segs_per_rank` is either queued in
+/// `free` or has its bit set in `allocated`.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct RankSlots {
+    /// Free slots in hand-out order. A FIFO on purpose: which slot an
+    /// allocation pops and where a freed one queues decide the DSNs an AU
+    /// gets, so the order is behaviour.
+    free: VecDeque<u64>,
+    /// Allocated slots, one bit each (bit `w % 64` of word `w / 64`). Only
+    /// membership and ascending iteration are ever asked of it, so any set
+    /// would do; a bitmap answers both at memory speed.
+    allocated: Vec<u64>,
+    /// Set bits in `allocated`.
+    allocated_count: u64,
+    /// Available for allocation: `false` while powered down.
+    active: bool,
+}
+
+impl RankSlots {
+    fn is_allocated(&self, within: u64) -> bool {
+        self.allocated
+            .get((within / 64) as usize)
+            .is_some_and(|word| word >> (within % 64) & 1 == 1)
+    }
+
+    /// Marks a slot (just taken off `free`) allocated.
+    fn mark(&mut self, within: u64) {
+        self.allocated[(within / 64) as usize] |= 1 << (within % 64);
+        self.allocated_count += 1;
+    }
+
+    /// Moves one specific slot from `free` to allocated; `false` if it is
+    /// not queued there.
+    fn take(&mut self, within: u64) -> bool {
+        let Some(pos) = self.free.iter().position(|w| *w == within) else {
+            return false;
+        };
+        self.free.remove(pos);
+        self.mark(within);
+        true
+    }
+
+    /// Moves an allocated slot to the back of `free`; `false` if it was not
+    /// allocated.
+    fn release(&mut self, within: u64) -> bool {
+        if !self.is_allocated(within) {
+            return false;
+        }
+        self.allocated[(within / 64) as usize] &= !(1 << (within % 64));
+        self.allocated_count -= 1;
+        self.free.push_back(within);
+        true
+    }
+}
 
 /// Free/allocated segment bookkeeping per (channel, rank).
 ///
@@ -31,35 +86,23 @@ use crate::error::DtlError;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SegmentAllocator {
     geo: SegmentGeometry,
-    /// Free within-rank slots, per `[channel][rank]`.
-    free: Vec<Vec<VecDeque<u64>>>,
-    /// Allocated within-rank slots, per `[channel][rank]` (ordered for
-    /// deterministic iteration).
-    allocated: Vec<Vec<BTreeSet<u64>>>,
-    /// Rank availability for allocation: `false` while powered down.
-    active: Vec<Vec<bool>>,
+    /// Channel-major: rank `r` of channel `c` is `ranks[c * ranks_per_channel + r]`.
+    ranks: Vec<RankSlots>,
 }
 
 impl SegmentAllocator {
     /// A fully free allocator with all ranks active.
     pub fn new(geo: SegmentGeometry) -> Self {
-        let mut free = Vec::with_capacity(geo.channels as usize);
-        let mut allocated = Vec::with_capacity(geo.channels as usize);
-        let mut active = Vec::with_capacity(geo.channels as usize);
-        for _ in 0..geo.channels {
-            let mut fr = Vec::with_capacity(geo.ranks_per_channel as usize);
-            let mut al = Vec::with_capacity(geo.ranks_per_channel as usize);
-            let mut ac = Vec::with_capacity(geo.ranks_per_channel as usize);
-            for _ in 0..geo.ranks_per_channel {
-                fr.push((0..geo.segs_per_rank).collect::<VecDeque<u64>>());
-                al.push(BTreeSet::new());
-                ac.push(true);
-            }
-            free.push(fr);
-            allocated.push(al);
-            active.push(ac);
-        }
-        SegmentAllocator { geo, free, allocated, active }
+        let words = geo.segs_per_rank.div_ceil(64) as usize;
+        let ranks = (0..u64::from(geo.channels) * u64::from(geo.ranks_per_channel))
+            .map(|_| RankSlots {
+                free: (0..geo.segs_per_rank).collect(),
+                allocated: vec![0; words],
+                allocated_count: 0,
+                active: true,
+            })
+            .collect();
+        SegmentAllocator { geo, ranks }
     }
 
     /// The segment geometry.
@@ -67,24 +110,47 @@ impl SegmentAllocator {
         self.geo
     }
 
+    /// Index of a rank in `ranks`.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a rank outside the geometry, which would otherwise alias
+    /// another rank's slots.
+    fn index(&self, channel: u32, rank: u32) -> usize {
+        assert!(
+            channel < self.geo.channels && rank < self.geo.ranks_per_channel,
+            "rank ch{channel}/rk{rank} outside the allocator's geometry"
+        );
+        channel as usize * self.geo.ranks_per_channel as usize + rank as usize
+    }
+
+    fn rank(&self, channel: u32, rank: u32) -> &RankSlots {
+        &self.ranks[self.index(channel, rank)]
+    }
+
+    fn rank_mut(&mut self, channel: u32, rank: u32) -> &mut RankSlots {
+        let i = self.index(channel, rank);
+        &mut self.ranks[i]
+    }
+
     /// Marks a rank available/unavailable for allocation (power-down state).
     pub fn set_rank_active(&mut self, channel: u32, rank: u32, active: bool) {
-        self.active[channel as usize][rank as usize] = active;
+        self.rank_mut(channel, rank).active = active;
     }
 
     /// Whether a rank is available for allocation.
     pub fn is_rank_active(&self, channel: u32, rank: u32) -> bool {
-        self.active[channel as usize][rank as usize]
+        self.rank(channel, rank).active
     }
 
     /// Allocated segment count in a rank.
     pub fn allocated_in_rank(&self, channel: u32, rank: u32) -> u64 {
-        self.allocated[channel as usize][rank as usize].len() as u64
+        self.rank(channel, rank).allocated_count
     }
 
     /// Free segment count in a rank.
     pub fn free_in_rank(&self, channel: u32, rank: u32) -> u64 {
-        self.free[channel as usize][rank as usize].len() as u64
+        self.rank(channel, rank).free.len() as u64
     }
 
     /// Free segments in the *active* ranks of a channel.
@@ -102,7 +168,16 @@ impl SegmentAllocator {
 
     /// Iterates the allocated within-rank slots of a rank (ascending).
     pub fn allocated_slots(&self, channel: u32, rank: u32) -> impl Iterator<Item = u64> + '_ {
-        self.allocated[channel as usize][rank as usize].iter().copied()
+        self.rank(channel, rank).allocated.iter().enumerate().flat_map(|(i, word)| {
+            let mut rest = *word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = u64::from(rest.trailing_zeros());
+                    rest &= rest - 1;
+                    i as u64 * 64 + bit
+                })
+            })
+        })
     }
 
     /// The active rank with the fewest allocated segments in a channel
@@ -119,11 +194,20 @@ impl SegmentAllocator {
     ///
     /// # Errors
     ///
-    /// [`DtlError::OutOfCapacity`] if any channel's active ranks cannot
-    /// supply its share (the caller should wake a rank group and retry).
+    /// * [`DtlError::OutOfCapacity`] if any channel's active ranks cannot
+    ///   supply its share (the caller should wake a rank group and retry);
+    /// * [`DtlError::Internal`] if `segments_per_au` does not divide over
+    ///   the channels ([`crate::DtlConfig::validate_geometry`] rules that
+    ///   out for a device).
     pub fn allocate_au(&mut self, segments_per_au: u64) -> Result<Vec<Dsn>, DtlError> {
         let channels = u64::from(self.geo.channels);
-        debug_assert_eq!(segments_per_au % channels, 0, "validated by DtlConfig");
+        if channels == 0 || !segments_per_au.is_multiple_of(channels) {
+            return Err(DtlError::Internal {
+                reason: format!(
+                    "an AU of {segments_per_au} segments cannot balance over {channels} channels"
+                ),
+            });
+        }
         let per_channel = segments_per_au / channels;
         // Feasibility check before mutating anything.
         for c in 0..self.geo.channels {
@@ -134,27 +218,27 @@ impl SegmentAllocator {
                 });
             }
         }
-        let mut per_channel_slots: Vec<Vec<SegmentLocation>> =
-            Vec::with_capacity(self.geo.channels as usize);
-        for c in 0..self.geo.channels {
-            let mut slots = Vec::with_capacity(per_channel as usize);
-            while (slots.len() as u64) < per_channel {
+        let geo = self.geo;
+        let mut dsns = vec![Dsn(0); segments_per_au as usize];
+        for c in 0..geo.channels {
+            let mut taken = 0u64;
+            while taken < per_channel {
+                // The chosen rank only gets more utilized as it fills, so it
+                // stays the choice until it runs out: take its whole share
+                // at once instead of asking again per segment.
                 let rank =
                     self.most_utilized_active_rank_with_free(c).expect("feasibility checked above");
-                let within = self.free[c as usize][rank as usize]
-                    .pop_front()
-                    .expect("rank selected with free space");
-                self.allocated[c as usize][rank as usize].insert(within);
-                slots.push(SegmentLocation { channel: c, rank, within });
+                let slots = self.rank_mut(c, rank);
+                let share = (per_channel - taken).min(slots.free.len() as u64);
+                for _ in 0..share {
+                    let within = slots.free.pop_front().expect("share is at most the queue");
+                    slots.mark(within);
+                    // Interleave: AU offset k lives on channel k % C.
+                    dsns[(taken * channels + u64::from(c)) as usize] =
+                        geo.dsn(SegmentLocation { channel: c, rank, within });
+                    taken += 1;
+                }
             }
-            per_channel_slots.push(slots);
-        }
-        // Interleave: AU offset k lives on channel k % C.
-        let mut dsns = Vec::with_capacity(segments_per_au as usize);
-        for k in 0..segments_per_au {
-            let c = (k % channels) as usize;
-            let slot = per_channel_slots[c][(k / channels) as usize];
-            dsns.push(self.geo.dsn(slot));
         }
         Ok(dsns)
     }
@@ -169,17 +253,19 @@ impl SegmentAllocator {
     ///
     /// # Errors
     ///
-    /// [`DtlError::Internal`] if a segment was not allocated.
+    /// [`DtlError::Internal`] if a segment was not allocated (which
+    /// includes every DSN beyond the device).
     pub fn free_segments(&mut self, dsns: &[Dsn]) -> Result<(), DtlError> {
+        let segments = self.geo.total_segments();
         for d in dsns {
-            let loc = self.geo.location(*d);
-            let set = &mut self.allocated[loc.channel as usize][loc.rank as usize];
-            if !set.remove(&loc.within) {
+            let loc = (d.0 < segments).then(|| self.geo.location(*d));
+            let freed =
+                loc.is_some_and(|loc| self.rank_mut(loc.channel, loc.rank).release(loc.within));
+            if !freed {
                 return Err(DtlError::Internal {
                     reason: format!("freeing unallocated segment {d}"),
                 });
             }
-            self.free[loc.channel as usize][loc.rank as usize].push_back(loc.within);
         }
         Ok(())
     }
@@ -188,20 +274,15 @@ impl SegmentAllocator {
     /// be claimed at planning time or a concurrent drain could take them).
     /// Returns `false` if the slot is not currently free.
     pub fn reserve_slot(&mut self, loc: SegmentLocation) -> bool {
-        let fq = &mut self.free[loc.channel as usize][loc.rank as usize];
-        let Some(pos) = fq.iter().position(|w| *w == loc.within) else {
-            return false;
-        };
-        fq.remove(pos);
-        self.allocated[loc.channel as usize][loc.rank as usize].insert(loc.within);
-        true
+        self.rank_mut(loc.channel, loc.rank).take(loc.within)
     }
 
     /// Takes one free slot from a specific rank (migration destination
     /// search). Returns `None` when the rank is full.
     pub fn take_free_in_rank(&mut self, channel: u32, rank: u32) -> Option<SegmentLocation> {
-        let within = self.free[channel as usize][rank as usize].pop_front()?;
-        self.allocated[channel as usize][rank as usize].insert(within);
+        let slots = self.rank_mut(channel, rank);
+        let within = slots.free.pop_front()?;
+        slots.mark(within);
         Some(SegmentLocation { channel, rank, within })
     }
 
@@ -213,62 +294,98 @@ impl SegmentAllocator {
     ///
     /// [`DtlError::Internal`] if `src` was not allocated.
     pub fn complete_move(&mut self, src: SegmentLocation) -> Result<(), DtlError> {
-        let set = &mut self.allocated[src.channel as usize][src.rank as usize];
-        if !set.remove(&src.within) {
+        if !self.rank_mut(src.channel, src.rank).release(src.within) {
             return Err(DtlError::Internal {
                 reason: format!("move source {src:?} not allocated"),
             });
         }
-        self.free[src.channel as usize][src.rank as usize].push_back(src.within);
         Ok(())
     }
 
     /// Records a hotness swap between two slots where exactly one side may
     /// be free: allocation status is exchanged.
     pub fn swap_status(&mut self, a: SegmentLocation, b: SegmentLocation) {
-        let a_alloc = self.allocated[a.channel as usize][a.rank as usize].contains(&a.within);
-        let b_alloc = self.allocated[b.channel as usize][b.rank as usize].contains(&b.within);
+        let a_alloc = self.is_allocated(a);
+        let b_alloc = self.is_allocated(b);
         if a_alloc == b_alloc {
             return; // both live or both free: status unchanged
         }
         let (live, free) = if a_alloc { (a, b) } else { (b, a) };
-        self.allocated[live.channel as usize][live.rank as usize].remove(&live.within);
-        self.free[live.channel as usize][live.rank as usize].push_back(live.within);
-        let fq = &mut self.free[free.channel as usize][free.rank as usize];
-        if let Some(pos) = fq.iter().position(|w| *w == free.within) {
-            fq.remove(pos);
+        let taken = self.rank_mut(free.channel, free.rank).take(free.within);
+        debug_assert!(taken, "{free:?} is neither allocated nor free");
+        if taken {
+            self.rank_mut(live.channel, live.rank).release(live.within);
         }
-        self.allocated[free.channel as usize][free.rank as usize].insert(free.within);
     }
 
     /// Whether a slot is currently allocated.
     pub fn is_allocated(&self, loc: SegmentLocation) -> bool {
-        self.allocated[loc.channel as usize][loc.rank as usize].contains(&loc.within)
+        self.rank(loc.channel, loc.rank).is_allocated(loc.within)
     }
 
-    /// Verifies that free + allocated exactly tile every rank.
+    /// The first of `slots` that is not allocated in the given rank, if any
+    /// (the device sweep's "mapped implies allocated", one bit test a slot).
+    pub(crate) fn first_unallocated(
+        &self,
+        channel: u32,
+        rank: u32,
+        mut slots: impl Iterator<Item = u64>,
+    ) -> Option<u64> {
+        let rank = self.rank(channel, rank);
+        slots.find(|within| !rank.is_allocated(*within))
+    }
+
+    /// Verifies that free + allocated exactly tile every rank, in one pass
+    /// over each rank's bitmap and free queue with a single scratch map
+    /// reused across ranks (one byte a slot, so that marking a free slot is
+    /// an independent store, not a read-modify-write chain through a bitmap
+    /// word shared with its neighbours in the queue).
     ///
     /// # Errors
     ///
-    /// [`DtlError::Internal`] describing the first inconsistency.
+    /// [`DtlError::Internal`] describing the first inconsistency: an
+    /// allocated count that is not its bitmap's population count, a free
+    /// slot outside the rank, a slot both free and allocated, a slot queued
+    /// free twice, free + allocated not adding up to the rank, or an
+    /// allocated bit outside the rank.
     pub fn check_consistency(&self) -> Result<(), DtlError> {
-        for c in 0..self.geo.channels as usize {
-            for r in 0..self.geo.ranks_per_channel as usize {
-                let f = self.free[c][r].len() as u64;
-                let a = self.allocated[c][r].len() as u64;
-                if f + a != self.geo.segs_per_rank {
-                    return Err(DtlError::Internal {
-                        reason: format!("ch{c}/rk{r}: {f} free + {a} allocated != rank size"),
-                    });
+        let size = self.geo.segs_per_rank;
+        let ranks = self.geo.ranks_per_channel.max(1) as usize;
+        let mut queued = vec![false; size as usize];
+        for (i, slots) in self.ranks.iter().enumerate() {
+            let fail = |what: String| {
+                Err(DtlError::Internal {
+                    reason: format!("ch{}/rk{}: {what}", i / ranks, i % ranks),
+                })
+            };
+            let popcount: u64 = slots.allocated.iter().map(|w| u64::from(w.count_ones())).sum();
+            if popcount != slots.allocated_count {
+                return fail(format!(
+                    "allocated count {} but {popcount} bits set",
+                    slots.allocated_count
+                ));
+            }
+            let (f, a) = (slots.free.len() as u64, slots.allocated_count);
+            if f + a != size {
+                return fail(format!("{f} free + {a} allocated != rank size"));
+            }
+            queued.fill(false);
+            for w in &slots.free {
+                let Some(seen) = queued.get_mut(*w as usize) else {
+                    return fail(format!("free slot {w} outside the rank"));
+                };
+                if slots.is_allocated(*w) {
+                    return fail(format!("slot {w} in both free and allocated"));
                 }
-                let mut seen: BTreeSet<u64> = self.allocated[c][r].clone();
-                for w in &self.free[c][r] {
-                    if !seen.insert(*w) {
-                        return Err(DtlError::Internal {
-                            reason: format!("ch{c}/rk{r}: slot {w} in both free and allocated"),
-                        });
-                    }
+                if std::mem::replace(seen, true) {
+                    return fail(format!("slot {w} queued free twice"));
                 }
+            }
+            // `size` distinct claims, every free one inside the rank: they
+            // tile it unless an allocated bit lies past the end.
+            let last = slots.allocated.last().copied().unwrap_or(0);
+            if !size.is_multiple_of(64) && last >> (size % 64) != 0 {
+                return fail("allocated bit outside the rank".into());
             }
         }
         Ok(())
@@ -276,7 +393,25 @@ impl SegmentAllocator {
 }
 
 #[cfg(test)]
+impl SegmentAllocator {
+    /// One rank's free queue and allocated count, for the device sweep's
+    /// self-tests to corrupt.
+    pub(crate) fn corrupt_for_test(
+        &mut self,
+        channel: u32,
+        rank: u32,
+    ) -> (&mut VecDeque<u64>, &mut u64) {
+        let slots = self.rank_mut(channel, rank);
+        (&mut slots.free, &mut slots.allocated_count)
+    }
+}
+
+#[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use proptest::prelude::*;
+
     use super::*;
 
     fn geo() -> SegmentGeometry {
@@ -493,5 +628,430 @@ mod tests {
         // Excluding it picks another.
         let v2 = a.least_allocated_active_rank(0, &[victim]).unwrap();
         assert_ne!(v2, victim);
+    }
+
+    #[test]
+    fn unbalanced_au_is_an_error_not_an_index_panic() {
+        let mut a = SegmentAllocator::new(geo());
+        // 5 segments over 2 channels used to index past a channel's share.
+        assert!(matches!(a.allocate_au(5), Err(DtlError::Internal { .. })));
+        assert_eq!(a.free_active_total(), 128, "nothing was taken");
+        a.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn ids_beyond_the_device_are_errors_or_misses() {
+        let mut a = SegmentAllocator::new(geo());
+        let dsns = a.allocate_au(8).unwrap();
+        for far in [Dsn(128), Dsn(u64::MAX)] {
+            assert!(matches!(a.free_segments(&[far]), Err(DtlError::Internal { .. })));
+        }
+        let past = SegmentLocation { channel: 0, rank: 0, within: 16 };
+        assert!(!a.is_allocated(past));
+        assert!(!a.reserve_slot(past));
+        assert!(matches!(a.complete_move(past), Err(DtlError::Internal { .. })));
+        // Bits 16..64 of the one-word bitmap are padding: still not slots.
+        assert!(!a.is_allocated(SegmentLocation { within: 63, ..past }));
+        a.free_segments(&dsns).unwrap();
+        a.check_consistency().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the allocator's geometry")]
+    fn a_rank_outside_the_geometry_panics_instead_of_aliasing() {
+        // Rank 4 of channel 0 would otherwise land on rank 0 of channel 1.
+        SegmentAllocator::new(geo()).allocated_in_rank(0, 4);
+    }
+
+    #[test]
+    fn allocated_slots_ascend_across_bitmap_words() {
+        let g = SegmentGeometry { channels: 1, ranks_per_channel: 1, segs_per_rank: 200 };
+        let mut a = SegmentAllocator::new(g);
+        let wanted = [0u64, 1, 63, 64, 65, 127, 128, 199];
+        for within in wanted {
+            assert!(a.reserve_slot(SegmentLocation { channel: 0, rank: 0, within }));
+        }
+        assert_eq!(a.allocated_slots(0, 0).collect::<Vec<_>>(), wanted);
+        assert_eq!(a.allocated_in_rank(0, 0), 8);
+        a.check_consistency().unwrap();
+    }
+
+    // --- check_consistency has teeth: one hand mutation per violation ----
+
+    /// An allocator with rank (0, 0) holding allocated slots 0..4 and free
+    /// slots 4..16, and what its sweep says after `corrupt` had a go at it.
+    fn violation(corrupt: impl FnOnce(&mut RankSlots)) -> String {
+        let mut a = SegmentAllocator::new(geo());
+        a.allocate_au(8).unwrap();
+        a.check_consistency().unwrap();
+        assert_eq!(a.ranks[0].free.front(), Some(&4));
+        corrupt(&mut a.ranks[0]);
+        match a.check_consistency() {
+            Err(DtlError::Internal { reason }) => reason,
+            Ok(()) => panic!("the sweep missed the corruption"),
+            Err(other) => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sweep_catches_a_slot_both_free_and_allocated() {
+        let reason = violation(|rank| rank.free[0] = 2);
+        assert_eq!(reason, "ch0/rk0: slot 2 in both free and allocated");
+    }
+
+    #[test]
+    fn sweep_catches_a_duplicate_in_the_free_fifo() {
+        let reason = violation(|rank| rank.free[5] = 4);
+        assert_eq!(reason, "ch0/rk0: slot 4 queued free twice");
+    }
+
+    #[test]
+    fn sweep_catches_a_free_slot_outside_the_rank() {
+        let reason = violation(|rank| rank.free[0] = 16);
+        assert_eq!(reason, "ch0/rk0: free slot 16 outside the rank");
+    }
+
+    #[test]
+    fn sweep_catches_a_count_that_is_not_the_popcount() {
+        let reason = violation(|rank| rank.allocated_count += 1);
+        assert_eq!(reason, "ch0/rk0: allocated count 5 but 4 bits set");
+        let reason = violation(|rank| rank.allocated[0] &= !1);
+        assert_eq!(reason, "ch0/rk0: allocated count 4 but 3 bits set");
+    }
+
+    #[test]
+    fn sweep_catches_a_slot_neither_free_nor_allocated() {
+        let reason = violation(|rank| {
+            rank.free.pop_front();
+        });
+        assert_eq!(reason, "ch0/rk0: 11 free + 4 allocated != rank size");
+    }
+
+    #[test]
+    fn sweep_catches_an_allocated_bit_outside_the_rank() {
+        // Counts kept "consistent": bit 16 stands in for the lost slot 4.
+        let reason = violation(|rank| {
+            rank.free.pop_front();
+            rank.allocated[0] |= 1 << 16;
+            rank.allocated_count += 1;
+        });
+        assert_eq!(reason, "ch0/rk0: allocated bit outside the rank");
+    }
+
+    #[test]
+    fn sweep_names_the_rank_it_found_the_violation_in() {
+        let mut a = SegmentAllocator::new(geo());
+        let i = a.index(1, 2);
+        a.ranks[i].allocated_count = 3;
+        let Err(DtlError::Internal { reason }) = a.check_consistency() else {
+            panic!("the sweep missed the corruption");
+        };
+        assert!(reason.starts_with("ch1/rk2: "), "{reason}");
+    }
+
+    // --- lockstep with the structure this one replaced -------------------
+
+    /// The predecessor of [`SegmentAllocator`], kept as the model the
+    /// differential test holds it to: the allocated set is a `BTreeSet` per
+    /// rank and `allocate_au` picks a rank anew for every segment.
+    #[derive(Debug, Clone)]
+    struct ReferenceAllocator {
+        geo: SegmentGeometry,
+        free: Vec<Vec<VecDeque<u64>>>,
+        allocated: Vec<Vec<BTreeSet<u64>>>,
+        active: Vec<Vec<bool>>,
+    }
+
+    impl ReferenceAllocator {
+        fn new(geo: SegmentGeometry) -> Self {
+            fn per_rank<T: Clone>(geo: SegmentGeometry, v: T) -> Vec<Vec<T>> {
+                vec![vec![v; geo.ranks_per_channel as usize]; geo.channels as usize]
+            }
+            ReferenceAllocator {
+                geo,
+                free: per_rank(geo, (0..geo.segs_per_rank).collect()),
+                allocated: per_rank(geo, BTreeSet::new()),
+                active: per_rank(geo, true),
+            }
+        }
+
+        fn free_in_channel_active(&self, c: usize) -> u64 {
+            (0..self.geo.ranks_per_channel as usize)
+                .filter(|r| self.active[c][*r])
+                .map(|r| self.free[c][r].len() as u64)
+                .sum()
+        }
+
+        fn free_active_total(&self) -> u64 {
+            (0..self.geo.channels as usize).map(|c| self.free_in_channel_active(c)).sum()
+        }
+
+        fn least_allocated_active_rank(&self, c: usize, exclude: &[u32]) -> Option<u32> {
+            (0..self.geo.ranks_per_channel)
+                .filter(|r| self.active[c][*r as usize] && !exclude.contains(r))
+                .min_by_key(|r| (self.allocated[c][*r as usize].len(), *r))
+        }
+
+        fn allocate_au(&mut self, segments_per_au: u64) -> Result<Vec<Dsn>, DtlError> {
+            let channels = u64::from(self.geo.channels);
+            let per_channel = segments_per_au / channels;
+            for c in 0..self.geo.channels as usize {
+                if self.free_in_channel_active(c) < per_channel {
+                    return Err(DtlError::OutOfCapacity {
+                        requested: segments_per_au,
+                        free: self.free_active_total(),
+                    });
+                }
+            }
+            let mut per_channel_slots = Vec::new();
+            for c in 0..self.geo.channels {
+                let mut slots = Vec::new();
+                while (slots.len() as u64) < per_channel {
+                    let rank = (0..self.geo.ranks_per_channel)
+                        .filter(|r| {
+                            self.active[c as usize][*r as usize]
+                                && !self.free[c as usize][*r as usize].is_empty()
+                        })
+                        .max_by_key(|r| {
+                            (self.allocated[c as usize][*r as usize].len(), u32::MAX - *r)
+                        })
+                        .expect("feasibility checked above");
+                    let within = self.free[c as usize][rank as usize].pop_front().unwrap();
+                    self.allocated[c as usize][rank as usize].insert(within);
+                    slots.push(SegmentLocation { channel: c, rank, within });
+                }
+                per_channel_slots.push(slots);
+            }
+            Ok((0..segments_per_au)
+                .map(|k| {
+                    self.geo
+                        .dsn(per_channel_slots[(k % channels) as usize][(k / channels) as usize])
+                })
+                .collect())
+        }
+
+        fn free_segments(&mut self, dsns: &[Dsn]) -> Result<(), DtlError> {
+            for d in dsns {
+                self.complete_move(self.geo.location(*d))?;
+            }
+            Ok(())
+        }
+
+        fn reserve_slot(&mut self, loc: SegmentLocation) -> bool {
+            let fq = &mut self.free[loc.channel as usize][loc.rank as usize];
+            let Some(pos) = fq.iter().position(|w| *w == loc.within) else {
+                return false;
+            };
+            fq.remove(pos);
+            self.allocated[loc.channel as usize][loc.rank as usize].insert(loc.within);
+            true
+        }
+
+        fn take_free_in_rank(&mut self, channel: u32, rank: u32) -> Option<SegmentLocation> {
+            let within = self.free[channel as usize][rank as usize].pop_front()?;
+            self.allocated[channel as usize][rank as usize].insert(within);
+            Some(SegmentLocation { channel, rank, within })
+        }
+
+        fn complete_move(&mut self, src: SegmentLocation) -> Result<(), DtlError> {
+            if !self.allocated[src.channel as usize][src.rank as usize].remove(&src.within) {
+                return Err(DtlError::Internal { reason: "not allocated".into() });
+            }
+            self.free[src.channel as usize][src.rank as usize].push_back(src.within);
+            Ok(())
+        }
+
+        fn is_allocated(&self, loc: SegmentLocation) -> bool {
+            self.allocated[loc.channel as usize][loc.rank as usize].contains(&loc.within)
+        }
+
+        fn swap_status(&mut self, a: SegmentLocation, b: SegmentLocation) {
+            let (a_alloc, b_alloc) = (self.is_allocated(a), self.is_allocated(b));
+            if a_alloc == b_alloc {
+                return;
+            }
+            let (live, free) = if a_alloc { (a, b) } else { (b, a) };
+            self.complete_move(live).expect("live is allocated");
+            assert!(self.reserve_slot(free), "in-range slots are allocated or free");
+        }
+
+        fn check_consistency(&self) -> Result<(), DtlError> {
+            for c in 0..self.geo.channels as usize {
+                for r in 0..self.geo.ranks_per_channel as usize {
+                    let mut seen = self.allocated[c][r].clone();
+                    let distinct = self.free[c][r].iter().all(|w| seen.insert(*w));
+                    if !distinct || seen.len() as u64 != self.geo.segs_per_rank {
+                        return Err(DtlError::Internal { reason: format!("ch{c}/rk{r}") });
+                    }
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// 2 x 3 x 8 = 48 segments: a few AUs fill it, so spills, exhaustion and
+    /// inactive ranks all come up.
+    const PROP_GEO: SegmentGeometry =
+        SegmentGeometry { channels: 2, ranks_per_channel: 3, segs_per_rank: 8 };
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        AllocateAu {
+            segments: u64,
+        },
+        /// Frees the `i`-th AU handed out and still held (whatever moves
+        /// and swaps did to its slots since).
+        FreeAu {
+            i: usize,
+        },
+        /// Frees one DSN outright: free ones (double free) and ones past
+        /// the device included.
+        FreeOne {
+            dsn: u64,
+        },
+        TakeFree {
+            channel: u32,
+            rank: u32,
+        },
+        /// `within` runs two past the rank.
+        Reserve {
+            loc: SegmentLocation,
+        },
+        CompleteMove {
+            loc: SegmentLocation,
+        },
+        SwapStatus {
+            a: SegmentLocation,
+            b: SegmentLocation,
+        },
+        SetActive {
+            channel: u32,
+            rank: u32,
+            active: bool,
+        },
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        let rank = || (0..PROP_GEO.channels, 0..PROP_GEO.ranks_per_channel);
+        let loc = |slots: u64| {
+            (rank(), 0..slots).prop_map(|((channel, rank), within)| SegmentLocation {
+                channel,
+                rank,
+                within,
+            })
+        };
+        let (inside, past) = (PROP_GEO.segs_per_rank, PROP_GEO.segs_per_rank + 2);
+        prop_oneof![
+            6 => (1u64..5).prop_map(|n| Op::AllocateAu { segments: 2 * n }),
+            4 => (0usize..8).prop_map(|i| Op::FreeAu { i }),
+            2 => (0..PROP_GEO.total_segments() + 4).prop_map(|dsn| Op::FreeOne { dsn }),
+            3 => rank().prop_map(|(channel, rank)| Op::TakeFree { channel, rank }),
+            3 => loc(past).prop_map(|loc| Op::Reserve { loc }),
+            3 => loc(past).prop_map(|loc| Op::CompleteMove { loc }),
+            3 => (loc(inside), loc(inside)).prop_map(|(a, b)| Op::SwapStatus { a, b }),
+            2 => (rank(), any::<bool>())
+                .prop_map(|((channel, rank), active)| Op::SetActive { channel, rank, active }),
+        ]
+    }
+
+    /// Ok values exactly, errors by variant and payload except the
+    /// free-text reason of `Internal`.
+    fn shape<T>(r: Result<T, DtlError>) -> Result<T, String> {
+        r.map_err(|e| match e {
+            DtlError::Internal { .. } => "Internal".into(),
+            other => other.to_string(),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The bitmap allocator and the `BTreeSet` reference, fed the same
+        /// operations, hand out the same DSNs in the same order, fail alike,
+        /// and agree on every query — the free FIFOs element for element —
+        /// after every step. The one designed difference: a DSN beyond the
+        /// device is `Internal` here, where the reference would not survive
+        /// decomposing it.
+        #[test]
+        fn lockstep_with_the_btreeset_reference(
+            steps in prop::collection::vec(op_strategy(), 1..100),
+        ) {
+            let mut dense = SegmentAllocator::new(PROP_GEO);
+            let mut model = ReferenceAllocator::new(PROP_GEO);
+            let mut held: Vec<Vec<Dsn>> = Vec::new();
+            for op in steps {
+                match op {
+                    Op::AllocateAu { segments } => {
+                        let got = dense.allocate_au(segments);
+                        prop_assert_eq!(shape(got.clone()), shape(model.allocate_au(segments)));
+                        held.extend(got);
+                    }
+                    Op::FreeAu { i } => {
+                        if !held.is_empty() {
+                            let au = held.remove(i % held.len());
+                            prop_assert_eq!(
+                                shape(dense.free_segments(&au)),
+                                shape(model.free_segments(&au))
+                            );
+                        }
+                    }
+                    Op::FreeOne { dsn } => {
+                        let got = shape(dense.free_segments(&[Dsn(dsn)]));
+                        if dsn >= PROP_GEO.total_segments() {
+                            prop_assert_eq!(got, Err("Internal".into()));
+                        } else {
+                            prop_assert_eq!(got, shape(model.free_segments(&[Dsn(dsn)])));
+                        }
+                    }
+                    Op::TakeFree { channel, rank } => {
+                        prop_assert_eq!(
+                            dense.take_free_in_rank(channel, rank),
+                            model.take_free_in_rank(channel, rank)
+                        );
+                    }
+                    Op::Reserve { loc } => {
+                        prop_assert_eq!(dense.reserve_slot(loc), model.reserve_slot(loc));
+                    }
+                    Op::CompleteMove { loc } => {
+                        prop_assert_eq!(shape(dense.complete_move(loc)), shape(model.complete_move(loc)));
+                    }
+                    Op::SwapStatus { a, b } => {
+                        dense.swap_status(a, b);
+                        model.swap_status(a, b);
+                    }
+                    Op::SetActive { channel, rank, active } => {
+                        dense.set_rank_active(channel, rank, active);
+                        model.active[channel as usize][rank as usize] = active;
+                    }
+                }
+                prop_assert_eq!(shape(dense.check_consistency()), shape(model.check_consistency()));
+                prop_assert_eq!(dense.free_active_total(), model.free_active_total());
+                for c in 0..PROP_GEO.channels {
+                    let ci = c as usize;
+                    prop_assert_eq!(dense.free_in_channel_active(c), model.free_in_channel_active(ci));
+                    for exclude in [&[][..], &[0], &[1, 2]] {
+                        prop_assert_eq!(
+                            dense.least_allocated_active_rank(c, exclude),
+                            model.least_allocated_active_rank(ci, exclude)
+                        );
+                    }
+                    for r in 0..PROP_GEO.ranks_per_channel {
+                        let ri = r as usize;
+                        prop_assert_eq!(&dense.rank(c, r).free, &model.free[ci][ri], "ch{} rk{}", c, r);
+                        prop_assert_eq!(
+                            dense.allocated_slots(c, r).collect::<Vec<_>>(),
+                            model.allocated[ci][ri].iter().copied().collect::<Vec<_>>()
+                        );
+                        prop_assert_eq!(dense.allocated_in_rank(c, r), model.allocated[ci][ri].len() as u64);
+                        prop_assert_eq!(dense.free_in_rank(c, r), model.free[ci][ri].len() as u64);
+                        prop_assert_eq!(dense.is_rank_active(c, r), model.active[ci][ri]);
+                        for within in 0..PROP_GEO.segs_per_rank + 2 {
+                            let loc = SegmentLocation { channel: c, rank: r, within };
+                            prop_assert_eq!(dense.is_allocated(loc), model.is_allocated(loc));
+                        }
+                    }
+                }
+            }
+        }
     }
 }

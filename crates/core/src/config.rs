@@ -3,6 +3,7 @@
 use dtl_dram::{DramConfig, Picos, PowerPolicyKind};
 use serde::{Deserialize, Serialize};
 
+use crate::addr::{Hsn, SegmentGeometry};
 use crate::error::DtlError;
 
 /// Configuration of the DRAM Translation Layer.
@@ -110,20 +111,17 @@ impl DtlConfig {
                 reason: "au_bytes must be a power of two and at least one segment".into(),
             });
         }
-        let channels = u64::from(dram.geometry.channels);
-        if !self.segments_per_au().is_multiple_of(channels) {
-            return Err(DtlError::InvalidConfig {
-                reason: format!(
-                    "an AU of {} segments cannot balance over {channels} channels",
-                    self.segments_per_au()
-                ),
-            });
-        }
         if !dram.geometry.rank_bytes().is_multiple_of(self.segment_bytes) {
             return Err(DtlError::InvalidConfig {
                 reason: "rank size must be a whole number of segments".into(),
             });
         }
+        self.validate_geometry(&SegmentGeometry::new(
+            dram.geometry.channels,
+            dram.geometry.ranks_per_channel,
+            dram.geometry.rank_bytes(),
+            self.segment_bytes,
+        ))?;
         if self.smc_l1_entries == 0 || self.smc_l2_entries == 0 || self.smc_l2_ways == 0 {
             return Err(DtlError::InvalidConfig { reason: "SMC sizes must be non-zero".into() });
         }
@@ -136,6 +134,58 @@ impl DtlConfig {
             return Err(DtlError::InvalidConfig {
                 reason: "hotness windows must be non-zero".into(),
             });
+        }
+        Ok(())
+    }
+
+    /// Validates the segment and AU sizes against the segment geometry of
+    /// the device they will run on — the preconditions of the allocator's
+    /// channel interleave, of the packed [`Hsn`] key, and of the dense
+    /// per-segment tables. [`crate::DtlDevice::new`] refuses a geometry
+    /// that fails this.
+    ///
+    /// # Errors
+    ///
+    /// [`DtlError::InvalidConfig`] when an AU is not a whole number of
+    /// segments per channel, an AU holds more than 2²⁰ segments (its offset
+    /// would alias another key's AU id), the device holds 2²⁸ AUs or more
+    /// (an AU id would alias another key's host id), or the device's
+    /// segments do not fit a table index.
+    pub fn validate_geometry(&self, geo: &SegmentGeometry) -> Result<(), DtlError> {
+        let invalid = |reason: String| Err(DtlError::InvalidConfig { reason });
+        if self.segment_bytes == 0 || self.au_bytes < self.segment_bytes {
+            return invalid("an AU must hold at least one segment".into());
+        }
+        let per_au = self.segments_per_au();
+        let channels = u64::from(geo.channels);
+        if channels == 0 || !per_au.is_multiple_of(channels) {
+            return invalid(format!(
+                "an AU of {per_au} segments cannot balance over {channels} channels"
+            ));
+        }
+        if per_au > 1 << Hsn::OFFSET_BITS {
+            return invalid(format!(
+                "an AU of {per_au} segments overflows the {}-bit AU offset of a segment key",
+                Hsn::OFFSET_BITS
+            ));
+        }
+        // One 8-byte reverse-table entry per segment must be addressable.
+        let segments = channels
+            .checked_mul(u64::from(geo.ranks_per_channel))
+            .and_then(|ranks| ranks.checked_mul(geo.segs_per_rank))
+            .filter(|segments| segments.checked_mul(8).is_some_and(|b| isize::try_from(b).is_ok()));
+        let Some(segments) = segments else {
+            return invalid(format!(
+                "{channels} channels x {} ranks x {} segments do not fit a table index",
+                geo.ranks_per_channel, geo.segs_per_rank
+            ));
+        };
+        if segments / per_au >= 1 << Hsn::AU_BITS {
+            return invalid(format!(
+                "{} AUs per device overflow the {}-bit AU id of a segment key",
+                segments / per_au,
+                Hsn::AU_BITS
+            ));
         }
         Ok(())
     }
@@ -181,6 +231,66 @@ mod tests {
         let mut c = DtlConfig::paper();
         c.profile_window = Picos::ZERO;
         assert!(c.validate(&dram).is_err());
+    }
+
+    #[test]
+    fn validate_geometry_rejects_what_the_tables_cannot_hold() {
+        let reason = |cfg: DtlConfig, geo: SegmentGeometry| match cfg.validate_geometry(&geo) {
+            Err(DtlError::InvalidConfig { reason }) => reason,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        };
+        let geo = SegmentGeometry { channels: 2, ranks_per_channel: 4, segs_per_rank: 32 };
+        let tiny = DtlConfig::tiny();
+        tiny.validate_geometry(&geo).unwrap();
+        DtlConfig::paper()
+            .validate_geometry(&SegmentGeometry::new(4, 8, 32 << 30, 2 << 20))
+            .unwrap();
+
+        // 5 segments over 2 channels: the interleave cannot balance.
+        let odd = DtlConfig { segment_bytes: 1 << 20, au_bytes: 5 << 20, ..tiny };
+        assert!(reason(odd, geo).contains("cannot balance over 2 channels"));
+        assert!(reason(tiny, SegmentGeometry { channels: 0, ..geo }).contains("cannot balance"));
+
+        // 2^21 segments an AU: offset bit 20 would read as AU id bit 0.
+        let wide = DtlConfig { segment_bytes: 1, au_bytes: 1 << 21, ..tiny };
+        assert!(reason(wide, geo).contains("AU offset"));
+        let widest_ok = DtlConfig { segment_bytes: 1, au_bytes: 1 << 20, ..tiny };
+        widest_ok
+            .validate_geometry(&SegmentGeometry {
+                channels: 2,
+                ranks_per_channel: 1,
+                segs_per_rank: 1 << 20,
+            })
+            .unwrap();
+
+        // 2^28 one-segment AUs: the top AU id would read as a host id bit.
+        let small_au = DtlConfig { segment_bytes: 1 << 20, au_bytes: 1 << 20, ..tiny };
+        let many = SegmentGeometry { channels: 1, ranks_per_channel: 1, segs_per_rank: 1 << 28 };
+        assert!(reason(small_au, many).contains("AU id"));
+        small_au
+            .validate_geometry(&SegmentGeometry { segs_per_rank: (1 << 28) - 1, ..many })
+            .unwrap();
+
+        // A segment count that wraps u64, and one whose table would not fit
+        // the address space.
+        let wraps = SegmentGeometry { channels: 2, ranks_per_channel: 2, segs_per_rank: 1 << 62 };
+        assert!(reason(tiny, wraps).contains("do not fit a table index"));
+        let huge = SegmentGeometry { channels: 2, ranks_per_channel: 1, segs_per_rank: 1 << 60 };
+        assert!(reason(tiny, huge).contains("do not fit a table index"));
+
+        // Sizes that would divide by zero are an error, not a panic.
+        assert!(
+            reason(DtlConfig { segment_bytes: 0, ..tiny }, geo).contains("at least one segment")
+        );
+        assert!(reason(DtlConfig { au_bytes: 0, ..tiny }, geo).contains("at least one segment"));
+    }
+
+    #[test]
+    fn validate_applies_the_geometry_limits() {
+        let dram = DramConfig::cxl_1tb_ddr4_2933();
+        // 1-byte "segments" on a 1 TB device: far more than 2^28 AUs.
+        let c = DtlConfig { segment_bytes: 1, au_bytes: 4, ..DtlConfig::paper() };
+        assert!(matches!(c.validate(&dram), Err(DtlError::InvalidConfig { .. })));
     }
 
     #[test]

@@ -21,7 +21,9 @@ use dtl_dram::{
 use dtl_telemetry::{EventKind, FaultKindId, HealthStateId, Histogram, MetricsRegistry, Telemetry};
 use serde::{Deserialize, Serialize};
 
-use crate::addr::{AuId, Dsn, HostId, HostPhysAddr, Hsn, SegmentGeometry, VmHandle};
+use crate::addr::{
+    AuId, Dsn, HostId, HostPhysAddr, Hsn, SegmentGeometry, SegmentLocation, VmHandle,
+};
 use crate::alloc::SegmentAllocator;
 use crate::backend::MemoryBackend;
 use crate::config::DtlConfig;
@@ -283,8 +285,18 @@ impl DtlDevice<crate::backend::AnalyticBackend> {
 impl<B: MemoryBackend> DtlDevice<B> {
     /// Builds a device over `backend`. The backend's geometry defines the
     /// segment space.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`DtlConfig::validate_geometry`]'s message if the segment
+    /// and AU sizes do not fit that geometry: the allocator's channel
+    /// interleave, the packed segment key and the per-segment tables all
+    /// rely on it.
     pub fn new(config: DtlConfig, backend: B) -> Self {
         let geo = backend.geometry();
+        if let Err(e) = config.validate_geometry(&geo) {
+            panic!("{e}");
+        }
         let hotness_params = HotnessParams {
             window: config.profile_window,
             threshold: config.profile_threshold,
@@ -293,7 +305,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
         };
         DtlDevice {
             translator: Translator::new(&config),
-            tables: MappingTables::new(config.segments_per_au()),
+            tables: MappingTables::new(config.segments_per_au(), geo),
             alloc: SegmentAllocator::new(geo),
             migrate: MigrationEngine::new(geo, config.segment_bytes, config.migration_retry_limit),
             powerdown: PowerDownEngine::new(geo),
@@ -352,8 +364,8 @@ impl<B: MemoryBackend> DtlDevice<B> {
         self.tables.translate(hsn)
     }
 
-    /// Every mapped (DSN, HSN) pair (unordered) — the checker's view of
-    /// the reverse table.
+    /// Every mapped (DSN, HSN) pair in ascending DSN order — the checker's
+    /// view of the reverse table.
     pub fn mapped_entries(&self) -> Vec<(Dsn, Hsn)> {
         self.tables.iter_mapped().collect()
     }
@@ -1217,14 +1229,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
                 rank: Some(rank),
             },
         );
-        let segments_at_risk = self
-            .tables
-            .iter_mapped()
-            .filter(|(dsn, _)| {
-                let loc = self.geo.location(*dsn);
-                loc.channel == channel && loc.rank == rank
-            })
-            .count() as u64;
+        let segments_at_risk = self.tables.mapped_in_rank(channel, rank).count() as u64;
         let tripped = self.health.record_uncorrectable(channel, rank, now);
         self.auto_retire_if_due(channel, rank, tripped, now)?;
         Ok(UncorrectableReport { segments_at_risk, health: self.rank_health(channel, rank) })
@@ -1734,29 +1739,46 @@ impl<B: MemoryBackend> DtlDevice<B> {
     /// # Errors
     ///
     /// [`DtlError::Internal`] describing the first violation:
-    /// * forward/reverse mapping consistency;
-    /// * allocator free/allocated partitioning;
+    /// * forward/reverse mapping consistency: every reverse entry's forward
+    ///   slot points back at it, the reverse table holds exactly the
+    ///   maintained mapped count, and the forward tables hold as many slots
+    ///   ([`MappingTables::check_consistency`]);
+    /// * allocator free/allocated partitioning: per rank, the allocated
+    ///   count is its bitmap's population count, every free slot is inside
+    ///   the rank, queued once and not allocated, and free + allocated add
+    ///   up to the rank ([`SegmentAllocator::check_consistency`]);
     /// * in debug builds, the migration engine's endpoint index against a
     ///   recount of its queues ([`MigrationEngine::check_index`]);
     /// * **no mapped (live) segment may sit in an MPSM rank** — MPSM loses
     ///   data;
     /// * every mapped segment is marked allocated.
+    ///
+    /// Every call visits every rank, every free slot and every segment of
+    /// the device; nothing is remembered between calls.
     pub fn check_invariants(&self) -> Result<(), DtlError> {
         self.tables.check_consistency()?;
         self.alloc.check_consistency()?;
         #[cfg(debug_assertions)]
         self.migrate.check_index()?;
-        for (dsn, hsn) in self.tables.iter_mapped() {
-            let loc = self.geo.location(dsn);
-            if self.backend.rank_state(loc.channel, loc.rank) == PowerState::Mpsm {
-                return Err(DtlError::Internal {
-                    reason: format!("live segment {dsn} ({hsn}) in MPSM rank {loc:?}"),
-                });
-            }
-            if !self.alloc.is_allocated(loc) {
-                return Err(DtlError::Internal {
-                    reason: format!("mapped segment {dsn} not marked allocated"),
-                });
+        for channel in 0..self.geo.channels {
+            for rank in 0..self.geo.ranks_per_channel {
+                let mut mapped = self.tables.mapped_in_rank(channel, rank);
+                if self.backend.rank_state(channel, rank) == PowerState::Mpsm {
+                    if let Some((within, hsn)) = mapped.next() {
+                        let loc = SegmentLocation { channel, rank, within };
+                        let dsn = self.geo.dsn(loc);
+                        return Err(DtlError::Internal {
+                            reason: format!("live segment {dsn} ({hsn}) in MPSM rank {loc:?}"),
+                        });
+                    }
+                }
+                let slots = mapped.map(|(within, _)| within);
+                if let Some(within) = self.alloc.first_unallocated(channel, rank, slots) {
+                    let dsn = self.geo.dsn(SegmentLocation { channel, rank, within });
+                    return Err(DtlError::Internal {
+                        reason: format!("mapped segment {dsn} not marked allocated"),
+                    });
+                }
             }
         }
         Ok(())
@@ -2430,6 +2452,104 @@ mod fault_tests {
             assert_eq!(rep.segments_at_risk, 0);
         }
         dev.check_invariants().unwrap();
+    }
+
+    /// The strided count of `inject_uncorrectable_error` against the
+    /// whole-device filter it replaced, on a device fragmented by
+    /// deallocations, drains in flight and a retirement.
+    #[test]
+    fn blast_radius_counts_the_rank_stride_like_the_whole_device_filter() {
+        let mut dev = device();
+        dev.set_hotness_enabled(false);
+        let vms: Vec<_> = (0..6)
+            .map(|i| dev.alloc_vm(HostId(0), au_bytes(), Picos::from_us(i)).expect("fits"))
+            .collect();
+        for i in [0, 3, 4] {
+            dev.dealloc_vm(vms[i].handle, Picos::from_us(10)).unwrap();
+        }
+        // Stop mid-consolidation: some stragglers moved, some not yet.
+        dev.tick(Picos::from_us(400)).unwrap();
+        let geo = dev.geometry();
+        let mut at_risk = 0;
+        for (i, (channel, rank)) in (0..geo.channels)
+            .flat_map(|c| (0..geo.ranks_per_channel).map(move |r| (c, r)))
+            .enumerate()
+        {
+            let filtered = dev
+                .mapped_entries()
+                .iter()
+                .map(|(dsn, _)| geo.location(*dsn))
+                .filter(|loc| loc.channel == channel && loc.rank == rank)
+                .count() as u64;
+            let now = Picos::from_us(500 + i as u64);
+            let report = dev.inject_uncorrectable_error(channel, rank, now).unwrap();
+            assert_eq!(report.segments_at_risk, filtered, "ch{channel}/rk{rank}");
+            at_risk += filtered;
+        }
+        assert_eq!(at_risk, 3 * dev.config().segments_per_au(), "three VMs are live");
+        dev.check_invariants().unwrap();
+    }
+
+    /// One hand mutation per violation class `check_invariants` documents:
+    /// the fast sweep must still report each.
+    #[test]
+    fn sweep_reports_every_violation_class() {
+        type Corruption = fn(&mut DtlDevice<AnalyticBackend>, SegmentLocation);
+        let cases: [(&str, Corruption); 9] = [
+            ("but reverse says", |dev, _| {
+                dev.corrupt_mapping_for_test().unwrap();
+            }),
+            ("mapped count is", |dev, _| *dev.tables.mapped_count_for_test() += 1),
+            ("in both free and allocated", |dev, live| {
+                dev.alloc.corrupt_for_test(live.channel, live.rank).0[0] = live.within;
+            }),
+            ("queued free twice", |dev, live| {
+                let free = dev.alloc.corrupt_for_test(live.channel, live.rank).0;
+                free[1] = free[0];
+            }),
+            ("outside the rank", |dev, live| {
+                dev.alloc.corrupt_for_test(live.channel, live.rank).0[0] = 32;
+            }),
+            ("bits set", |dev, live| {
+                *dev.alloc.corrupt_for_test(live.channel, live.rank).1 += 1;
+            }),
+            ("!= rank size", |dev, live| {
+                dev.alloc.corrupt_for_test(live.channel, live.rank).0.pop_back();
+            }),
+            ("not marked allocated", |dev, live| {
+                // The allocator stays a perfect tiling; only the cross-check
+                // against the mapping can see this.
+                let dsn = dev.geo.dsn(live);
+                dev.alloc.free_segments(&[dsn]).unwrap();
+            }),
+            ("in MPSM rank", |dev, live| {
+                dev.commit_power(live.channel, live.rank, PowerState::Mpsm, Picos::from_us(5))
+                    .unwrap();
+            }),
+        ];
+        for (expected, corrupt) in cases {
+            let mut dev = device();
+            dev.set_hotness_enabled(false);
+            dev.set_powerdown_enabled(false);
+            let vm = dev.alloc_vm(HostId(0), au_bytes(), Picos::ZERO).unwrap();
+            let dsn = dev.probe_translation(HostId(0), vm.hpa_base(0, au_bytes())).unwrap();
+            dev.check_invariants().unwrap();
+            let live = dev.geo.location(dsn);
+            corrupt(&mut dev, live);
+            match dev.check_invariants() {
+                Err(DtlError::Internal { reason }) => {
+                    assert!(reason.contains(expected), "wanted {expected:?}, got {reason:?}");
+                }
+                other => panic!("{expected:?} went unreported: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot balance over 3 channels")]
+    fn new_refuses_a_geometry_the_config_cannot_run_on() {
+        // Tiny AUs hold 32 segments: not a whole number per channel of 3.
+        DtlDevice::with_analytic_geometry(DtlConfig::tiny(), 3, 4, 32);
     }
 
     #[test]

@@ -95,8 +95,11 @@ impl Translator {
 
     /// Splits an HPA into its HSN fields (Figure 4: host ID | AU ID | AU
     /// offset) plus the byte offset within the segment.
+    ///
+    /// An AU index too wide for [`AuId`] saturates rather than truncating
+    /// onto a real AU; no device maps an id that large.
     pub fn hsn_of(&self, host: HostId, hpa: HostPhysAddr) -> (Hsn, u64) {
-        let au = AuId((hpa.as_u64() / self.au_bytes) as u32);
+        let au = AuId(u32::try_from(hpa.as_u64() / self.au_bytes).unwrap_or(u32::MAX));
         let au_offset = (hpa.as_u64() % self.au_bytes) / self.segment_bytes;
         (Hsn { host, au, au_offset: au_offset as u32 }, hpa.as_u64() % self.segment_bytes)
     }
@@ -115,6 +118,11 @@ impl Translator {
         dram_access: Picos,
     ) -> Result<Translation, DtlError> {
         let (hsn, offset) = self.hsn_of(host, hpa);
+        if hsn.au.0 >= 1 << Hsn::AU_BITS {
+            // Beyond any AU a device can hold, and too wide for the SMC key:
+            // looked up, it would alias another host's entry.
+            return Err(DtlError::UnmappedAddress { host, hpa });
+        }
         let (smc, cached) = self.smc.lookup(hsn);
         let dsn = match cached {
             Some(d) => d,
@@ -146,10 +154,12 @@ impl Translator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::SegmentGeometry;
 
     fn setup() -> (Translator, MappingTables, DtlConfig) {
         let cfg = DtlConfig::tiny();
-        let mut tables = MappingTables::new(cfg.segments_per_au());
+        let geo = SegmentGeometry { channels: 2, ranks_per_channel: 4, segs_per_rank: 128 };
+        let mut tables = MappingTables::new(cfg.segments_per_au(), geo);
         tables.register_host(HostId(0));
         let dsns: Vec<Dsn> = (0..cfg.segments_per_au()).map(Dsn).collect();
         tables.create_au(HostId(0), AuId(0), dsns).unwrap();
@@ -209,6 +219,21 @@ mod tests {
             assert!(matches!(err, Err(DtlError::UnmappedAddress { .. })));
         }
         assert_eq!(t.stats().l2_misses, 2, "unmapped lookups never fill the SMC");
+    }
+
+    #[test]
+    fn addresses_past_the_au_id_field_are_unmapped_not_aliased() {
+        let (mut t, tables, cfg) = setup();
+        let dram = Picos::from_ns(121);
+        t.translate(HostId(0), HostPhysAddr::new(0), &tables, dram).unwrap();
+        // AU 2^28 would pack onto host 1's AU 0, AU 2^32 would truncate to
+        // this host's AU 0: both must miss without touching the SMC.
+        for au in [1u64 << 28, 1 << 32] {
+            let far = HostPhysAddr::new(au * cfg.au_bytes);
+            let err = t.translate(HostId(0), far, &tables, dram);
+            assert!(matches!(err, Err(DtlError::UnmappedAddress { .. })));
+        }
+        assert_eq!(t.stats().l1_misses, 1, "only the mapped access reached the SMC");
     }
 
     #[test]

@@ -92,7 +92,10 @@ proptest! {
     fn tables_consistency_under_churn(ops in prop::collection::vec(
         (0u8..4, 0u64..64, 0u64..64), 1..200
     )) {
-        let mut t = MappingTables::new(4);
+        // Room for every id the churn below can reach: 200 ops mint at most
+        // 200 AU ids and DSNs below 1000 + 4 * 200.
+        let geo = SegmentGeometry { channels: 1, ranks_per_channel: 1, segs_per_rank: 2048 };
+        let mut t = MappingTables::new(4, geo);
         t.register_host(HostId(0));
         let mut next_au = 0u32;
         let mut live_aus: Vec<AuId> = Vec::new();

@@ -5,7 +5,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-use dtl_core::{AuId, Dsn, DtlConfig, HostId, HostPhysAddr, Hsn, MappingTables, Translator};
+use dtl_core::{
+    AuId, Dsn, DtlConfig, HostId, HostPhysAddr, Hsn, MappingTables, SegmentGeometry, Translator,
+};
 use dtl_dram::Picos;
 use proptest::prelude::*;
 
@@ -16,7 +18,8 @@ const DSN_SPACE: u64 = 96; // > AUS * SEGS_PER_AU: leaves free DSNs to remap int
 /// Builds tables with `AUS` AUs for one host, mapped to the low DSNs.
 fn seed_tables() -> (MappingTables, HashMap<Hsn, Dsn>) {
     let host = HostId(0);
-    let mut tables = MappingTables::new(SEGS_PER_AU);
+    let geo = SegmentGeometry { channels: 1, ranks_per_channel: 1, segs_per_rank: DSN_SPACE };
+    let mut tables = MappingTables::new(SEGS_PER_AU, geo);
     tables.register_host(host);
     let mut model = HashMap::new();
     for au in 0..AUS {

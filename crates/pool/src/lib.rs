@@ -56,7 +56,7 @@ pub type AnalyticMemoryPool = MemoryPool<dtl_core::AnalyticBackend>;
 
 use core::fmt;
 
-use dtl_core::{DtlConfig, DtlError, HostId};
+use dtl_core::{DtlConfig, DtlError, HostId, SegmentGeometry};
 use dtl_cxl::{LinkModel, RetryPolicy};
 use serde::{Deserialize, Serialize};
 
@@ -242,6 +242,20 @@ impl PoolConfig {
             return Err(PoolError::InvalidConfig {
                 reason: "pool needs at least one device".into(),
             });
+        }
+        // Before any arithmetic on the sizes: this is what rules out a zero
+        // segment size and a segment count that wraps.
+        let geo = SegmentGeometry {
+            channels: self.channels,
+            ranks_per_channel: self.ranks_per_channel,
+            segs_per_rank: self.segs_per_rank,
+        };
+        if let Err(e) = self.dtl.validate_geometry(&geo) {
+            let reason = match e {
+                DtlError::InvalidConfig { reason } => reason,
+                other => other.to_string(),
+            };
+            return Err(PoolError::InvalidConfig { reason });
         }
         if self.aus_per_device() == 0 {
             return Err(PoolError::InvalidConfig {

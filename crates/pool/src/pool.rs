@@ -1270,6 +1270,64 @@ mod tests {
         p.check_invariants().unwrap();
     }
 
+    /// A pool whose member geometry the DTL configuration cannot run on is
+    /// refused as a configuration error — before a device is built (whose
+    /// constructor would panic on it) and before any size is divided.
+    #[test]
+    fn member_geometry_the_dtl_cannot_hold_is_a_config_error() {
+        let reason = |cfg: PoolConfig| match MemoryPool::analytic(cfg) {
+            Err(PoolError::InvalidConfig { reason }) => reason,
+            Err(other) => panic!("expected InvalidConfig, got {other:?}"),
+            Ok(_) => panic!("expected InvalidConfig, got a pool"),
+        };
+        let tiny = PoolConfig::tiny(2);
+        // 32-segment AUs over 3 channels.
+        assert!(
+            reason(PoolConfig { channels: 3, ..tiny }).contains("cannot balance over 3 channels")
+        );
+        // 2^21 segments an AU: the offset would spill into the AU id.
+        let mut wide = tiny;
+        wide.dtl.segment_bytes = 4;
+        assert!(reason(wide).contains("AU offset"));
+        // A zero segment size used to divide by zero in `aus_per_device`.
+        let mut zero = tiny;
+        zero.dtl.segment_bytes = 0;
+        assert!(reason(zero).contains("at least one segment"));
+        // A segment count that wraps u64.
+        let wraps = PoolConfig { segs_per_rank: u64::MAX / 4, ..tiny };
+        assert!(reason(wraps).contains("do not fit a table index"));
+    }
+
+    /// The pool sweep's own books, one hand mutation each: an AU a device
+    /// counts but no shard or reservation owns, and a device whose tables
+    /// went wrong underneath the pool.
+    #[test]
+    fn sweep_reports_an_orphaned_au_and_a_corrupt_member() {
+        let mut p = pool(2);
+        let b = au(&p);
+        p.alloc_vm(HostId(0), 3 * b, Picos::ZERO).unwrap();
+        p.check_invariants().unwrap();
+
+        p.devices[0].allocated_aus += 1;
+        match p.check_invariants() {
+            Err(PoolError::InvalidConfig { reason }) => {
+                assert_eq!(reason, "dev0 books 4 AUs but shards+reservations sum to 3")
+            }
+            other => panic!("orphaned AU went unreported: {other:?}"),
+        }
+        p.devices[0].allocated_aus -= 1;
+        p.check_invariants().unwrap();
+
+        p.devices[0].dev.corrupt_mapping_for_test().unwrap();
+        assert!(matches!(
+            p.check_invariants(),
+            Err(PoolError::Device {
+                device: DeviceId(0),
+                source: dtl_core::DtlError::Internal { .. }
+            })
+        ));
+    }
+
     #[test]
     fn retire_evacuates_every_shard_with_zero_loss() {
         let mut p = pool(3);

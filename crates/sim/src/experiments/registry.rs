@@ -21,7 +21,6 @@ use crate::{
     PowerDownRunConfig,
 };
 use dtl_core::DtlError;
-use dtl_dram::Picos;
 use dtl_trace::WorkloadKind;
 
 /// Defines a unit struct implementing [`Experiment`] with a closure-style
@@ -93,7 +92,7 @@ experiment!(Fig12, "fig12", "Figures 12-13: rank-level power-down over the VM sc
         format!("{}\n{}", render::fig12(&r).render(), render::fig13(&r).render()),
         to_json(&r),
     );
-    out.horizon_ps = Some(Picos::from_secs(u64::from(cfg.duration_min) * 60).as_ps());
+    out.horizon_ps = Some(crate::scenario::horizon(cfg.duration_min)?.as_ps());
     Ok(out)
 });
 
@@ -278,7 +277,7 @@ experiment!(
         let seed = ctx.seed_or(1);
         let cfg =
             if ctx.tiny { FaultRunConfig::tiny_storm(seed) } else { fault_campaign::paper(seed) };
-        let horizon = Picos::from_secs(u64::from(cfg.run.duration_min) * 60).as_ps();
+        let horizon = crate::scenario::horizon(cfg.run.duration_min)?.as_ps();
         let (telemetry, series) = ctx.series_telemetry();
         if let Some(series) = &series {
             // Quiet ranks still accrue residency in the windowed series.
@@ -354,7 +353,7 @@ experiment!(
         // Default seed matches the pinned tiny golden (pool_scale_tiny.json).
         let seed = ctx.seed_or(7);
         let cfg = if ctx.tiny { PoolRunConfig::tiny(seed) } else { PoolRunConfig::paper(seed) };
-        let horizon = Picos::from_secs(u64::from(cfg.duration_min) * 60).as_ps();
+        let horizon = crate::scenario::horizon(cfg.duration_min)?.as_ps();
         let (telemetry, series) = ctx.series_telemetry();
         if let Some(series) = &series {
             // Member device d streams through the channel-offset shim at
@@ -392,7 +391,7 @@ experiment!(
         // Default seed matches the pinned tiny golden (policy_ablation_tiny.json).
         let seed = ctx.seed_or(7);
         let cfg = if ctx.tiny { PoolRunConfig::tiny(seed) } else { PoolRunConfig::paper(seed) };
-        let horizon = Picos::from_secs(u64::from(cfg.duration_min) * 60).as_ps();
+        let horizon = crate::scenario::horizon(cfg.duration_min)?.as_ps();
         let (telemetry, series) = ctx.series_telemetry();
         if let Some(series) = &series {
             // As in pool_scale: member device d streams through the

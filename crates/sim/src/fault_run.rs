@@ -21,7 +21,7 @@ use dtl_telemetry::{BacklogSummary, LatencySummary, SloReport, Telemetry};
 use serde::{Deserialize, Serialize};
 
 use crate::powerdown_run::{replay_schedule, Foreground, Replayed, ScheduleDevice};
-use crate::scenario::Lane;
+use crate::scenario::{horizon, Lane};
 use crate::{PowerDownRunConfig, RunObservations};
 
 /// Configuration of one faulted schedule replay.
@@ -36,8 +36,10 @@ pub struct FaultRunConfig {
 
 impl FaultRunConfig {
     /// A fault-free replay (quiet plan) — the baseline to compare against.
+    /// A `run.duration_min` that wraps picosecond time gets a zero-length
+    /// plan here; [`run_faulted`] refuses the configuration itself.
     pub fn fault_free(seed: u64, run: PowerDownRunConfig) -> Self {
-        let duration = Picos::from_secs(u64::from(run.duration_min) * 60);
+        let duration = horizon(run.duration_min).unwrap_or(Picos::ZERO);
         FaultRunConfig {
             run,
             faults: FaultPlanConfig::quiet(seed, duration, run.channels, run.ranks_per_channel),
@@ -121,6 +123,8 @@ pub fn run_faulted(
     cfg: &FaultRunConfig,
     telemetry: &Telemetry,
 ) -> Result<(FaultRunResult, RunObservations), DtlError> {
+    // Before the plan is generated: its event count grows with its span.
+    let duration_s = horizon(cfg.run.duration_min)?.as_secs_f64();
     let mut injector = cfg.faults.generate().injector();
     if let Some(m) = telemetry.metrics() {
         injector.set_metrics(m);
@@ -166,7 +170,6 @@ pub fn run_faulted(
     } else {
         link_stats.retry_time.as_ns_f64() / foreground_lines as f64
     };
-    let duration_s = Picos::from_secs(u64::from(cfg.run.duration_min) * 60).as_secs_f64();
     let result = FaultRunResult {
         total_energy_mj: report.total.total_mj(),
         background_mj: report.total.background_mj,
@@ -247,6 +250,20 @@ fn apply_fault(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_horizon_that_wraps_picosecond_time_is_a_config_error() {
+        let run = PowerDownRunConfig { duration_min: 307_446, ..PowerDownRunConfig::tiny(7, true) };
+        let cfg = FaultRunConfig::fault_free(7, run);
+        assert_eq!(cfg.faults.duration, Picos::ZERO, "no plan over a span that does not exist");
+        let err = run_faulted(&cfg, &Telemetry::disabled()).unwrap_err();
+        assert!(matches!(err, DtlError::InvalidConfig { .. }), "{err:?}");
+        // The same through a plan that was given a real span.
+        let mut storm = FaultRunConfig::tiny_storm(7);
+        storm.run.duration_min = u32::MAX;
+        let err = run_faulted(&storm, &Telemetry::disabled()).unwrap_err();
+        assert!(matches!(err, DtlError::InvalidConfig { .. }), "{err:?}");
+    }
 
     #[test]
     fn fault_free_run_matches_quiet_plan() {

@@ -23,7 +23,7 @@ use dtl_telemetry::Telemetry;
 use dtl_trace::{NodeConfig, VmSchedule};
 use serde::{Deserialize, Serialize};
 
-use crate::scenario::{replay_epochs, Epoch, EpochHooks, Lane, EPOCH};
+use crate::scenario::{horizon, replay_epochs, Epoch, EpochHooks, Lane, EPOCH};
 use crate::RunObservations;
 
 /// Configuration of one pool schedule replay.
@@ -202,12 +202,14 @@ pub fn run_pool(
     let replay = PoolReplay::run(cfg, telemetry, &mut ())?;
     // The SLO snapshot is taken before `finish` closes the books.
     let obs = RunObservations { slo: replay.pool.slo_report(), queue: replay.queue };
-    Ok((replay.finish(cfg, telemetry)?, obs))
+    Ok((replay.finish(telemetry)?, obs))
 }
 
 /// A pool at the end of its schedule replay, books still open.
 struct PoolReplay {
     pool: AnalyticMemoryPool,
+    /// The end of the schedule.
+    final_t: Picos,
     intervals: Vec<PoolIntervalSample>,
     vms_rejected: u64,
     queue: QueueStats,
@@ -221,6 +223,7 @@ impl PoolReplay {
         telemetry: &Telemetry,
         lane: &mut L,
     ) -> Result<Self, DtlError> {
+        let final_t = horizon(cfg.duration_min)?;
         let mut pool = MemoryPool::analytic(cfg.pool_config())?;
         pool.set_telemetry(telemetry.clone());
         for i in 0..cfg.devices {
@@ -236,19 +239,15 @@ impl PoolReplay {
         let (tenants, queue) = replay_epochs(&mut pool, &schedule, cfg.hosts, lane, &mut sampler)?;
         Ok(PoolReplay {
             pool,
+            final_t,
             intervals: sampler.intervals,
             vms_rejected: tenants.rejected(),
             queue,
         })
     }
 
-    fn finish(
-        mut self,
-        cfg: &PoolRunConfig,
-        telemetry: &Telemetry,
-    ) -> Result<PoolRunResult, DtlError> {
-        let final_t = Picos::from_secs(u64::from(cfg.duration_min) * 60);
-        let energy = self.pool.pool_energy(final_t);
+    fn finish(mut self, telemetry: &Telemetry) -> Result<PoolRunResult, DtlError> {
+        let energy = self.pool.pool_energy(self.final_t);
         self.pool.check_invariants()?;
         if let Some(m) = telemetry.metrics() {
             self.pool.export_metrics(m);
@@ -368,9 +367,11 @@ pub struct PoolFaultRunConfig {
 }
 
 impl PoolFaultRunConfig {
-    /// A fault-free pool replay (quiet plan).
+    /// A fault-free pool replay (quiet plan). A `run.duration_min` that
+    /// wraps picosecond time gets a zero-length plan here;
+    /// [`run_pool_faulted`] refuses the configuration itself.
     pub fn fault_free(seed: u64, run: PoolRunConfig) -> Self {
-        let duration = Picos::from_secs(u64::from(run.duration_min) * 60);
+        let duration = horizon(run.duration_min).unwrap_or(Picos::ZERO);
         let per_device =
             FaultPlanConfig::quiet(seed, duration, run.channels, run.ranks_per_channel);
         PoolFaultRunConfig {
@@ -434,14 +435,15 @@ pub fn run_pool_faulted(
     cfg: &PoolFaultRunConfig,
     telemetry: &Telemetry,
 ) -> Result<PoolFaultRunResult, DtlError> {
+    // Before the plan is generated: its event count grows with its span.
+    horizon(cfg.run.duration_min)?;
     let injector = cfg.faults.generate().injector();
     let mut lane = PoolFaultLane { injector, faults_injected: 0, lost_aus: 0 };
     let mut replay = PoolReplay::run(&cfg.run, telemetry, &mut lane)?;
     // The final sweep issues accesses, so it runs before `finish` reads
     // the pool's energy.
-    let final_t = Picos::from_secs(u64::from(cfg.run.duration_min) * 60);
-    lane.lost_aus += count_unreachable(&mut replay.pool, final_t);
-    let run = replay.finish(&cfg.run, telemetry)?;
+    lane.lost_aus += count_unreachable(&mut replay.pool, replay.final_t);
+    let run = replay.finish(telemetry)?;
     Ok(PoolFaultRunResult {
         total_energy_mj: run.total_energy_mj,
         vms_allocated: run.vms_allocated,
@@ -539,6 +541,16 @@ fn count_unreachable(pool: &mut AnalyticMemoryPool, now: Picos) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_horizon_that_wraps_picosecond_time_is_a_config_error() {
+        let run = PoolRunConfig { duration_min: 307_446, ..PoolRunConfig::tiny(7) };
+        let err = run_pool(&run, &Telemetry::disabled()).unwrap_err();
+        assert!(matches!(err, DtlError::InvalidConfig { .. }), "{err:?}");
+        let faulted = PoolFaultRunConfig::retirement_campaign(7, run, 1);
+        let err = run_pool_faulted(&faulted, &Telemetry::disabled()).unwrap_err();
+        assert!(matches!(err, DtlError::InvalidConfig { .. }), "{err:?}");
+    }
 
     #[test]
     fn pool_replay_places_and_consolidates() {

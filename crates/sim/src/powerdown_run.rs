@@ -16,7 +16,7 @@ use dtl_trace::{NodeConfig, VmSchedule};
 use serde::{Deserialize, Serialize};
 
 use crate::assert_residency_consistency;
-use crate::scenario::{replay_epochs, Epoch, EpochHooks, Lane, EPOCH};
+use crate::scenario::{horizon, replay_epochs, Epoch, EpochHooks, Lane, EPOCH};
 
 /// Configuration of one schedule replay.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -265,6 +265,7 @@ pub(crate) fn replay_schedule<L: Lane<ScheduleDevice>, H: EpochHooks<ScheduleDev
     lane: &mut L,
     hooks: &mut H,
 ) -> Result<Replayed, DtlError> {
+    let final_t = horizon(cfg.duration_min)?;
     let dtl_cfg = DtlConfig::paper();
     let geo = SegmentGeometry {
         channels: cfg.channels,
@@ -281,7 +282,6 @@ pub(crate) fn replay_schedule<L: Lane<ScheduleDevice>, H: EpochHooks<ScheduleDev
     }
     let schedule = VmSchedule::synthesize(cfg.seed, cfg.node, cfg.duration_min);
     let (_, queue) = replay_epochs(&mut dev, &schedule, cfg.hosts, lane, hooks)?;
-    let final_t = Picos::from_secs(u64::from(cfg.duration_min) * 60);
     let report = dev.power_report(final_t);
     dev.check_invariants()?;
     assert_residency_consistency(&dev, &report);
@@ -294,6 +294,14 @@ pub(crate) fn replay_schedule<L: Lane<ScheduleDevice>, H: EpochHooks<ScheduleDev
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_horizon_that_wraps_picosecond_time_is_a_config_error() {
+        // 307 446 min used to wrap to a ~4 s horizon after a full replay.
+        let cfg = PowerDownRunConfig { duration_min: 307_446, ..PowerDownRunConfig::tiny(7, true) };
+        let err = run_schedule(&cfg, &Telemetry::disabled()).unwrap_err();
+        assert!(matches!(err, DtlError::InvalidConfig { .. }), "{err:?}");
+    }
 
     #[test]
     fn baseline_vs_powerdown_energy() {

@@ -339,6 +339,22 @@ pub trait EpochHooks<W> {
     }
 }
 
+/// The simulated span of a `duration_min`-minute schedule: the one place a
+/// configured horizon becomes picoseconds.
+///
+/// # Errors
+///
+/// [`DtlError::InvalidConfig`] past 307 445 minutes (≈ 213 days), where
+/// `u64` picosecond time would wrap and silently shorten the run.
+pub fn horizon(duration_min: u32) -> Result<Picos, DtlError> {
+    Picos::checked_from_secs(u64::from(duration_min) * 60).ok_or_else(|| DtlError::InvalidConfig {
+        reason: format!(
+            "a horizon of {duration_min} min wraps picosecond time (at most {} min)",
+            Picos::MAX.as_ps() / Picos::from_secs(60).as_ps()
+        ),
+    })
+}
+
 /// Replays `schedule` against `world` in 5-minute epochs: apply the VM
 /// events due at the epoch's start (round-robin over `hosts` compute
 /// hosts), call `hooks.begin`, drive the 10 s tick grid and `lane` through
@@ -379,6 +395,22 @@ mod tests {
 
     fn secs(s: u64) -> Picos {
         Picos::from_secs(s)
+    }
+
+    #[test]
+    fn horizon_is_checked_minutes_to_picoseconds() {
+        assert_eq!(horizon(0).unwrap(), Picos::ZERO);
+        assert_eq!(horizon(360).unwrap(), secs(360 * 60));
+        // 307 445 min = 18 446 700 s is the last whole minute below 2^64 ps.
+        assert_eq!(horizon(307_445).unwrap(), secs(18_446_700));
+        for past in [307_446, u32::MAX] {
+            match horizon(past) {
+                Err(DtlError::InvalidConfig { reason }) => {
+                    assert!(reason.contains("at most 307445 min"), "{reason}");
+                }
+                other => panic!("a wrapped horizon got through: {other:?}"),
+            }
+        }
     }
 
     /// A world that logs its ticks (`'t'`) and, through [`Pending`], the

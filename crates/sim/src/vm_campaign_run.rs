@@ -98,8 +98,7 @@ impl VmCampaignConfig {
     ///
     /// If `duration_min` exceeds 307 445 — picosecond time would wrap.
     pub fn horizon(&self) -> Picos {
-        Picos::checked_from_secs(u64::from(self.duration_min) * 60)
-            .expect("duration_min fits picosecond time")
+        crate::scenario::horizon(self.duration_min).expect("duration_min fits picosecond time")
     }
 }
 
@@ -387,6 +386,8 @@ pub fn run_campaign(
     heartbeat: &Heartbeat,
 ) -> Result<(VmCampaignResult, CampaignObservations), DtlError> {
     const SAMPLE_HOSTS: usize = 8;
+    // An error here, not a panic in every worker at `cfg.horizon()`.
+    crate::scenario::horizon(cfg.duration_min)?;
     let units: Vec<u32> = (0..cfg.hosts).collect();
     let total_units = u64::from(cfg.hosts);
     let outcomes = crate::exec::run_units(jobs, units, |i, _| {
@@ -458,6 +459,15 @@ pub fn run_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_horizon_that_wraps_picosecond_time_is_a_config_error() {
+        let cfg = VmCampaignConfig { duration_min: 307_446, ..VmCampaignConfig::tiny(7) };
+        let err = run_campaign(&cfg, 2, None, &Heartbeat::disabled()).unwrap_err();
+        assert!(matches!(err, DtlError::InvalidConfig { .. }), "{err:?}");
+        let last = VmCampaignConfig { duration_min: 307_445, ..cfg };
+        assert_eq!(last.horizon(), Picos::from_secs(18_446_700));
+    }
 
     #[test]
     fn tiny_campaign_places_and_saves() {
