@@ -2,6 +2,11 @@
 //! structure that keeps HSN→DSN translations close to the datapath
 //! (§3.2, Table 3): a 64-entry fully-associative L1 and a 1024-entry
 //! 4-way set-associative L2, both LRU.
+//!
+//! The hardware L1 compares all its tags in one cycle; the model gets the
+//! same O(1) from an exact key → slot hash index beside the entry array
+//! ([`L1Index`]). Only the replacement decision still walks the entries,
+//! and it runs on an L1 miss only.
 
 use serde::{Deserialize, Serialize};
 
@@ -53,7 +58,7 @@ impl SmcStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
     key: u64,
     dsn: Dsn,
@@ -62,6 +67,87 @@ struct Entry {
 }
 
 const INVALID: Entry = Entry { key: 0, dsn: Dsn(0), lru: 0, valid: false };
+
+/// Exact key → slot index over the *valid* L1 entries: open addressing
+/// with linear probing at a load factor of at most 1/4, backward-shift
+/// deletion (no tombstones, so a probe always ends at the first empty
+/// bucket). A bucket holds `slot + 1`, 0 when empty; the key itself stays
+/// in the entry, so the two can never disagree about it.
+///
+/// Invariant, kept by [`SegmentMappingCache`]: a slot is indexed exactly
+/// while its entry is valid, and no two valid entries share a key.
+#[derive(Debug, Clone)]
+struct L1Index {
+    buckets: Vec<u32>,
+    /// `64 - log2(buckets.len())`: the hash keeps the product's top bits.
+    shift: u32,
+}
+
+impl L1Index {
+    fn new(l1_entries: usize) -> Self {
+        assert!(u32::try_from(l1_entries).is_ok_and(|n| n < u32::MAX / 4), "L1 SMC too large");
+        let buckets = (4 * l1_entries).next_power_of_two();
+        L1Index { buckets: vec![0; buckets], shift: 64 - buckets.trailing_zeros() }
+    }
+
+    /// Home bucket of `key`. Packed HSNs differ mostly in their low
+    /// (AU offset) bits; the Fibonacci multiplier spreads those over the
+    /// top bits the shift keeps.
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    #[inline]
+    fn next(&self, bucket: usize) -> usize {
+        (bucket + 1) & (self.buckets.len() - 1)
+    }
+
+    /// `(bucket, slot)` of the valid entry holding `key`.
+    #[inline]
+    fn find(&self, key: u64, l1: &[Entry]) -> Option<(usize, usize)> {
+        let mut b = self.home(key);
+        loop {
+            let slot = self.buckets[b].checked_sub(1)? as usize;
+            if l1[slot].key == key {
+                return Some((b, slot));
+            }
+            b = self.next(b);
+        }
+    }
+
+    /// Indexes `slot` under `key`, which must not be indexed yet.
+    fn insert(&mut self, key: u64, slot: usize) {
+        let mut b = self.home(key);
+        while self.buckets[b] != 0 {
+            b = self.next(b);
+        }
+        self.buckets[b] = slot as u32 + 1;
+    }
+
+    /// Drops `key` from the index and returns the slot it was in; the
+    /// entries of `l1` must still hold the keys they were indexed under.
+    /// Later entries of the probe run move back into the hole unless that
+    /// would put them before their home bucket.
+    fn remove(&mut self, key: u64, l1: &[Entry]) -> Option<usize> {
+        let (mut hole, slot) = self.find(key, l1)?;
+        let mask = self.buckets.len() - 1;
+        let mut b = hole;
+        loop {
+            b = self.next(b);
+            let Some(moved) = self.buckets[b].checked_sub(1) else { break };
+            let home = self.home(l1[moved as usize].key);
+            // Cyclic distances back from `b`: the entry may move iff its
+            // home is not inside (hole, b].
+            if (b.wrapping_sub(home) & mask) >= (b.wrapping_sub(hole) & mask) {
+                self.buckets[hole] = moved + 1;
+                hole = b;
+            }
+        }
+        self.buckets[hole] = 0;
+        Some(slot)
+    }
+}
 
 /// The two-level segment mapping cache.
 ///
@@ -79,6 +165,7 @@ const INVALID: Entry = Entry { key: 0, dsn: Dsn(0), lru: 0, valid: false };
 #[derive(Debug, Clone)]
 pub struct SegmentMappingCache {
     l1: Vec<Entry>,
+    l1_index: L1Index,
     l2: Vec<Entry>,
     l2_sets: usize,
     l2_ways: usize,
@@ -100,6 +187,7 @@ impl SegmentMappingCache {
         assert!(l2_sets.is_power_of_two(), "L2 set count must be a power of two");
         SegmentMappingCache {
             l1: vec![INVALID; l1_entries],
+            l1_index: L1Index::new(l1_entries),
             l2: vec![INVALID; l2_entries],
             l2_sets,
             l2_ways,
@@ -129,8 +217,9 @@ impl SegmentMappingCache {
         let key = hsn.pack();
         self.tick += 1;
         let tick = self.tick;
-        // L1: fully associative scan.
-        if let Some(e) = self.l1.iter_mut().find(|e| e.valid && e.key == key) {
+        // L1: fully associative, one probe of the index.
+        if let Some((_, slot)) = self.l1_index.find(key, &self.l1) {
+            let e = &mut self.l1[slot];
             e.lru = tick;
             self.stats.l1_hits += 1;
             return (SmcOutcome::L1Hit, Some(e.dsn));
@@ -169,9 +258,13 @@ impl SegmentMappingCache {
     pub fn invalidate(&mut self, hsn: Hsn) -> bool {
         let key = hsn.pack();
         let mut any = false;
+        if let Some(slot) = self.l1_index.remove(key, &self.l1) {
+            self.l1[slot].valid = false;
+            any = true;
+        }
         // A key only ever lives in its own L2 set (where `insert_l2` put it).
         let range = self.l2_set_range(key);
-        for e in self.l1.iter_mut().chain(&mut self.l2[range]) {
+        for e in &mut self.l2[range] {
             if e.valid && e.key == key {
                 e.valid = false;
                 any = true;
@@ -182,17 +275,25 @@ impl SegmentMappingCache {
 
     fn insert_l1(&mut self, key: u64, dsn: Dsn) {
         let tick = self.tick;
-        if let Some(e) = self.l1.iter_mut().find(|e| e.valid && e.key == key) {
+        if let Some((_, slot)) = self.l1_index.find(key, &self.l1) {
+            let e = &mut self.l1[slot];
             e.dsn = dsn;
             e.lru = tick;
             return;
         }
-        let victim = self
+        // The lowest-index invalid slot, else the least recently used. A
+        // scan, but one that runs only when L1 missed.
+        let (victim, _) = self
             .l1
-            .iter_mut()
-            .min_by_key(|e| if e.valid { e.lru + 1 } else { 0 })
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, e)| if e.valid { e.lru + 1 } else { 0 })
             .expect("l1 non-empty");
-        *victim = Entry { key, dsn, lru: tick, valid: true };
+        if self.l1[victim].valid {
+            self.l1_index.remove(self.l1[victim].key, &self.l1);
+        }
+        self.l1[victim] = Entry { key, dsn, lru: tick, valid: true };
+        self.l1_index.insert(key, victim);
     }
 
     fn insert_l2(&mut self, key: u64, dsn: Dsn) {
@@ -216,6 +317,7 @@ impl SegmentMappingCache {
 mod tests {
     use super::*;
     use crate::addr::{AuId, HostId};
+    use proptest::prelude::*;
 
     fn hsn(off: u32) -> Hsn {
         Hsn { host: HostId(0), au: AuId(0), au_offset: off }
@@ -338,5 +440,235 @@ mod tests {
     #[should_panic(expected = "must divide")]
     fn bad_ways_panics() {
         let _ = SegmentMappingCache::new(4, 10, 4);
+    }
+
+    // --- the L1 index on its own -----------------------------------------
+
+    impl SegmentMappingCache {
+        /// The index holds exactly the valid L1 entries, each reachable
+        /// from its key.
+        fn check_index(&self) {
+            let indexed = self.l1_index.buckets.iter().filter(|b| **b != 0).count();
+            assert_eq!(indexed, self.l1.iter().filter(|e| e.valid).count(), "indexed vs valid");
+            for (slot, e) in self.l1.iter().enumerate().filter(|(_, e)| e.valid) {
+                let found = self.l1_index.find(e.key, &self.l1).map(|(_, s)| s);
+                assert_eq!(found, Some(slot), "key {:#x}", e.key);
+            }
+        }
+    }
+
+    /// `n` keys whose home is `bucket` in an index sized for `l1_entries`.
+    fn keys_homed_at(l1_entries: usize, bucket: usize, n: usize) -> Vec<u64> {
+        let index = L1Index::new(l1_entries);
+        (0..u64::MAX).filter(|k| index.home(*k) == bucket).take(n).collect()
+    }
+
+    #[test]
+    fn removing_mid_run_keeps_the_rest_of_the_run_reachable() {
+        // 16 buckets. Slots 0, 1, 3 hold keys homed at the last bucket,
+        // slot 2 one homed at bucket 0: a run over buckets 15, 0, 1, 2.
+        let mut index = L1Index::new(4);
+        let wrap = keys_homed_at(4, 15, 3);
+        let keys = [wrap[0], wrap[1], keys_homed_at(4, 0, 1)[0], wrap[2]];
+        let l1: Vec<Entry> =
+            keys.iter().map(|&key| Entry { key, dsn: Dsn(0), lru: 0, valid: true }).collect();
+        for (slot, &key) in keys.iter().enumerate() {
+            index.insert(key, slot);
+        }
+        assert_eq!(index.buckets, [2, 3, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]);
+        // Take out the head of the run: everything behind it moves back one
+        // bucket, across the wrap; the key homed at 0 lands on its home.
+        assert_eq!(index.remove(keys[0], &l1), Some(0));
+        assert_eq!(index.buckets, [3, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2]);
+        // Take out the new head: the key homed at 0 may not move before its
+        // home, the one behind it jumps over it into the hole.
+        assert_eq!(index.remove(keys[1], &l1), Some(1));
+        assert_eq!(index.buckets, [3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4]);
+        for (slot, &key) in keys.iter().enumerate() {
+            let kept = (slot >= 2).then_some(slot);
+            assert_eq!(index.find(key, &l1).map(|(_, s)| s), kept);
+        }
+        assert_eq!(index.remove(keys[0], &l1), None, "already gone");
+    }
+
+    #[test]
+    fn index_is_sized_at_four_buckets_an_entry() {
+        for (entries, buckets) in [(1, 4), (2, 8), (3, 16), (8, 32), (64, 256)] {
+            assert_eq!(L1Index::new(entries).buckets.len(), buckets);
+        }
+    }
+
+    // --- lockstep with the structure this one replaced -------------------
+
+    /// The predecessor of [`SegmentMappingCache`], verbatim: every L1
+    /// operation is a linear scan of the entry array.
+    #[derive(Debug, Clone)]
+    struct ReferenceSmc {
+        l1: Vec<Entry>,
+        l2: Vec<Entry>,
+        l2_sets: usize,
+        l2_ways: usize,
+        tick: u64,
+        stats: SmcStats,
+    }
+
+    impl ReferenceSmc {
+        fn new(l1_entries: usize, l2_entries: usize, l2_ways: usize) -> Self {
+            ReferenceSmc {
+                l1: vec![INVALID; l1_entries],
+                l2: vec![INVALID; l2_entries],
+                l2_sets: l2_entries / l2_ways,
+                l2_ways,
+                tick: 0,
+                stats: SmcStats::default(),
+            }
+        }
+
+        fn l2_set_range(&self, key: u64) -> std::ops::Range<usize> {
+            let set = (key as usize) & (self.l2_sets - 1);
+            let start = set * self.l2_ways;
+            start..start + self.l2_ways
+        }
+
+        fn lookup(&mut self, hsn: Hsn) -> (SmcOutcome, Option<Dsn>) {
+            let key = hsn.pack();
+            self.tick += 1;
+            let tick = self.tick;
+            if let Some(e) = self.l1.iter_mut().find(|e| e.valid && e.key == key) {
+                e.lru = tick;
+                self.stats.l1_hits += 1;
+                return (SmcOutcome::L1Hit, Some(e.dsn));
+            }
+            self.stats.l1_misses += 1;
+            let range = self.l2_set_range(key);
+            let mut found: Option<Dsn> = None;
+            for e in &mut self.l2[range] {
+                if e.valid && e.key == key {
+                    e.lru = tick;
+                    found = Some(e.dsn);
+                    break;
+                }
+            }
+            if let Some(dsn) = found {
+                self.stats.l2_hits += 1;
+                self.insert_l1(key, dsn);
+                (SmcOutcome::L2Hit, Some(dsn))
+            } else {
+                self.stats.l2_misses += 1;
+                (SmcOutcome::Miss, None)
+            }
+        }
+
+        fn fill(&mut self, hsn: Hsn, dsn: Dsn) {
+            let key = hsn.pack();
+            self.tick += 1;
+            self.insert_l1(key, dsn);
+            self.insert_l2(key, dsn);
+        }
+
+        fn invalidate(&mut self, hsn: Hsn) -> bool {
+            let key = hsn.pack();
+            let mut any = false;
+            let range = self.l2_set_range(key);
+            for e in self.l1.iter_mut().chain(&mut self.l2[range]) {
+                if e.valid && e.key == key {
+                    e.valid = false;
+                    any = true;
+                }
+            }
+            any
+        }
+
+        fn insert_l1(&mut self, key: u64, dsn: Dsn) {
+            let tick = self.tick;
+            Self::insert(&mut self.l1, key, dsn, tick);
+        }
+
+        fn insert_l2(&mut self, key: u64, dsn: Dsn) {
+            let tick = self.tick;
+            let range = self.l2_set_range(key);
+            Self::insert(&mut self.l2[range], key, dsn, tick);
+        }
+
+        fn insert(set: &mut [Entry], key: u64, dsn: Dsn, tick: u64) {
+            if let Some(e) = set.iter_mut().find(|e| e.valid && e.key == key) {
+                e.dsn = dsn;
+                e.lru = tick;
+                return;
+            }
+            let victim = set
+                .iter_mut()
+                .min_by_key(|e| if e.valid { e.lru + 1 } else { 0 })
+                .expect("set non-empty");
+            *victim = Entry { key, dsn, lru: tick, valid: true };
+        }
+    }
+
+    /// (L1 entries, L2 entries, L2 ways): L2s small enough that a key is
+    /// evicted from its set while still L1-resident, so `invalidate` meets
+    /// L1-only, L2-only, both-level and absent keys.
+    const PROP_SIZES: [(usize, usize, usize); 4] = [(1, 8, 2), (2, 8, 2), (8, 32, 4), (64, 128, 4)];
+
+    /// Key `i` of a size's universe. About three keys per L1 entry: the
+    /// L1 is always under eviction pressure and its index, at most a
+    /// quarter full, still sees probe runs several buckets long.
+    fn prop_key(i: u32) -> Hsn {
+        Hsn { host: HostId((i % 2) as u16), au: AuId((i / 2) % 3), au_offset: i / 6 }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Lookup(u32),
+        /// Also the refill of a resident key with a new DSN.
+        Fill(u32, u64),
+        Invalidate(u32),
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        let key = || any::<u32>();
+        prop_oneof![
+            4 => key().prop_map(Op::Lookup),
+            4 => (key(), 0u64..1 << 40).prop_map(|(k, d)| Op::Fill(k, d)),
+            2 => key().prop_map(Op::Invalidate),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The indexed SMC and the linear-scan reference, fed the same
+        /// operations, return the same outcomes and hold the same entries
+        /// in the same slots with the same LRU stamps after every step.
+        #[test]
+        fn lockstep_with_the_linear_scan_reference(
+            size in 0usize..PROP_SIZES.len(),
+            steps in prop::collection::vec(op_strategy(), 1..600),
+        ) {
+            let (l1, l2, ways) = PROP_SIZES[size];
+            let universe = 3 * l1 as u32 + 5;
+            let mut fast = SegmentMappingCache::new(l1, l2, ways);
+            let mut model = ReferenceSmc::new(l1, l2, ways);
+            for op in steps {
+                match op {
+                    Op::Lookup(k) => {
+                        let hsn = prop_key(k % universe);
+                        prop_assert_eq!(fast.lookup(hsn), model.lookup(hsn), "lookup {}", hsn);
+                    }
+                    Op::Fill(k, dsn) => {
+                        let hsn = prop_key(k % universe);
+                        fast.fill(hsn, Dsn(dsn));
+                        model.fill(hsn, Dsn(dsn));
+                    }
+                    Op::Invalidate(k) => {
+                        let hsn = prop_key(k % universe);
+                        prop_assert_eq!(fast.invalidate(hsn), model.invalidate(hsn), "invalidate {}", hsn);
+                    }
+                }
+                prop_assert_eq!(fast.stats(), model.stats);
+                prop_assert_eq!(&fast.l1, &model.l1);
+                prop_assert_eq!(&fast.l2, &model.l2);
+                fast.check_index();
+            }
+        }
     }
 }
