@@ -52,7 +52,9 @@ mod tables;
 mod tap;
 mod translate;
 
-pub use addr::{AuId, Dsn, HostId, HostPhysAddr, Hsn, SegmentGeometry, SegmentLocation, VmHandle};
+pub use addr::{
+    div_rem, AuId, Dsn, HostId, HostPhysAddr, Hsn, SegmentGeometry, SegmentLocation, VmHandle,
+};
 pub use alloc::SegmentAllocator;
 pub use backend::{AnalyticBackend, CycleBackend, MemoryBackend};
 pub use config::DtlConfig;

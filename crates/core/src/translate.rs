@@ -10,7 +10,7 @@
 use dtl_dram::Picos;
 use serde::{Deserialize, Serialize};
 
-use crate::addr::{AuId, Dsn, HostId, HostPhysAddr, Hsn};
+use crate::addr::{div_rem, AuId, Dsn, HostId, HostPhysAddr, Hsn};
 use crate::config::DtlConfig;
 use crate::error::DtlError;
 use crate::smc::{SegmentMappingCache, SmcOutcome, SmcStats};
@@ -98,10 +98,13 @@ impl Translator {
     ///
     /// An AU index too wide for [`AuId`] saturates rather than truncating
     /// onto a real AU; no device maps an id that large.
+    #[inline]
     pub fn hsn_of(&self, host: HostId, hpa: HostPhysAddr) -> (Hsn, u64) {
-        let au = AuId(u32::try_from(hpa.as_u64() / self.au_bytes).unwrap_or(u32::MAX));
-        let au_offset = (hpa.as_u64() % self.au_bytes) / self.segment_bytes;
-        (Hsn { host, au, au_offset: au_offset as u32 }, hpa.as_u64() % self.segment_bytes)
+        let (au, within_au) = div_rem(hpa.as_u64(), self.au_bytes);
+        let (au_offset, _) = div_rem(within_au, self.segment_bytes);
+        let (_, offset) = div_rem(hpa.as_u64(), self.segment_bytes);
+        let au = AuId(u32::try_from(au).unwrap_or(u32::MAX));
+        (Hsn { host, au, au_offset: au_offset as u32 }, offset)
     }
 
     /// Translates one access, filling the SMC on a miss. `dram_access` is
@@ -155,6 +158,7 @@ impl Translator {
 mod tests {
     use super::*;
     use crate::addr::SegmentGeometry;
+    use proptest::prelude::*;
 
     fn setup() -> (Translator, MappingTables, DtlConfig) {
         let cfg = DtlConfig::tiny();
@@ -175,6 +179,34 @@ mod tests {
         assert_eq!(hsn.au, AuId(3));
         assert_eq!(hsn.au_offset, 5);
         assert_eq!(off, 1234);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The HSN split is the plain `/` and `%` arithmetic of Figure 4
+        /// whether or not the AU and segment sizes are powers of two, and
+        /// wherever the HPA lies (past 2^32, past the AU id field).
+        #[test]
+        fn hsn_split_equals_the_plain_arithmetic(
+            (au_bytes, segment_bytes) in prop_oneof![
+                Just((2u64 << 30, 2u64 << 20)),
+                Just((8 << 20, 256 << 10)),
+                Just((5 << 20, 1 << 20)),
+                Just((6 << 20, 3 << 19)),
+                Just((7_000_000, 1_000)),
+            ],
+            hpa in any::<u64>(),
+            narrow in 0u32..64,
+        ) {
+            let hpa = hpa >> narrow;
+            let cfg = DtlConfig { au_bytes, segment_bytes, ..DtlConfig::tiny() };
+            let (hsn, offset) = Translator::new(&cfg).hsn_of(HostId(3), HostPhysAddr::new(hpa));
+            prop_assert_eq!(hsn.host, HostId(3));
+            prop_assert_eq!(hsn.au, AuId(u32::try_from(hpa / au_bytes).unwrap_or(u32::MAX)));
+            prop_assert_eq!(u64::from(hsn.au_offset), (hpa % au_bytes) / segment_bytes);
+            prop_assert_eq!(offset, hpa % segment_bytes);
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! preserved.
 
 use dtl_core::{
-    AnalyticBackend, DtlConfig, DtlDevice, DtlError, HostId, HostPhysAddr, SegmentGeometry,
+    div_rem, AnalyticBackend, DtlConfig, DtlDevice, DtlError, HostId, HostPhysAddr, SegmentGeometry,
 };
 use dtl_dram::{AccessKind, Picos, PowerParams};
 use dtl_telemetry::Telemetry;
@@ -209,8 +209,8 @@ impl TraceWorld {
         let au_bytes = self.dtl_cfg.au_bytes;
         let r = self.mix.next_record();
         let local = r.addr - self.mix.base_of(r.instance);
-        let au_idx = (local / au_bytes) as usize;
-        let hpa = self.app_au_bases[r.instance as usize][au_idx].offset_by(local % au_bytes);
+        let (au_idx, au_off) = div_rem(local, au_bytes);
+        let hpa = self.app_au_bases[r.instance as usize][au_idx as usize].offset_by(au_off);
         let kind = if r.is_write { AccessKind::Write } else { AccessKind::Read };
         self.dev.access(HostId(0), hpa, kind, self.now)?;
         self.now += self.dt;
