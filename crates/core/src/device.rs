@@ -1363,7 +1363,9 @@ impl<B: MemoryBackend> DtlDevice<B> {
         kind: AccessKind,
         now: Picos,
     ) -> Result<AccessOutcome, DtlError> {
-        if !self.hosts.contains_key(&host) {
+        // The dense host table, registered in step with `hosts`: an index,
+        // where the map would hash on every access.
+        if !self.tables.has_host(host) {
             return Err(DtlError::UnknownHost(host));
         }
         self.process_events();
