@@ -396,6 +396,11 @@ impl TraceGen {
     /// Generates the next record. Infinite stream.
     pub fn next_record(&mut self) -> TraceRecord {
         // Instruction gap ~ Exp(1000 / MAPKI), keeping MAPKI on target.
+        // Divided per record on purpose: with the quotient cached in a
+        // field, the first floating-point instruction of this function
+        // inherits a false register dependency on the previous record's
+        // `ln()`, and a mixed record costs 54 ns instead of 36 (BENCH.md,
+        // PR 18).
         let mean_gap = 1000.0 / self.spec.mapki;
         let u: f64 = self.rng.gen_range(1e-9..1.0f64);
         let gap = (-u.ln() * mean_gap).max(1.0) as u64;
