@@ -15,8 +15,9 @@ use dtl_core::{
 };
 use dtl_dram::{AccessKind, Picos, PowerParams};
 use dtl_telemetry::Telemetry;
-use dtl_trace::{Mixer, WorkloadKind, WorkloadSpec};
+use dtl_trace::{MixedRecord, Mixer, WorkloadKind, WorkloadSpec};
 use serde::{Deserialize, Serialize};
+use std::slice;
 
 use crate::assert_residency_consistency;
 
@@ -115,31 +116,76 @@ pub struct HotnessRunResult {
     pub accesses: u64,
 }
 
-/// The world both trace replays drive: a device fragmented by allocation
-/// churn, the application mix that runs on it, and the replay clock.
-struct TraceWorld {
+/// One device under trace replay: a device fragmented by allocation churn,
+/// the map from the mix's flat address space onto its AUs, the replay
+/// clock, and what [`run_hotness`] measures along the way.
+///
+/// The trace is not part of it. A [`Mixer`] depends on the configuration
+/// only through what [`mix_specs`] reads, never on
+/// [`HotnessRunConfig::hotness`], so a baseline and a treatment replay are
+/// stepped from one mixer ([`drive`]).
+struct Replay {
     dev: DtlDevice<AnalyticBackend>,
     dtl_cfg: DtlConfig,
     geo: SegmentGeometry,
-    mix: Mixer,
+    /// Flat-space base of each application ([`Mixer::base_of`]).
+    app_bases: Vec<u64>,
     app_au_bases: Vec<Vec<HostPhysAddr>>,
     /// Time between accesses at the target bandwidth.
     dt: Picos,
     now: Picos,
+    /// Accesses the run replays ([`HotnessRunConfig::accesses`]).
+    accesses: u64,
+    first_sr_entry: Option<Picos>,
+    /// The access index the stable phase starts at (60 % of the replay),
+    /// where energy is sampled; `None` takes no sample.
+    stable_from: Option<u64>,
+    stable_start: Option<(Picos, f64)>,
 }
 
-impl TraceWorld {
+/// The DTL configuration of a replay at `cfg.scale`.
+fn scaled_dtl_config(cfg: &HotnessRunConfig, threshold_factor: f64) -> DtlConfig {
+    let mut dtl_cfg = DtlConfig::paper();
+    dtl_cfg.au_bytes = (2 << 30) / cfg.scale;
+    dtl_cfg.profile_window = Picos::from_ps(Picos::from_us(500).as_ps() / cfg.scale);
+    dtl_cfg.profile_threshold =
+        Picos::from_ps(((Picos::from_ms(50).as_ps() / cfg.scale) as f64 * threshold_factor) as u64);
+    dtl_cfg
+}
+
+/// Working-set bytes of each application: equal shares adding up to the
+/// allocated fraction, AU-aligned so app-local offsets map through per-AU
+/// base addresses.
+fn per_app_bytes(cfg: &HotnessRunConfig, dtl_cfg: &DtlConfig) -> u64 {
+    let capacity = cfg.capacity_bytes(dtl_cfg.segment_bytes);
+    let allocated = (capacity as f64 * cfg.allocated_fraction) as u64;
+    (allocated / cfg.n_apps as u64 / dtl_cfg.au_bytes).max(1) * dtl_cfg.au_bytes
+}
+
+/// The application mix of a replay.
+fn mix_specs(cfg: &HotnessRunConfig) -> Vec<WorkloadSpec> {
+    let per_app = per_app_bytes(cfg, &scaled_dtl_config(cfg, 1.0));
+    WorkloadKind::TRACED
+        .iter()
+        .cycle()
+        .take(cfg.n_apps)
+        .map(|k| {
+            let mut s = k.spec();
+            s.working_set_bytes = per_app;
+            s
+        })
+        .collect()
+}
+
+impl Replay {
+    /// Builds the device and lays `mix`'s applications out on it.
     fn build(
         cfg: &HotnessRunConfig,
         threshold_factor: f64,
         telemetry: &Telemetry,
+        mix: &Mixer,
     ) -> Result<Self, DtlError> {
-        let mut dtl_cfg = DtlConfig::paper();
-        dtl_cfg.au_bytes = (2 << 30) / cfg.scale;
-        dtl_cfg.profile_window = Picos::from_ps(Picos::from_us(500).as_ps() / cfg.scale);
-        dtl_cfg.profile_threshold = Picos::from_ps(
-            ((Picos::from_ms(50).as_ps() / cfg.scale) as f64 * threshold_factor) as u64,
-        );
+        let dtl_cfg = scaled_dtl_config(cfg, threshold_factor);
         let geo = SegmentGeometry {
             channels: cfg.channels,
             ranks_per_channel: cfg.active_ranks,
@@ -155,30 +201,14 @@ impl TraceWorld {
         dev.set_hotness_enabled(cfg.hotness);
         dev.register_host(HostId(0))?;
 
-        // Build the application mix: equal working sets adding up to the
-        // allocated fraction, AU-aligned so app-local offsets map through
-        // per-AU base addresses.
-        let capacity = cfg.capacity_bytes(dtl_cfg.segment_bytes);
-        let allocated = (capacity as f64 * cfg.allocated_fraction) as u64;
-        let per_app = (allocated / cfg.n_apps as u64 / dtl_cfg.au_bytes).max(1) * dtl_cfg.au_bytes;
-        let specs: Vec<WorkloadSpec> = WorkloadKind::TRACED
-            .iter()
-            .cycle()
-            .take(cfg.n_apps)
-            .map(|k| {
-                let mut s = k.spec();
-                s.working_set_bytes = per_app;
-                s
-            })
-            .collect();
-        let mix = Mixer::new(&specs, cfg.seed);
         // Allocate one AU at a time, round-robin over the applications and
         // interleaved with filler AUs that are freed afterwards: live and
         // unallocated capacity end up *fragmented across all ranks*,
         // exactly the state a real pool reaches after allocation churn. (A
         // freshly packed device would leave whole ranks empty and make the
         // hotness mechanism's job trivial.)
-        let per_app_aus = per_app / dtl_cfg.au_bytes;
+        let capacity = cfg.capacity_bytes(dtl_cfg.segment_bytes);
+        let per_app_aus = per_app_bytes(cfg, &dtl_cfg) / dtl_cfg.au_bytes;
         let total_aus = capacity / dtl_cfg.au_bytes;
         let filler_aus = total_aus - per_app_aus * cfg.n_apps as u64;
         let mut app_au_bases: Vec<Vec<HostPhysAddr>> = vec![Vec::new(); cfg.n_apps];
@@ -200,33 +230,94 @@ impl TraceWorld {
         for f in fillers {
             dev.dealloc_vm(f, Picos::ZERO)?;
         }
-        let dt = Picos::from_ps((64.0 / cfg.target_bw * 1e12) as u64);
-        Ok(TraceWorld { dev, dtl_cfg, geo, mix, app_au_bases, dt, now: Picos::from_ns(1) })
+        Ok(Replay {
+            dev,
+            dtl_cfg,
+            geo,
+            app_bases: (0..mix.instances()).map(|i| mix.base_of(i)).collect(),
+            app_au_bases,
+            dt: Picos::from_ps((64.0 / cfg.target_bw * 1e12) as u64),
+            now: Picos::from_ns(1),
+            accesses: cfg.accesses,
+            first_sr_entry: None,
+            stable_from: Some(cfg.accesses * 6 / 10),
+            stable_start: None,
+        })
     }
 
-    /// Issues the mix's next record at `now` and advances `now` by `dt`.
-    fn access_next(&mut self) -> Result<(), DtlError> {
-        let au_bytes = self.dtl_cfg.au_bytes;
-        let r = self.mix.next_record();
-        let local = r.addr - self.mix.base_of(r.instance);
-        let (au_idx, au_off) = div_rem(local, au_bytes);
-        let hpa = self.app_au_bases[r.instance as usize][au_idx as usize].offset_by(au_off);
+    /// Replays record `i` of a run: issues it at `now`, advances `now` by
+    /// `dt`, ticks the device on every 256th index, and samples energy at
+    /// the start of the stable phase.
+    fn step(&mut self, i: u64, r: MixedRecord) -> Result<(), DtlError> {
+        let app = r.instance as usize;
+        let (au_idx, au_off) = div_rem(r.addr - self.app_bases[app], self.dtl_cfg.au_bytes);
+        let hpa = self.app_au_bases[app][au_idx as usize].offset_by(au_off);
         let kind = if r.is_write { AccessKind::Write } else { AccessKind::Read };
         self.dev.access(HostId(0), hpa, kind, self.now)?;
         self.now += self.dt;
-        Ok(())
-    }
-
-    /// Replays `steps` records, ticking the device every 256th.
-    fn replay(&mut self, steps: u64) -> Result<(), DtlError> {
-        for i in 0..steps {
-            self.access_next()?;
-            if i % 256 == 0 {
-                self.dev.tick(self.now)?;
+        if i.is_multiple_of(256) {
+            self.dev.tick(self.now)?;
+            if self.first_sr_entry.is_none() && self.dev.hotness_stats().sr_entries > 0 {
+                self.first_sr_entry = Some(self.now);
             }
+        }
+        if self.stable_from == Some(i) {
+            let rep = self.dev.power_report(self.now);
+            self.stable_start = Some((self.now, rep.total.total_mj()));
         }
         Ok(())
     }
+
+    /// Settles the device, sweeps its invariants and folds the replay into
+    /// its result.
+    fn finish(mut self, telemetry: &Telemetry) -> Result<HotnessRunResult, DtlError> {
+        let (dev, now) = (&mut self.dev, self.now);
+        dev.tick(now)?;
+        dev.check_invariants()?;
+        let report = dev.power_report(now);
+        assert_residency_consistency(dev, &report);
+        if let Some(m) = telemetry.metrics() {
+            dev.export_metrics(m);
+        }
+        // Self-refresh residency over all ranks.
+        let mut sr_ps: u128 = 0;
+        for ch in &report.residency {
+            for rank_res in ch {
+                sr_ps += u128::from(rank_res[3].as_ps()); // PowerState::ALL[3] = SelfRefresh
+            }
+        }
+        let ranks = self.geo.channels * self.geo.ranks_per_channel;
+        let total_ps = u128::from(now.as_ps()) * u128::from(ranks);
+        let hs = dev.hotness_stats();
+        let (t0, e0) = self.stable_start.expect("stable point sampled");
+        let stable_power_mw = (report.total.total_mj() - e0) / (now - t0).as_secs_f64();
+        Ok(HotnessRunResult {
+            total_energy_mj: report.total.total_mj(),
+            background_mj: report.total.background_mj,
+            stable_power_mw,
+            sr_residency: sr_ps as f64 / total_ps as f64,
+            first_sr_entry: self.first_sr_entry,
+            sr_entries: hs.sr_entries,
+            sr_exits: hs.sr_exits,
+            swaps_executed: dev.migration_stats().completed,
+            duration: now,
+            accesses: self.accesses,
+        })
+    }
+}
+
+/// The replay loop: the next `steps` records of `mix`, each stepped into
+/// every replay in turn as record `0..steps`. The replays share nothing but
+/// the trace, so each sees exactly the accesses, at exactly the instants,
+/// it would see if driven alone.
+fn drive(mix: &mut Mixer, replays: &mut [Replay], steps: u64) -> Result<(), DtlError> {
+    for i in 0..steps {
+        let r = mix.next_record();
+        for replay in replays.iter_mut() {
+            replay.step(i, r)?;
+        }
+    }
+    Ok(())
 }
 
 /// Replays a mixed trace against a DTL device with only the hotness
@@ -245,58 +336,19 @@ pub fn run_hotness(
     threshold_factor: f64,
     telemetry: &Telemetry,
 ) -> Result<HotnessRunResult, DtlError> {
-    let mut w = TraceWorld::build(cfg, threshold_factor, telemetry)?;
-    let mut first_sr_entry = None;
-    let stable_from = cfg.accesses * 6 / 10;
-    let mut stable_start: Option<(Picos, f64)> = None;
-    for i in 0..cfg.accesses {
-        w.access_next()?;
-        if i % 256 == 0 {
-            w.dev.tick(w.now)?;
-            if first_sr_entry.is_none() && w.dev.hotness_stats().sr_entries > 0 {
-                first_sr_entry = Some(w.now);
-            }
-        }
-        if i == stable_from {
-            let rep = w.dev.power_report(w.now);
-            stable_start = Some((w.now, rep.total.total_mj()));
-        }
-    }
-    let (dev, now) = (&mut w.dev, w.now);
-    dev.tick(now)?;
-    dev.check_invariants()?;
-    let report = dev.power_report(now);
-    assert_residency_consistency(dev, &report);
-    if let Some(m) = telemetry.metrics() {
-        dev.export_metrics(m);
-    }
-    // Self-refresh residency over all ranks.
-    let mut sr_ps: u128 = 0;
-    for ch in &report.residency {
-        for rank_res in ch {
-            sr_ps += u128::from(rank_res[3].as_ps()); // PowerState::ALL[3] = SelfRefresh
-        }
-    }
-    let total_ps = u128::from(now.as_ps()) * u128::from(w.geo.channels * w.geo.ranks_per_channel);
-    let hs = dev.hotness_stats();
-    let (t0, e0) = stable_start.expect("stable point sampled");
-    let stable_power_mw = (report.total.total_mj() - e0) / (now - t0).as_secs_f64();
-    Ok(HotnessRunResult {
-        total_energy_mj: report.total.total_mj(),
-        background_mj: report.total.background_mj,
-        stable_power_mw,
-        sr_residency: sr_ps as f64 / total_ps as f64,
-        first_sr_entry,
-        sr_entries: hs.sr_entries,
-        sr_exits: hs.sr_exits,
-        swaps_executed: dev.migration_stats().completed,
-        duration: now,
-        accesses: cfg.accesses,
-    })
+    let mut mix = Mixer::new(&mix_specs(cfg), cfg.seed);
+    let mut replay = Replay::build(cfg, threshold_factor, telemetry, &mix)?;
+    drive(&mut mix, slice::from_mut(&mut replay), cfg.accesses)?;
+    replay.finish(telemetry)
 }
 
 /// Runs baseline (hotness off) and treatment (hotness on) with identical
-/// traffic; returns `(baseline, treatment, stable_saving_fraction)`.
+/// traffic; returns `(baseline, treatment, stable_saving_fraction)`. Each
+/// result is what [`run_hotness`] returns for that configuration.
+///
+/// The trace is synthesised once (§5.2 replays one mixed trace against
+/// both devices): the two devices are stepped in lockstep, record by
+/// record, from one [`Mixer`].
 ///
 /// The saving compares **stable-phase power** — the paper's Figure 14
 /// likewise reports stable-phase savings; warmup consolidation energy
@@ -305,13 +357,22 @@ pub fn run_hotness(
 ///
 /// # Errors
 ///
-/// Propagates device errors from either replay.
+/// Propagates device errors from either replay. If both replays would
+/// fail, the error of the lower access index is returned, the baseline's
+/// first at equal indices (driven one after the other, the baseline's would
+/// always win); either is a harness or device bug.
 pub fn hotness_savings(
     cfg: &HotnessRunConfig,
 ) -> Result<(HotnessRunResult, HotnessRunResult, f64), DtlError> {
     let untraced = Telemetry::disabled();
-    let off = run_hotness(&HotnessRunConfig { hotness: false, ..*cfg }, 1.0, &untraced)?;
-    let on = run_hotness(&HotnessRunConfig { hotness: true, ..*cfg }, 1.0, &untraced)?;
+    let mut mix = Mixer::new(&mix_specs(cfg), cfg.seed);
+    let build =
+        |hotness| Replay::build(&HotnessRunConfig { hotness, ..*cfg }, 1.0, &untraced, &mix);
+    let mut pair = [build(false)?, build(true)?];
+    drive(&mut mix, &mut pair, cfg.accesses)?;
+    let [off, on] = pair;
+    let off = off.finish(&untraced)?;
+    let on = on.finish(&untraced)?;
     let saving = 1.0 - on.stable_power_mw / off.stable_power_mw;
     Ok((off, on, saving))
 }
@@ -345,12 +406,16 @@ pub struct ReentryResult {
 pub fn run_reentry(cfg: &HotnessRunConfig) -> Result<ReentryResult, DtlError> {
     // `run_hotness`'s world at the paper's threshold, hotness forced on.
     let cfg = &HotnessRunConfig { hotness: true, ..*cfg };
-    let mut w = TraceWorld::build(cfg, 1.0, &Telemetry::disabled())?;
+    let mut mix = Mixer::new(&mix_specs(cfg), cfg.seed);
+    let mut w = Replay::build(cfg, 1.0, &Telemetry::disabled(), &mix)?;
+    // Driven in chunks that restart their record index: there is no one
+    // stable phase to sample.
+    w.stable_from = None;
 
     // Phase 1: reach stable self-refresh on every channel.
     let mut budget = cfg.accesses;
     while w.dev.hotness_stats().sr_entries < u64::from(cfg.channels) && budget > 0 {
-        w.replay(100_000.min(budget))?;
+        drive(&mut mix, slice::from_mut(&mut w), 100_000.min(budget))?;
         budget = budget.saturating_sub(100_000);
     }
     if w.dev.hotness_stats().sr_entries < u64::from(cfg.channels) {
@@ -388,7 +453,7 @@ pub fn run_reentry(cfg: &HotnessRunConfig) -> Result<ReentryResult, DtlError> {
     // Phase 3: keep replaying until the woken rank re-enters.
     let mut budget = cfg.accesses;
     while w.dev.hotness_stats().sr_entries == entries_before && budget > 0 {
-        w.replay(50_000.min(budget))?;
+        drive(&mut mix, slice::from_mut(&mut w), 50_000.min(budget))?;
         budget = budget.saturating_sub(50_000);
     }
     if w.dev.hotness_stats().sr_entries == entries_before {

@@ -3,7 +3,7 @@
 //! exercised through the dtl-sim harness exactly as the paper's Figure 14
 //! experiment runs.
 
-use dtl_sim::{hotness_savings, run_hotness, HotnessRunConfig};
+use dtl_sim::{hotness_savings, run_hotness, HotnessRunConfig, HotnessRunResult};
 use dtl_telemetry::Telemetry;
 
 #[test]
@@ -51,4 +51,34 @@ fn mechanism_is_deterministic() {
     assert_eq!(a.total_energy_mj, b.total_energy_mj);
     assert_eq!(a.sr_entries, b.sr_entries);
     assert_eq!(a.swaps_executed, b.swaps_executed);
+}
+
+/// `hotness_savings` steps its two devices in lockstep from one trace; each
+/// must come out exactly as if `run_hotness` had replayed it alone.
+#[test]
+fn the_lockstep_pair_equals_two_separate_replays() {
+    fn same(pair: &HotnessRunResult, alone: &HotnessRunResult) {
+        let (p, a) = (pair, alone);
+        assert_eq!(p.total_energy_mj.to_bits(), a.total_energy_mj.to_bits(), "{p:?} vs {a:?}");
+        assert_eq!(p.background_mj.to_bits(), a.background_mj.to_bits(), "{p:?} vs {a:?}");
+        assert_eq!(p.stable_power_mw.to_bits(), a.stable_power_mw.to_bits(), "{p:?} vs {a:?}");
+        assert_eq!(p.sr_residency.to_bits(), a.sr_residency.to_bits(), "{p:?} vs {a:?}");
+        assert_eq!(p.first_sr_entry, a.first_sr_entry);
+        assert_eq!(p.sr_entries, a.sr_entries);
+        assert_eq!(p.sr_exits, a.sr_exits);
+        assert_eq!(p.swaps_executed, a.swaps_executed);
+        assert_eq!(p.duration, a.duration);
+        assert_eq!(p.accesses, a.accesses);
+    }
+    for seed in [5, 11] {
+        let cfg = HotnessRunConfig::tiny(seed, true);
+        let (off, on, saving) = hotness_savings(&cfg).unwrap();
+        let untraced = Telemetry::disabled();
+        let alone_off = run_hotness(&HotnessRunConfig { hotness: false, ..cfg }, 1.0, &untraced);
+        let alone_on = run_hotness(&HotnessRunConfig { hotness: true, ..cfg }, 1.0, &untraced);
+        same(&off, &alone_off.unwrap());
+        same(&on, &alone_on.unwrap());
+        assert_eq!(saving.to_bits(), (1.0 - on.stable_power_mw / off.stable_power_mw).to_bits());
+        assert!(on.sr_entries > 0, "seed {seed}: the treatment must differ from the baseline");
+    }
 }
