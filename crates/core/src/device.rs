@@ -240,8 +240,9 @@ pub struct DtlDevice<B: MemoryBackend> {
     policy_demotions: u64,
     hosts: HashMap<HostId, HostState>,
     job_origin: HashMap<u64, JobOrigin>,
-    /// Per channel: (jobs still pending, jobs originally planned).
-    hotness_pending: HashMap<u32, (u64, u64)>,
+    /// Per channel, while a consolidation plan's jobs are in the migration
+    /// engine: (jobs still pending, jobs originally planned).
+    hotness_pending: Vec<Option<(u64, u64)>>,
     stats: DeviceStats,
     telemetry: Telemetry,
     /// Resolved once at [`DtlDevice::set_telemetry`] time, never on the
@@ -323,7 +324,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
             policy_demotions: 0,
             hosts: HashMap::new(),
             job_origin: HashMap::new(),
-            hotness_pending: HashMap::new(),
+            hotness_pending: vec![None; geo.channels as usize],
             stats: DeviceStats::default(),
             telemetry: Telemetry::disabled(),
             translation_hist: None,
@@ -1478,7 +1479,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
                         EventKind::SelfRefreshSwap { channel: plan.channel, victim, swaps: 0 },
                     );
                 } else {
-                    self.hotness_pending.insert(plan.channel, (count, count));
+                    self.hotness_pending[plan.channel as usize] = Some((count, count));
                 }
             }
         }
@@ -1631,12 +1632,16 @@ impl<B: MemoryBackend> DtlDevice<B> {
     }
 
     fn finish_hotness_job(&mut self, channel: u32, now: Picos) -> Result<(), DtlError> {
-        let pending = self.hotness_pending.get_mut(&channel).ok_or(DtlError::Internal {
-            reason: format!("hotness job finished with no pending plan on ch{channel}"),
-        })?;
-        pending.0 -= 1;
-        if pending.0 == 0 {
-            let (_, total) = self.hotness_pending.remove(&channel).expect("present above");
+        let slot = &mut self.hotness_pending[channel as usize];
+        let Some((left, total)) = slot else {
+            return Err(DtlError::Internal {
+                reason: format!("hotness job finished with no pending plan on ch{channel}"),
+            });
+        };
+        *left -= 1;
+        if *left == 0 {
+            let total = *total;
+            *slot = None;
             let victim = self.hotness.on_plan_migrated(channel, now);
             self.enter_self_refresh(channel, victim, now)?;
             self.telemetry.emit(

@@ -680,32 +680,23 @@ impl<B: MemoryBackend> MemoryPool<B> {
     ) -> Result<PoolAccessOutcome, PoolError> {
         let au_bytes = self.config.dtl.au_bytes;
         let v = self.vms.get(&vm.0).ok_or(PoolError::UnknownVm(vm))?;
-        let au_index = offset / au_bytes;
-        let within = offset % au_bytes;
+        let (au_index, within) = dtl_core::div_rem(offset, au_bytes);
+        // The shard holding AU `au_index` of the VM, and the AU's index in it.
         let mut skipped = 0u64;
-        let mut target: Option<(DeviceId, VmHandle, usize)> = None;
-        for shard in &v.shards {
-            let n = u64::from(shard.aus());
-            if au_index < skipped + n {
-                target = Some((shard.device, shard.alloc.handle, (au_index - skipped) as usize));
-                break;
-            }
-            skipped += n;
-        }
-        let Some((device, _handle, i)) = target else {
+        let target = v.shards.iter().find_map(|shard| {
+            let first = skipped;
+            skipped += u64::from(shard.aus());
+            (au_index < skipped).then(|| (shard, (au_index - first) as usize))
+        });
+        let Some((shard, i)) = target else {
             return Err(PoolError::OutOfRange {
                 vm,
                 offset,
                 bytes: u64::from(v.total_aus()) * au_bytes,
             });
         };
-        let host = v.host;
-        let shard = v
-            .shards
-            .iter()
-            .find(|s| s.device == device && s.alloc.handle == _handle)
-            .expect("target shard exists");
-        let hpa = dtl_core::HostPhysAddr::new(shard.alloc.hpa_base(i, au_bytes).as_u64() + within);
+        let (host, device) = (v.host, shard.device);
+        let hpa = shard.alloc.hpa_base(i, au_bytes).offset_by(within);
         // One cache-line transaction crosses the interconnect (queueing +
         // propagation + retry), then the device serves it.
         let delivery = self.ic.submit_at(host, device.0, ACCESS_BYTES, now);
@@ -1239,6 +1230,30 @@ mod tests {
             let out = p.access(vm, i * b + 17, AccessKind::Read, secs(1)).unwrap();
             assert!(out.link_delay > Picos::ZERO, "link round-trip charged");
         }
+        let err = p.access(vm, 3 * b, AccessKind::Read, secs(1)).unwrap_err();
+        assert!(matches!(err, PoolError::OutOfRange { .. }), "{err}");
+    }
+
+    #[test]
+    fn access_walks_a_striped_vm_shard_by_shard() {
+        let mut cfg = PoolConfig::tiny(3);
+        cfg.coordinator.enabled = false;
+        cfg.policy = PlacementPolicy::SpreadForBandwidth;
+        let mut p = MemoryPool::analytic(cfg).unwrap();
+        p.register_host(HostId(0)).unwrap();
+        let b = au(&p);
+        let vm = p.alloc_vm(HostId(0), 3 * b, Picos::ZERO).unwrap();
+        // One AU per device: the first and the last byte of AU `i` are both
+        // served by the `i`-th shard's device, and no two AUs share one.
+        let mut served = Vec::new();
+        for i in 0..3 {
+            let first = p.access(vm, i * b, AccessKind::Read, secs(1)).unwrap().device;
+            let last = p.access(vm, (i + 1) * b - 64, AccessKind::Write, secs(1)).unwrap().device;
+            assert_eq!(first, last, "AU {i}");
+            served.push(first);
+        }
+        served.sort();
+        assert_eq!(served, [DeviceId(0), DeviceId(1), DeviceId(2)]);
         let err = p.access(vm, 3 * b, AccessKind::Read, secs(1)).unwrap_err();
         assert!(matches!(err, PoolError::OutOfRange { .. }), "{err}");
     }
