@@ -13,10 +13,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test -q
 
-# The dense tables' index arithmetic once more without debug assertions:
-# the two lockstep proptests against the hash-map / BTreeSet references.
-echo "== dtl-core lockstep proptests (release) =="
-cargo test --release -q -p dtl-core --lib lockstep_with_the
+# Index arithmetic once more without debug assertions: every structure
+# that replaced a slower one, in lockstep with the one it replaced (dense
+# tables, allocator bitmaps, SMC L1 index, job-origin window; the mixer's
+# lookahead rings).
+echo "== dtl-core and dtl-trace lockstep proptests (release) =="
+cargo test --release -q -p dtl-core -p dtl-trace --lib lockstep_with_the
 
 echo "== smoke suite on the parallel path (--jobs 2) =="
 cargo build --release -q -p dtl-bench
@@ -31,6 +33,9 @@ timeout 30 $dtl policy_ablation --tiny --jobs 2 > /tmp/dtl_ci_policy.txt
 timeout 30 $dtl vm_campaign --tiny --jobs 2
 timeout 30 $dtl fabric_load --tiny --jobs 2 > /tmp/dtl_ci_fabric.txt
 timeout 30 $dtl sec3_4_reentry --tiny
+# The perf ledger's access_path workload through the registry: four
+# baseline/treatment pairs, each stepped in lockstep from one trace.
+timeout 60 $dtl fig14 --tiny --jobs 2
 timeout 60 $dtl fig15 --tiny --jobs 2
 # The one paper-scale run: fig12 is sub-second per replay.
 timeout 60 $dtl fig12 --jobs 2 > /dev/null

@@ -33,6 +33,7 @@ use crate::hotness::{HotnessEngine, HotnessParams, HotnessStats};
 use crate::migrate::{
     MigrationEngine, MigrationInterrupt, MigrationKind, MigrationStats, WriteRouting,
 };
+use crate::origin::{JobOrigin, JobOrigins};
 use crate::powerdown::{PowerDownEngine, PowerDownStats, RankPdState};
 use crate::smc::{SmcOutcome, SmcStats};
 use crate::tables::MappingTables;
@@ -119,12 +120,6 @@ impl HostState {
     fn mapped_aus(&self) -> u32 {
         self.vms.values().map(|aus| aus.len() as u32).sum()
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JobOrigin {
-    Drain,
-    Hotness { channel: u32 },
 }
 
 /// Role a rank currently plays in the hotness engine.
@@ -239,7 +234,7 @@ pub struct DtlDevice<B: MemoryBackend> {
     /// Ladder demotions committed by the policy pump.
     policy_demotions: u64,
     hosts: HashMap<HostId, HostState>,
-    job_origin: HashMap<u64, JobOrigin>,
+    job_origin: JobOrigins,
     /// Per channel, while a consolidation plan's jobs are in the migration
     /// engine: (jobs still pending, jobs originally planned).
     hotness_pending: Vec<Option<(u64, u64)>>,
@@ -323,7 +318,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
             rank_last_access: vec![Picos::ZERO; (geo.channels * geo.ranks_per_channel) as usize],
             policy_demotions: 0,
             hosts: HashMap::new(),
-            job_origin: HashMap::new(),
+            job_origin: JobOrigins::default(),
             hotness_pending: vec![None; geo.channels as usize],
             stats: DeviceStats::default(),
             telemetry: Telemetry::disabled(),
@@ -835,7 +830,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
         freed: Dsn,
         now: Picos,
     ) -> Result<(), DtlError> {
-        match self.job_origin.remove(&id) {
+        match self.job_origin.remove(id) {
             Some(JobOrigin::Drain) => {
                 if let MigrationKind::Copy { dst, .. } = kind {
                     if dst != freed {
@@ -877,7 +872,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
             MigrationKind::Copy { src, dst } => self.migrate.enqueue_copy(src, dst, now)?,
             MigrationKind::Swap { a, b } => self.migrate.enqueue_swap(a, b, now)?,
         };
-        if let Some(origin) = self.job_origin.remove(&job.id) {
+        if let Some(origin) = self.job_origin.remove(job.id) {
             self.job_origin.insert(new_id, origin);
             if origin == JobOrigin::Drain {
                 self.powerdown.replace_job(job.id, new_id);
@@ -1036,7 +1031,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
         let cancelled = self.migrate.cancel_ids(&ids);
         let mut pending = cancelled.into_iter();
         while let Some(job) = pending.next() {
-            let reaim = match (self.job_origin.get(&job.id), job.kind) {
+            let reaim = match (self.job_origin.get(job.id), job.kind) {
                 (Some(JobOrigin::Drain), MigrationKind::Copy { src, dst }) => {
                     let src_loc = self.geo.location(src);
                     let src_elsewhere = !(src_loc.channel == channel && src_loc.rank == rank);
@@ -1073,7 +1068,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
                             free: 0,
                         });
                     };
-                    self.job_origin.remove(&job.id);
+                    self.job_origin.remove(job.id);
                     self.alloc.free_segments(&[dst])?;
                     let new_id = self.migrate.enqueue_copy(src, self.geo.dsn(new_dst), now)?;
                     self.job_origin.insert(new_id, JobOrigin::Drain);
@@ -1307,7 +1302,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
         job: crate::migrate::MigrationJob,
         now: Picos,
     ) -> Result<(), DtlError> {
-        match self.job_origin.remove(&job.id) {
+        match self.job_origin.remove(job.id) {
             Some(JobOrigin::Drain) => {
                 let MigrationKind::Copy { src, dst } = job.kind else {
                     return Err(DtlError::Internal { reason: "drain job must be a copy".into() });
@@ -1578,7 +1573,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
     }
 
     fn finish_job(&mut self, id: u64, kind: MigrationKind, now: Picos) -> Result<(), DtlError> {
-        match self.job_origin.remove(&id) {
+        match self.job_origin.remove(id) {
             Some(JobOrigin::Drain) => {
                 let MigrationKind::Copy { src, dst } = kind else {
                     return Err(DtlError::Internal { reason: "drain job must be a copy".into() });

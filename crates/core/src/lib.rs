@@ -45,6 +45,7 @@ mod error;
 mod health;
 mod hotness;
 mod migrate;
+mod origin;
 mod overhead;
 mod powerdown;
 mod smc;
