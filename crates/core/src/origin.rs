@@ -19,7 +19,7 @@ pub(crate) enum JobOrigin {
 /// lives for a few ticks, so the live ids sit in a narrow window below the
 /// newest one: a deque indexed by `id - base`, whose front is dropped as
 /// the oldest jobs go. Every migrated segment costs one insert and one
-/// remove; as a hash map those two were 7 % of `grid_schedule`.
+/// remove; as a hash map those two were 6–7 % of `grid_schedule`.
 #[derive(Debug, Default)]
 pub(crate) struct JobOrigins {
     /// Id of `window[0]`.

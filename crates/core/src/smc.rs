@@ -105,7 +105,7 @@ impl L1Index {
 
     /// `(bucket, slot)` of the valid entry holding `key`.
     #[inline]
-    fn find(&self, key: u64, l1: &[Entry]) -> Option<(usize, usize)> {
+    fn probe(&self, key: u64, l1: &[Entry]) -> Option<(usize, usize)> {
         let mut b = self.home(key);
         loop {
             let slot = self.buckets[b].checked_sub(1)? as usize;
@@ -114,6 +114,12 @@ impl L1Index {
             }
             b = self.next(b);
         }
+    }
+
+    /// The slot of the valid entry holding `key`.
+    #[inline]
+    fn find(&self, key: u64, l1: &[Entry]) -> Option<usize> {
+        self.probe(key, l1).map(|(_, slot)| slot)
     }
 
     /// Indexes `slot` under `key`, which must not be indexed yet.
@@ -130,7 +136,7 @@ impl L1Index {
     /// Later entries of the probe run move back into the hole unless that
     /// would put them before their home bucket.
     fn remove(&mut self, key: u64, l1: &[Entry]) -> Option<usize> {
-        let (mut hole, slot) = self.find(key, l1)?;
+        let (mut hole, slot) = self.probe(key, l1)?;
         let mask = self.buckets.len() - 1;
         let mut b = hole;
         loop {
@@ -218,7 +224,7 @@ impl SegmentMappingCache {
         self.tick += 1;
         let tick = self.tick;
         // L1: fully associative, one probe of the index.
-        if let Some((_, slot)) = self.l1_index.find(key, &self.l1) {
+        if let Some(slot) = self.l1_index.find(key, &self.l1) {
             let e = &mut self.l1[slot];
             e.lru = tick;
             self.stats.l1_hits += 1;
@@ -275,7 +281,7 @@ impl SegmentMappingCache {
 
     fn insert_l1(&mut self, key: u64, dsn: Dsn) {
         let tick = self.tick;
-        if let Some((_, slot)) = self.l1_index.find(key, &self.l1) {
+        if let Some(slot) = self.l1_index.find(key, &self.l1) {
             let e = &mut self.l1[slot];
             e.dsn = dsn;
             e.lru = tick;
@@ -451,8 +457,7 @@ mod tests {
             let indexed = self.l1_index.buckets.iter().filter(|b| **b != 0).count();
             assert_eq!(indexed, self.l1.iter().filter(|e| e.valid).count(), "indexed vs valid");
             for (slot, e) in self.l1.iter().enumerate().filter(|(_, e)| e.valid) {
-                let found = self.l1_index.find(e.key, &self.l1).map(|(_, s)| s);
-                assert_eq!(found, Some(slot), "key {:#x}", e.key);
+                assert_eq!(self.l1_index.find(e.key, &self.l1), Some(slot), "key {:#x}", e.key);
             }
         }
     }
@@ -486,7 +491,7 @@ mod tests {
         assert_eq!(index.buckets, [3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4]);
         for (slot, &key) in keys.iter().enumerate() {
             let kept = (slot >= 2).then_some(slot);
-            assert_eq!(index.find(key, &l1).map(|(_, s)| s), kept);
+            assert_eq!(index.find(key, &l1), kept);
         }
         assert_eq!(index.remove(keys[0], &l1), None, "already gone");
     }
@@ -500,8 +505,8 @@ mod tests {
 
     // --- lockstep with the structure this one replaced -------------------
 
-    /// The predecessor of [`SegmentMappingCache`], verbatim: every L1
-    /// operation is a linear scan of the entry array.
+    /// The predecessor of [`SegmentMappingCache`]: the same two arrays and
+    /// rules, every L1 operation a linear scan of the entry array.
     #[derive(Debug, Clone)]
     struct ReferenceSmc {
         l1: Vec<Entry>,

@@ -88,6 +88,42 @@ impl HotnessRunConfig {
             * self.segs_per_rank()
             * segment_bytes
     }
+
+    /// The paper's DTL configuration with the AU and the profiling
+    /// thresholds at `scale`.
+    fn dtl_config(&self, threshold_factor: f64) -> DtlConfig {
+        let mut dtl_cfg = DtlConfig::paper();
+        dtl_cfg.au_bytes = (2 << 30) / self.scale;
+        dtl_cfg.profile_window = Picos::from_ps(Picos::from_us(500).as_ps() / self.scale);
+        dtl_cfg.profile_threshold = Picos::from_ps(
+            ((Picos::from_ms(50).as_ps() / self.scale) as f64 * threshold_factor) as u64,
+        );
+        dtl_cfg
+    }
+
+    /// Working-set bytes of each application: equal shares adding up to the
+    /// allocated fraction, AU-aligned so app-local offsets map through
+    /// per-AU base addresses.
+    fn per_app_bytes(&self, dtl_cfg: &DtlConfig) -> u64 {
+        let allocated =
+            (self.capacity_bytes(dtl_cfg.segment_bytes) as f64 * self.allocated_fraction) as u64;
+        (allocated / self.n_apps as u64 / dtl_cfg.au_bytes).max(1) * dtl_cfg.au_bytes
+    }
+
+    /// The application mix. Nothing in it depends on [`Self::hotness`].
+    fn mix_specs(&self) -> Vec<WorkloadSpec> {
+        let per_app = self.per_app_bytes(&self.dtl_config(1.0));
+        WorkloadKind::TRACED
+            .iter()
+            .cycle()
+            .take(self.n_apps)
+            .map(|k| {
+                let mut s = k.spec();
+                s.working_set_bytes = per_app;
+                s
+            })
+            .collect()
+    }
 }
 
 /// Result of one hotness replay.
@@ -120,10 +156,9 @@ pub struct HotnessRunResult {
 /// the map from the mix's flat address space onto its AUs, the replay
 /// clock, and what [`run_hotness`] measures along the way.
 ///
-/// The trace is not part of it. A [`Mixer`] depends on the configuration
-/// only through what [`mix_specs`] reads, never on
-/// [`HotnessRunConfig::hotness`], so a baseline and a treatment replay are
-/// stepped from one mixer ([`drive`]).
+/// The trace is not part of it: the mix ([`HotnessRunConfig::mix_specs`])
+/// never depends on [`HotnessRunConfig::hotness`], so a baseline and a
+/// treatment replay are stepped from one [`Mixer`] ([`drive`]).
 struct Replay {
     dev: DtlDevice<AnalyticBackend>,
     dtl_cfg: DtlConfig,
@@ -143,40 +178,6 @@ struct Replay {
     stable_start: Option<(Picos, f64)>,
 }
 
-/// The DTL configuration of a replay at `cfg.scale`.
-fn scaled_dtl_config(cfg: &HotnessRunConfig, threshold_factor: f64) -> DtlConfig {
-    let mut dtl_cfg = DtlConfig::paper();
-    dtl_cfg.au_bytes = (2 << 30) / cfg.scale;
-    dtl_cfg.profile_window = Picos::from_ps(Picos::from_us(500).as_ps() / cfg.scale);
-    dtl_cfg.profile_threshold =
-        Picos::from_ps(((Picos::from_ms(50).as_ps() / cfg.scale) as f64 * threshold_factor) as u64);
-    dtl_cfg
-}
-
-/// Working-set bytes of each application: equal shares adding up to the
-/// allocated fraction, AU-aligned so app-local offsets map through per-AU
-/// base addresses.
-fn per_app_bytes(cfg: &HotnessRunConfig, dtl_cfg: &DtlConfig) -> u64 {
-    let capacity = cfg.capacity_bytes(dtl_cfg.segment_bytes);
-    let allocated = (capacity as f64 * cfg.allocated_fraction) as u64;
-    (allocated / cfg.n_apps as u64 / dtl_cfg.au_bytes).max(1) * dtl_cfg.au_bytes
-}
-
-/// The application mix of a replay.
-fn mix_specs(cfg: &HotnessRunConfig) -> Vec<WorkloadSpec> {
-    let per_app = per_app_bytes(cfg, &scaled_dtl_config(cfg, 1.0));
-    WorkloadKind::TRACED
-        .iter()
-        .cycle()
-        .take(cfg.n_apps)
-        .map(|k| {
-            let mut s = k.spec();
-            s.working_set_bytes = per_app;
-            s
-        })
-        .collect()
-}
-
 impl Replay {
     /// Builds the device and lays `mix`'s applications out on it.
     fn build(
@@ -185,7 +186,7 @@ impl Replay {
         telemetry: &Telemetry,
         mix: &Mixer,
     ) -> Result<Self, DtlError> {
-        let dtl_cfg = scaled_dtl_config(cfg, threshold_factor);
+        let dtl_cfg = cfg.dtl_config(threshold_factor);
         let geo = SegmentGeometry {
             channels: cfg.channels,
             ranks_per_channel: cfg.active_ranks,
@@ -208,7 +209,7 @@ impl Replay {
         // freshly packed device would leave whole ranks empty and make the
         // hotness mechanism's job trivial.)
         let capacity = cfg.capacity_bytes(dtl_cfg.segment_bytes);
-        let per_app_aus = per_app_bytes(cfg, &dtl_cfg) / dtl_cfg.au_bytes;
+        let per_app_aus = cfg.per_app_bytes(&dtl_cfg) / dtl_cfg.au_bytes;
         let total_aus = capacity / dtl_cfg.au_bytes;
         let filler_aus = total_aus - per_app_aus * cfg.n_apps as u64;
         let mut app_au_bases: Vec<Vec<HostPhysAddr>> = vec![Vec::new(); cfg.n_apps];
@@ -336,7 +337,7 @@ pub fn run_hotness(
     threshold_factor: f64,
     telemetry: &Telemetry,
 ) -> Result<HotnessRunResult, DtlError> {
-    let mut mix = Mixer::new(&mix_specs(cfg), cfg.seed);
+    let mut mix = Mixer::new(&cfg.mix_specs(), cfg.seed);
     let mut replay = Replay::build(cfg, threshold_factor, telemetry, &mix)?;
     drive(&mut mix, slice::from_mut(&mut replay), cfg.accesses)?;
     replay.finish(telemetry)
@@ -365,7 +366,7 @@ pub fn hotness_savings(
     cfg: &HotnessRunConfig,
 ) -> Result<(HotnessRunResult, HotnessRunResult, f64), DtlError> {
     let untraced = Telemetry::disabled();
-    let mut mix = Mixer::new(&mix_specs(cfg), cfg.seed);
+    let mut mix = Mixer::new(&cfg.mix_specs(), cfg.seed);
     let build =
         |hotness| Replay::build(&HotnessRunConfig { hotness, ..*cfg }, 1.0, &untraced, &mix);
     let mut pair = [build(false)?, build(true)?];
@@ -406,7 +407,7 @@ pub struct ReentryResult {
 pub fn run_reentry(cfg: &HotnessRunConfig) -> Result<ReentryResult, DtlError> {
     // `run_hotness`'s world at the paper's threshold, hotness forced on.
     let cfg = &HotnessRunConfig { hotness: true, ..*cfg };
-    let mut mix = Mixer::new(&mix_specs(cfg), cfg.seed);
+    let mut mix = Mixer::new(&cfg.mix_specs(), cfg.seed);
     let mut w = Replay::build(cfg, 1.0, &Telemetry::disabled(), &mix)?;
     // Driven in chunks that restart their record index: there is no one
     // stable phase to sample.
