@@ -94,7 +94,11 @@ struct Entry {
 #[derive(Debug, Clone)]
 struct ChannelState {
     phase: HotnessPhase,
-    /// Migration table: `[rank][within]`.
+    /// Migration table: `[rank][within]`. Empty until the channel first
+    /// plans ([`ChannelState::start_planning`]): outside the Planning phase
+    /// every entry is the identity, and a device that never consolidates —
+    /// hotness switched off, or nothing but schedule replay — has no reason
+    /// to build 24 bytes per segment it will not read.
     table: Vec<Vec<Entry>>,
     /// Per-rank access counts in the current sampling window.
     counts: Vec<u64>,
@@ -111,13 +115,10 @@ struct ChannelState {
 }
 
 impl ChannelState {
-    fn new(ranks: u32, segs_per_rank: u64) -> Self {
-        let table = (0..ranks)
-            .map(|r| (0..segs_per_rank).map(|w| Entry { access: false, planned: (r, w) }).collect())
-            .collect();
+    fn new(ranks: u32) -> Self {
         ChannelState {
             phase: HotnessPhase::Sampling,
-            table,
+            table: Vec::new(),
             counts: vec![0; ranks as usize],
             window_start: Picos::ZERO,
             victim: None,
@@ -126,6 +127,25 @@ impl ChannelState {
             target: 0,
             sr_rank: None,
         }
+    }
+
+    /// Enters the Planning phase with `victim`, over an identity table
+    /// (built now if this is the channel's first plan; otherwise reset when
+    /// the last plan ended).
+    fn start_planning(&mut self, victim: u32, geo: &SegmentGeometry, now: Picos) {
+        if self.table.is_empty() {
+            self.table = (0..geo.ranks_per_channel)
+                .map(|r| {
+                    (0..geo.segs_per_rank)
+                        .map(|w| Entry { access: false, planned: (r, w) })
+                        .collect()
+                })
+                .collect();
+        }
+        self.victim = Some(victim);
+        self.phase = HotnessPhase::Planning;
+        self.last_victim_touch = now;
+        self.target = (victim + 1) % geo.ranks_per_channel;
     }
 
     fn reset_table(&mut self) {
@@ -169,9 +189,7 @@ impl HotnessEngine {
         HotnessEngine {
             geo,
             params,
-            channels: (0..geo.channels)
-                .map(|_| ChannelState::new(geo.ranks_per_channel, geo.segs_per_rank))
-                .collect(),
+            channels: (0..geo.channels).map(|_| ChannelState::new(geo.ranks_per_channel)).collect(),
             stats: HotnessStats::default(),
             telemetry: Telemetry::disabled(),
         }
@@ -331,10 +349,7 @@ impl HotnessEngine {
                     if actives < 2 {
                         continue;
                     }
-                    ch.victim = Some(victim);
-                    ch.phase = HotnessPhase::Planning;
-                    ch.last_victim_touch = now;
-                    ch.target = (victim + 1) % self.geo.ranks_per_channel;
+                    ch.start_planning(victim, &self.geo, now);
                 }
                 HotnessPhase::Planning => {
                     let victim = ch.victim.expect("planning implies a victim");
@@ -421,8 +436,12 @@ impl HotnessEngine {
 
     /// The planned location of a physical slot (test/diagnostic hook).
     pub fn planned_of(&self, loc: SegmentLocation) -> SegmentLocation {
-        let e = &self.channels[loc.channel as usize].table[loc.rank as usize][loc.within as usize];
-        SegmentLocation { channel: loc.channel, rank: e.planned.0, within: e.planned.1 }
+        let table = &self.channels[loc.channel as usize].table;
+        // A channel that has not planned yet keeps every slot where it is.
+        let planned = table
+            .get(loc.rank as usize)
+            .map_or((loc.rank, loc.within), |rank| rank[loc.within as usize].planned);
+        SegmentLocation { channel: loc.channel, rank: planned.0, within: planned.1 }
     }
 }
 
@@ -471,6 +490,28 @@ mod tests {
         enter_planning(&mut eng, 0);
         // rank 0 untouched -> victim 0 (ties break to lowest index).
         assert_eq!(eng.victim(0), Some(0));
+    }
+
+    #[test]
+    fn the_migration_table_is_built_at_the_first_plan_and_kept() {
+        let mut eng = HotnessEngine::new(geo(), params());
+        assert!(eng.channels[0].table.is_empty(), "sampling needs no table");
+        assert_eq!(eng.planned_of(loc(2, 3)), loc(2, 3), "no table reads as the identity");
+        let t1 = enter_planning(&mut eng, 0);
+        let g = geo();
+        let table = &eng.channels[0].table;
+        assert_eq!(table.len(), g.ranks_per_channel as usize);
+        for (r, rank) in table.iter().enumerate() {
+            assert_eq!(rank.len() as u64, g.segs_per_rank);
+            for (w, e) in rank.iter().enumerate() {
+                assert_eq!(*e, Entry { access: false, planned: (r as u32, w as u64) });
+            }
+        }
+        // The plan ends: the table is reset in place, not dropped.
+        eng.pump(t1 + Picos::from_us(1100), |_, _| true);
+        eng.on_plan_migrated(0, t1 + Picos::from_us(1200));
+        assert_eq!(eng.channels[0].table.len(), g.ranks_per_channel as usize);
+        assert_eq!(eng.planned_of(loc(2, 3)), loc(2, 3));
     }
 
     #[test]
