@@ -34,7 +34,7 @@ use crate::migrate::{
     MigrationEngine, MigrationInterrupt, MigrationKind, MigrationStats, WriteRouting,
 };
 use crate::origin::{JobOrigin, JobOrigins};
-use crate::powerdown::{PowerDownEngine, PowerDownStats, RankPdState};
+use crate::powerdown::{PowerDownEngine, PowerDownPlan, PowerDownStats, RankPdState};
 use crate::smc::{SmcOutcome, SmcStats};
 use crate::tables::MappingTables;
 use crate::tap::{CommandTap, DeviceCommand};
@@ -822,7 +822,10 @@ impl<B: MemoryBackend> DtlDevice<B> {
         Ok(())
     }
 
-    /// Handles a cancelled migration job's bookkeeping.
+    /// Handles a cancelled migration job's bookkeeping: a cancelled *copy*
+    /// holds a destination reservation that must be released (unless the
+    /// freed segment itself is the destination, which cannot happen:
+    /// reservations are never part of an AU).
     fn cancel_job(
         &mut self,
         id: u64,
@@ -830,39 +833,19 @@ impl<B: MemoryBackend> DtlDevice<B> {
         freed: Dsn,
         now: Picos,
     ) -> Result<(), DtlError> {
-        match self.job_origin.remove(id) {
-            Some(JobOrigin::Drain) => {
-                if let MigrationKind::Copy { dst, .. } = kind {
-                    if dst != freed {
-                        // Release the drain's destination reservation.
-                        self.alloc.free_segments(&[dst])?;
-                    }
-                }
-                let ranks = self.powerdown.on_migration_complete(id);
-                self.power_down_ranks(&ranks, now)?;
-                self.note_retired_ranks(&ranks, now);
+        let Some(origin) = self.job_origin.remove(id) else { return Ok(()) };
+        if let MigrationKind::Copy { dst, .. } = kind {
+            if dst != freed {
+                self.alloc.free_segments(&[dst])?;
             }
-            Some(JobOrigin::Hotness { channel }) => {
-                // A cancelled hotness *copy* holds a destination
-                // reservation that must be released (unless the freed
-                // segment itself is the destination, which cannot happen:
-                // reservations are never part of an AU).
-                if let MigrationKind::Copy { dst, .. } = kind {
-                    if dst != freed {
-                        self.alloc.free_segments(&[dst])?;
-                    }
-                }
-                self.finish_hotness_job(channel, now)?;
-            }
-            None => {}
         }
-        Ok(())
+        self.job_settled(origin, now)
     }
 
     /// Re-enqueues a cancelled migration job unchanged (refused
     /// retirements must leave migration state exactly as found). The job
-    /// restarts from scratch under a fresh id; pre-commit copy work is
-    /// idempotent, so nothing is lost.
+    /// restarts from scratch under a fresh id, which takes over the origin;
+    /// pre-commit copy work is idempotent, so nothing is lost.
     fn restore_job(
         &mut self,
         job: &crate::migrate::MigrationJob,
@@ -874,10 +857,58 @@ impl<B: MemoryBackend> DtlDevice<B> {
         };
         if let Some(origin) = self.job_origin.remove(job.id) {
             self.job_origin.insert(new_id, origin);
-            if origin == JobOrigin::Drain {
-                self.powerdown.replace_job(job.id, new_id);
-            }
         }
+        Ok(())
+    }
+
+    /// What a migration job that is gone for good — finished, cancelled or
+    /// abandoned — means for the ranks it was planned for.
+    fn job_settled(&mut self, origin: JobOrigin, now: Picos) -> Result<(), DtlError> {
+        match origin {
+            JobOrigin::Drain { group } => self.drain_job_settled(group, now),
+            JobOrigin::Hotness { channel } => self.consolidation_job_settled(channel, now),
+        }
+    }
+
+    /// Enqueues one drain copy counted in `group`.
+    fn enqueue_drain(
+        &mut self,
+        src: Dsn,
+        dst: Dsn,
+        group: u32,
+        now: Picos,
+    ) -> Result<(), DtlError> {
+        let id = self.migrate.enqueue_copy(src, dst, now)?;
+        self.job_origin.insert(id, JobOrigin::Drain { group });
+        Ok(())
+    }
+
+    /// Starts a planned drain: its copies go to the migration engine under
+    /// a fresh drain group, or — with nothing to copy — the ranks power
+    /// down at once.
+    fn launch_drain(
+        &mut self,
+        plan: &PowerDownPlan,
+        retire: bool,
+        now: Picos,
+    ) -> Result<(), DtlError> {
+        match self.powerdown.open_group(plan, retire) {
+            Some(group) => {
+                for (src, dst) in &plan.copies {
+                    self.enqueue_drain(*src, *dst, group, now)?;
+                }
+                Ok(())
+            }
+            None => self.power_down_ranks(&plan.group, now),
+        }
+    }
+
+    /// One drain copy of `group` has settled; the group's last one powers
+    /// its ranks down.
+    fn drain_job_settled(&mut self, group: u32, now: Picos) -> Result<(), DtlError> {
+        let ranks = self.powerdown.on_job_settled(group);
+        self.power_down_ranks(&ranks, now)?;
+        self.note_retired_ranks(&ranks, now);
         Ok(())
     }
 
@@ -887,20 +918,11 @@ impl<B: MemoryBackend> DtlDevice<B> {
     /// engine's endpoint index, not a walk of its queues.
     fn try_power_down(&mut self, now: Picos) -> Result<(), DtlError> {
         loop {
-            let plan = {
-                let migrate = &self.migrate;
-                self.powerdown
-                    .plan_power_down_excluding(&mut self.alloc, |c, r| migrate.involves_rank(c, r))
-            };
+            let migrate = &self.migrate;
+            let plan =
+                self.powerdown.plan_power_down(&mut self.alloc, |c, r| migrate.involves_rank(c, r));
             let Some(plan) = plan else { break };
-            let mut ids = Vec::with_capacity(plan.copies.len());
-            for (src, dst) in &plan.copies {
-                let id = self.migrate.enqueue_copy(*src, *dst, now)?;
-                self.job_origin.insert(id, JobOrigin::Drain);
-                ids.push(id);
-            }
-            let immediate = self.powerdown.register_drain_jobs(&plan, &ids);
-            self.power_down_ranks(&immediate, now)?;
+            self.launch_drain(&plan, false, now)?;
         }
         Ok(())
     }
@@ -1032,22 +1054,28 @@ impl<B: MemoryBackend> DtlDevice<B> {
         let mut pending = cancelled.into_iter();
         while let Some(job) = pending.next() {
             let reaim = match (self.job_origin.get(job.id), job.kind) {
-                (Some(JobOrigin::Drain), MigrationKind::Copy { src, dst }) => {
+                (Some(JobOrigin::Drain { group }), MigrationKind::Copy { src, dst }) => {
                     let src_loc = self.geo.location(src);
                     let src_elsewhere = !(src_loc.channel == channel && src_loc.rank == rank);
-                    (src_elsewhere && self.tables.reverse(src).is_some()).then_some((src, dst))
+                    (src_elsewhere && self.tables.reverse(src).is_some())
+                        .then_some((src, dst, group))
                 }
                 _ => None,
             };
             match reaim {
-                Some((src, dst)) => {
+                Some((src, dst, group)) => {
                     let src_loc = self.geo.location(src);
                     // Find a destination off the retiring rank, waking
                     // powered-down groups for capacity exactly like the
                     // planning loop below.
                     let new_dst = loop {
-                        if let Some(d) = self.pick_drain_destination(src_loc.channel, rank) {
-                            break Some(d);
+                        let dst = self.powerdown.pick_destination(
+                            &mut self.alloc,
+                            src_loc.channel,
+                            Some(rank),
+                        );
+                        if dst.is_some() {
+                            break dst;
                         }
                         match self.wake_group_for_capacity(now) {
                             Ok(()) => {}
@@ -1070,9 +1098,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
                     };
                     self.job_origin.remove(job.id);
                     self.alloc.free_segments(&[dst])?;
-                    let new_id = self.migrate.enqueue_copy(src, self.geo.dsn(new_dst), now)?;
-                    self.job_origin.insert(new_id, JobOrigin::Drain);
-                    self.powerdown.replace_job(job.id, new_id);
+                    self.enqueue_drain(src, self.geo.dsn(new_dst), group, now)?;
                 }
                 None => self.cancel_job(job.id, job.kind, Dsn(u64::MAX), now)?,
             }
@@ -1089,15 +1115,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
                 Err(e) => return Err(e),
             }
         };
-        let mut ids = Vec::with_capacity(plan.copies.len());
-        for (src, dst) in &plan.copies {
-            let id = self.migrate.enqueue_copy(*src, *dst, now)?;
-            self.job_origin.insert(id, JobOrigin::Drain);
-            ids.push(id);
-        }
-        let immediate = self.powerdown.register_retirement_jobs(&plan, &ids);
-        self.power_down_ranks(&immediate, now)?;
-        Ok(())
+        self.launch_drain(&plan, true, now)
     }
 
     /// Emits `HealthTransition` events for ranks whose drain just finalized
@@ -1121,23 +1139,6 @@ impl<B: MemoryBackend> DtlDevice<B> {
                 );
             }
         }
-    }
-
-    /// Picks a drain destination in `channel` excluding `exclude_rank`:
-    /// the most utilized active rank with free space.
-    fn pick_drain_destination(
-        &mut self,
-        channel: u32,
-        exclude_rank: u32,
-    ) -> Option<crate::addr::SegmentLocation> {
-        let rank = (0..self.geo.ranks_per_channel)
-            .filter(|r| {
-                *r != exclude_rank
-                    && self.powerdown.rank_state(channel, *r) == RankPdState::Active
-                    && self.alloc.free_in_rank(channel, *r) > 0
-            })
-            .max_by_key(|r| (self.alloc.allocated_in_rank(channel, *r), u32::MAX - *r))?;
-        self.alloc.take_free_in_rank(channel, rank)
     }
 
     /// Replaces the error-health parameters, resetting all error history.
@@ -1302,48 +1303,40 @@ impl<B: MemoryBackend> DtlDevice<B> {
         job: crate::migrate::MigrationJob,
         now: Picos,
     ) -> Result<(), DtlError> {
-        match self.job_origin.remove(job.id) {
-            Some(JobOrigin::Drain) => {
-                let MigrationKind::Copy { src, dst } = job.kind else {
-                    return Err(DtlError::Internal { reason: "drain job must be a copy".into() });
-                };
-                if self.tables.reverse(src).is_some() {
-                    // Source still live: the rank must still empty, so the
-                    // drain restarts from scratch under a fresh id.
-                    let new_id = self.migrate.enqueue_copy(src, dst, now)?;
-                    self.job_origin.insert(new_id, JobOrigin::Drain);
-                    self.powerdown.replace_job(job.id, new_id);
-                } else {
-                    // Source vanished (deallocated): release the
-                    // reservation and let the drain bookkeeping complete.
-                    self.alloc.free_segments(&[dst])?;
-                    let ranks = self.powerdown.on_migration_complete(job.id);
-                    self.power_down_ranks(&ranks, now)?;
-                    self.note_retired_ranks(&ranks, now);
-                }
+        let Some(origin) = self.job_origin.remove(job.id) else { return Ok(()) };
+        match (origin, job.kind) {
+            (JobOrigin::Drain { .. }, MigrationKind::Swap { .. }) => {
+                return Err(DtlError::Internal { reason: "drain job must be a copy".into() });
             }
-            Some(JobOrigin::Hotness { channel }) => {
+            (JobOrigin::Drain { group }, MigrationKind::Copy { src, dst })
+                if self.tables.reverse(src).is_some() =>
+            {
+                // Source still live: the rank must still empty, so the
+                // drain restarts from scratch under a fresh id.
+                return self.enqueue_drain(src, dst, group, now);
+            }
+            // Source vanished (deallocated): release the reservation and
+            // let the drain bookkeeping complete.
+            (JobOrigin::Drain { .. }, MigrationKind::Copy { dst, .. }) => {
+                self.alloc.free_segments(&[dst])?;
+            }
+            (JobOrigin::Hotness { .. }, kind) => {
                 // Abandon the consolidation move: release a copy's
                 // destination reservation and drop any cached translations
                 // of the endpoints, leaving the original mapping
                 // authoritative.
-                if let MigrationKind::Copy { dst, .. } = job.kind {
+                if let MigrationKind::Copy { dst, .. } = kind {
                     self.alloc.free_segments(&[dst])?;
                 }
-                let (x, y) = match job.kind {
-                    MigrationKind::Copy { src, dst } => (src, dst),
-                    MigrationKind::Swap { a, b } => (a, b),
-                };
+                let (x, y) = kind.endpoints();
                 for d in [x, y] {
                     if let Some(h) = self.tables.reverse(d) {
                         self.translator.invalidate(h);
                     }
                 }
-                self.finish_hotness_job(channel, now)?;
             }
-            None => {}
         }
-        Ok(())
+        self.job_settled(origin, now)
     }
 
     /// Serves one 64 B access from a host.
@@ -1467,12 +1460,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
                     count += 1;
                 }
                 if count == 0 {
-                    let victim = self.hotness.on_plan_migrated(plan.channel, now);
-                    self.enter_self_refresh(plan.channel, victim, now)?;
-                    self.telemetry.emit(
-                        now.as_ps(),
-                        EventKind::SelfRefreshSwap { channel: plan.channel, victim, swaps: 0 },
-                    );
+                    self.consolidated(plan.channel, 0, now)?;
                 } else {
                     self.hotness_pending[plan.channel as usize] = Some((count, count));
                 }
@@ -1572,12 +1560,17 @@ impl<B: MemoryBackend> DtlDevice<B> {
         earliest
     }
 
+    /// The mapping half of a finished job; what it means for the ranks is
+    /// [`DtlDevice::job_settled`]'s.
     fn finish_job(&mut self, id: u64, kind: MigrationKind, now: Picos) -> Result<(), DtlError> {
-        match self.job_origin.remove(id) {
-            Some(JobOrigin::Drain) => {
-                let MigrationKind::Copy { src, dst } = kind else {
-                    return Err(DtlError::Internal { reason: "drain job must be a copy".into() });
-                };
+        let Some(origin) = self.job_origin.remove(id) else {
+            return Err(DtlError::Internal { reason: format!("job {id} has no origin") });
+        };
+        match (origin, kind) {
+            (JobOrigin::Drain { .. }, MigrationKind::Swap { .. }) => {
+                return Err(DtlError::Internal { reason: "drain job must be a copy".into() });
+            }
+            (JobOrigin::Drain { .. }, MigrationKind::Copy { src, dst }) => {
                 match self.tables.reverse(src) {
                     Some(hsn) => {
                         self.tables.remap(hsn, dst)?;
@@ -1591,42 +1584,35 @@ impl<B: MemoryBackend> DtlDevice<B> {
                         self.alloc.free_segments(&[dst])?;
                     }
                 }
-                let ranks = self.powerdown.on_migration_complete(id);
-                self.power_down_ranks(&ranks, now)?;
-                self.note_retired_ranks(&ranks, now);
             }
-            Some(JobOrigin::Hotness { channel }) => {
-                // Hotness jobs are swaps (two live segments) or one-way
-                // copies (live segment into a reserved free slot); the
-                // mapping update is a swap either way.
+            // Hotness jobs are swaps (two live segments) or one-way copies
+            // (live segment into a reserved free slot); the mapping update
+            // is a swap either way.
+            (JobOrigin::Hotness { .. }, kind) => {
+                let (a, b) = kind.endpoints();
+                let (ha, hb) = self.tables.swap(a, b)?;
+                self.tap.record(DeviceCommand::MappingSwap { a, b, at: now });
+                for h in [ha, hb].into_iter().flatten() {
+                    self.translator.invalidate(h);
+                }
                 match kind {
-                    MigrationKind::Swap { a, b } => {
-                        let (ha, hb) = self.tables.swap(a, b)?;
-                        self.tap.record(DeviceCommand::MappingSwap { a, b, at: now });
-                        for h in [ha, hb].into_iter().flatten() {
-                            self.translator.invalidate(h);
-                        }
+                    MigrationKind::Swap { .. } => {
                         self.alloc.swap_status(self.geo.location(a), self.geo.location(b));
                     }
-                    MigrationKind::Copy { src, dst } => {
-                        let (ha, hb) = self.tables.swap(src, dst)?;
-                        self.tap.record(DeviceCommand::MappingSwap { a: src, b: dst, at: now });
-                        for h in [ha, hb].into_iter().flatten() {
-                            self.translator.invalidate(h);
-                        }
-                        // The destination was reserved at enqueue; the
-                        // vacated source becomes free.
+                    // The destination was reserved at enqueue; the vacated
+                    // source becomes free.
+                    MigrationKind::Copy { src, .. } => {
                         self.alloc.complete_move(self.geo.location(src))?;
                     }
                 }
-                self.finish_hotness_job(channel, now)?;
             }
-            None => return Err(DtlError::Internal { reason: format!("job {id} has no origin") }),
         }
-        Ok(())
+        self.job_settled(origin, now)
     }
 
-    fn finish_hotness_job(&mut self, channel: u32, now: Picos) -> Result<(), DtlError> {
+    /// One job of `channel`'s consolidation plan has settled; the plan's
+    /// last one parks the victim.
+    fn consolidation_job_settled(&mut self, channel: u32, now: Picos) -> Result<(), DtlError> {
         let slot = &mut self.hotness_pending[channel as usize];
         let Some((left, total)) = slot else {
             return Err(DtlError::Internal {
@@ -1634,16 +1620,21 @@ impl<B: MemoryBackend> DtlDevice<B> {
             });
         };
         *left -= 1;
-        if *left == 0 {
-            let total = *total;
-            *slot = None;
-            let victim = self.hotness.on_plan_migrated(channel, now);
-            self.enter_self_refresh(channel, victim, now)?;
-            self.telemetry.emit(
-                now.as_ps(),
-                EventKind::SelfRefreshSwap { channel, victim, swaps: total as u32 },
-            );
+        if *left > 0 {
+            return Ok(());
         }
+        let total = *total;
+        *slot = None;
+        self.consolidated(channel, total, now)
+    }
+
+    /// `channel`'s consolidation plan has nothing left to move: its victim
+    /// enters self-refresh.
+    fn consolidated(&mut self, channel: u32, swaps: u64, now: Picos) -> Result<(), DtlError> {
+        let victim = self.hotness.on_plan_migrated(channel, now);
+        self.enter_self_refresh(channel, victim, now)?;
+        self.telemetry
+            .emit(now.as_ps(), EventKind::SelfRefreshSwap { channel, victim, swaps: swaps as u32 });
         Ok(())
     }
 
@@ -2598,6 +2589,13 @@ mod fault_tests {
         assert_eq!(dev.rank_health(loc.channel, loc.rank), RankHealth::Retired);
         dev.access(HostId(0), vm.hpa_base(0, au_bytes()), AccessKind::Read, t).unwrap();
         dev.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_finished_job_nobody_enqueued_is_an_internal_error() {
+        let kind = MigrationKind::Copy { src: Dsn(0), dst: Dsn(1) };
+        let err = device().finish_job(999, kind, Picos::ZERO).unwrap_err();
+        assert!(matches!(err, DtlError::Internal { reason } if reason.contains("no origin")));
     }
 
     #[test]

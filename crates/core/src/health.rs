@@ -12,8 +12,7 @@
 //!
 //! The tracker records error arrivals and bucket levels; the *effective*
 //! health of a rank is derived by combining the bucket state with the
-//! rank's power-down lifecycle (owned by
-//! [`PowerDownEngine`](crate::PowerDownEngine)), so the two state machines
+//! rank's power-down lifecycle ([`RankPdState`]), so the two state machines
 //! cannot disagree.
 
 use dtl_dram::Picos;

@@ -7,7 +7,7 @@
 //! device physical addresses at 2 MiB segment granularity and migrates
 //! segments transparently, enabling
 //!
-//! * **rank-level power-down** ([`PowerDownEngine`]) — consolidate
+//! * **rank-level power-down** ([`DtlDevice::dealloc_vm`]) — consolidate
 //!   unallocated capacity at VM deallocation and put whole (virtual) rank
 //!   groups into maximum power saving mode, and
 //! * **hotness-aware self-refresh** ([`HotnessEngine`]) — CLOCK-style
@@ -71,7 +71,7 @@ pub use migrate::{
     MigrationStats, WriteRouting,
 };
 pub use overhead::{ControllerCost, OverheadConfig, StructureSizes};
-pub use powerdown::{PowerDownEngine, PowerDownPlan, PowerDownStats, RankPdState};
+pub use powerdown::{PowerDownStats, RankPdState};
 pub use smc::{SegmentMappingCache, SmcOutcome, SmcStats};
 pub use tables::MappingTables;
 pub use tap::{CommandTap, DeviceCommand};

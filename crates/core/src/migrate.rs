@@ -52,7 +52,7 @@ pub enum MigrationKind {
 }
 
 impl MigrationKind {
-    fn endpoints(&self) -> (Dsn, Dsn) {
+    pub(crate) fn endpoints(&self) -> (Dsn, Dsn) {
         match *self {
             MigrationKind::Copy { src, dst } => (src, dst),
             MigrationKind::Swap { a, b } => (a, b),

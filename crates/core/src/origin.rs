@@ -7,8 +7,9 @@ use std::collections::VecDeque;
 /// rolling it back has to settle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum JobOrigin {
-    /// A power-down (or retirement) drain copy.
-    Drain,
+    /// A power-down (or retirement) drain copy, counted in drain group
+    /// `group`.
+    Drain { group: u32 },
     /// A hotness consolidation move planned on `channel`.
     Hotness { channel: u32 },
 }
@@ -73,7 +74,7 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::HashMap;
 
-    const DRAIN: JobOrigin = JobOrigin::Drain;
+    const DRAIN: JobOrigin = JobOrigin::Drain { group: 3 };
 
     #[test]
     fn window_follows_the_live_ids() {

@@ -52,7 +52,10 @@ pub struct PowerDownStats {
     pub ranks_retired: u64,
 }
 
-#[derive(Debug, Clone)]
+/// "`pending_jobs` copies left, then these ranks power down." A slot whose
+/// count has reached zero is free: every live drain job is counted in the
+/// group its origin names, so no job can still name it.
+#[derive(Debug, Clone, Default)]
 struct DrainGroup {
     ranks: Vec<(u32, u32)>,
     pending_jobs: u64,
@@ -61,29 +64,12 @@ struct DrainGroup {
 }
 
 /// The rank-level power-down engine.
-///
-/// # Examples
-///
-/// ```
-/// use dtl_core::{PowerDownEngine, RankPdState, SegmentAllocator, SegmentGeometry};
-///
-/// let geo = SegmentGeometry { channels: 2, ranks_per_channel: 4, segs_per_rank: 16 };
-/// let mut alloc = SegmentAllocator::new(geo);
-/// let mut pd = PowerDownEngine::new(geo);
-/// // An empty device can power a rank group down with zero copies.
-/// let plan = pd.plan_power_down(&mut alloc).expect("all free");
-/// assert!(plan.copies.is_empty());
-/// let ranks = pd.register_drain_jobs(&plan, &[]);
-/// assert_eq!(ranks.len(), 2); // one rank per channel
-/// assert_eq!(pd.rank_state(ranks[0].0, ranks[0].1), RankPdState::PoweredDown);
-/// ```
 #[derive(Debug)]
 pub struct PowerDownEngine {
     geo: SegmentGeometry,
     state: Vec<Vec<RankPdState>>,
+    /// The live drain groups and the free slots between them.
     draining: Vec<DrainGroup>,
-    /// job id -> index into `draining`.
-    job_to_group: HashMap<u64, usize>,
     /// Which group currently owns a Draining rank. A rank can be
     /// reactivated for capacity and later drained again by a *newer* plan;
     /// only the owning group may finalize it.
@@ -100,7 +86,6 @@ impl PowerDownEngine {
                 .map(|_| vec![RankPdState::Active; geo.ranks_per_channel as usize])
                 .collect(),
             draining: Vec::new(),
-            job_to_group: HashMap::new(),
             rank_owner: HashMap::new(),
             stats: PowerDownStats::default(),
         }
@@ -121,13 +106,10 @@ impl PowerDownEngine {
         self.state[channel as usize].iter().filter(|s| **s == RankPdState::Active).count() as u32
     }
 
-    /// Ranks in MPSM per channel (for power accounting).
-    pub fn powered_down_ranks(&self, channel: u32) -> u32 {
-        self.state[channel as usize].iter().filter(|s| **s == RankPdState::PoweredDown).count()
-            as u32
-    }
-
-    /// Attempts to plan a rank-group power-down (call at VM deallocation).
+    /// Attempts to plan a rank-group power-down (call at VM deallocation),
+    /// never selecting a rank for which `excluded(channel, rank)` is true —
+    /// the device excludes ranks that in-flight migrations are still
+    /// writing into.
     ///
     /// A plan exists when every channel keeps at least two active ranks and
     /// the active ranks of every channel hold at least one rank of free
@@ -135,14 +117,7 @@ impl PowerDownEngine {
     /// from the allocator's active set, and destination slots are reserved.
     ///
     /// Returns `None` when the condition does not hold (nothing mutated).
-    pub fn plan_power_down(&mut self, alloc: &mut SegmentAllocator) -> Option<PowerDownPlan> {
-        self.plan_power_down_excluding(alloc, |_, _| false)
-    }
-
-    /// Like [`PowerDownEngine::plan_power_down`], but never selects a rank
-    /// for which `excluded(channel, rank)` is true — the device excludes
-    /// ranks that in-flight migrations are still writing into.
-    pub fn plan_power_down_excluding<F>(
+    pub fn plan_power_down<F>(
         &mut self,
         alloc: &mut SegmentAllocator,
         excluded: F,
@@ -169,7 +144,17 @@ impl PowerDownEngine {
             }
             victims.push((c, victim));
         }
-        // Commit: reserve destinations and mark the victims draining.
+        Some(self.plan_drain(alloc, victims))
+    }
+
+    /// Commits a drain of `victims`, whose channels were verified to have
+    /// the spare capacity: marks them draining and reserves a destination
+    /// for every live segment.
+    fn plan_drain(
+        &mut self,
+        alloc: &mut SegmentAllocator,
+        victims: Vec<(u32, u32)>,
+    ) -> PowerDownPlan {
         let mut copies = Vec::new();
         for &(c, victim) in &victims {
             self.state[c as usize][victim as usize] = RankPdState::Draining;
@@ -178,57 +163,40 @@ impl PowerDownEngine {
             for within in live {
                 let src = self.geo.dsn(SegmentLocation { channel: c, rank: victim, within });
                 let dst_loc =
-                    self.pick_destination(alloc, c).expect("spare capacity verified above");
+                    self.pick_destination(alloc, c, None).expect("spare capacity verified");
                 copies.push((src, self.geo.dsn(dst_loc)));
             }
         }
         self.stats.segments_drained += copies.len() as u64;
-        Some(PowerDownPlan { group: victims, copies })
+        PowerDownPlan { group: victims, copies }
     }
 
-    /// Re-keys a drain job after the device re-aimed it at a new
-    /// destination (rank retirement cancels jobs into the retiring rank).
-    /// Returns whether the old id was tracked.
-    pub fn replace_job(&mut self, old_id: u64, new_id: u64) -> bool {
-        if let Some(idx) = self.job_to_group.remove(&old_id) {
-            self.job_to_group.insert(new_id, idx);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Picks a drain destination in channel `c`: the most utilized active
-    /// rank with free space (the allocator's packing preference).
-    fn pick_destination(&self, alloc: &mut SegmentAllocator, c: u32) -> Option<SegmentLocation> {
+    /// Picks a drain destination in channel `c`, outside rank `exclude`:
+    /// the most utilized active rank with free space (the allocator's
+    /// packing preference).
+    pub fn pick_destination(
+        &self,
+        alloc: &mut SegmentAllocator,
+        c: u32,
+        exclude: Option<u32>,
+    ) -> Option<SegmentLocation> {
         let rank = (0..self.geo.ranks_per_channel)
             .filter(|r| {
-                self.state[c as usize][*r as usize] == RankPdState::Active
+                Some(*r) != exclude
+                    && self.state[c as usize][*r as usize] == RankPdState::Active
                     && alloc.free_in_rank(c, *r) > 0
             })
             .max_by_key(|r| (alloc.allocated_in_rank(c, *r), u32::MAX - *r))?;
         alloc.take_free_in_rank(c, rank)
     }
 
-    /// Registers the migration job ids that drain `plan`'s group. Returns
-    /// the ranks that can power down immediately (when there is nothing to
-    /// drain).
-    pub fn register_drain_jobs(
-        &mut self,
-        plan: &PowerDownPlan,
-        job_ids: &[u64],
-    ) -> Vec<(u32, u32)> {
-        self.register_jobs_inner(plan, job_ids, false)
-    }
-
-    fn register_jobs_inner(
-        &mut self,
-        plan: &PowerDownPlan,
-        job_ids: &[u64],
-        retire: bool,
-    ) -> Vec<(u32, u32)> {
-        let terminal = if retire { RankPdState::Retired } else { RankPdState::PoweredDown };
-        if job_ids.is_empty() {
+    /// Opens the drain group of `plan`, whose ranks end up retired rather
+    /// than powered down if `retire`, and returns the slot its copies are
+    /// to be counted in. `None` when there is nothing to drain: the plan's
+    /// ranks are in their terminal state already and can enter MPSM now.
+    pub fn open_group(&mut self, plan: &PowerDownPlan, retire: bool) -> Option<u32> {
+        if plan.copies.is_empty() {
+            let terminal = if retire { RankPdState::Retired } else { RankPdState::PoweredDown };
             for &(c, r) in &plan.group {
                 self.state[c as usize][r as usize] = terminal;
             }
@@ -237,21 +205,21 @@ impl PowerDownEngine {
             } else {
                 self.stats.groups_powered_down += 1;
             }
-            return plan.group.clone();
+            return None;
         }
-        let idx = self.draining.len();
-        self.draining.push(DrainGroup {
-            ranks: plan.group.clone(),
-            pending_jobs: job_ids.len() as u64,
-            retire: vec![retire; plan.group.len()],
+        let idx = self.draining.iter().position(|g| g.pending_jobs == 0).unwrap_or_else(|| {
+            self.draining.push(DrainGroup::default());
+            self.draining.len() - 1
         });
+        let group = &mut self.draining[idx];
+        group.ranks.clone_from(&plan.group);
+        group.pending_jobs = plan.copies.len() as u64;
+        group.retire.clear();
+        group.retire.resize(plan.group.len(), retire);
         for &(c, r) in &plan.group {
             self.rank_owner.insert((c, r), idx);
         }
-        for id in job_ids {
-            self.job_to_group.insert(*id, idx);
-        }
-        Vec::new()
+        Some(idx as u32)
     }
 
     /// Converts an in-progress drain of `(channel, rank)` into a
@@ -321,46 +289,24 @@ impl PowerDownEngine {
         if spare < live {
             return Err(DtlError::OutOfCapacity { requested: live, free: spare });
         }
-        self.state[channel as usize][rank as usize] = RankPdState::Draining;
-        alloc.set_rank_active(channel, rank, false);
-        let mut copies = Vec::new();
-        let slots: Vec<u64> = alloc.allocated_slots(channel, rank).collect();
-        for within in slots {
-            let src = self.geo.dsn(SegmentLocation { channel, rank, within });
-            let dst = self.pick_destination(alloc, channel).expect("spare capacity verified above");
-            copies.push((src, self.geo.dsn(dst)));
-        }
-        self.stats.segments_drained += copies.len() as u64;
-        Ok(PowerDownPlan { group: vec![(channel, rank)], copies })
+        Ok(self.plan_drain(alloc, vec![(channel, rank)]))
     }
 
-    /// Registers the drain jobs of a retirement plan; returns the rank if
-    /// it can power off immediately.
-    pub fn register_retirement_jobs(
-        &mut self,
-        plan: &PowerDownPlan,
-        job_ids: &[u64],
-    ) -> Vec<(u32, u32)> {
-        self.register_jobs_inner(plan, job_ids, true)
-    }
-
-    /// Notifies that a drain migration finished. Returns ranks to put into
-    /// MPSM when their whole group has drained.
-    pub fn on_migration_complete(&mut self, job_id: u64) -> Vec<(u32, u32)> {
-        let Some(idx) = self.job_to_group.remove(&job_id) else {
-            return Vec::new();
-        };
-        let group = &mut self.draining[idx];
+    /// Notifies that a drain copy counted in `group` has settled —
+    /// finished, or cancelled for good. Returns the ranks to put into MPSM
+    /// when that was the group's last.
+    pub fn on_job_settled(&mut self, group: u32) -> Vec<(u32, u32)> {
+        let group_idx = group as usize;
+        let group = &mut self.draining[group_idx];
         group.pending_jobs = group.pending_jobs.saturating_sub(1);
         if group.pending_jobs > 0 {
             return Vec::new();
         }
-        let ranks = group.ranks.clone();
-        let retire = group.retire.clone();
-        let group_idx = idx;
+        let ranks = std::mem::take(&mut group.ranks);
+        let retire = std::mem::take(&mut group.retire);
         let mut out = Vec::new();
         let mut any_powerdown = false;
-        for (i, (c, r)) in ranks.into_iter().enumerate() {
+        for (i, &(c, r)) in ranks.iter().enumerate() {
             // The rank may have been reactivated for capacity (and possibly
             // re-drained by a newer plan): only the owning group finalizes.
             let owned = self.rank_owner.get(&(c, r)) == Some(&group_idx);
@@ -376,6 +322,9 @@ impl PowerDownEngine {
                 out.push((c, r));
             }
         }
+        // The slot keeps its vectors for the group that reuses it.
+        let group = &mut self.draining[group_idx];
+        (group.ranks, group.retire) = (ranks, retire);
         if any_powerdown {
             self.stats.groups_powered_down += 1;
         }
@@ -455,12 +404,11 @@ mod tests {
     #[test]
     fn empty_device_plans_trivial_power_down() {
         let (mut pd, mut alloc) = setup();
-        let plan = pd.plan_power_down(&mut alloc).expect("all free: must plan");
+        let plan = pd.plan_power_down(&mut alloc, |_, _| false).expect("all free: must plan");
         assert_eq!(plan.group.len(), 2, "one victim per channel");
         assert!(plan.copies.is_empty(), "nothing to drain");
-        let ranks = pd.register_drain_jobs(&plan, &[]);
-        assert_eq!(ranks, plan.group);
-        for (c, r) in ranks {
+        assert_eq!(pd.open_group(&plan, false), None, "the whole group can park at once");
+        for (c, r) in plan.group {
             assert_eq!(pd.rank_state(c, r), RankPdState::PoweredDown);
             assert!(!alloc.is_rank_active(c, r));
         }
@@ -479,13 +427,13 @@ mod tests {
             alloc.free_segments(au).unwrap();
         }
         for _ in 0..2 {
-            let plan = pd.plan_power_down(&mut alloc).unwrap();
+            let plan = pd.plan_power_down(&mut alloc, |_, _| false).unwrap();
             assert!(plan.copies.is_empty(), "empty ranks drain for free");
-            pd.register_drain_jobs(&plan, &[]);
+            pd.open_group(&plan, false);
         }
         // Two active ranks per channel, 4 live segments each; the plan must
         // drain one of them: 4 segments per channel = 8 copies.
-        let plan = pd.plan_power_down(&mut alloc).unwrap();
+        let plan = pd.plan_power_down(&mut alloc, |_, _| false).unwrap();
         assert_eq!(plan.copies.len(), 8, "all live segments must move");
         for (c, r) in &plan.group {
             assert_eq!(pd.rank_state(*c, *r), RankPdState::Draining);
@@ -499,11 +447,10 @@ mod tests {
             assert!(!plan.group.contains(&(d.channel, d.rank)));
         }
         // Complete via migration notifications.
-        let job_ids: Vec<u64> = (100..108).collect();
-        assert!(pd.register_drain_jobs(&plan, &job_ids).is_empty());
+        let group = pd.open_group(&plan, false).expect("copies to wait for");
         let mut downed = Vec::new();
-        for id in job_ids {
-            downed.extend(pd.on_migration_complete(id));
+        for _ in &plan.copies {
+            downed.extend(pd.on_job_settled(group));
         }
         assert_eq!(downed.len(), 2);
         alloc.check_consistency().unwrap();
@@ -518,28 +465,29 @@ mod tests {
         for _ in 0..14 {
             alloc.allocate_au(8).unwrap();
         }
-        assert!(pd.plan_power_down(&mut alloc).is_none());
+        assert!(pd.plan_power_down(&mut alloc, |_, _| false).is_none());
     }
 
     #[test]
     fn keeps_at_least_one_active_rank() {
         let (mut pd, mut alloc) = setup();
         for _ in 0..3 {
-            let plan = pd.plan_power_down(&mut alloc).unwrap();
-            pd.register_drain_jobs(&plan, &[]);
+            let plan = pd.plan_power_down(&mut alloc, |_, _| false).unwrap();
+            pd.open_group(&plan, false);
         }
         // 3 of 4 ranks down; a 4th plan would leave zero active.
-        assert!(pd.plan_power_down(&mut alloc).is_none());
+        assert!(pd.plan_power_down(&mut alloc, |_, _| false).is_none());
         assert_eq!(pd.active_ranks(0), 1);
-        assert_eq!(pd.powered_down_ranks(0), 3);
+        let parked = (0..4).filter(|r| pd.rank_state(0, *r) == RankPdState::PoweredDown).count();
+        assert_eq!(parked, 3);
     }
 
     #[test]
     fn wake_restores_capacity() {
         let (mut pd, mut alloc) = setup();
         for _ in 0..3 {
-            let plan = pd.plan_power_down(&mut alloc).unwrap();
-            pd.register_drain_jobs(&plan, &[]);
+            let plan = pd.plan_power_down(&mut alloc, |_, _| false).unwrap();
+            pd.open_group(&plan, false);
         }
         let free_before = alloc.free_active_total();
         let exits = pd.wake_one_group(&mut alloc).unwrap();
@@ -554,25 +502,28 @@ mod tests {
         let (mut pd, mut alloc) = setup();
         // Empty device: the first plan picks the least-allocated rank of
         // each channel and powers it down with zero copies.
-        let plan1 = pd.plan_power_down(&mut alloc).expect("first group");
+        let plan1 = pd.plan_power_down(&mut alloc, |_, _| false).expect("first group");
         let first = plan1.group.clone();
-        pd.register_drain_jobs(&plan1, &[]);
+        pd.open_group(&plan1, false);
         for &(c, r) in &first {
             assert_eq!(pd.rank_state(c, r), RankPdState::PoweredDown);
         }
         // Planning again must select a *different* group — a powered-down
         // rank is not active and cannot be re-victimized.
-        let plan2 = pd.plan_power_down(&mut alloc).expect("second group");
+        let plan2 = pd.plan_power_down(&mut alloc, |_, _| false).expect("second group");
         for (a, b) in plan2.group.iter().zip(&first) {
             assert_ne!(a, b, "powered-down rank re-selected");
         }
-        pd.register_drain_jobs(&plan2, &[]);
+        pd.open_group(&plan2, false);
         // Third group still leaves >= 1 active rank; the fourth attempt
         // must refuse (each channel needs two active ranks to plan).
-        let plan3 = pd.plan_power_down(&mut alloc).expect("third group");
-        pd.register_drain_jobs(&plan3, &[]);
+        let plan3 = pd.plan_power_down(&mut alloc, |_, _| false).expect("third group");
+        pd.open_group(&plan3, false);
         assert_eq!(pd.active_ranks(0), 1);
-        assert!(pd.plan_power_down(&mut alloc).is_none(), "last active rank protected");
+        assert!(
+            pd.plan_power_down(&mut alloc, |_, _| false).is_none(),
+            "last active rank protected"
+        );
         assert_eq!(pd.stats().groups_powered_down, 3);
         // Wake one group and power it straight back down: the same ranks
         // cycle Active -> PoweredDown repeatedly without residue.
@@ -582,9 +533,9 @@ mod tests {
             assert_eq!(pd.rank_state(c, r), RankPdState::Active);
             assert!(alloc.is_rank_active(c, r));
         }
-        let again = pd.plan_power_down(&mut alloc).expect("re-plan after wake");
+        let again = pd.plan_power_down(&mut alloc, |_, _| false).expect("re-plan after wake");
         assert_eq!(again.group, woken, "the woken group is the least-allocated victim again");
-        pd.register_drain_jobs(&again, &[]);
+        pd.open_group(&again, false);
         for &(c, r) in &woken {
             assert_eq!(pd.rank_state(c, r), RankPdState::PoweredDown);
             assert!(!alloc.is_rank_active(c, r));
@@ -605,35 +556,66 @@ mod tests {
         // The two empty rank groups power down immediately; the third plan
         // must drain a rank that still holds live segments.
         for _ in 0..2 {
-            let p = pd.plan_power_down(&mut alloc).expect("empty group");
+            let p = pd.plan_power_down(&mut alloc, |_, _| false).expect("empty group");
             assert!(p.copies.is_empty());
-            pd.register_drain_jobs(&p, &[]);
+            pd.open_group(&p, false);
         }
-        let plan = pd.plan_power_down(&mut alloc).expect("plan with live data");
+        let plan = pd.plan_power_down(&mut alloc, |_, _| false).expect("plan with live data");
         assert!(!plan.copies.is_empty());
-        let ids: Vec<u64> = (0..plan.copies.len() as u64).collect();
-        pd.register_drain_jobs(&plan, &ids);
+        let group = pd.open_group(&plan, false).expect("copies to wait for");
         for &(c, r) in &plan.group {
             assert_eq!(pd.rank_state(c, r), RankPdState::Draining);
         }
         // While the drain is in flight, a new plan must not pick the same
         // ranks (they are mid-drain) — and completing the jobs finalizes
         // the group exactly once.
-        if let Some(p2) = pd.plan_power_down(&mut alloc) {
+        if let Some(p2) = pd.plan_power_down(&mut alloc, |_, _| false) {
             for (a, b) in p2.group.iter().zip(&plan.group) {
                 assert_ne!(a, b, "draining rank re-selected");
             }
         }
         let mut downed = Vec::new();
-        for id in ids {
-            downed.extend(pd.on_migration_complete(id));
+        for _ in &plan.copies {
+            downed.extend(pd.on_job_settled(group));
         }
         assert_eq!(downed, plan.group);
         for &(c, r) in &plan.group {
             assert_eq!(pd.rank_state(c, r), RankPdState::PoweredDown);
         }
-        // Re-notifying a finished job is a no-op, not a double finalize.
-        assert!(pd.on_migration_complete(999).is_empty());
+    }
+
+    #[test]
+    fn a_finished_group_frees_its_slot() {
+        let (mut pd, mut alloc) = setup();
+        // Three of a rank group's four AUs live, everything else parked.
+        let mut resident: Vec<Vec<Dsn>> = (0..3).map(|_| alloc.allocate_au(8).unwrap()).collect();
+        while let Some(plan) = pd.plan_power_down(&mut alloc, |_, _| false) {
+            assert_eq!(pd.open_group(&plan, false), None, "empty ranks park at once");
+        }
+        for _ in 0..1000 {
+            // One AU fills the group, the next needs a second one woken;
+            // freeing the first leaves room to drain the second back.
+            resident.push(alloc.allocate_au(8).unwrap());
+            assert!(alloc.allocate_au(8).is_err());
+            pd.wake_one_group(&mut alloc).unwrap();
+            let spilled = alloc.allocate_au(8).unwrap();
+            alloc.free_segments(&resident.remove(0)).unwrap();
+            let plan = pd.plan_power_down(&mut alloc, |_, _| false).expect("a group's worth free");
+            let mut srcs: Vec<Dsn> = plan.copies.iter().map(|(src, _)| *src).collect();
+            srcs.sort_unstable();
+            assert_eq!(srcs, spilled, "the woken group drains back");
+            let group = pd.open_group(&plan, false).expect("copies to wait for");
+            for (src, _) in &plan.copies {
+                alloc.complete_move(geo().location(*src)).unwrap();
+                pd.on_job_settled(group);
+            }
+            resident.push(plan.copies.iter().map(|(_, dst)| *dst).collect());
+            alloc.free_segments(&resident.remove(0)).unwrap();
+            assert_eq!(pd.active_ranks(0), 1);
+        }
+        assert_eq!(pd.stats().segments_drained, 8000);
+        assert_eq!(pd.draining.len(), 1, "one live group at a time needs one slot");
+        alloc.check_consistency().unwrap();
     }
 
     #[test]
@@ -650,13 +632,12 @@ mod tests {
             alloc.free_segments(au).unwrap();
         }
         for _ in 0..2 {
-            let plan = pd.plan_power_down(&mut alloc).unwrap();
-            pd.register_drain_jobs(&plan, &[]);
+            let plan = pd.plan_power_down(&mut alloc, |_, _| false).unwrap();
+            pd.open_group(&plan, false);
         }
-        let plan = pd.plan_power_down(&mut alloc).unwrap();
+        let plan = pd.plan_power_down(&mut alloc, |_, _| false).unwrap();
         assert!(!plan.copies.is_empty());
-        let ids: Vec<u64> = (0..plan.copies.len() as u64).collect();
-        pd.register_drain_jobs(&plan, &ids);
+        let group = pd.open_group(&plan, false).expect("copies to wait for");
         // Capacity crunch: wake everything. Powered-down groups go first
         // (they need MPSM exits); the draining group reactivates last and
         // needs no DRAM command.
@@ -668,16 +649,10 @@ mod tests {
         assert!(exits.is_empty(), "draining ranks reactivate without MPSM exit");
         // Migrations finish, but the group must NOT power down.
         let mut downed = Vec::new();
-        for id in ids {
-            downed.extend(pd.on_migration_complete(id));
+        for _ in &plan.copies {
+            downed.extend(pd.on_job_settled(group));
         }
         assert!(downed.is_empty());
         assert_eq!(pd.active_ranks(0), 4, "everything woke back up");
-    }
-
-    #[test]
-    fn unknown_job_completion_is_ignored() {
-        let (mut pd, _alloc) = setup();
-        assert!(pd.on_migration_complete(999).is_empty());
     }
 }
