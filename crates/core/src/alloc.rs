@@ -134,7 +134,7 @@ impl SegmentAllocator {
     }
 
     /// Marks a rank available/unavailable for allocation (power-down state).
-    pub fn set_rank_active(&mut self, channel: u32, rank: u32, active: bool) {
+    pub(crate) fn set_rank_active(&mut self, channel: u32, rank: u32, active: bool) {
         self.rank_mut(channel, rank).active = active;
     }
 

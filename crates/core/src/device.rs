@@ -15,10 +15,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dtl_dram::{
-    AccessKind, Picos, PolicyEngine, PowerEventCause, PowerPolicy, PowerPolicyKind, PowerReport,
-    PowerState, Priority,
+    AccessKind, Picos, PowerEventCause, PowerPolicyKind, PowerReport, PowerState, Priority,
 };
-use dtl_telemetry::{EventKind, FaultKindId, HealthStateId, Histogram, MetricsRegistry, Telemetry};
+use dtl_telemetry::{EventKind, FaultKindId, Histogram, MetricsRegistry, Telemetry};
 use serde::{Deserialize, Serialize};
 
 use crate::addr::{
@@ -34,7 +33,7 @@ use crate::migrate::{
     MigrationEngine, MigrationInterrupt, MigrationKind, MigrationStats, WriteRouting,
 };
 use crate::origin::{JobOrigin, JobOrigins};
-use crate::powerdown::{PowerDownEngine, PowerDownPlan, PowerDownStats, RankPdState};
+use crate::power::{PowerCtl, PowerDownStats, RankPdState, RankPower};
 use crate::smc::{SmcOutcome, SmcStats};
 use crate::tables::MappingTables;
 use crate::tap::{CommandTap, DeviceCommand};
@@ -218,26 +217,14 @@ pub struct DtlDevice<B: MemoryBackend> {
     tables: MappingTables,
     alloc: SegmentAllocator,
     migrate: MigrationEngine,
-    powerdown: PowerDownEngine,
+    /// Every rank's lifecycle, power state and idle clock: written through
+    /// [`DtlDevice::power`] only.
+    power: RankPower,
     health: HealthTracker,
     hotness: HotnessEngine,
     hotness_enabled: bool,
-    powerdown_enabled: bool,
-    /// Rank power-management policy (the power-policy zoo). Inert for
-    /// [`PowerPolicyKind::FixedThreshold`], where the power-down and
-    /// hotness engines own every transition, bit-compatible with the
-    /// pre-policy device.
-    policy: PolicyEngine,
-    /// Last observed foreground/bulk traffic per rank (channel-major), the
-    /// idle clock the policy demotes against.
-    rank_last_access: Vec<Picos>,
-    /// Ladder demotions committed by the policy pump.
-    policy_demotions: u64,
     hosts: HashMap<HostId, HostState>,
     job_origin: JobOrigins,
-    /// Per channel, while a consolidation plan's jobs are in the migration
-    /// engine: (jobs still pending, jobs originally planned).
-    hotness_pending: Vec<Option<(u64, u64)>>,
     stats: DeviceStats,
     telemetry: Telemetry,
     /// Resolved once at [`DtlDevice::set_telemetry`] time, never on the
@@ -304,22 +291,12 @@ impl<B: MemoryBackend> DtlDevice<B> {
             tables: MappingTables::new(config.segments_per_au(), geo),
             alloc: SegmentAllocator::new(geo),
             migrate: MigrationEngine::new(geo, config.segment_bytes, config.migration_retry_limit),
-            powerdown: PowerDownEngine::new(geo),
+            power: RankPower::new(geo, config.power_policy, config.profile_threshold),
             health: HealthTracker::new(geo, HealthParams::default()),
             hotness: HotnessEngine::new(geo, hotness_params),
             hotness_enabled: true,
-            powerdown_enabled: true,
-            policy: PolicyEngine::new(
-                config.power_policy,
-                geo.channels,
-                geo.ranks_per_channel,
-                config.profile_threshold,
-            ),
-            rank_last_access: vec![Picos::ZERO; (geo.channels * geo.ranks_per_channel) as usize],
-            policy_demotions: 0,
             hosts: HashMap::new(),
             job_origin: JobOrigins::default(),
-            hotness_pending: vec![None; geo.channels as usize],
             stats: DeviceStats::default(),
             telemetry: Telemetry::disabled(),
             translation_hist: None,
@@ -334,6 +311,22 @@ impl<B: MemoryBackend> DtlDevice<B> {
             config,
             geo,
             backend,
+        }
+    }
+
+    /// The rank-power module at work on this device's parts.
+    pub(crate) fn power(&mut self) -> PowerCtl<'_, B> {
+        PowerCtl {
+            state: &mut self.power,
+            backend: &mut self.backend,
+            alloc: &mut self.alloc,
+            migrate: &mut self.migrate,
+            hotness: &mut self.hotness,
+            origins: &mut self.job_origin,
+            stats: &mut self.stats,
+            tables: &self.tables,
+            health: &self.health,
+            telemetry: &self.telemetry,
         }
     }
 
@@ -450,18 +443,18 @@ impl<B: MemoryBackend> DtlDevice<B> {
 
     /// Enables/disables rank-level power-down (on by default).
     pub fn set_powerdown_enabled(&mut self, on: bool) {
-        self.powerdown_enabled = on;
+        self.power.set_enabled(on);
     }
 
     /// The active rank power-management policy.
     pub fn power_policy(&self) -> PowerPolicyKind {
-        self.policy.kind()
+        self.power.policy_kind()
     }
 
     /// Ladder demotions committed by the policy pump so far (always zero
     /// under [`PowerPolicyKind::FixedThreshold`]).
     pub fn policy_demotions(&self) -> u64 {
-        self.policy_demotions
+        self.power.demotions()
     }
 
     /// Switches the rank power-management policy. Ranks already demoted
@@ -469,12 +462,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
     /// the next access, so a switch never strands a rank. The new policy
     /// starts from a cold idle history.
     pub fn set_power_policy(&mut self, kind: PowerPolicyKind) {
-        self.policy = PolicyEngine::new(
-            kind,
-            self.geo.channels,
-            self.geo.ranks_per_channel,
-            self.config.profile_threshold,
-        );
+        self.power.set_policy(kind, self.config.profile_threshold);
         self.config.power_policy = kind;
     }
 
@@ -497,7 +485,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
                 reason: format!("postpone_refresh out of range: ch{channel} r{rank}"),
             });
         }
-        Ok(self.policy.postpone_refresh(channel, rank, now))
+        Ok(self.power.postpone_refresh(channel, rank, now))
     }
 
     /// Records external (bulk) traffic against a rank's idle clock so the
@@ -506,9 +494,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
     /// charged by the backend.
     pub fn note_rank_traffic(&mut self, channel: u32, rank: u32, now: Picos) {
         if channel < self.geo.channels && rank < self.geo.ranks_per_channel {
-            let idx = (channel * self.geo.ranks_per_channel + rank) as usize;
-            self.rank_last_access[idx] = self.rank_last_access[idx].max(now);
-            self.policy.note_access(channel, rank, now);
+            self.power.note_access(channel, rank, now);
         }
     }
 
@@ -524,10 +510,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
     ///
     /// Propagates backend state-transition failures.
     pub fn request_power_down(&mut self, now: Picos) -> Result<(), DtlError> {
-        if self.powerdown_enabled {
-            self.try_power_down(now)?;
-        }
-        Ok(())
+        self.power().plan_power_down(now)
     }
 
     /// Device statistics.
@@ -576,7 +559,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
 
     /// Power-down statistics.
     pub fn powerdown_stats(&self) -> PowerDownStats {
-        self.powerdown.stats()
+        self.power.stats()
     }
 
     /// Hotness statistics.
@@ -586,7 +569,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
 
     /// Active (allocation-serving) rank count of a channel.
     pub fn active_ranks(&self, channel: u32) -> u32 {
-        self.powerdown.active_ranks(channel)
+        self.power.active_ranks(channel)
     }
 
     /// Registers a host.
@@ -628,7 +611,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
                 match self.alloc.allocate_au(self.config.segments_per_au()) {
                     Ok(dsns) => break Ok(dsns),
                     Err(DtlError::OutOfCapacity { requested, free }) => {
-                        match self.wake_group_for_capacity(now) {
+                        match self.power().wake_for_capacity(now) {
                             Ok(()) => {}
                             Err(DtlError::OutOfCapacity { .. }) => {
                                 break Err(DtlError::OutOfCapacity { requested, free });
@@ -771,10 +754,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
         for au in released {
             self.release_au(handle.host, au, now)?;
         }
-        if self.powerdown_enabled {
-            self.try_power_down(now)?;
-        }
-        Ok(())
+        self.power().plan_power_down(now)
     }
 
     /// Deallocates a VM: unmaps its AUs, cancels migrations touching them,
@@ -798,10 +778,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
                 segments: released,
             },
         );
-        if self.powerdown_enabled {
-            self.try_power_down(now)?;
-        }
-        Ok(())
+        self.power().plan_power_down(now)
     }
 
     /// Releases one AU a VM no longer holds: unmaps it, cancels the
@@ -812,7 +789,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
         for (off, dsn) in dsns.iter().enumerate() {
             let cancelled = self.migrate.cancel_involving(*dsn);
             for job in cancelled {
-                self.cancel_job(job.id, job.kind, *dsn, now)?;
+                self.power().job_cancelled(job.id, job.kind, *dsn, now)?;
             }
             self.translator.invalidate(Hsn { host, au, au_offset: off as u32 });
         }
@@ -820,179 +797,6 @@ impl<B: MemoryBackend> DtlDevice<B> {
         self.tap.record(DeviceCommand::AuRemoved { host, au, dsns, at: now });
         self.hosts.get_mut(&host).expect("still present").free_aus.push(au);
         Ok(())
-    }
-
-    /// Handles a cancelled migration job's bookkeeping: a cancelled *copy*
-    /// holds a destination reservation that must be released (unless the
-    /// freed segment itself is the destination, which cannot happen:
-    /// reservations are never part of an AU).
-    fn cancel_job(
-        &mut self,
-        id: u64,
-        kind: MigrationKind,
-        freed: Dsn,
-        now: Picos,
-    ) -> Result<(), DtlError> {
-        let Some(origin) = self.job_origin.remove(id) else { return Ok(()) };
-        if let MigrationKind::Copy { dst, .. } = kind {
-            if dst != freed {
-                self.alloc.free_segments(&[dst])?;
-            }
-        }
-        self.job_settled(origin, now)
-    }
-
-    /// Re-enqueues a cancelled migration job unchanged (refused
-    /// retirements must leave migration state exactly as found). The job
-    /// restarts from scratch under a fresh id, which takes over the origin;
-    /// pre-commit copy work is idempotent, so nothing is lost.
-    fn restore_job(
-        &mut self,
-        job: &crate::migrate::MigrationJob,
-        now: Picos,
-    ) -> Result<(), DtlError> {
-        let new_id = match job.kind {
-            MigrationKind::Copy { src, dst } => self.migrate.enqueue_copy(src, dst, now)?,
-            MigrationKind::Swap { a, b } => self.migrate.enqueue_swap(a, b, now)?,
-        };
-        if let Some(origin) = self.job_origin.remove(job.id) {
-            self.job_origin.insert(new_id, origin);
-        }
-        Ok(())
-    }
-
-    /// What a migration job that is gone for good — finished, cancelled or
-    /// abandoned — means for the ranks it was planned for.
-    fn job_settled(&mut self, origin: JobOrigin, now: Picos) -> Result<(), DtlError> {
-        match origin {
-            JobOrigin::Drain { group } => self.drain_job_settled(group, now),
-            JobOrigin::Hotness { channel } => self.consolidation_job_settled(channel, now),
-        }
-    }
-
-    /// Enqueues one drain copy counted in `group`.
-    fn enqueue_drain(
-        &mut self,
-        src: Dsn,
-        dst: Dsn,
-        group: u32,
-        now: Picos,
-    ) -> Result<(), DtlError> {
-        let id = self.migrate.enqueue_copy(src, dst, now)?;
-        self.job_origin.insert(id, JobOrigin::Drain { group });
-        Ok(())
-    }
-
-    /// Starts a planned drain: its copies go to the migration engine under
-    /// a fresh drain group, or — with nothing to copy — the ranks power
-    /// down at once.
-    fn launch_drain(
-        &mut self,
-        plan: &PowerDownPlan,
-        retire: bool,
-        now: Picos,
-    ) -> Result<(), DtlError> {
-        match self.powerdown.open_group(plan, retire) {
-            Some(group) => {
-                for (src, dst) in &plan.copies {
-                    self.enqueue_drain(*src, *dst, group, now)?;
-                }
-                Ok(())
-            }
-            None => self.power_down_ranks(&plan.group, now),
-        }
-    }
-
-    /// One drain copy of `group` has settled; the group's last one powers
-    /// its ranks down.
-    fn drain_job_settled(&mut self, group: u32, now: Picos) -> Result<(), DtlError> {
-        let ranks = self.powerdown.on_job_settled(group);
-        self.power_down_ranks(&ranks, now)?;
-        self.note_retired_ranks(&ranks, now);
-        Ok(())
-    }
-
-    /// Plans and launches rank-group power-downs while capacity allows.
-    /// Ranks that a migration touches are excluded; the planner asks once
-    /// per candidate rank, and each answer is a lookup in the migration
-    /// engine's endpoint index, not a walk of its queues.
-    fn try_power_down(&mut self, now: Picos) -> Result<(), DtlError> {
-        loop {
-            let migrate = &self.migrate;
-            let plan =
-                self.powerdown.plan_power_down(&mut self.alloc, |c, r| migrate.involves_rank(c, r));
-            let Some(plan) = plan else { break };
-            self.launch_drain(&plan, false, now)?;
-        }
-        Ok(())
-    }
-
-    fn power_down_ranks(&mut self, ranks: &[(u32, u32)], now: Picos) -> Result<(), DtlError> {
-        for &(c, r) in ranks {
-            // MPSM is entered from standby, at the completion of whatever
-            // exit gets the rank there. A rank that is *already* parked
-            // (retiring a powered-down rank) takes the same bounce; the
-            // command stream and the energy totals are pinned on it.
-            let at = self.commit_power(c, r, PowerState::Standby, now)?;
-            self.commit_power(c, r, PowerState::Mpsm, at)?;
-        }
-        Ok(())
-    }
-
-    /// Wakes one powered-down rank group so its capacity can be allocated.
-    ///
-    /// # Errors
-    ///
-    /// [`DtlError::OutOfCapacity`] when no group is left to wake.
-    fn wake_group_for_capacity(&mut self, now: Picos) -> Result<(), DtlError> {
-        for (c, r) in self.powerdown.wake_one_group(&mut self.alloc)? {
-            self.commit_power(c, r, PowerState::Standby, now)?;
-        }
-        self.stats.capacity_wakes += 1;
-        Ok(())
-    }
-
-    /// The one place a rank power transition is committed to the backend:
-    /// takes the rank from wherever it is to `target` along legal edges
-    /// only and returns the completion time of the last hop (`now` if the
-    /// rank is already there). A rank may sit anywhere on the retention
-    /// ladder (hotness parked it in self-refresh, or the power policy
-    /// demoted it): a deeper retention state is reached one rung at a time,
-    /// anything else — MPSM in particular — by bridging through standby,
-    /// and the hotness engine forgets a victim that leaves self-refresh.
-    /// Each hop is issued at the previous hop's *completion* time — issuing
-    /// it at `now` would back-date it into the previous transition's
-    /// window, producing an out-of-order command stream and charging the
-    /// bridge state to the wrong account.
-    fn commit_power(
-        &mut self,
-        channel: u32,
-        rank: u32,
-        target: PowerState,
-        now: Picos,
-    ) -> Result<Picos, DtlError> {
-        let mut at = now;
-        loop {
-            let state = self.backend.rank_state(channel, rank);
-            if state == target {
-                return Ok(at);
-            }
-            let next = match (state, target) {
-                _ if dtl_dram::transition_is_legal(state, target) => target,
-                (PowerState::ActivePowerDown, PowerState::SelfRefresh) => {
-                    PowerState::PrechargePowerDown
-                }
-                _ => PowerState::Standby,
-            };
-            debug_assert!(
-                dtl_dram::transition_is_legal(state, next),
-                "ch{channel}/rk{rank}: {state:?} -> {next:?} on the way to {target:?}"
-            );
-            at = self.backend.set_rank_state(channel, rank, next, at)?;
-            if state == PowerState::SelfRefresh {
-                self.hotness.on_sr_exit(channel, rank, at);
-            }
-        }
     }
 
     /// Permanently retires a rank (the reliability extension the paper's
@@ -1012,7 +816,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
     ///   or is the channel's last active rank.
     pub fn retire_rank(&mut self, channel: u32, rank: u32, now: Picos) -> Result<(), DtlError> {
         let before = self.rank_health(channel, rank);
-        self.retire_rank_inner(channel, rank, now)?;
+        self.power().retire(channel, rank, now)?;
         let after = self.rank_health(channel, rank);
         if after != before {
             self.telemetry.emit(
@@ -1028,119 +832,6 @@ impl<B: MemoryBackend> DtlDevice<B> {
         Ok(())
     }
 
-    fn retire_rank_inner(&mut self, channel: u32, rank: u32, now: Picos) -> Result<(), DtlError> {
-        match self.powerdown.rank_state(channel, rank) {
-            RankPdState::Retired => {
-                return Err(DtlError::Internal {
-                    reason: format!("rank ch{channel}/rk{rank} is already retired"),
-                });
-            }
-            RankPdState::Draining => {
-                // Already draining for power-down: ride the drain and make
-                // its terminal state Retired.
-                self.powerdown.convert_drain_to_retirement(channel, rank);
-                return Ok(());
-            }
-            RankPdState::PoweredDown | RankPdState::Active => {}
-        }
-        // Cancel or re-aim migrations touching the rank. Drain copies
-        // *into* the retiring rank still have live sources elsewhere —
-        // they are re-aimed at fresh destinations; drain copies *out of*
-        // this rank cannot exist here (the rank is not Draining);
-        // hotness jobs unwind exactly as on VM deallocation.
-        let involved = self.migrate.jobs_involving_rank(channel, rank);
-        let ids: Vec<u64> = involved.iter().map(|j| j.id).collect();
-        let cancelled = self.migrate.cancel_ids(&ids);
-        let mut pending = cancelled.into_iter();
-        while let Some(job) = pending.next() {
-            let reaim = match (self.job_origin.get(job.id), job.kind) {
-                (Some(JobOrigin::Drain { group }), MigrationKind::Copy { src, dst }) => {
-                    let src_loc = self.geo.location(src);
-                    let src_elsewhere = !(src_loc.channel == channel && src_loc.rank == rank);
-                    (src_elsewhere && self.tables.reverse(src).is_some())
-                        .then_some((src, dst, group))
-                }
-                _ => None,
-            };
-            match reaim {
-                Some((src, dst, group)) => {
-                    let src_loc = self.geo.location(src);
-                    // Find a destination off the retiring rank, waking
-                    // powered-down groups for capacity exactly like the
-                    // planning loop below.
-                    let new_dst = loop {
-                        let dst = self.powerdown.pick_destination(
-                            &mut self.alloc,
-                            src_loc.channel,
-                            Some(rank),
-                        );
-                        if dst.is_some() {
-                            break dst;
-                        }
-                        match self.wake_group_for_capacity(now) {
-                            Ok(()) => {}
-                            Err(DtlError::OutOfCapacity { .. }) => break None,
-                            Err(e) => return Err(e),
-                        }
-                    };
-                    let Some(new_dst) = new_dst else {
-                        // Genuinely no spare capacity: refuse the retirement
-                        // atomically by restoring this and every remaining
-                        // cancelled job before surfacing the refusal.
-                        self.restore_job(&job, now)?;
-                        for j in pending {
-                            self.restore_job(&j, now)?;
-                        }
-                        return Err(DtlError::OutOfCapacity {
-                            requested: self.alloc.allocated_in_rank(channel, rank),
-                            free: 0,
-                        });
-                    };
-                    self.job_origin.remove(job.id);
-                    self.alloc.free_segments(&[dst])?;
-                    self.enqueue_drain(src, self.geo.dsn(new_dst), group, now)?;
-                }
-                None => self.cancel_job(job.id, job.kind, Dsn(u64::MAX), now)?,
-            }
-        }
-        // A self-refreshing victim must wake (and the hotness engine must
-        // forget it) before its data can move.
-        if self.backend.rank_state(channel, rank) == PowerState::SelfRefresh {
-            self.commit_power(channel, rank, PowerState::Standby, now)?;
-        }
-        let plan = loop {
-            match self.powerdown.plan_retirement(&mut self.alloc, channel, rank) {
-                Ok(plan) => break plan,
-                Err(DtlError::OutOfCapacity { .. }) => self.wake_group_for_capacity(now)?,
-                Err(e) => return Err(e),
-            }
-        };
-        self.launch_drain(&plan, true, now)
-    }
-
-    /// Emits `HealthTransition` events for ranks whose drain just finalized
-    /// into retirement. Power-down finalizations of healthy ranks are power
-    /// events, not health events, so they are skipped.
-    fn note_retired_ranks(&mut self, ranks: &[(u32, u32)], now: Picos) {
-        if !self.telemetry.enabled() {
-            return;
-        }
-        for &(c, r) in ranks {
-            if self.powerdown.rank_state(c, r) == RankPdState::Retired {
-                let from = self.health.health(c, r, RankPdState::Draining).telemetry_id();
-                self.telemetry.emit(
-                    now.as_ps(),
-                    EventKind::HealthTransition {
-                        channel: c,
-                        rank: r,
-                        from,
-                        to: HealthStateId::Retired,
-                    },
-                );
-            }
-        }
-    }
-
     /// Replaces the error-health parameters, resetting all error history.
     /// Call before injecting any errors.
     pub fn set_health_params(&mut self, params: HealthParams) {
@@ -1154,7 +845,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
 
     /// The rank's effective error-health lifecycle state.
     pub fn rank_health(&self, channel: u32, rank: u32) -> RankHealth {
-        self.health.health(channel, rank, self.powerdown.rank_state(channel, rank))
+        self.health.health(channel, rank, self.power.lifecycle(channel, rank))
     }
 
     /// The rank's error counters and leaky-bucket level.
@@ -1313,7 +1004,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
             {
                 // Source still live: the rank must still empty, so the
                 // drain restarts from scratch under a fresh id.
-                return self.enqueue_drain(src, dst, group, now);
+                return self.power().enqueue_drain(src, dst, group, now);
             }
             // Source vanished (deallocated): release the reservation and
             // let the drain bookkeeping complete.
@@ -1336,7 +1027,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
                 }
             }
         }
-        self.job_settled(origin, now)
+        self.power().job_settled(origin, now)
     }
 
     /// Serves one 64 B access from a host.
@@ -1387,9 +1078,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
         let arrival = now + translation_latency;
         let completion_estimate =
             self.backend.access(loc, offset, kind, Priority::Foreground, arrival);
-        let idx = (loc.channel * self.geo.ranks_per_channel + loc.rank) as usize;
-        self.rank_last_access[idx] = self.rank_last_access[idx].max(arrival);
-        self.policy.note_access(loc.channel, loc.rank, arrival);
+        self.power.note_access(loc.channel, loc.rank, arrival);
         if self.hotness_enabled {
             self.hotness.on_access(loc, now);
         }
@@ -1421,8 +1110,8 @@ impl<B: MemoryBackend> DtlDevice<B> {
             self.finish_job(done.job.id, done.job.kind, now)?;
         }
         if self.hotness_enabled {
-            let pd = &self.powerdown;
-            let plans = self.hotness.pump(now, |c, r| pd.rank_state(c, r) == RankPdState::Active);
+            let power = &self.power;
+            let plans = self.hotness.pump(now, |c, r| power.lifecycle(c, r) == RankPdState::Active);
             for plan in plans {
                 let mut count = 0u64;
                 for (v_loc, t_loc) in &plan.swaps {
@@ -1433,7 +1122,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
                     // The TSP may have claimed a slot in a rank that the
                     // power-down engine has since selected (or drained):
                     // moving live data there would end up in MPSM.
-                    if self.powerdown.rank_state(t_loc.channel, t_loc.rank) != RankPdState::Active {
+                    if self.power.lifecycle(t_loc.channel, t_loc.rank) != RankPdState::Active {
                         continue;
                     }
                     // The victim slot must still hold live, mapped data —
@@ -1459,59 +1148,10 @@ impl<B: MemoryBackend> DtlDevice<B> {
                     self.job_origin.insert(id, JobOrigin::Hotness { channel: plan.channel });
                     count += 1;
                 }
-                if count == 0 {
-                    self.consolidated(plan.channel, 0, now)?;
-                } else {
-                    self.hotness_pending[plan.channel as usize] = Some((count, count));
-                }
+                self.power().consolidation_planned(plan.channel, count, now)?;
             }
         }
-        self.pump_power_policy(now)?;
-        Ok(())
-    }
-
-    /// Walks every rank one policy step: ranks whose idle clock has passed
-    /// the policy's threshold demote one rung down the retention ladder.
-    /// Inert under [`PowerPolicyKind::FixedThreshold`] (the power-down and
-    /// hotness engines own every transition there). Ranks owned by another
-    /// engine — draining, parked, retired, the hotness victim already in
-    /// self-refresh, or an endpoint of a queued or in-flight migration (a
-    /// lookup in the migration engine's endpoint index) — are skipped so
-    /// the pump never fights them.
-    fn pump_power_policy(&mut self, now: Picos) -> Result<(), DtlError> {
-        if self.policy.is_inert() {
-            return Ok(());
-        }
-        for c in 0..self.geo.channels {
-            for r in 0..self.geo.ranks_per_channel {
-                let state = self.backend.rank_state(c, r);
-                if !matches!(
-                    state,
-                    PowerState::Standby
-                        | PowerState::ActivePowerDown
-                        | PowerState::PrechargePowerDown
-                ) {
-                    continue;
-                }
-                if self.powerdown.rank_state(c, r) != RankPdState::Active
-                    || self.migrate.involves_rank(c, r)
-                {
-                    continue;
-                }
-                let idx = (c * self.geo.ranks_per_channel + r) as usize;
-                let idle = now.saturating_sub(self.rank_last_access[idx]);
-                if let Some(next) = self.policy.demote(c, r, state, idle) {
-                    debug_assert!(
-                        next.retains_data(),
-                        "policy {:?} proposed {state:?} -> {next:?}",
-                        self.policy.kind()
-                    );
-                    self.commit_power(c, r, next, now)?;
-                    self.policy_demotions += 1;
-                }
-            }
-        }
-        Ok(())
+        self.power().pump(now)
     }
 
     /// The next time [`DtlDevice::tick`] has real work to do, for
@@ -1525,43 +1165,12 @@ impl<B: MemoryBackend> DtlDevice<B> {
     pub fn next_activity_at(&self) -> Option<Picos> {
         let migrate = self.migrate.next_event_at();
         let hotness = if self.hotness_enabled { self.hotness.next_deadline() } else { None };
-        let policy = self.next_policy_deadline();
+        let policy = self.power.next_deadline(&self.backend);
         [migrate, hotness, policy].into_iter().flatten().min()
     }
 
-    /// The earliest instant a rank becomes eligible for a policy demotion,
-    /// so event-driven drivers wake the pump in time. `None` when the
-    /// policy is inert or every demotable rank has bottomed out.
-    fn next_policy_deadline(&self) -> Option<Picos> {
-        if self.policy.is_inert() {
-            return None;
-        }
-        let mut earliest: Option<Picos> = None;
-        for c in 0..self.geo.channels {
-            for r in 0..self.geo.ranks_per_channel {
-                let state = self.backend.rank_state(c, r);
-                if !matches!(
-                    state,
-                    PowerState::Standby
-                        | PowerState::ActivePowerDown
-                        | PowerState::PrechargePowerDown
-                ) {
-                    continue;
-                }
-                if self.powerdown.rank_state(c, r) != RankPdState::Active {
-                    continue;
-                }
-                let idx = (c * self.geo.ranks_per_channel + r) as usize;
-                if let Some(d) = self.policy.deadline(c, r, state, self.rank_last_access[idx]) {
-                    earliest = Some(earliest.map_or(d, |e| e.min(d)));
-                }
-            }
-        }
-        earliest
-    }
-
     /// The mapping half of a finished job; what it means for the ranks is
-    /// [`DtlDevice::job_settled`]'s.
+    /// [`PowerCtl::job_settled`]'s.
     fn finish_job(&mut self, id: u64, kind: MigrationKind, now: Picos) -> Result<(), DtlError> {
         let Some(origin) = self.job_origin.remove(id) else {
             return Err(DtlError::Internal { reason: format!("job {id} has no origin") });
@@ -1607,53 +1216,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
                 }
             }
         }
-        self.job_settled(origin, now)
-    }
-
-    /// One job of `channel`'s consolidation plan has settled; the plan's
-    /// last one parks the victim.
-    fn consolidation_job_settled(&mut self, channel: u32, now: Picos) -> Result<(), DtlError> {
-        let slot = &mut self.hotness_pending[channel as usize];
-        let Some((left, total)) = slot else {
-            return Err(DtlError::Internal {
-                reason: format!("hotness job finished with no pending plan on ch{channel}"),
-            });
-        };
-        *left -= 1;
-        if *left > 0 {
-            return Ok(());
-        }
-        let total = *total;
-        *slot = None;
-        self.consolidated(channel, total, now)
-    }
-
-    /// `channel`'s consolidation plan has nothing left to move: its victim
-    /// enters self-refresh.
-    fn consolidated(&mut self, channel: u32, swaps: u64, now: Picos) -> Result<(), DtlError> {
-        let victim = self.hotness.on_plan_migrated(channel, now);
-        self.enter_self_refresh(channel, victim, now)?;
-        self.telemetry
-            .emit(now.as_ps(), EventKind::SelfRefreshSwap { channel, victim, swaps: swaps as u32 });
-        Ok(())
-    }
-
-    /// Takes a rank to self-refresh along legal edges only. From standby
-    /// that is one hop; a rank the power policy already demoted walks the
-    /// remaining rungs of the ladder (each hop issued at the previous
-    /// hop's completion). Already-in-SR is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// [`DtlError::Internal`] when the rank is in MPSM — a data-losing
-    /// state no engine may silently refresh out of.
-    fn enter_self_refresh(&mut self, channel: u32, rank: u32, now: Picos) -> Result<(), DtlError> {
-        if self.backend.rank_state(channel, rank) == PowerState::Mpsm {
-            return Err(DtlError::Internal {
-                reason: format!("ch{channel}/rk{rank}: cannot self-refresh out of MPSM"),
-            });
-        }
-        self.commit_power(channel, rank, PowerState::SelfRefresh, now).map(drop)
+        self.power().job_settled(origin, now)
     }
 
     fn process_events(&mut self) {
@@ -1666,9 +1229,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
                 cause: ev.cause,
                 at: ev.at,
             });
-            if ev.cause == PowerEventCause::AutoExit && ev.from == PowerState::SelfRefresh {
-                self.hotness.on_sr_exit(ev.channel, ev.rank, ev.at);
-            }
+            RankPower::observed(&mut self.hotness, &ev);
         }
     }
 
@@ -1695,7 +1256,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
                     channel: c,
                     rank: r,
                     power: self.backend.rank_state(c, r),
-                    lifecycle: self.powerdown.rank_state(c, r),
+                    lifecycle: self.power.lifecycle(c, r),
                     hotness,
                     health: self.rank_health(c, r),
                     correctable_errors: errors.correctable,
@@ -1744,10 +1305,18 @@ impl<B: MemoryBackend> DtlDevice<B> {
     ///   recount of its queues ([`MigrationEngine::check_index`]);
     /// * **no mapped (live) segment may sit in an MPSM rank** — MPSM loses
     ///   data;
-    /// * every mapped segment is marked allocated.
+    /// * every mapped segment is marked allocated;
+    /// * per rank, lifecycle, allocator and backend agree, and every count
+    ///   of outstanding drain or consolidation jobs is the number of live
+    ///   jobs it stands for (`RankPower::check`). One plausible relation is
+    ///   left out because it does not hold: the hotness engine's
+    ///   self-refresh rank need not be in `SelfRefresh` at the backend — an
+    ///   access wakes the rank there at once, and the engine hears of it
+    ///   when the device next drains the backend's power events.
     ///
-    /// Every call visits every rank, every free slot and every segment of
-    /// the device; nothing is remembered between calls.
+    /// Every call visits every rank, every free slot, every segment and
+    /// every live migration job of the device; nothing is remembered
+    /// between calls.
     pub fn check_invariants(&self) -> Result<(), DtlError> {
         self.tables.check_consistency()?;
         self.alloc.check_consistency()?;
@@ -1774,7 +1343,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
                 }
             }
         }
-        Ok(())
+        self.power.check(&self.backend, &self.alloc, &self.job_origin)
     }
 
     /// Dumps every engine's aggregate statistics into `registry` as
@@ -2488,7 +2057,7 @@ mod fault_tests {
     #[test]
     fn sweep_reports_every_violation_class() {
         type Corruption = fn(&mut DtlDevice<AnalyticBackend>, SegmentLocation);
-        let cases: [(&str, Corruption); 9] = [
+        let cases: [(&str, Corruption); 14] = [
             ("but reverse says", |dev, _| {
                 dev.corrupt_mapping_for_test().unwrap();
             }),
@@ -2516,8 +2085,29 @@ mod fault_tests {
                 dev.alloc.free_segments(&[dsn]).unwrap();
             }),
             ("in MPSM rank", |dev, live| {
-                dev.commit_power(live.channel, live.rank, PowerState::Mpsm, Picos::from_us(5))
+                dev.power()
+                    .commit(live.channel, live.rank, PowerState::Mpsm, Picos::from_us(5))
                     .unwrap();
+            }),
+            // The copies of a rank's state, and the counts of outstanding
+            // jobs: one disagreement each.
+            ("but the allocator differs", |dev, live| {
+                dev.alloc.set_rank_active(live.channel, live.rank, false);
+            }),
+            ("is Active but in Mpsm", |dev, live| {
+                // An empty rank, so that no live segment is in MPSM.
+                let t = Picos::from_us(5);
+                dev.power().commit(live.channel, live.rank + 1, PowerState::Mpsm, t).unwrap();
+            }),
+            ("is Draining, drain group None", |dev, live| {
+                *dev.power.corrupt_for_test(live.channel, live.rank).0 = RankPdState::Draining;
+                dev.alloc.set_rank_active(live.channel, live.rank, false);
+            }),
+            ("drain group 0 waits for 1 jobs, 0 are live", |dev, live| {
+                *dev.power.corrupt_for_test(live.channel, live.rank).1 = 1;
+            }),
+            ("ch1 consolidation waits for 0 jobs, 1 are live", |dev, _| {
+                dev.job_origin.insert(7, JobOrigin::Hotness { channel: 1 });
             }),
         ];
         for (expected, corrupt) in cases {

@@ -20,7 +20,7 @@ use dtl_telemetry::{EventKind, HealthStateId, Telemetry};
 use serde::{Deserialize, Serialize};
 
 use crate::addr::SegmentGeometry;
-use crate::powerdown::RankPdState;
+use crate::power::RankPdState;
 
 /// Error-health lifecycle of a rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

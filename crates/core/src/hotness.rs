@@ -409,7 +409,7 @@ impl HotnessEngine {
     /// Notifies that a channel's planned swaps all completed; the engine
     /// resets the migration table and reports the victim rank to put into
     /// self-refresh.
-    pub fn on_plan_migrated(&mut self, channel: u32, now: Picos) -> u32 {
+    pub(crate) fn on_plan_migrated(&mut self, channel: u32, now: Picos) -> u32 {
         let ch = &mut self.channels[channel as usize];
         debug_assert_eq!(ch.phase, HotnessPhase::Migrating);
         let victim = ch.victim.take().expect("migrating implies a victim");
@@ -423,7 +423,7 @@ impl HotnessEngine {
 
     /// Notifies that the self-refresh rank was woken by an access; sampling
     /// restarts.
-    pub fn on_sr_exit(&mut self, channel: u32, rank: u32, now: Picos) {
+    pub(crate) fn on_sr_exit(&mut self, channel: u32, rank: u32, now: Picos) {
         let ch = &mut self.channels[channel as usize];
         if ch.sr_rank == Some(rank) {
             ch.sr_rank = None;

@@ -47,7 +47,7 @@ mod hotness;
 mod migrate;
 mod origin;
 mod overhead;
-mod powerdown;
+mod power;
 mod smc;
 mod tables;
 mod tap;
@@ -71,7 +71,7 @@ pub use migrate::{
     MigrationStats, WriteRouting,
 };
 pub use overhead::{ControllerCost, OverheadConfig, StructureSizes};
-pub use powerdown::{PowerDownStats, RankPdState};
+pub use power::{PowerDownStats, RankPdState};
 pub use smc::{SegmentMappingCache, SmcOutcome, SmcStats};
 pub use tables::MappingTables;
 pub use tap::{CommandTap, DeviceCommand};

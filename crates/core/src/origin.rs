@@ -56,6 +56,11 @@ impl JobOrigins {
         *self.window.get(self.index(id)?)?
     }
 
+    /// The origins of the live jobs, oldest first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = JobOrigin> + '_ {
+        self.window.iter().flatten().copied()
+    }
+
     /// Forgets job `id`, returning the origin it had.
     pub(crate) fn remove(&mut self, id: u64) -> Option<JobOrigin> {
         let i = self.index(id)?;
