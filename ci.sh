@@ -10,15 +10,29 @@ cargo fmt --check
 echo "== cargo clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== one owner of rank state: only dtl-core's power.rs writes it =="
+# Outside power.rs and the files that define them, no non-test line of
+# dtl-core may call the backend's, the allocator's or the hotness engine's
+# rank-state setters.
+for f in crates/core/src/*.rs; do
+    case "$f" in */power.rs | */backend.rs | */alloc.rs | */hotness.rs) continue ;; esac
+    if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f" \
+        | grep -E 'set_rank_state\(|set_rank_active\(|on_sr_exit\(|on_plan_migrated\('; then
+        echo "rank state written outside crates/core/src/power.rs"; exit 1
+    fi
+done
+
 echo "== cargo test =="
 cargo test -q
 
 # Index arithmetic once more without debug assertions: every structure
 # that replaced a slower one, in lockstep with the one it replaced (dense
 # tables, allocator bitmaps, SMC L1 index, job-origin window; the mixer's
-# lookahead rings).
-echo "== dtl-core and dtl-trace lockstep proptests (release) =="
+# lookahead rings) — and the device property, whose sweep cross-checks the
+# copies of every rank's state.
+echo "== dtl-core and dtl-trace lockstep proptests, device property (release) =="
 cargo test --release -q -p dtl-core -p dtl-trace --lib lockstep_with_the
+cargo test --release -q -p dtl-core --test prop_device
 
 echo "== smoke suite on the parallel path (--jobs 2) =="
 cargo build --release -q -p dtl-bench
@@ -51,7 +65,7 @@ expect_exit_2() {
 expect_exit_2 $dtl vm_campaign --tiny --minutes 307446
 expect_exit_2 $dtl vm_campaign --tiny --timeseries-out /tmp/x.csv --timeseries-width-s 0
 
-echo "== policy_ablation covers every PowerPolicy impl =="
+echo "== policy_ablation covers every PowerPolicyKind =="
 for policy in FixedThreshold AdaptiveDemotion RefreshAware; do
     grep -q "$policy" /tmp/dtl_ci_policy.txt \
       || { echo "policy_ablation matrix lost $policy"; exit 1; }

@@ -1,10 +1,11 @@
 //! Property tests: the DTL device maintains its cross-structure invariants
-//! (mapping consistency, allocator partitioning, no live data in MPSM)
-//! under arbitrary interleavings of VM lifecycle events, accesses, and
-//! time.
+//! (mapping consistency, allocator partitioning, no live data in MPSM, one
+//! agreed state per rank) under arbitrary interleavings of VM lifecycle
+//! events, accesses, faults, power-policy changes and time, starting from
+//! every power policy.
 
 use dtl_core::{DtlConfig, DtlDevice, DtlError, HostId, HostPhysAddr, VmHandle};
-use dtl_dram::{AccessKind, Picos};
+use dtl_dram::{AccessKind, Picos, PowerPolicyKind};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -16,6 +17,10 @@ enum Op {
     Retire { channel: u8, rank: u8 },
     Grow { idx: u8 },
     Shrink { idx: u8 },
+    SetPolicy { policy: u8 },
+    Interrupt { channel: u8 },
+    PostponeRefresh { channel: u8, rank: u8 },
+    RequestPowerDown,
 }
 
 fn any_op() -> impl Strategy<Value = Op> {
@@ -28,11 +33,16 @@ fn any_op() -> impl Strategy<Value = Op> {
         1 => (0u8..2, 0u8..4).prop_map(|(channel, rank)| Op::Retire { channel, rank }),
         2 => any::<u8>().prop_map(|idx| Op::Grow { idx }),
         2 => any::<u8>().prop_map(|idx| Op::Shrink { idx }),
+        1 => any::<u8>().prop_map(|policy| Op::SetPolicy { policy }),
+        2 => (0u8..2).prop_map(|channel| Op::Interrupt { channel }),
+        1 => (0u8..2, 0u8..4).prop_map(|(channel, rank)| Op::PostponeRefresh { channel, rank }),
+        1 => Just(Op::RequestPowerDown),
     ]
 }
 
-fn run_ops(ops: &[Op], hotness: bool, powerdown: bool) -> Result<(), TestCaseError> {
-    let cfg = DtlConfig::tiny();
+fn run_ops(ops: &[Op], policy: u8, hotness: bool, powerdown: bool) -> Result<(), TestCaseError> {
+    let mut cfg = DtlConfig::tiny();
+    cfg.power_policy = PowerPolicyKind::from_index(policy);
     let mut dev = DtlDevice::with_analytic_geometry(cfg, 2, 4, 32);
     dev.set_hotness_enabled(hotness);
     dev.set_powerdown_enabled(powerdown);
@@ -109,6 +119,20 @@ fn run_ops(ops: &[Op], hotness: bool, powerdown: bool) -> Result<(), TestCaseErr
                     Err(e) => return Err(TestCaseError::fail(format!("retire: {e}"))),
                 }
             }
+            Op::SetPolicy { policy } => dev.set_power_policy(PowerPolicyKind::from_index(*policy)),
+            Op::Interrupt { channel } => {
+                dev.inject_migration_interrupt(u32::from(*channel), now)
+                    .map_err(|e| TestCaseError::fail(format!("interrupt: {e}")))?;
+            }
+            Op::PostponeRefresh { channel, rank } => {
+                // A declined postponement is a legitimate outcome.
+                dev.postpone_refresh(u32::from(*channel), u32::from(*rank), now)
+                    .map_err(|e| TestCaseError::fail(format!("postpone: {e}")))?;
+            }
+            Op::RequestPowerDown => {
+                dev.request_power_down(now)
+                    .map_err(|e| TestCaseError::fail(format!("power down: {e}")))?;
+            }
         }
         dev.check_invariants()
             .map_err(|e| TestCaseError::fail(format!("invariant after {op:?}: {e}")))?;
@@ -136,17 +160,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn invariants_hold_with_both_mechanisms(ops in prop::collection::vec(any_op(), 1..60)) {
-        run_ops(&ops, true, true)?;
+    fn invariants_hold_with_both_mechanisms(
+        ops in prop::collection::vec(any_op(), 1..60),
+        policy in 0u8..3,
+    ) {
+        run_ops(&ops, policy, true, true)?;
     }
 
     #[test]
-    fn invariants_hold_powerdown_only(ops in prop::collection::vec(any_op(), 1..60)) {
-        run_ops(&ops, false, true)?;
+    fn invariants_hold_powerdown_only(
+        ops in prop::collection::vec(any_op(), 1..60),
+        policy in 0u8..3,
+    ) {
+        run_ops(&ops, policy, false, true)?;
     }
 
     #[test]
-    fn invariants_hold_hotness_only(ops in prop::collection::vec(any_op(), 1..60)) {
-        run_ops(&ops, true, false)?;
+    fn invariants_hold_hotness_only(
+        ops in prop::collection::vec(any_op(), 1..60),
+        policy in 0u8..3,
+    ) {
+        run_ops(&ops, policy, true, false)?;
     }
 }
