@@ -1165,7 +1165,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
     pub fn next_activity_at(&self) -> Option<Picos> {
         let migrate = self.migrate.next_event_at();
         let hotness = if self.hotness_enabled { self.hotness.next_deadline() } else { None };
-        let policy = self.power.next_deadline(&self.backend);
+        let policy = self.power.next_deadline(&self.backend, &self.migrate);
         [migrate, hotness, policy].into_iter().flatten().min()
     }
 
@@ -2547,6 +2547,39 @@ mod policy_tests {
     /// The adaptive policy walks idle ranks one rung per pump down
     /// standby -> active power-down -> precharge power-down ->
     /// self-refresh, and the next access wakes them transparently.
+    /// The pump skips a rank that is an endpoint of a migration; its
+    /// deadline used not to. An event-driven driver was then told "now"
+    /// for as long as the drain lasted, and never advanced.
+    #[test]
+    fn a_ladder_deadline_names_only_ranks_the_pump_acts_on() {
+        for kind in [PowerPolicyKind::AdaptiveDemotion, PowerPolicyKind::RefreshAware] {
+            let mut dev = device_with(kind);
+            let au = dev.config().au_bytes;
+            let first = dev.alloc_vm(HostId(0), au, Picos::ZERO).unwrap();
+            for _ in 0..2 {
+                dev.alloc_vm(HostId(0), au, Picos::ZERO).unwrap();
+            }
+            let mut t = Picos::from_us(100);
+            dev.dealloc_vm(first.handle, t).unwrap();
+            assert_eq!(dev.migrations_pending(), 32, "a drain into an idle rank");
+            let mut steps = 0;
+            while let Some(at) = dev.next_activity_at() {
+                steps += 1;
+                assert!(steps < 1000, "{kind:?}: the driver spins at {t}");
+                t = t.max(at);
+                let due = dev.power.next_deadline(&dev.backend, &dev.migrate);
+                let demotions = dev.policy_demotions();
+                dev.tick(t).unwrap();
+                if due.is_some_and(|due| due <= t) {
+                    assert!(dev.policy_demotions() > demotions, "{kind:?}: idle pump at {t}");
+                }
+            }
+            assert_eq!(dev.migrations_pending(), 0);
+            assert!(dev.policy_demotions() > 0);
+            dev.check_invariants().unwrap();
+        }
+    }
+
     #[test]
     fn adaptive_policy_demotes_idle_ranks_and_access_wakes_them() {
         let mut dev = device_with(PowerPolicyKind::AdaptiveDemotion);

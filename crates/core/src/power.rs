@@ -30,9 +30,7 @@
 //! and the consolidation plan → enqueue loop, which needs tables, allocator
 //! and migration engine together.
 
-use dtl_dram::{
-    Picos, PolicyEngine, PowerEvent, PowerEventCause, PowerPolicy, PowerPolicyKind, PowerState,
-};
+use dtl_dram::{Picos, PolicyEngine, PowerEvent, PowerEventCause, PowerPolicyKind, PowerState};
 use dtl_telemetry::{EventKind, HealthStateId, Telemetry};
 use serde::{Deserialize, Serialize};
 
@@ -300,35 +298,50 @@ impl RankPower {
         (&mut self.ranks[idx].lifecycle, &mut self.groups[0].pending_jobs)
     }
 
-    /// The earliest instant a rank becomes eligible for a policy demotion,
-    /// so event-driven drivers wake the pump in time. `None` when the
-    /// policy is inert or every demotable rank has bottomed out.
-    pub(crate) fn next_deadline<B: MemoryBackend>(&self, backend: &B) -> Option<Picos> {
-        if self.policy.is_inert() {
+    /// The one eligibility rule of the policy pump and of its deadline:
+    /// the rank's power state, if the ladder policy may demote it now.
+    /// Never under the inert [`PowerPolicyKind::FixedThreshold`], and never
+    /// a rank this module is moving for another reason — draining, parked,
+    /// retired, the hotness victim already in self-refresh, or an endpoint
+    /// of a queued or in-flight migration (a lookup in the migration
+    /// engine's endpoint index) — so the pump never fights them.
+    fn demotable<B: MemoryBackend>(
+        &self,
+        backend: &B,
+        migrate: &MigrationEngine,
+        channel: u32,
+        rank: u32,
+    ) -> Option<PowerState> {
+        if self.policy.is_inert()
+            || self.lifecycle(channel, rank) != RankPdState::Active
+            || migrate.involves_rank(channel, rank)
+        {
             return None;
         }
-        let mut earliest: Option<Picos> = None;
-        for c in 0..self.geo.channels {
-            for r in 0..self.geo.ranks_per_channel {
-                let state = backend.rank_state(c, r);
-                if !matches!(
-                    state,
-                    PowerState::Standby
-                        | PowerState::ActivePowerDown
-                        | PowerState::PrechargePowerDown
-                ) {
-                    continue;
-                }
-                if self.lifecycle(c, r) != RankPdState::Active {
-                    continue;
-                }
-                let last = self.last_access[self.index(c, r)];
-                if let Some(d) = self.policy.deadline(c, r, state, last) {
-                    earliest = Some(earliest.map_or(d, |e| e.min(d)));
-                }
-            }
-        }
-        earliest
+        let state = backend.rank_state(channel, rank);
+        let on_ladder = matches!(
+            state,
+            PowerState::Standby | PowerState::ActivePowerDown | PowerState::PrechargePowerDown
+        );
+        on_ladder.then_some(state)
+    }
+
+    /// The earliest instant a rank becomes due for a policy demotion, so
+    /// event-driven drivers wake the pump in time. `None` when the policy
+    /// is inert or every demotable rank has bottomed out.
+    pub(crate) fn next_deadline<B: MemoryBackend>(
+        &self,
+        backend: &B,
+        migrate: &MigrationEngine,
+    ) -> Option<Picos> {
+        let geo = self.geo;
+        (0..geo.channels)
+            .flat_map(|c| (0..geo.ranks_per_channel).map(move |r| (c, r)))
+            .filter_map(|(c, r)| {
+                let state = self.demotable(backend, migrate, c, r)?;
+                self.policy.deadline(c, r, state, self.last_access[self.index(c, r)])
+            })
+            .min()
     }
 }
 
@@ -839,33 +852,15 @@ impl<B: MemoryBackend> PowerCtl<'_, B> {
         Ok(())
     }
 
-    /// Walks every rank one policy step: ranks whose idle clock has passed
-    /// the policy's threshold demote one rung down the retention ladder.
-    /// Inert under [`PowerPolicyKind::FixedThreshold`]. Ranks this module
-    /// is moving for another reason — draining, parked, retired, the
-    /// hotness victim already in self-refresh, or an endpoint of a queued
-    /// or in-flight migration (a lookup in the migration engine's endpoint
-    /// index) — are skipped so the pump never fights them.
+    /// Walks every rank one policy step: [`RankPower::demotable`] ranks
+    /// whose idle clock has passed the policy's threshold demote one rung
+    /// down the retention ladder.
     pub(crate) fn pump(&mut self, now: Picos) -> Result<(), DtlError> {
-        if self.state.policy.is_inert() {
-            return Ok(());
-        }
         for c in 0..self.state.geo.channels {
             for r in 0..self.state.geo.ranks_per_channel {
-                let state = self.backend.rank_state(c, r);
-                if !matches!(
-                    state,
-                    PowerState::Standby
-                        | PowerState::ActivePowerDown
-                        | PowerState::PrechargePowerDown
-                ) {
+                let Some(state) = self.state.demotable(&*self.backend, &*self.migrate, c, r) else {
                     continue;
-                }
-                if self.state.lifecycle(c, r) != RankPdState::Active
-                    || self.migrate.involves_rank(c, r)
-                {
-                    continue;
-                }
+                };
                 let idle = now.saturating_sub(self.state.last_access[self.state.index(c, r)]);
                 if let Some(next) = self.state.policy.demote(c, r, state, idle) {
                     debug_assert!(

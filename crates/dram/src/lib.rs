@@ -60,8 +60,8 @@ pub use config::{DramConfig, Geometry, PagePolicy, TimingParams, LINE_BYTES};
 pub use error::DramError;
 pub use mapping::{AddressMapper, AddressMapping};
 pub use policy::{
-    ladder_depth, ladder_next_down, transition_is_legal, AdaptiveDemotion, FixedThreshold,
-    PolicyEngine, PowerPolicy, PowerPolicyKind, RefreshAware, REFRESH_POSTPONE_BUDGET, TREFI,
+    ladder_depth, ladder_next_down, transition_is_legal, PolicyEngine, PowerPolicyKind,
+    REFRESH_POSTPONE_BUDGET, TREFI,
 };
 pub use power::{EnergyAccount, PowerParams, PowerState, RankEnergy};
 pub use rank::{Rank, RankCounters};

@@ -1,19 +1,19 @@
 //! The power-policy zoo: a legal-transition graph over the rank low-power
-//! ladder and the [`PowerPolicy`] trait with three built-in policies.
+//! ladder and the [`PolicyEngine`] with its three built-in kinds.
 //!
 //! The paper's engine is a fixed binary scheme — MPSM at deallocation and
 //! self-refresh behind a hard-coded 50 ms idle threshold. This module
-//! generalizes it into a policy space:
+//! generalizes it into a policy space ([`PowerPolicyKind`]):
 //!
-//! * [`FixedThreshold`] — the paper's scheme. The ladder pump is inert; the
-//!   deallocation-time MPSM parking engine and the hotness-driven
-//!   self-refresh engine (both outside this trait) implement the policy,
-//!   bit-compatible with the pre-trait behavior.
-//! * [`AdaptiveDemotion`] — multi-state demotion down the data-retaining
+//! * `FixedThreshold` — the paper's scheme. The ladder pump is inert; the
+//!   deallocation-time MPSM parking and the hotness-driven self-refresh
+//!   (both outside this module) implement the policy, bit-compatible with
+//!   the pre-policy behavior.
+//! * `AdaptiveDemotion` — multi-state demotion down the data-retaining
 //!   ladder (standby → active power-down → precharge power-down →
 //!   self-refresh) with per-rank idle-history thresholds (an EWMA of
 //!   observed idle gaps scales the rungs).
-//! * [`RefreshAware`] — treats refresh as schedulable maintenance: fast
+//! * `RefreshAware` — treats refresh as schedulable maintenance: fast
 //!   demotion to precharge power-down while postponing refreshes within the
 //!   DDR4 budget of eight tREFI intervals, committing to self-refresh
 //!   (internal refresh) once the budget is exhausted during an idle spell.
@@ -41,7 +41,7 @@ use crate::power::PowerState;
 use crate::time::Picos;
 
 /// DDR4 average refresh interval (tREFI, 7.8 µs), the unit of the
-/// refresh-postpone budget tracked by [`RefreshAware`].
+/// refresh-postpone budget tracked by [`PowerPolicyKind::RefreshAware`].
 pub const TREFI: Picos = Picos::from_ns(7800);
 
 /// Refreshes DDR4 allows to be postponed before a catch-up burst is due.
@@ -94,7 +94,7 @@ pub fn ladder_depth(state: PowerState) -> Option<usize> {
     }
 }
 
-/// Selects one of the built-in [`PowerPolicy`] implementations.
+/// Selects one of the built-in policies of a [`PolicyEngine`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PowerPolicyKind {
     /// The paper's fixed 50 ms scheme (bit-compatible with the pre-trait
@@ -131,7 +131,27 @@ impl PowerPolicyKind {
     }
 }
 
-/// A rank power-management policy.
+/// Per-rank history of the ladder policies.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+struct RankHistory {
+    /// The last access [`PowerPolicyKind::AdaptiveDemotion`] saw, from which
+    /// it measures the next idle gap. Not the host's idle clock, and not to
+    /// be folded into it: a policy installed mid-run starts from a cold
+    /// history, so its first gap is measured from time zero while the
+    /// host's clock — the `idle` and `last_access` it passes in — keeps
+    /// running across the switch.
+    last_access: Picos,
+    /// `AdaptiveDemotion`: EWMA of observed idle gaps in picoseconds
+    /// (integer arithmetic for deterministic replay), zero until the first
+    /// gap is observed.
+    ewma_gap_ps: u64,
+    /// `RefreshAware`: refreshes postponed since the last access or
+    /// self-refresh entry.
+    postponed: u8,
+}
+
+/// A rank power-management policy: one of the [`PowerPolicyKind`]s over a
+/// rank geometry.
 ///
 /// The host (a DTL device) owns the rank state machine and calls the policy
 /// as an advisor: it reports accesses, asks for demotions of idle ranks,
@@ -140,335 +160,175 @@ impl PowerPolicyKind {
 /// an illegal transition — which the state machine rejects and the
 /// dtl-check oracle flags.
 ///
+/// * [`PowerPolicyKind::FixedThreshold`] — the paper's fixed 50 ms scheme
+///   as the identity policy: no ladder demotions, so deallocation-time MPSM
+///   parking and hotness-driven self-refresh behave exactly as they did
+///   before there were policies.
+/// * [`PowerPolicyKind::AdaptiveDemotion`] — walks the retention ladder one
+///   rung at a time, with per-rank thresholds scaled by an EWMA of the
+///   rank's observed idle gaps: ranks with long gaps demote aggressively,
+///   busy ranks hold back ("Rank-Aware Dynamic Migrations and Adaptive
+///   Demotions", PAPERS.md).
+/// * [`PowerPolicyKind::RefreshAware`] — ("Self-Managing DRAM", PAPERS.md)
+///   demotes quickly to precharge power-down — where the external refresh
+///   clock still runs and refreshes can be postponed — and spends the DDR4
+///   postpone budget of [`REFRESH_POSTPONE_BUDGET`] tREFI before committing
+///   the rank to self-refresh, whose internal refresh clears the debt. An
+///   access resets the budget (the catch-up burst is issued at wake).
+///
 /// Contract:
-/// * Every state returned by [`PowerPolicy::demote`] must be one legal step
-///   from the rank's current state per [`transition_is_legal`], and must
-///   retain data ([`PowerState::retains_data`]).
-/// * Decisions must be deterministic functions of the observed access
-///   history (replay and `--jobs` determinism depend on it).
-/// * [`PowerPolicy::deadline`] must not be later than the first instant at
-///   which [`PowerPolicy::demote`] would return `Some` — the host may sleep
-///   until the deadline.
-pub trait PowerPolicy {
-    /// Which built-in policy this is (reports, registry matrix).
-    fn kind(&self) -> PowerPolicyKind;
-
-    /// Records an access arriving at `(channel, rank)` at `now`. Called for
-    /// every foreground access and for epoch-granular bulk traffic.
-    fn note_access(&mut self, channel: u32, rank: u32, now: Picos);
-
-    /// The next state to demote an idle rank to, or `None` to hold.
-    /// `idle` is the time since the rank's last observed access.
-    fn demote(
-        &mut self,
-        channel: u32,
-        rank: u32,
-        state: PowerState,
-        idle: Picos,
-    ) -> Option<PowerState>;
-
-    /// Earliest future instant at which [`PowerPolicy::demote`] could start
-    /// returning `Some` for this rank, or `None` when the policy will never
-    /// act on it (used to schedule the host's next wakeup event).
-    fn deadline(
-        &self,
-        channel: u32,
-        rank: u32,
-        state: PowerState,
-        last_access: Picos,
-    ) -> Option<Picos>;
-
-    /// Attempts to postpone the next refresh of `(channel, rank)` at `now`.
-    /// Returns whether the postponement was granted (budget available).
-    /// Policies that do not schedule refresh decline by default.
-    fn postpone_refresh(&mut self, _channel: u32, _rank: u32, _now: Picos) -> bool {
-        false
-    }
-}
-
-/// The paper's fixed 50 ms scheme, expressed as the identity policy: ladder
-/// demotions disabled, so the deallocation-time MPSM parking engine and the
-/// hotness-driven self-refresh engine behave exactly as they did before the
-/// trait existed. Holding the threshold here keeps the configuration
-/// self-describing even though the engines read it from their own config.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FixedThreshold {
-    threshold: Picos,
-}
-
-impl FixedThreshold {
-    /// A fixed-threshold policy documenting `threshold` (paper: 50 ms).
-    pub fn new(threshold: Picos) -> Self {
-        FixedThreshold { threshold }
-    }
-
-    /// The documented idle threshold.
-    pub fn threshold(&self) -> Picos {
-        self.threshold
-    }
-}
-
-impl PowerPolicy for FixedThreshold {
-    fn kind(&self) -> PowerPolicyKind {
-        PowerPolicyKind::FixedThreshold
-    }
-
-    fn note_access(&mut self, _channel: u32, _rank: u32, _now: Picos) {}
-
-    fn demote(&mut self, _c: u32, _r: u32, _state: PowerState, _idle: Picos) -> Option<PowerState> {
-        None
-    }
-
-    fn deadline(&self, _c: u32, _r: u32, _state: PowerState, _last: Picos) -> Option<Picos> {
-        None
-    }
-}
-
-/// Per-rank idle history of the adaptive policy.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct RankHistory {
-    last_access: Picos,
-    /// EWMA of observed idle gaps in picoseconds (integer arithmetic for
-    /// deterministic replay), zero until the first gap is observed.
-    ewma_gap_ps: u64,
-}
-
-/// Multi-state adaptive demotion: walks the retention ladder one rung at a
-/// time, with per-rank thresholds scaled by an EWMA of the rank's observed
-/// idle gaps — ranks with long gaps demote aggressively, busy ranks hold
-/// back ("Rank-Aware Dynamic Migrations and Adaptive Demotions", PAPERS.md).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AdaptiveDemotion {
+/// * Every state returned by [`PolicyEngine::demote`] is one legal step
+///   from the rank's current state per [`transition_is_legal`], and retains
+///   data ([`PowerState::retains_data`]).
+/// * Decisions are deterministic functions of the observed access history
+///   (replay and `--jobs` determinism depend on it).
+/// * [`PolicyEngine::deadline`] is not later than the first instant at
+///   which [`PolicyEngine::demote`] would return `Some` — the host may
+///   sleep until the deadline.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct PolicyEngine {
+    kind: PowerPolicyKind,
+    /// Scales the rungs (typically the host's profile threshold).
     base: Picos,
     ranks_per_channel: u32,
-    history: Vec<RankHistory>,
-}
-
-impl AdaptiveDemotion {
-    /// EWMA weight: `ewma' = (3*ewma + gap) / 4`.
-    const EWMA_SHIFT: u64 = 2;
-
-    /// An adaptive policy over `channels * ranks_per_channel` ranks with
-    /// base threshold `base` (typically the engine's profile threshold).
-    pub fn new(channels: u32, ranks_per_channel: u32, base: Picos) -> Self {
-        let n = (channels * ranks_per_channel) as usize;
-        AdaptiveDemotion { base, ranks_per_channel, history: vec![RankHistory::default(); n] }
-    }
-
-    fn idx(&self, channel: u32, rank: u32) -> usize {
-        (channel * self.ranks_per_channel + rank) as usize
-    }
-
-    /// The idle threshold for demoting *out of* `state`, for this rank's
-    /// history: the first rung opens at an eighth of the smoothed gap
-    /// (clamped to `[base/64, base]`), each deeper rung at 4x the previous.
-    fn threshold(&self, channel: u32, rank: u32, state: PowerState) -> Option<Picos> {
-        let depth = ladder_depth(state)?;
-        ladder_next_down(state)?;
-        let ewma = Picos::from_ps(self.history[self.idx(channel, rank)].ewma_gap_ps);
-        let floor = Picos::from_ps((self.base.as_ps() / 64).max(1));
-        let first = (ewma / 8).clamp(floor, self.base);
-        Some(first * 4u64.pow(depth as u32))
-    }
-}
-
-impl PowerPolicy for AdaptiveDemotion {
-    fn kind(&self) -> PowerPolicyKind {
-        PowerPolicyKind::AdaptiveDemotion
-    }
-
-    fn note_access(&mut self, channel: u32, rank: u32, now: Picos) {
-        let i = self.idx(channel, rank);
-        let h = &mut self.history[i];
-        let gap = now.saturating_sub(h.last_access).as_ps();
-        h.ewma_gap_ps = if h.ewma_gap_ps == 0 {
-            gap
-        } else {
-            h.ewma_gap_ps - (h.ewma_gap_ps >> Self::EWMA_SHIFT) + (gap >> Self::EWMA_SHIFT)
-        };
-        h.last_access = h.last_access.max(now);
-    }
-
-    fn demote(&mut self, c: u32, r: u32, state: PowerState, idle: Picos) -> Option<PowerState> {
-        let threshold = self.threshold(c, r, state)?;
-        (idle >= threshold).then(|| ladder_next_down(state)).flatten()
-    }
-
-    fn deadline(&self, c: u32, r: u32, state: PowerState, last: Picos) -> Option<Picos> {
-        Some(last + self.threshold(c, r, state)?)
-    }
-}
-
-/// Per-rank refresh-postpone ledger.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct RefreshLedger {
-    last_access: Picos,
-    postponed: u8,
-}
-
-/// Refresh-aware policy ("Self-Managing DRAM", PAPERS.md): demote quickly
-/// to precharge power-down — where the external refresh clock still runs
-/// and refreshes can be postponed — and spend the DDR4 postpone budget of
-/// [`REFRESH_POSTPONE_BUDGET`] tREFI before committing the rank to
-/// self-refresh, whose internal refresh clears the debt. An access resets
-/// the budget (the catch-up burst is issued at wake).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RefreshAware {
-    base: Picos,
-    ranks_per_channel: u32,
-    ledger: Vec<RefreshLedger>,
+    /// Channel-major.
+    ranks: Vec<RankHistory>,
     /// Refresh postponements granted (observability counter).
     pub postponements: u64,
 }
 
-impl RefreshAware {
-    /// A refresh-aware policy over `channels * ranks_per_channel` ranks;
-    /// `base` scales the power-down rungs (typically the profile threshold).
-    pub fn new(channels: u32, ranks_per_channel: u32, base: Picos) -> Self {
-        let n = (channels * ranks_per_channel) as usize;
-        RefreshAware {
-            base,
-            ranks_per_channel,
-            ledger: vec![RefreshLedger::default(); n],
-            postponements: 0,
-        }
-    }
-
-    fn idx(&self, channel: u32, rank: u32) -> usize {
-        (channel * self.ranks_per_channel + rank) as usize
-    }
-
-    /// Idle threshold for leaving `state`: power-down rungs open fast
-    /// (base/16, then base/4); the self-refresh commitment waits out the
-    /// postpone budget (eight tREFI) so postponed refreshes stay legal.
-    fn threshold(&self, state: PowerState) -> Option<Picos> {
-        match state {
-            PowerState::Standby => Some(self.base / 16),
-            PowerState::ActivePowerDown => Some(self.base / 4),
-            PowerState::PrechargePowerDown => Some(TREFI * u64::from(REFRESH_POSTPONE_BUDGET)),
-            PowerState::SelfRefresh | PowerState::Mpsm => None,
-        }
-    }
-}
-
-impl PowerPolicy for RefreshAware {
-    fn kind(&self) -> PowerPolicyKind {
-        PowerPolicyKind::RefreshAware
-    }
-
-    fn note_access(&mut self, channel: u32, rank: u32, now: Picos) {
-        let i = self.idx(channel, rank);
-        // Wake pays the catch-up burst; the budget refills.
-        self.ledger[i].postponed = 0;
-        self.ledger[i].last_access = self.ledger[i].last_access.max(now);
-    }
-
-    fn demote(&mut self, c: u32, r: u32, state: PowerState, idle: Picos) -> Option<PowerState> {
-        let threshold = self.threshold(state)?;
-        if idle < threshold {
-            return None;
-        }
-        let next = ladder_next_down(state)?;
-        if next == PowerState::SelfRefresh {
-            // Entering self-refresh clears the postpone debt: the internal
-            // refresh engine catches up.
-            let i = self.idx(c, r);
-            self.ledger[i].postponed = 0;
-        }
-        Some(next)
-    }
-
-    fn deadline(&self, _c: u32, _r: u32, state: PowerState, last: Picos) -> Option<Picos> {
-        Some(last + self.threshold(state)?)
-    }
-
-    fn postpone_refresh(&mut self, channel: u32, rank: u32, _now: Picos) -> bool {
-        let i = self.idx(channel, rank);
-        if self.ledger[i].postponed < REFRESH_POSTPONE_BUDGET {
-            self.ledger[i].postponed += 1;
-            self.postponements += 1;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// Enum dispatch over the built-in policies, so hosts store a policy
-/// without boxing and keep `Clone`/`Serialize` (deterministic replay of
-/// fuzz counterexamples serializes the whole device setup).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum PolicyEngine {
-    /// See [`FixedThreshold`].
-    Fixed(FixedThreshold),
-    /// See [`AdaptiveDemotion`].
-    Adaptive(AdaptiveDemotion),
-    /// See [`RefreshAware`].
-    RefreshAware(RefreshAware),
-}
-
 impl PolicyEngine {
+    /// EWMA weight: `ewma' = (3*ewma + gap) / 4`.
+    const EWMA_SHIFT: u64 = 2;
+
     /// Builds the policy selected by `kind` over the given rank geometry,
     /// scaling thresholds from `base` (the engine's profile threshold).
     pub fn new(kind: PowerPolicyKind, channels: u32, ranks_per_channel: u32, base: Picos) -> Self {
-        match kind {
-            PowerPolicyKind::FixedThreshold => PolicyEngine::Fixed(FixedThreshold::new(base)),
-            PowerPolicyKind::AdaptiveDemotion => {
-                PolicyEngine::Adaptive(AdaptiveDemotion::new(channels, ranks_per_channel, base))
-            }
-            PowerPolicyKind::RefreshAware => {
-                PolicyEngine::RefreshAware(RefreshAware::new(channels, ranks_per_channel, base))
-            }
-        }
+        let ranks = vec![RankHistory::default(); (channels * ranks_per_channel) as usize];
+        PolicyEngine { kind, base, ranks_per_channel, ranks, postponements: 0 }
+    }
+
+    /// Which built-in policy this is (reports, registry matrix).
+    pub fn kind(&self) -> PowerPolicyKind {
+        self.kind
     }
 
     /// Whether the ladder pump can skip this policy entirely (the
     /// fixed-threshold fast path that keeps legacy runs bit-compatible).
     #[inline]
     pub fn is_inert(&self) -> bool {
-        matches!(self, PolicyEngine::Fixed(_))
+        self.kind == PowerPolicyKind::FixedThreshold
     }
-}
 
-impl PowerPolicy for PolicyEngine {
-    fn kind(&self) -> PowerPolicyKind {
-        match self {
-            PolicyEngine::Fixed(p) => p.kind(),
-            PolicyEngine::Adaptive(p) => p.kind(),
-            PolicyEngine::RefreshAware(p) => p.kind(),
+    fn idx(&self, channel: u32, rank: u32) -> usize {
+        (channel * self.ranks_per_channel + rank) as usize
+    }
+
+    /// The idle threshold for demoting *out of* `state`, `None` where the
+    /// policy never does.
+    fn threshold(&self, channel: u32, rank: u32, state: PowerState) -> Option<Picos> {
+        match self.kind {
+            PowerPolicyKind::FixedThreshold => None,
+            // From this rank's history: the first rung opens at an eighth
+            // of the smoothed gap (clamped to `[base/64, base]`), each
+            // deeper rung at 4x the previous.
+            PowerPolicyKind::AdaptiveDemotion => {
+                let depth = ladder_depth(state)?;
+                ladder_next_down(state)?;
+                let ewma = Picos::from_ps(self.ranks[self.idx(channel, rank)].ewma_gap_ps);
+                let floor = Picos::from_ps((self.base.as_ps() / 64).max(1));
+                let first = (ewma / 8).clamp(floor, self.base);
+                Some(first * 4u64.pow(depth as u32))
+            }
+            // Power-down rungs open fast (base/16, then base/4); the
+            // self-refresh commitment waits out the postpone budget (eight
+            // tREFI) so postponed refreshes stay legal.
+            PowerPolicyKind::RefreshAware => match state {
+                PowerState::Standby => Some(self.base / 16),
+                PowerState::ActivePowerDown => Some(self.base / 4),
+                PowerState::PrechargePowerDown => Some(TREFI * u64::from(REFRESH_POSTPONE_BUDGET)),
+                PowerState::SelfRefresh | PowerState::Mpsm => None,
+            },
         }
     }
 
-    fn note_access(&mut self, channel: u32, rank: u32, now: Picos) {
-        match self {
-            PolicyEngine::Fixed(p) => p.note_access(channel, rank, now),
-            PolicyEngine::Adaptive(p) => p.note_access(channel, rank, now),
-            PolicyEngine::RefreshAware(p) => p.note_access(channel, rank, now),
+    /// Records an access arriving at `(channel, rank)` at `now`. Called for
+    /// every foreground access and for epoch-granular bulk traffic.
+    #[inline]
+    pub fn note_access(&mut self, channel: u32, rank: u32, now: Picos) {
+        match self.kind {
+            PowerPolicyKind::FixedThreshold => {}
+            PowerPolicyKind::AdaptiveDemotion => {
+                let i = self.idx(channel, rank);
+                let h = &mut self.ranks[i];
+                let gap = now.saturating_sub(h.last_access).as_ps();
+                h.ewma_gap_ps = if h.ewma_gap_ps == 0 {
+                    gap
+                } else {
+                    h.ewma_gap_ps - (h.ewma_gap_ps >> Self::EWMA_SHIFT) + (gap >> Self::EWMA_SHIFT)
+                };
+                h.last_access = h.last_access.max(now);
+            }
+            PowerPolicyKind::RefreshAware => {
+                // Wake pays the catch-up burst; the budget refills.
+                let i = self.idx(channel, rank);
+                self.ranks[i].postponed = 0;
+            }
         }
     }
 
-    fn demote(&mut self, c: u32, r: u32, state: PowerState, idle: Picos) -> Option<PowerState> {
-        match self {
-            PolicyEngine::Fixed(p) => p.demote(c, r, state, idle),
-            PolicyEngine::Adaptive(p) => p.demote(c, r, state, idle),
-            PolicyEngine::RefreshAware(p) => p.demote(c, r, state, idle),
+    /// The next state to demote an idle rank to, or `None` to hold.
+    /// `idle` is the time since the rank's last observed access.
+    pub fn demote(
+        &mut self,
+        channel: u32,
+        rank: u32,
+        state: PowerState,
+        idle: Picos,
+    ) -> Option<PowerState> {
+        let threshold = self.threshold(channel, rank, state)?;
+        if idle < threshold {
+            return None;
         }
+        let next = ladder_next_down(state)?;
+        if next == PowerState::SelfRefresh {
+            // Entering self-refresh clears the postpone debt (which only
+            // `RefreshAware` ever runs up): the internal refresh engine
+            // catches up.
+            let i = self.idx(channel, rank);
+            self.ranks[i].postponed = 0;
+        }
+        Some(next)
     }
 
-    fn deadline(&self, c: u32, r: u32, state: PowerState, last: Picos) -> Option<Picos> {
-        match self {
-            PolicyEngine::Fixed(p) => p.deadline(c, r, state, last),
-            PolicyEngine::Adaptive(p) => p.deadline(c, r, state, last),
-            PolicyEngine::RefreshAware(p) => p.deadline(c, r, state, last),
-        }
+    /// Earliest future instant at which [`PolicyEngine::demote`] could
+    /// start returning `Some` for this rank, last accessed at
+    /// `last_access`, or `None` when the policy will never act on it (used
+    /// to schedule the host's next wakeup event).
+    pub fn deadline(
+        &self,
+        channel: u32,
+        rank: u32,
+        state: PowerState,
+        last_access: Picos,
+    ) -> Option<Picos> {
+        Some(last_access + self.threshold(channel, rank, state)?)
     }
 
-    fn postpone_refresh(&mut self, channel: u32, rank: u32, now: Picos) -> bool {
-        match self {
-            PolicyEngine::Fixed(p) => p.postpone_refresh(channel, rank, now),
-            PolicyEngine::Adaptive(p) => p.postpone_refresh(channel, rank, now),
-            PolicyEngine::RefreshAware(p) => p.postpone_refresh(channel, rank, now),
+    /// Attempts to postpone the next refresh of `(channel, rank)` at `now`.
+    /// Returns whether the postponement was granted: only `RefreshAware`
+    /// schedules refresh, and only while the rank has budget left.
+    pub fn postpone_refresh(&mut self, channel: u32, rank: u32, _now: Picos) -> bool {
+        if self.kind != PowerPolicyKind::RefreshAware {
+            return false;
         }
+        let i = self.idx(channel, rank);
+        let granted = self.ranks[i].postponed < REFRESH_POSTPONE_BUDGET;
+        if granted {
+            self.ranks[i].postponed += 1;
+            self.postponements += 1;
+        }
+        granted
     }
 }
 
@@ -536,7 +396,7 @@ mod tests {
     #[test]
     fn adaptive_demotes_down_the_ladder_and_adapts_thresholds() {
         let base = Picos::from_us(500);
-        let mut p = AdaptiveDemotion::new(1, 2, base);
+        let mut p = PolicyEngine::new(PowerPolicyKind::AdaptiveDemotion, 1, 2, base);
         // No history: the first rung opens at the clamped floor.
         let floor = Picos::from_ps(base.as_ps() / 64);
         assert_eq!(p.demote(0, 0, PowerState::Standby, floor), Some(PowerState::ActivePowerDown));
@@ -564,7 +424,7 @@ mod tests {
 
     #[test]
     fn adaptive_deadline_is_not_later_than_the_first_demotion() {
-        let p = AdaptiveDemotion::new(1, 1, Picos::from_us(500));
+        let p = PolicyEngine::new(PowerPolicyKind::AdaptiveDemotion, 1, 1, Picos::from_us(500));
         let last = Picos::from_us(7);
         let deadline = p.deadline(0, 0, PowerState::Standby, last).unwrap();
         let mut probe = p.clone();
@@ -575,7 +435,7 @@ mod tests {
 
     #[test]
     fn refresh_aware_budget_gates_the_self_refresh_commitment() {
-        let mut p = RefreshAware::new(1, 1, Picos::from_us(500));
+        let mut p = PolicyEngine::new(PowerPolicyKind::RefreshAware, 1, 1, Picos::from_us(500));
         // The postpone budget grants exactly eight before declining.
         for i in 0..REFRESH_POSTPONE_BUDGET {
             assert!(p.postpone_refresh(0, 0, TREFI * u64::from(i)), "grant {i}");

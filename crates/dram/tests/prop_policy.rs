@@ -10,7 +10,7 @@
 //!   run lands in exactly one power state.
 
 use dtl_dram::{
-    ladder_next_down, transition_is_legal, Geometry, Picos, PolicyEngine, PowerParams, PowerPolicy,
+    ladder_next_down, transition_is_legal, Geometry, Picos, PolicyEngine, PowerParams,
     PowerPolicyKind, PowerState, Rank, TimingParams,
 };
 use proptest::prelude::*;
