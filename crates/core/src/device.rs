@@ -2057,7 +2057,7 @@ mod fault_tests {
     #[test]
     fn sweep_reports_every_violation_class() {
         type Corruption = fn(&mut DtlDevice<AnalyticBackend>, SegmentLocation);
-        let cases: [(&str, Corruption); 14] = [
+        let cases: [(&str, Corruption); 15] = [
             ("but reverse says", |dev, _| {
                 dev.corrupt_mapping_for_test().unwrap();
             }),
@@ -2105,6 +2105,9 @@ mod fault_tests {
             }),
             ("drain group 0 waits for 1 jobs, 0 are live", |dev, live| {
                 *dev.power.corrupt_for_test(live.channel, live.rank).1 = 1;
+            }),
+            ("a live job names drain group 9", |dev, _| {
+                dev.job_origin.insert(7, JobOrigin::Drain { group: 9 });
             }),
             ("ch1 consolidation waits for 0 jobs, 1 are live", |dev, _| {
                 dev.job_origin.insert(7, JobOrigin::Hotness { channel: 1 });

@@ -142,6 +142,11 @@ impl RankPower {
         (channel * self.geo.ranks_per_channel + rank) as usize
     }
 
+    fn entry(&mut self, channel: u32, rank: u32) -> &mut RankEntry {
+        let idx = self.index(channel, rank);
+        &mut self.ranks[idx]
+    }
+
     fn channel(&self, channel: u32) -> &[RankEntry] {
         &self.ranks[self.index(channel, 0)..self.index(channel + 1, 0)]
     }
@@ -347,7 +352,6 @@ impl RankPower {
 
 /// [`RankPower`] at work: the module's state together with the parts of
 /// the device a rank's state is spread over, borrowed for one call.
-#[derive(Debug)]
 pub(crate) struct PowerCtl<'a, B> {
     pub(crate) state: &'a mut RankPower,
     pub(crate) backend: &'a mut B,
@@ -408,8 +412,7 @@ impl<B: MemoryBackend> PowerCtl<'_, B> {
     /// The one writer of a rank's lifecycle; the allocator places data in
     /// active ranks only.
     fn set_lifecycle(&mut self, channel: u32, rank: u32, to: RankPdState) {
-        let idx = self.state.index(channel, rank);
-        self.state.ranks[idx].lifecycle = to;
+        self.state.entry(channel, rank).lifecycle = to;
         self.alloc.set_rank_active(channel, rank, to == RankPdState::Active);
     }
 
@@ -466,8 +469,7 @@ impl<B: MemoryBackend> PowerCtl<'_, B> {
         let mut copies = Vec::new();
         for &(c, victim) in victims {
             self.set_lifecycle(c, victim, RankPdState::Draining);
-            let idx = self.state.index(c, victim);
-            self.state.ranks[idx].retiring = retire;
+            self.state.entry(c, victim).retiring = retire;
             let live: Vec<u64> = self.alloc.allocated_slots(c, victim).collect();
             for within in live {
                 let src = geo.dsn(SegmentLocation { channel: c, rank: victim, within });
@@ -513,8 +515,7 @@ impl<B: MemoryBackend> PowerCtl<'_, B> {
         groups[slot].ranks.extend_from_slice(victims);
         groups[slot].pending_jobs = copies.len() as u64;
         for &(c, r) in victims {
-            let idx = self.state.index(c, r);
-            self.state.ranks[idx].owner = Some(slot as u32);
+            self.state.entry(c, r).owner = Some(slot as u32);
         }
         for (src, dst) in copies {
             self.enqueue_drain(*src, *dst, slot as u32, now)?;
@@ -540,9 +541,9 @@ impl<B: MemoryBackend> PowerCtl<'_, B> {
     fn finalize(&mut self, ranks: &[(u32, u32)], now: Picos) -> Result<(), DtlError> {
         let mut parked = false;
         for &(c, r) in ranks {
-            let idx = self.state.index(c, r);
-            self.state.ranks[idx].owner = None;
-            if self.state.ranks[idx].retiring {
+            let entry = self.state.entry(c, r);
+            entry.owner = None;
+            if entry.retiring {
                 self.set_lifecycle(c, r, RankPdState::Retired);
                 self.state.stats.ranks_retired += 1;
             } else {
@@ -586,8 +587,7 @@ impl<B: MemoryBackend> PowerCtl<'_, B> {
         }
         self.state.stats.groups_woken += 1;
         for (c, r, parked) in woken {
-            let idx = self.state.index(c, r);
-            self.state.ranks[idx].owner = None;
+            self.state.entry(c, r).owner = None;
             self.set_lifecycle(c, r, RankPdState::Active);
             if parked {
                 self.commit(c, r, PowerState::Standby, now)?;
@@ -609,8 +609,7 @@ impl<B: MemoryBackend> PowerCtl<'_, B> {
     ///   every cancelled job is back in the queue);
     /// * [`DtlError::Internal`] when the rank is already retired.
     pub(crate) fn retire(&mut self, channel: u32, rank: u32, now: Picos) -> Result<(), DtlError> {
-        let idx = self.state.index(channel, rank);
-        match self.state.ranks[idx].lifecycle {
+        match self.state.lifecycle(channel, rank) {
             RankPdState::Retired => {
                 return Err(DtlError::Internal {
                     reason: format!("rank ch{channel}/rk{rank} is already retired"),
@@ -619,7 +618,7 @@ impl<B: MemoryBackend> PowerCtl<'_, B> {
             RankPdState::Draining => {
                 // Already draining for power-down: ride the drain and make
                 // its terminal state Retired.
-                self.state.ranks[idx].retiring = true;
+                self.state.entry(channel, rank).retiring = true;
                 return Ok(());
             }
             RankPdState::PoweredDown | RankPdState::Active => {}
@@ -635,25 +634,21 @@ impl<B: MemoryBackend> PowerCtl<'_, B> {
         while let Some(job) = pending.next() {
             let reaim = match (self.origins.get(job.id), job.kind) {
                 (Some(JobOrigin::Drain { group }), MigrationKind::Copy { src, dst }) => {
-                    let src_loc = self.state.geo.location(src);
-                    let src_elsewhere = !(src_loc.channel == channel && src_loc.rank == rank);
-                    (src_elsewhere && self.tables.reverse(src).is_some()).then_some((
-                        src,
-                        dst,
-                        src_loc.channel,
-                        group,
-                    ))
+                    let from = self.state.geo.location(src);
+                    let elsewhere = (from.channel, from.rank) != (channel, rank);
+                    (elsewhere && self.tables.reverse(src).is_some()).then_some((src, dst, group))
                 }
                 _ => None,
             };
-            let Some((src, dst, src_channel, group)) = reaim else {
+            let Some((src, dst, group)) = reaim else {
                 self.job_cancelled(job.id, job.kind, Dsn(u64::MAX), now)?;
                 continue;
             };
-            // Find a destination off the retiring rank, waking powered-down
-            // groups for capacity exactly like the planning loop below.
+            // Find a destination off the retiring rank (migrations are
+            // intra-channel), waking powered-down groups for capacity
+            // exactly like the planning loop below.
             let new_dst = loop {
-                let dst = self.pick_destination(src_channel, Some(rank));
+                let dst = self.pick_destination(channel, Some(rank));
                 if dst.is_some() {
                     break dst;
                 }
@@ -686,13 +681,13 @@ impl<B: MemoryBackend> PowerCtl<'_, B> {
             self.commit(channel, rank, PowerState::Standby, now)?;
         }
         let victim = [(channel, rank)];
-        if self.state.ranks[idx].lifecycle == RankPdState::PoweredDown {
+        if self.state.lifecycle(channel, rank) == RankPdState::PoweredDown {
             // Nothing stored there: straight to the terminal state.
             // `ranks_retired` counts this case here and again in
             // `finalize`, as it always has; the fault campaigns' results
             // are pinned on the sum.
             self.state.stats.ranks_retired += 1;
-            self.state.ranks[idx].retiring = true;
+            self.state.entry(channel, rank).retiring = true;
             return self.finalize(&victim, now);
         }
         // The channel's other active ranks must absorb the rank's live
