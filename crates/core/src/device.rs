@@ -994,31 +994,22 @@ impl<B: MemoryBackend> DtlDevice<B> {
         job: crate::migrate::MigrationJob,
         now: Picos,
     ) -> Result<(), DtlError> {
-        let Some(origin) = self.job_origin.remove(job.id) else { return Ok(()) };
-        match (origin, job.kind) {
-            (JobOrigin::Drain { .. }, MigrationKind::Swap { .. }) => {
+        match (self.job_origin.get(job.id), job.kind) {
+            (Some(JobOrigin::Drain { .. }), MigrationKind::Swap { .. }) => {
                 return Err(DtlError::Internal { reason: "drain job must be a copy".into() });
             }
-            (JobOrigin::Drain { group }, MigrationKind::Copy { src, dst })
+            (Some(JobOrigin::Drain { group }), MigrationKind::Copy { src, dst })
                 if self.tables.reverse(src).is_some() =>
             {
                 // Source still live: the rank must still empty, so the
                 // drain restarts from scratch under a fresh id.
+                self.job_origin.remove(job.id);
                 return self.power().enqueue_drain(src, dst, group, now);
             }
-            // Source vanished (deallocated): release the reservation and
-            // let the drain bookkeeping complete.
-            (JobOrigin::Drain { .. }, MigrationKind::Copy { dst, .. }) => {
-                self.alloc.free_segments(&[dst])?;
-            }
-            (JobOrigin::Hotness { .. }, kind) => {
-                // Abandon the consolidation move: release a copy's
-                // destination reservation and drop any cached translations
-                // of the endpoints, leaving the original mapping
-                // authoritative.
-                if let MigrationKind::Copy { dst, .. } = kind {
-                    self.alloc.free_segments(&[dst])?;
-                }
+            (Some(JobOrigin::Hotness { .. }), kind) => {
+                // Abandon the consolidation move: drop any cached
+                // translations of the endpoints, leaving the original
+                // mapping authoritative.
                 let (x, y) = kind.endpoints();
                 for d in [x, y] {
                     if let Some(h) = self.tables.reverse(d) {
@@ -1026,8 +1017,12 @@ impl<B: MemoryBackend> DtlDevice<B> {
                     }
                 }
             }
+            // A drain whose source vanished (deallocated).
+            _ => {}
         }
-        self.power().job_settled(origin, now)
+        // Gone for good, like a job cancelled under no particular segment:
+        // a copy's destination reservation is released and the job settles.
+        self.power().job_cancelled(job.id, job.kind, Dsn(u64::MAX), now)
     }
 
     /// Serves one 64 B access from a host.

@@ -721,8 +721,8 @@ impl<B: MemoryBackend> PowerCtl<'_, B> {
     }
 
     /// A migration job was cancelled because `freed` was deallocated under
-    /// it (or, with no such DSN, because a retiring rank was an endpoint).
-    /// A cancelled *copy* holds a destination reservation that must be
+    /// it (or, with no such DSN, because a retiring rank was an endpoint or
+    /// an interruption rolled it back for good). A cancelled *copy* holds a destination reservation that must be
     /// released (unless the freed segment itself is the destination, which
     /// cannot happen: reservations are never part of an AU).
     pub(crate) fn job_cancelled(
