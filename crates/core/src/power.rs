@@ -303,13 +303,21 @@ impl RankPower {
         (&mut self.ranks[idx].lifecycle, &mut self.groups[0].pending_jobs)
     }
 
-    /// The one eligibility rule of the policy pump and of its deadline:
-    /// the rank's power state, if the ladder policy may demote it now.
-    /// Never under the inert [`PowerPolicyKind::FixedThreshold`], and never
-    /// a rank this module is moving for another reason — draining, parked,
-    /// retired, the hotness victim already in self-refresh, or an endpoint
-    /// of a queued or in-flight migration (a lookup in the migration
-    /// engine's endpoint index) — so the pump never fights them.
+    /// The ranks the ladder policy looks at: every rank, or none under the
+    /// inert [`PowerPolicyKind::FixedThreshold`] — the one place that asks.
+    fn ladder_ranks(&self) -> impl Iterator<Item = (u32, u32)> {
+        let geo = self.geo;
+        let channels = if self.policy.is_inert() { 0 } else { geo.channels };
+        (0..channels).flat_map(move |c| (0..geo.ranks_per_channel).map(move |r| (c, r)))
+    }
+
+    /// The one eligibility rule of the policy pump and of its deadline,
+    /// over [`RankPower::ladder_ranks`]: the rank's power state, if the
+    /// policy may demote it now. Never a rank this module is moving for
+    /// another reason — draining, parked, retired, the hotness victim
+    /// already in self-refresh, or an endpoint of a queued or in-flight
+    /// migration (a lookup in the migration engine's endpoint index) — so
+    /// the pump never fights them.
     fn demotable<B: MemoryBackend>(
         &self,
         backend: &B,
@@ -317,8 +325,7 @@ impl RankPower {
         channel: u32,
         rank: u32,
     ) -> Option<PowerState> {
-        if self.policy.is_inert()
-            || self.lifecycle(channel, rank) != RankPdState::Active
+        if self.lifecycle(channel, rank) != RankPdState::Active
             || migrate.involves_rank(channel, rank)
         {
             return None;
@@ -339,9 +346,7 @@ impl RankPower {
         backend: &B,
         migrate: &MigrationEngine,
     ) -> Option<Picos> {
-        let geo = self.geo;
-        (0..geo.channels)
-            .flat_map(|c| (0..geo.ranks_per_channel).map(move |r| (c, r)))
+        self.ladder_ranks()
             .filter_map(|(c, r)| {
                 let state = self.demotable(backend, migrate, c, r)?;
                 self.policy.deadline(c, r, state, self.last_access[self.index(c, r)])
@@ -851,21 +856,19 @@ impl<B: MemoryBackend> PowerCtl<'_, B> {
     /// whose idle clock has passed the policy's threshold demote one rung
     /// down the retention ladder.
     pub(crate) fn pump(&mut self, now: Picos) -> Result<(), DtlError> {
-        for c in 0..self.state.geo.channels {
-            for r in 0..self.state.geo.ranks_per_channel {
-                let Some(state) = self.state.demotable(&*self.backend, &*self.migrate, c, r) else {
-                    continue;
-                };
-                let idle = now.saturating_sub(self.state.last_access[self.state.index(c, r)]);
-                if let Some(next) = self.state.policy.demote(c, r, state, idle) {
-                    debug_assert!(
-                        next.retains_data(),
-                        "policy {:?} proposed {state:?} -> {next:?}",
-                        self.state.policy.kind()
-                    );
-                    self.commit(c, r, next, now)?;
-                    self.state.demotions += 1;
-                }
+        for (c, r) in self.state.ladder_ranks() {
+            let Some(state) = self.state.demotable(&*self.backend, &*self.migrate, c, r) else {
+                continue;
+            };
+            let idle = now.saturating_sub(self.state.last_access[self.state.index(c, r)]);
+            if let Some(next) = self.state.policy.demote(c, r, state, idle) {
+                debug_assert!(
+                    next.retains_data(),
+                    "policy {:?} proposed {state:?} -> {next:?}",
+                    self.state.policy.kind()
+                );
+                self.commit(c, r, next, now)?;
+                self.state.demotions += 1;
             }
         }
         Ok(())
