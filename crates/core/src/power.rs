@@ -15,10 +15,10 @@
 //!   [`PowerCtl::plan_power_down`];
 //! * an allocation short of capacity — [`PowerCtl::wake_for_capacity`];
 //! * a rank leaving service — [`PowerCtl::retire`];
-//! * a migration job gone for good — [`PowerCtl::job_settled`] (finished or
-//!   abandoned) and [`PowerCtl::job_cancelled`], which end in
-//!   `drain_job_settled` or `consolidation_job_settled`, one per
-//!   [`JobOrigin`];
+//! * a migration job gone for good — [`PowerCtl::job_settled`] (finished)
+//!   and [`PowerCtl::job_cancelled`] (cancelled, or rolled back and not
+//!   restarted), which end in `drain_job_settled` or
+//!   `consolidation_job_settled`, one per [`JobOrigin`];
 //! * a consolidation plan handed to the migration engine —
 //!   [`PowerCtl::consolidation_planned`];
 //! * time passing under a ladder policy — [`PowerCtl::pump`] and
