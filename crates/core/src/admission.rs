@@ -1,0 +1,468 @@
+//! VM admission: the one owner of hosts, VMs and allocation-unit ids.
+//!
+//! The paper keeps one AU table per host (§4.1, Table 5) and allocates at
+//! VM granularity (§4.3). [`Admission`] holds what that takes — per host
+//! the live VMs with their AU lists, the AU ids handed out and given back,
+//! the mapped-AU count and the quota — indexed like the mapping tables' host
+//! table, which alone says *which* hosts are registered. It works through
+//! [`AdmissionCtl`]: itself, the translator, the command tap and the whole
+//! [`PowerCtl`] view (tables, allocator, migration engine, telemetry, and
+//! rank power for capacity wakes and power-down planning), borrowed for one
+//! call. One entry per cause — a host registers, a quota is set, a VM
+//! arrives, grows, shrinks, leaves — over one `carve` (quota, capacity
+//! wakes, all or nothing, admission latency) and one `release_au`.
+
+use std::collections::HashMap;
+
+use dtl_dram::Picos;
+use dtl_telemetry::{EventKind, Histogram};
+use serde::{Deserialize, Serialize};
+
+use crate::addr::{AuId, HostId, HostPhysAddr, Hsn, VmHandle};
+use crate::backend::MemoryBackend;
+use crate::config::DtlConfig;
+use crate::error::DtlError;
+use crate::power::PowerCtl;
+use crate::tables::MappingTables;
+use crate::tap::{CommandTap, DeviceCommand};
+use crate::translate::Translator;
+
+/// A successful VM allocation.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct VmAllocation {
+    /// Handle for deallocation.
+    pub handle: VmHandle,
+    /// Allocation units granted, in HPA order.
+    pub aus: Vec<AuId>,
+    /// Bytes reserved (AU-rounded).
+    pub bytes: u64,
+}
+
+impl VmAllocation {
+    /// The host physical base address of the `i`-th granted AU.
+    pub fn hpa_base(&self, i: usize, au_bytes: u64) -> HostPhysAddr {
+        HostPhysAddr::new(u64::from(self.aus[i].0) * au_bytes)
+    }
+}
+
+/// Operational snapshot of one host.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct HostSnapshot {
+    /// Host id.
+    pub host: HostId,
+    /// Live VMs.
+    pub vms: u32,
+    /// Allocation units currently mapped.
+    pub aus: u32,
+}
+
+#[derive(Debug, Default)]
+struct Host {
+    next_au: u32,
+    /// AU ids given back, reused most recently freed first.
+    free_aus: Vec<AuId>,
+    next_vm: u32,
+    vms: HashMap<u32, Vec<AuId>>,
+    /// AUs mapped over all VMs (and, inside `carve`, the ones carved so
+    /// far).
+    mapped_aus: u32,
+    /// Admission-control cap on simultaneously mapped AUs (availability:
+    /// one tenant cannot starve the pool). `None` = unlimited.
+    quota_aus: Option<u32>,
+}
+
+/// The telemetry id of a VM: host in the high word, VM number in the low.
+fn event_id(handle: VmHandle) -> u64 {
+    (u64::from(handle.host.0) << 32) | u64::from(handle.vm)
+}
+
+/// Everything the device remembers about its hosts and their VMs.
+#[derive(Debug)]
+pub(crate) struct Admission {
+    /// Indexed by [`HostId`] like the mapping tables' host table, which
+    /// says whether an id is registered; an entry below a registered id is
+    /// an empty host.
+    hosts: Vec<Host>,
+    /// Admission latency (table carving + capacity wakes), always on — an
+    /// allocation is rare enough that a histogram observe is free.
+    pub(crate) slo: Histogram,
+    /// Latency of the most recent successful carve (zero before the first).
+    pub(crate) last_latency: Picos,
+    /// MPSM exit penalty charged per capacity wake when modeling admission
+    /// latency (ddr4-2933 txmpsm).
+    wake_exit_latency: Picos,
+}
+
+impl Admission {
+    pub(crate) fn new() -> Self {
+        let t = dtl_dram::TimingParams::ddr4_2933();
+        Admission {
+            hosts: Vec::new(),
+            slo: Histogram::default(),
+            last_latency: Picos::ZERO,
+            wake_exit_latency: t.cycles(t.txmpsm),
+        }
+    }
+
+    /// Per-host occupancy of the hosts registered in `tables`, ascending.
+    pub(crate) fn snapshot(&self, tables: &MappingTables) -> Vec<HostSnapshot> {
+        let hosts = (0u16..).map(HostId).zip(&self.hosts);
+        hosts
+            .filter(|(id, _)| tables.has_host(*id))
+            .map(|(host, h)| HostSnapshot { host, vms: h.vms.len() as u32, aus: h.mapped_aus })
+            .collect()
+    }
+
+    /// Verifies, per host and whenever no entry of this module is running:
+    /// the VMs' AU lists and the free-id list partition the ids handed out
+    /// (`0..next_au`); the tables hold every listed AU and no other; the kept
+    /// mapped-AU count is their number, and within the quota. O(hosts +
+    /// AUs), nothing per segment.
+    ///
+    /// # Errors
+    ///
+    /// [`DtlError::Internal`] describing the first violation.
+    pub(crate) fn check(&self, tables: &MappingTables) -> Result<(), DtlError> {
+        for (host, state) in (0u16..).map(HostId).zip(&self.hosts) {
+            let broken =
+                |what: String| Err(DtlError::Internal { reason: format!("{host}: {what}") });
+            let listed = || state.vms.values().flatten();
+            let mut lists = vec![0u8; state.next_au as usize];
+            for au in listed().chain(&state.free_aus) {
+                match lists.get_mut(au.0 as usize) {
+                    Some(n) => *n += 1,
+                    None => return broken(format!("{au} was never handed out")),
+                }
+            }
+            if let Some(au) = lists.iter().position(|n| *n != 1) {
+                return broken(format!("AU {au} is in {} of the VM and free lists", lists[au]));
+            }
+            let mapped =
+                |au: &&AuId| tables.translate(Hsn { host, au: **au, au_offset: 0 }).is_some();
+            if let Some(au) = listed().find(|au| !mapped(au)) {
+                return broken(format!("{au} is in a VM but not in the tables"));
+            }
+            let (listed, kept, mapped) =
+                (listed().count(), state.mapped_aus, tables.au_count(host));
+            if listed != kept as usize || listed != mapped {
+                return broken(format!("VMs list {listed} AUs, count {kept}, tables {mapped}"));
+            }
+            if let Some(quota) = state.quota_aus.filter(|quota| kept > *quota) {
+                return broken(format!("{kept} AUs mapped over a quota of {quota}"));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// [`Admission`] at work: the module's state together with the parts of the
+/// device an allocation touches, borrowed for one call.
+pub(crate) struct AdmissionCtl<'a, B> {
+    pub(crate) state: &'a mut Admission,
+    pub(crate) config: &'a DtlConfig,
+    pub(crate) translator: &'a mut Translator,
+    pub(crate) tap: &'a mut CommandTap,
+    pub(crate) power: PowerCtl<'a, B>,
+}
+
+impl<B: MemoryBackend> AdmissionCtl<'_, B> {
+    /// The admission state of a registered host.
+    fn host(&mut self, host: HostId) -> Option<&mut Host> {
+        let registered = self.power.tables.has_host(host);
+        self.state.hosts.get_mut(usize::from(host.0)).filter(|_| registered)
+    }
+
+    /// The AU list of a live VM.
+    fn vm(&mut self, handle: VmHandle) -> Result<&mut Vec<AuId>, DtlError> {
+        let host = self.host(handle.host);
+        host.and_then(|h| h.vms.get_mut(&handle.vm)).ok_or(DtlError::UnknownVm(handle))
+    }
+
+    /// Registers a host (idempotent), unless past the configured maximum.
+    pub(crate) fn register_host(&mut self, host: HostId) -> Result<(), DtlError> {
+        let max_hosts = self.config.max_hosts;
+        if host.0 >= max_hosts {
+            return Err(DtlError::TooManyHosts { host, max_hosts });
+        }
+        self.power.tables.register_host(host);
+        let hosts = &mut self.state.hosts;
+        hosts.resize_with(hosts.len().max(usize::from(host.0) + 1), Host::default);
+        Ok(())
+    }
+
+    /// Sets (or clears) a host's quota. One below what the host already
+    /// maps is refused: nothing is evicted, so such a cap could not hold.
+    pub(crate) fn set_quota(&mut self, host: HostId, quota: Option<u32>) -> Result<(), DtlError> {
+        let state = self.host(host).ok_or(DtlError::UnknownHost(host))?;
+        let mapped_aus = state.mapped_aus;
+        if let Some(quota_aus) = quota.filter(|quota| mapped_aus > *quota) {
+            return Err(DtlError::QuotaExceeded { host, mapped_aus, quota_aus });
+        }
+        state.quota_aus = quota;
+        Ok(())
+    }
+
+    /// Carves `bytes` (rounded up to whole AUs, at least one) for `host`,
+    /// all or nothing, waking powered-down rank groups while the active
+    /// ranks lack the capacity, and charges the admission latency: one
+    /// controller cycle per segment-table entry carved, plus the MPSM exit
+    /// penalty of every group woken. The one place the quota is asked.
+    fn carve(&mut self, host: HostId, bytes: u64, now: Picos) -> Result<Vec<AuId>, DtlError> {
+        let segs = self.config.segments_per_au();
+        let n_aus = bytes.div_ceil(self.config.au_bytes).max(1);
+        let state = self.host(host).ok_or(DtlError::UnknownHost(host))?;
+        let (mapped_aus, quota) = (state.mapped_aus, state.quota_aus);
+        if let Some(quota_aus) = quota.filter(|q| u64::from(mapped_aus) + n_aus > u64::from(*q)) {
+            return Err(DtlError::QuotaExceeded { host, mapped_aus, quota_aus });
+        }
+        let wakes_before = self.power.stats.capacity_wakes;
+        let mut aus = Vec::new();
+        let refusal = loop {
+            if aus.len() as u64 == n_aus {
+                break None;
+            }
+            match self.power.alloc.allocate_au(segs) {
+                Ok(dsns) => {
+                    let state = self.host(host).expect("found above");
+                    let au = state.free_aus.pop().unwrap_or_else(|| {
+                        state.next_au += 1;
+                        AuId(state.next_au - 1)
+                    });
+                    state.mapped_aus += 1;
+                    aus.push(au);
+                    let tap_dsns = self.tap.enabled().then(|| dsns.clone());
+                    self.power.tables.create_au(host, au, dsns)?;
+                    if let Some(dsns) = tap_dsns {
+                        self.tap.record(DeviceCommand::AuCreated { host, au, dsns, at: now });
+                    }
+                }
+                // With nothing left to wake, the refusal is the allocator's.
+                Err(short @ DtlError::OutOfCapacity { .. }) => {
+                    match self.power.wake_for_capacity(now) {
+                        Ok(()) => {}
+                        Err(DtlError::OutOfCapacity { .. }) => break Some(short),
+                        Err(e) => break Some(e),
+                    }
+                }
+                Err(e) => break Some(e),
+            }
+        };
+        if let Some(refusal) = refusal {
+            for au in aus {
+                self.release_au(host, au, now)?;
+            }
+            return Err(refusal);
+        }
+        let wakes = self.power.stats.capacity_wakes - wakes_before;
+        self.state.last_latency =
+            self.config.controller_cycle() * (n_aus * segs) + self.state.wake_exit_latency * wakes;
+        self.state.slo.observe(self.state.last_latency.as_ps());
+        Ok(aus)
+    }
+
+    /// Gives one AU back: unmaps it, cancels the migrations touching its
+    /// segments, frees the segments and returns the AU id to the host.
+    fn release_au(&mut self, host: HostId, au: AuId, now: Picos) -> Result<(), DtlError> {
+        let dsns = self.power.tables.remove_au(host, au)?;
+        for (off, dsn) in dsns.iter().enumerate() {
+            for job in self.power.migrate.cancel_involving(*dsn) {
+                self.power.job_cancelled(job.id, job.kind, now)?;
+            }
+            self.translator.invalidate(Hsn { host, au, au_offset: off as u32 });
+        }
+        self.power.alloc.free_segments(&dsns)?;
+        self.tap.record(DeviceCommand::AuRemoved { host, au, dsns, at: now });
+        let state = self.host(host).expect("its AU was mapped");
+        state.free_aus.push(au);
+        state.mapped_aus -= 1;
+        Ok(())
+    }
+
+    /// A VM arrives: carves its AUs and gives it the host's next VM number.
+    pub(crate) fn alloc_vm(
+        &mut self,
+        host: HostId,
+        bytes: u64,
+        now: Picos,
+    ) -> Result<VmAllocation, DtlError> {
+        let aus = self.carve(host, bytes, now)?;
+        let state = self.host(host).expect("carve found it");
+        let handle = VmHandle { host, vm: state.next_vm };
+        state.next_vm += 1;
+        state.vms.insert(handle.vm, aus.clone());
+        self.power.stats.vms_allocated += 1;
+        let n_aus = aus.len() as u64;
+        let segments = n_aus * self.config.segments_per_au();
+        self.power
+            .telemetry
+            .emit(now.as_ps(), EventKind::VmAlloc { vm: event_id(handle), segments });
+        Ok(VmAllocation { handle, aus, bytes: n_aus * self.config.au_bytes })
+    }
+
+    /// A VM grows: the new AUs extend its HPA space. Not an arrival — no VM
+    /// number is used and no `VmAlloc` is emitted.
+    pub(crate) fn grow_vm(
+        &mut self,
+        handle: VmHandle,
+        bytes: u64,
+        now: Picos,
+    ) -> Result<Vec<AuId>, DtlError> {
+        self.vm(handle)?;
+        let aus = self.carve(handle.host, bytes, now)?;
+        self.vm(handle)?.extend_from_slice(&aus);
+        Ok(aus)
+    }
+
+    /// A VM shrinks by its `n_aus` highest AUs, but not to nothing; the
+    /// freed capacity may let a rank group power down.
+    pub(crate) fn shrink_vm(
+        &mut self,
+        handle: VmHandle,
+        n_aus: u32,
+        now: Picos,
+    ) -> Result<(), DtlError> {
+        let aus = self.vm(handle)?;
+        let held = aus.len();
+        if n_aus as usize >= held {
+            let reason =
+                format!("shrinking by {n_aus} of {held} AUs would empty the VM; use dealloc_vm");
+            return Err(DtlError::Internal { reason });
+        }
+        for au in aus.split_off(held - n_aus as usize) {
+            self.release_au(handle.host, au, now)?;
+        }
+        self.power.plan_power_down(now)
+    }
+
+    /// A VM leaves: gives back every AU it holds and plans power-downs.
+    pub(crate) fn dealloc_vm(&mut self, handle: VmHandle, now: Picos) -> Result<(), DtlError> {
+        let host = self.host(handle.host);
+        let aus = host.and_then(|h| h.vms.remove(&handle.vm)).ok_or(DtlError::UnknownVm(handle))?;
+        let segments = aus.len() as u64 * self.config.segments_per_au();
+        for au in aus {
+            self.release_au(handle.host, au, now)?;
+        }
+        self.power.stats.vms_deallocated += 1;
+        self.power
+            .telemetry
+            .emit(now.as_ps(), EventKind::VmDealloc { vm: event_id(handle), segments });
+        self.power.plan_power_down(now)
+    }
+}
+
+#[cfg(test)]
+impl Admission {
+    /// Hand mutation for the sweep's self-tests: the host's free-id list,
+    /// the AU list of its lowest-numbered VM, its kept count and its quota.
+    pub(crate) fn corrupt_for_test(
+        &mut self,
+        host: HostId,
+    ) -> (&mut Vec<AuId>, &mut Vec<AuId>, &mut u32, &mut Option<u32>) {
+        let h = &mut self.hosts[usize::from(host.0)];
+        let first = *h.vms.keys().min().expect("a live VM");
+        let vm = h.vms.get_mut(&first).expect("just found");
+        (&mut h.free_aus, vm, &mut h.mapped_aus, &mut h.quota_aus)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use dtl_telemetry::{RingSink, Telemetry, TelemetrySink};
+
+    use super::*;
+    use crate::{AnalyticBackend, DtlDevice};
+
+    fn device() -> DtlDevice<AnalyticBackend> {
+        let mut dev = DtlDevice::with_analytic_geometry(DtlConfig::tiny(), 2, 4, 32);
+        dev.register_host(HostId(0)).unwrap();
+        dev
+    }
+
+    /// A grow is not a VM arrival: over allocations, grows and
+    /// deallocations every `VmAlloc` names a VM of its own, and each meets
+    /// exactly one `VmDealloc`.
+    #[test]
+    fn every_vm_alloc_event_names_one_vm_and_meets_one_dealloc() {
+        let mut dev = device();
+        let sink = Arc::new(RingSink::with_capacity(256));
+        dev.set_telemetry(Telemetry::new(sink.clone() as Arc<dyn TelemetrySink>));
+        let au = dev.config().au_bytes;
+        let t = Picos::from_us;
+        let a = dev.alloc_vm(HostId(0), au, t(1)).unwrap().handle;
+        dev.grow_vm(a, au, t(2)).unwrap();
+        let b = dev.alloc_vm(HostId(0), au, t(3)).unwrap().handle;
+        dev.grow_vm(b, 2 * au, t(4)).unwrap();
+        dev.dealloc_vm(a, t(5)).unwrap();
+        let c = dev.alloc_vm(HostId(0), au, t(6)).unwrap().handle;
+        dev.shrink_vm(b, 1, t(7)).unwrap();
+        dev.dealloc_vm(b, t(8)).unwrap();
+        dev.dealloc_vm(c, t(9)).unwrap();
+        let (mut arrived, mut left) = (Vec::new(), Vec::new());
+        for event in sink.drain() {
+            match event.kind {
+                EventKind::VmAlloc { vm, .. } => arrived.push(vm),
+                EventKind::VmDealloc { vm, .. } => left.push(vm),
+                _ => {}
+            }
+        }
+        assert_eq!(arrived, [a, b, c].map(event_id), "one arrival per VM, none for a grow");
+        left.sort_unstable();
+        assert_eq!(left, arrived, "each arrival meets one departure");
+        assert_eq!(dev.stats().vms_allocated, 3);
+        assert_eq!(dev.snapshot().hosts[0], HostSnapshot { host: HostId(0), vms: 0, aus: 0 });
+        dev.check_invariants().unwrap();
+    }
+
+    /// The device evicts nothing to meet a quota, so one below what the host
+    /// already maps is refused and the old one stays in force.
+    #[test]
+    fn a_quota_below_what_the_host_maps_is_refused() {
+        let mut dev = device();
+        let au = dev.config().au_bytes;
+        let vm = dev.alloc_vm(HostId(0), 3 * au, Picos::ZERO).unwrap().handle;
+        let refused = dev.set_host_quota(HostId(0), Some(2)).unwrap_err();
+        assert_eq!(
+            refused,
+            DtlError::QuotaExceeded { host: HostId(0), mapped_aus: 3, quota_aus: 2 }
+        );
+        dev.grow_vm(vm, au, Picos::ZERO).expect("still unlimited");
+        dev.set_host_quota(HostId(0), Some(4)).unwrap();
+        assert!(matches!(
+            dev.grow_vm(vm, au, Picos::ZERO),
+            Err(DtlError::QuotaExceeded { mapped_aus: 4, quota_aus: 4, .. })
+        ));
+        dev.shrink_vm(vm, 2, Picos::ZERO).unwrap();
+        dev.set_host_quota(HostId(0), Some(2)).expect("fits now");
+        assert!(matches!(
+            dev.set_host_quota(HostId(1), None),
+            Err(DtlError::UnknownHost(HostId(1)))
+        ));
+        dev.check_invariants().unwrap();
+    }
+
+    /// An allocation that runs out of capacity midway gives back what it
+    /// carved: AU ids, segments and the mapped count.
+    #[test]
+    fn a_refused_allocation_leaves_no_trace() {
+        let mut dev = device();
+        dev.set_powerdown_enabled(false);
+        let au = dev.config().au_bytes;
+        // 2 x 4 x 32 segments = 8 AUs of 32.
+        let big = dev.alloc_vm(HostId(0), 6 * au, Picos::ZERO).unwrap();
+        let before = dev.snapshot();
+        let err = dev.alloc_vm(HostId(0), 3 * au, Picos::ZERO).unwrap_err();
+        assert!(matches!(err, DtlError::OutOfCapacity { .. }), "{err}");
+        assert!(matches!(
+            dev.grow_vm(big.handle, 3 * au, Picos::ZERO),
+            Err(DtlError::OutOfCapacity { .. })
+        ));
+        assert_eq!(dev.snapshot(), before);
+        dev.check_invariants().unwrap();
+        // The two AU ids the rollbacks gave back are handed out again, most
+        // recently freed first.
+        let next = dev.alloc_vm(HostId(0), 2 * au, Picos::ZERO).unwrap();
+        assert_eq!(next.aus, vec![AuId(6), AuId(7)]);
+    }
+}

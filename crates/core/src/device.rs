@@ -11,26 +11,29 @@
 //! * hotness-aware self-refresh (§3.4);
 //! * atomic background migration (§4.2).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use dtl_dram::{
     AccessKind, Picos, PowerEventCause, PowerPolicyKind, PowerReport, PowerState, Priority,
 };
-use dtl_telemetry::{EventKind, FaultKindId, Histogram, MetricsRegistry, Telemetry};
+use dtl_telemetry::{Histogram, MetricsRegistry, Telemetry};
 use serde::{Deserialize, Serialize};
 
 use crate::addr::{
     AuId, Dsn, HostId, HostPhysAddr, Hsn, SegmentGeometry, SegmentLocation, VmHandle,
 };
+use crate::admission::{Admission, AdmissionCtl, HostSnapshot, VmAllocation};
 use crate::alloc::SegmentAllocator;
 use crate::backend::MemoryBackend;
 use crate::config::DtlConfig;
 use crate::error::DtlError;
-use crate::health::{HealthParams, HealthStats, HealthTracker, RankErrorRecord, RankHealth};
-use crate::hotness::{HotnessEngine, HotnessParams, HotnessStats};
+use crate::health::{
+    FaultCtl, HealthParams, HealthStats, HealthTracker, RankErrorRecord, RankHealth,
+    UncorrectableReport,
+};
+use crate::hotness::{HotnessEngine, HotnessParams, HotnessRole, HotnessStats};
 use crate::migrate::{
-    MigrationEngine, MigrationInterrupt, MigrationKind, MigrationStats, WriteRouting,
+    MigrationEngine, MigrationInterrupt, MigrationJob, MigrationKind, MigrationStats, WriteRouting,
 };
 use crate::origin::{JobOrigin, JobOrigins};
 use crate::power::{PowerCtl, PowerDownStats, RankPdState, RankPower};
@@ -38,24 +41,6 @@ use crate::smc::{SmcOutcome, SmcStats};
 use crate::tables::MappingTables;
 use crate::tap::{CommandTap, DeviceCommand};
 use crate::translate::Translator;
-
-/// A successful VM allocation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VmAllocation {
-    /// Handle for deallocation.
-    pub handle: VmHandle,
-    /// Allocation units granted, in HPA order.
-    pub aus: Vec<AuId>,
-    /// Bytes reserved (AU-rounded).
-    pub bytes: u64,
-}
-
-impl VmAllocation {
-    /// The host physical base address of the `i`-th granted AU.
-    pub fn hpa_base(&self, i: usize, au_bytes: u64) -> HostPhysAddr {
-        HostPhysAddr::new(u64::from(self.aus[i].0) * au_bytes)
-    }
-}
 
 /// Result of one translated access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -68,17 +53,6 @@ pub struct AccessOutcome {
     pub translation_latency: Picos,
     /// Estimated completion time at the device (excludes the CXL link).
     pub completion_estimate: Picos,
-}
-
-/// Host-visible impact of an injected uncorrectable error
-/// ([`DtlDevice::inject_uncorrectable_error`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct UncorrectableReport {
-    /// Live (mapped) segments resident in the faulting rank when the error
-    /// struck — the blast radius reported to hosts as poisoned.
-    pub segments_at_risk: u64,
-    /// The rank's health after recording the error.
-    pub health: RankHealth,
 }
 
 /// Aggregate device statistics.
@@ -102,34 +76,6 @@ pub struct DeviceStats {
     pub migration_interrupts: u64,
     /// Rank retirements triggered automatically by error health.
     pub auto_retirements: u64,
-}
-
-#[derive(Debug, Default)]
-struct HostState {
-    next_au: u32,
-    free_aus: Vec<AuId>,
-    next_vm: u32,
-    vms: HashMap<u32, Vec<AuId>>,
-    /// Admission-control cap on simultaneously mapped AUs (availability:
-    /// one tenant cannot starve the pool). `None` = unlimited.
-    quota_aus: Option<u32>,
-}
-
-impl HostState {
-    fn mapped_aus(&self) -> u32 {
-        self.vms.values().map(|aus| aus.len() as u32).sum()
-    }
-}
-
-/// Role a rank currently plays in the hotness engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum HotnessRole {
-    /// Not involved.
-    None,
-    /// Selected as the channel's victim (planning or migrating).
-    Victim,
-    /// Parked in self-refresh.
-    SelfRefreshing,
 }
 
 /// Operational snapshot of one rank.
@@ -160,17 +106,6 @@ pub struct RankSnapshot {
     /// enough to recompute the Table 2 power breakdown from snapshots
     /// alone.
     pub residency: [Picos; 5],
-}
-
-/// Operational snapshot of one host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HostSnapshot {
-    /// Host id.
-    pub host: HostId,
-    /// Live VMs.
-    pub vms: u32,
-    /// Allocation units currently mapped.
-    pub aus: u32,
 }
 
 /// A serializable operational snapshot of the whole device — what a
@@ -220,28 +155,21 @@ pub struct DtlDevice<B: MemoryBackend> {
     /// Every rank's lifecycle, power state and idle clock: written through
     /// [`DtlDevice::power`] only.
     power: RankPower,
+    /// Error history per rank; faults enter through [`DtlDevice::faults`].
     health: HealthTracker,
     hotness: HotnessEngine,
     hotness_enabled: bool,
-    hosts: HashMap<HostId, HostState>,
+    /// Hosts, VMs and AU ids: written through [`DtlDevice::admission`] only.
+    admission: Admission,
     job_origin: JobOrigins,
     stats: DeviceStats,
     telemetry: Telemetry,
     /// Resolved once at [`DtlDevice::set_telemetry`] time, never on the
     /// access path.
     translation_hist: Option<Arc<Histogram>>,
-    /// VM admission latency (table carving + capacity wakes), always on —
-    /// an allocation is rare enough that a histogram observe is free.
-    slo_admission: Histogram,
     /// Age of completed migrations (finish minus enqueue): how stale the
     /// drain/consolidation backlog ran.
     slo_drain_age: Histogram,
-    /// Latency of the most recent successful [`DtlDevice::alloc_vm`], for
-    /// callers composing device admission into an end-to-end figure.
-    last_admission_latency: Picos,
-    /// MPSM exit penalty charged per capacity wake when modeling admission
-    /// latency (ddr4-2933 txmpsm).
-    wake_exit_latency: Picos,
     /// Command-stream tap for external checkers (off by default).
     tap: CommandTap,
 }
@@ -295,18 +223,12 @@ impl<B: MemoryBackend> DtlDevice<B> {
             health: HealthTracker::new(geo, HealthParams::default()),
             hotness: HotnessEngine::new(geo, hotness_params),
             hotness_enabled: true,
-            hosts: HashMap::new(),
+            admission: Admission::new(),
             job_origin: JobOrigins::default(),
             stats: DeviceStats::default(),
             telemetry: Telemetry::disabled(),
             translation_hist: None,
-            slo_admission: Histogram::default(),
             slo_drain_age: Histogram::default(),
-            last_admission_latency: Picos::ZERO,
-            wake_exit_latency: {
-                let t = dtl_dram::TimingParams::ddr4_2933();
-                t.cycles(t.txmpsm)
-            },
             tap: CommandTap::default(),
             config,
             geo,
@@ -314,20 +236,37 @@ impl<B: MemoryBackend> DtlDevice<B> {
         }
     }
 
+    /// The admission module at work on this device's parts; the other two
+    /// views are parts of this one.
+    pub(crate) fn admission(&mut self) -> AdmissionCtl<'_, B> {
+        AdmissionCtl {
+            state: &mut self.admission,
+            config: &self.config,
+            translator: &mut self.translator,
+            tap: &mut self.tap,
+            power: PowerCtl {
+                state: &mut self.power,
+                backend: &mut self.backend,
+                alloc: &mut self.alloc,
+                migrate: &mut self.migrate,
+                hotness: &mut self.hotness,
+                origins: &mut self.job_origin,
+                stats: &mut self.stats,
+                tables: &mut self.tables,
+                health: &mut self.health,
+                telemetry: &self.telemetry,
+            },
+        }
+    }
+
     /// The rank-power module at work on this device's parts.
     pub(crate) fn power(&mut self) -> PowerCtl<'_, B> {
-        PowerCtl {
-            state: &mut self.power,
-            backend: &mut self.backend,
-            alloc: &mut self.alloc,
-            migrate: &mut self.migrate,
-            hotness: &mut self.hotness,
-            origins: &mut self.job_origin,
-            stats: &mut self.stats,
-            tables: &self.tables,
-            health: &self.health,
-            telemetry: &self.telemetry,
-        }
+        self.admission().power
+    }
+
+    /// The fault entries at work on this device's parts.
+    pub(crate) fn faults(&mut self) -> FaultCtl<'_, B> {
+        FaultCtl { power: self.power() }
     }
 
     /// Turns the command-stream tap on or off (off by default). While on,
@@ -384,22 +323,24 @@ impl<B: MemoryBackend> DtlDevice<B> {
     #[doc(hidden)]
     pub fn corrupt_power_log_for_test(&mut self, now: Picos) {
         self.process_events();
+        use PowerState::{ActivePowerDown, SelfRefresh, Standby};
         let state = self.backend.rank_state(0, 0);
-        let mut forge = |from, to| {
-            self.tap.record(DeviceCommand::PowerTransition {
-                channel: 0,
-                rank: 0,
-                from,
-                to,
-                cause: PowerEventCause::Explicit,
-                at: now,
-            });
-        };
-        if state != PowerState::Standby {
-            forge(state, PowerState::Standby);
+        for (from, to) in
+            [(state, Standby), (Standby, ActivePowerDown), (ActivePowerDown, SelfRefresh)]
+        {
+            if from != to {
+                let cause = PowerEventCause::Explicit;
+                let forged = DeviceCommand::PowerTransition {
+                    channel: 0,
+                    rank: 0,
+                    from,
+                    to,
+                    cause,
+                    at: now,
+                };
+                self.tap.record(forged);
+            }
         }
-        forge(PowerState::Standby, PowerState::ActivePowerDown);
-        forge(PowerState::ActivePowerDown, PowerState::SelfRefresh);
     }
 
     /// Installs a telemetry handle on the device and every engine it owns
@@ -480,11 +421,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
         rank: u32,
         now: Picos,
     ) -> Result<bool, DtlError> {
-        if channel >= self.geo.channels || rank >= self.geo.ranks_per_channel {
-            return Err(DtlError::Internal {
-                reason: format!("postpone_refresh out of range: ch{channel} r{rank}"),
-            });
-        }
+        self.health.check_rank(channel, Some(rank))?;
         Ok(self.power.postpone_refresh(channel, rank, now))
     }
 
@@ -493,7 +430,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
     /// streaming into. No-op apart from bookkeeping; the traffic itself is
     /// charged by the backend.
     pub fn note_rank_traffic(&mut self, channel: u32, rank: u32, now: Picos) {
-        if channel < self.geo.channels && rank < self.geo.ranks_per_channel {
+        if self.health.check_rank(channel, Some(rank)).is_ok() {
             self.power.note_access(channel, rank, now);
         }
     }
@@ -534,9 +471,10 @@ impl<B: MemoryBackend> DtlDevice<B> {
     }
 
     /// VM admission latency histogram (table carving + capacity wakes),
-    /// picoseconds. One sample per successful [`DtlDevice::alloc_vm`].
+    /// picoseconds. One sample per successful [`DtlDevice::alloc_vm`] or
+    /// [`DtlDevice::grow_vm`].
     pub fn admission_histogram(&self) -> &Histogram {
-        &self.slo_admission
+        &self.admission.slo
     }
 
     /// Migration backlog-age histogram: completion minus enqueue of every
@@ -545,11 +483,11 @@ impl<B: MemoryBackend> DtlDevice<B> {
         &self.slo_drain_age
     }
 
-    /// Latency of the most recent successful [`DtlDevice::alloc_vm`]
-    /// (zero before the first), for callers composing device admission
-    /// into an end-to-end figure.
+    /// Latency of the most recent successful [`DtlDevice::alloc_vm`] or
+    /// [`DtlDevice::grow_vm`] (zero before the first), for callers
+    /// composing device admission into an end-to-end figure.
     pub fn last_admission_latency(&self) -> Picos {
-        self.last_admission_latency
+        self.admission.last_latency
     }
 
     /// Deepest the migration backlog (queued + in flight) ever got.
@@ -578,12 +516,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
     ///
     /// [`DtlError::TooManyHosts`] past the configured maximum.
     pub fn register_host(&mut self, host: HostId) -> Result<(), DtlError> {
-        if host.0 >= self.config.max_hosts {
-            return Err(DtlError::TooManyHosts { host, max_hosts: self.config.max_hosts });
-        }
-        self.tables.register_host(host);
-        self.hosts.entry(host).or_default();
-        Ok(())
+        self.admission().register_host(host)
     }
 
     /// Allocates `bytes` (rounded up to whole AUs) for a new VM, waking
@@ -592,6 +525,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
     /// # Errors
     ///
     /// * [`DtlError::UnknownHost`] for unregistered hosts;
+    /// * [`DtlError::QuotaExceeded`] past the host's quota;
     /// * [`DtlError::OutOfCapacity`] when the whole device is full.
     pub fn alloc_vm(
         &mut self,
@@ -599,81 +533,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
         bytes: u64,
         now: Picos,
     ) -> Result<VmAllocation, DtlError> {
-        if !self.hosts.contains_key(&host) {
-            return Err(DtlError::UnknownHost(host));
-        }
-        let n_aus = bytes.div_ceil(self.config.au_bytes).max(1);
-        self.check_quota(host, n_aus as u32)?;
-        let wakes_before = self.stats.capacity_wakes;
-        let mut aus = Vec::with_capacity(n_aus as usize);
-        for _ in 0..n_aus {
-            let dsns = loop {
-                match self.alloc.allocate_au(self.config.segments_per_au()) {
-                    Ok(dsns) => break Ok(dsns),
-                    Err(DtlError::OutOfCapacity { requested, free }) => {
-                        match self.power().wake_for_capacity(now) {
-                            Ok(()) => {}
-                            Err(DtlError::OutOfCapacity { .. }) => {
-                                break Err(DtlError::OutOfCapacity { requested, free });
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
-            let dsns = match dsns {
-                Ok(d) => d,
-                Err(e) => {
-                    // Roll back the AUs created so far: the allocation is
-                    // all-or-nothing.
-                    for au in aus.drain(..) {
-                        let freed = self.tables.remove_au(host, au)?;
-                        self.alloc.free_segments(&freed)?;
-                        self.tap.record(DeviceCommand::AuRemoved {
-                            host,
-                            au,
-                            dsns: freed,
-                            at: now,
-                        });
-                        self.hosts.get_mut(&host).expect("checked above").free_aus.push(au);
-                    }
-                    return Err(e);
-                }
-            };
-            let state = self.hosts.get_mut(&host).expect("checked above");
-            let au = state.free_aus.pop().unwrap_or_else(|| {
-                let id = AuId(state.next_au);
-                state.next_au += 1;
-                id
-            });
-            let tap_dsns = self.tap.enabled().then(|| dsns.clone());
-            self.tables.create_au(host, au, dsns)?;
-            if let Some(dsns) = tap_dsns {
-                self.tap.record(DeviceCommand::AuCreated { host, au, dsns, at: now });
-            }
-            aus.push(au);
-        }
-        let state = self.hosts.get_mut(&host).expect("checked above");
-        let vm = state.next_vm;
-        state.next_vm += 1;
-        state.vms.insert(vm, aus.clone());
-        self.stats.vms_allocated += 1;
-        // Admission latency: one controller cycle per segment-table entry
-        // carved, plus the MPSM exit penalty of every rank group the
-        // allocation had to wake for capacity.
-        let wakes = self.stats.capacity_wakes - wakes_before;
-        let carve = self.config.controller_cycle() * (n_aus * self.config.segments_per_au());
-        self.last_admission_latency = carve + self.wake_exit_latency * wakes;
-        self.slo_admission.observe(self.last_admission_latency.as_ps());
-        self.telemetry.emit(
-            now.as_ps(),
-            EventKind::VmAlloc {
-                vm: (u64::from(host.0) << 32) | u64::from(vm),
-                segments: n_aus * self.config.segments_per_au(),
-            },
-        );
-        Ok(VmAllocation { handle: VmHandle { host, vm }, aus, bytes: n_aus * self.config.au_bytes })
+        self.admission().alloc_vm(host, bytes, now)
     }
 
     /// Sets (or clears) a host's capacity quota in allocation units. An
@@ -682,22 +542,11 @@ impl<B: MemoryBackend> DtlDevice<B> {
     ///
     /// # Errors
     ///
-    /// [`DtlError::UnknownHost`] for unregistered hosts.
+    /// * [`DtlError::UnknownHost`] for unregistered hosts;
+    /// * [`DtlError::QuotaExceeded`] for a quota below what the host
+    ///   already maps (the device evicts nothing to meet one).
     pub fn set_host_quota(&mut self, host: HostId, quota_aus: Option<u32>) -> Result<(), DtlError> {
-        let state = self.hosts.get_mut(&host).ok_or(DtlError::UnknownHost(host))?;
-        state.quota_aus = quota_aus;
-        Ok(())
-    }
-
-    fn check_quota(&self, host: HostId, additional_aus: u32) -> Result<(), DtlError> {
-        let state = self.hosts.get(&host).ok_or(DtlError::UnknownHost(host))?;
-        if let Some(quota) = state.quota_aus {
-            let mapped = state.mapped_aus();
-            if mapped + additional_aus > quota {
-                return Err(DtlError::QuotaExceeded { host, mapped_aus: mapped, quota_aus: quota });
-            }
-        }
-        Ok(())
+        self.admission().set_quota(host, quota_aus)
     }
 
     /// Grows a VM by `bytes` (AU-rounded) — memory ballooning up, as the
@@ -714,21 +563,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
         bytes: u64,
         now: Picos,
     ) -> Result<Vec<AuId>, DtlError> {
-        let state = self.hosts.get(&handle.host).ok_or(DtlError::UnknownVm(handle))?;
-        if !state.vms.contains_key(&handle.vm) {
-            return Err(DtlError::UnknownVm(handle));
-        }
-        let n_aus = bytes.div_ceil(self.config.au_bytes).max(1);
-        self.check_quota(handle.host, n_aus as u32)?;
-        // Reuse alloc_vm's machinery by allocating a scratch VM, then
-        // transplanting its AUs: keeps the wake/rollback paths single.
-        let scratch = self.alloc_vm(handle.host, bytes, now)?;
-        let state = self.hosts.get_mut(&handle.host).expect("checked above");
-        let new_aus = state.vms.remove(&scratch.handle.vm).expect("just created");
-        state.next_vm -= 1; // the scratch id was never observable
-        state.vms.get_mut(&handle.vm).expect("checked above").extend(new_aus.iter().copied());
-        self.stats.vms_allocated -= 1; // the scratch was not a real VM
-        Ok(new_aus)
+        self.admission().grow_vm(handle, bytes, now)
     }
 
     /// Shrinks a VM by releasing its `n_aus` highest allocation units —
@@ -740,21 +575,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
     /// * [`DtlError::Internal`] when asked to release more AUs than the VM
     ///   holds (release everything via [`DtlDevice::dealloc_vm`] instead).
     pub fn shrink_vm(&mut self, handle: VmHandle, n_aus: u32, now: Picos) -> Result<(), DtlError> {
-        let state = self.hosts.get_mut(&handle.host).ok_or(DtlError::UnknownVm(handle))?;
-        let aus = state.vms.get_mut(&handle.vm).ok_or(DtlError::UnknownVm(handle))?;
-        if n_aus as usize >= aus.len() {
-            return Err(DtlError::Internal {
-                reason: format!(
-                    "shrinking by {n_aus} of {} AUs would empty the VM; use dealloc_vm",
-                    aus.len()
-                ),
-            });
-        }
-        let released: Vec<AuId> = aus.split_off(aus.len() - n_aus as usize);
-        for au in released {
-            self.release_au(handle.host, au, now)?;
-        }
-        self.power().plan_power_down(now)
+        self.admission().shrink_vm(handle, n_aus, now)
     }
 
     /// Deallocates a VM: unmaps its AUs, cancels migrations touching them,
@@ -764,39 +585,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
     ///
     /// [`DtlError::UnknownVm`] for stale handles.
     pub fn dealloc_vm(&mut self, handle: VmHandle, now: Picos) -> Result<(), DtlError> {
-        let state = self.hosts.get_mut(&handle.host).ok_or(DtlError::UnknownVm(handle))?;
-        let aus = state.vms.remove(&handle.vm).ok_or(DtlError::UnknownVm(handle))?;
-        let released = aus.len() as u64 * self.config.segments_per_au();
-        for au in aus {
-            self.release_au(handle.host, au, now)?;
-        }
-        self.stats.vms_deallocated += 1;
-        self.telemetry.emit(
-            now.as_ps(),
-            EventKind::VmDealloc {
-                vm: (u64::from(handle.host.0) << 32) | u64::from(handle.vm),
-                segments: released,
-            },
-        );
-        self.power().plan_power_down(now)
-    }
-
-    /// Releases one AU a VM no longer holds: unmaps it, cancels the
-    /// migrations touching its segments, frees the segments and hands the
-    /// AU id back to the host.
-    fn release_au(&mut self, host: HostId, au: AuId, now: Picos) -> Result<(), DtlError> {
-        let dsns = self.tables.remove_au(host, au)?;
-        for (off, dsn) in dsns.iter().enumerate() {
-            let cancelled = self.migrate.cancel_involving(*dsn);
-            for job in cancelled {
-                self.power().job_cancelled(job.id, job.kind, *dsn, now)?;
-            }
-            self.translator.invalidate(Hsn { host, au, au_offset: off as u32 });
-        }
-        self.alloc.free_segments(&dsns)?;
-        self.tap.record(DeviceCommand::AuRemoved { host, au, dsns, at: now });
-        self.hosts.get_mut(&host).expect("still present").free_aus.push(au);
-        Ok(())
+        self.admission().dealloc_vm(handle, now)
     }
 
     /// Permanently retires a rank (the reliability extension the paper's
@@ -815,27 +604,14 @@ impl<B: MemoryBackend> DtlDevice<B> {
     /// * [`DtlError::Internal`] when the rank is already retired/retiring
     ///   or is the channel's last active rank.
     pub fn retire_rank(&mut self, channel: u32, rank: u32, now: Picos) -> Result<(), DtlError> {
-        let before = self.rank_health(channel, rank);
-        self.power().retire(channel, rank, now)?;
-        let after = self.rank_health(channel, rank);
-        if after != before {
-            self.telemetry.emit(
-                now.as_ps(),
-                EventKind::HealthTransition {
-                    channel,
-                    rank,
-                    from: before.telemetry_id(),
-                    to: after.telemetry_id(),
-                },
-            );
-        }
-        Ok(())
+        self.faults().retire(channel, rank, now)
     }
 
     /// Replaces the error-health parameters, resetting all error history.
     /// Call before injecting any errors.
     pub fn set_health_params(&mut self, params: HealthParams) {
         self.health = HealthTracker::new(self.geo, params);
+        self.health.set_telemetry(self.telemetry.clone());
     }
 
     /// Aggregate error-health statistics.
@@ -851,15 +627,6 @@ impl<B: MemoryBackend> DtlDevice<B> {
     /// The rank's error counters and leaky-bucket level.
     pub fn rank_errors(&self, channel: u32, rank: u32) -> RankErrorRecord {
         self.health.counters(channel, rank)
-    }
-
-    fn check_rank(&self, channel: u32, rank: u32) -> Result<(), DtlError> {
-        if channel >= self.geo.channels || rank >= self.geo.ranks_per_channel {
-            return Err(DtlError::Internal {
-                reason: format!("rank ch{channel}/rk{rank} outside the device geometry"),
-            });
-        }
-        Ok(())
     }
 
     /// Reports a correctable (ECC-fixed) error on a rank. The data is
@@ -879,18 +646,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
         rank: u32,
         now: Picos,
     ) -> Result<RankHealth, DtlError> {
-        self.check_rank(channel, rank)?;
-        self.telemetry.emit(
-            now.as_ps(),
-            EventKind::FaultInjected {
-                kind: FaultKindId::CorrectableEcc,
-                channel: Some(channel),
-                rank: Some(rank),
-            },
-        );
-        let tripped = self.health.record_correctable(channel, rank, now);
-        self.auto_retire_if_due(channel, rank, tripped, now)?;
-        Ok(self.rank_health(channel, rank))
+        Ok(self.faults().ecc_error(false, channel, rank, now)?.health)
     }
 
     /// Reports an uncorrectable (multi-bit) error on a rank. The mapping
@@ -908,42 +664,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
         rank: u32,
         now: Picos,
     ) -> Result<UncorrectableReport, DtlError> {
-        self.check_rank(channel, rank)?;
-        self.telemetry.emit(
-            now.as_ps(),
-            EventKind::FaultInjected {
-                kind: FaultKindId::UncorrectableEcc,
-                channel: Some(channel),
-                rank: Some(rank),
-            },
-        );
-        let segments_at_risk = self.tables.mapped_in_rank(channel, rank).count() as u64;
-        let tripped = self.health.record_uncorrectable(channel, rank, now);
-        self.auto_retire_if_due(channel, rank, tripped, now)?;
-        Ok(UncorrectableReport { segments_at_risk, health: self.rank_health(channel, rank) })
-    }
-
-    fn auto_retire_if_due(
-        &mut self,
-        channel: u32,
-        rank: u32,
-        tripped: bool,
-        now: Picos,
-    ) -> Result<(), DtlError> {
-        if !tripped {
-            return Ok(());
-        }
-        match self.retire_rank(channel, rank, now) {
-            Ok(()) => {
-                self.stats.auto_retirements += 1;
-                Ok(())
-            }
-            // Refused: the channel cannot spare the rank right now (last
-            // active rank, or no capacity anywhere to absorb its data).
-            // The rank stays Degraded and keeps serving.
-            Err(DtlError::OutOfCapacity { .. }) | Err(DtlError::Internal { .. }) => Ok(()),
-            Err(e) => Err(e),
-        }
+        self.faults().ecc_error(true, channel, rank, now)
     }
 
     /// Cuts off the channel's in-flight migration mid-transfer (fault
@@ -964,65 +685,26 @@ impl<B: MemoryBackend> DtlDevice<B> {
         channel: u32,
         now: Picos,
     ) -> Result<MigrationInterrupt, DtlError> {
-        if channel >= self.geo.channels {
-            return Err(DtlError::Internal {
-                reason: format!("channel {channel} outside the device geometry"),
-            });
-        }
-        self.telemetry.emit(
-            now.as_ps(),
-            EventKind::FaultInjected {
-                kind: FaultKindId::MigrationInterrupt,
-                channel: Some(channel),
-                rank: None,
-            },
-        );
-        let outcome = self.migrate.interrupt_channel(channel, now);
-        if outcome != MigrationInterrupt::Idle {
-            self.stats.migration_interrupts += 1;
-        }
+        let outcome = self.faults().migration_interrupt(channel, now)?;
         if let MigrationInterrupt::RolledBack { job } = outcome {
             self.rollback_job(job, now)?;
         }
         Ok(outcome)
     }
 
-    /// Unwinds a migration job the engine rolled back after an
-    /// interruption exhausted its retry budget.
-    fn rollback_job(
-        &mut self,
-        job: crate::migrate::MigrationJob,
-        now: Picos,
-    ) -> Result<(), DtlError> {
-        match (self.job_origin.get(job.id), job.kind) {
-            (Some(JobOrigin::Drain { .. }), MigrationKind::Swap { .. }) => {
-                return Err(DtlError::Internal { reason: "drain job must be a copy".into() });
+    /// The mapping half of a job the engine rolled back after an
+    /// interruption exhausted its retry budget; whether it restarts is
+    /// [`PowerCtl::job_rolled_back`]'s.
+    fn rollback_job(&mut self, job: MigrationJob, now: Picos) -> Result<(), DtlError> {
+        if let Some(JobOrigin::Hotness { .. }) = self.job_origin.get(job.id) {
+            // An abandoned consolidation move: drop any cached translations
+            // of the endpoints, leaving the original mapping authoritative.
+            let (x, y) = job.kind.endpoints();
+            for h in [x, y].into_iter().filter_map(|d| self.tables.reverse(d)) {
+                self.translator.invalidate(h);
             }
-            (Some(JobOrigin::Drain { group }), MigrationKind::Copy { src, dst })
-                if self.tables.reverse(src).is_some() =>
-            {
-                // Source still live: the rank must still empty, so the
-                // drain restarts from scratch under a fresh id.
-                self.job_origin.remove(job.id);
-                return self.power().enqueue_drain(src, dst, group, now);
-            }
-            (Some(JobOrigin::Hotness { .. }), kind) => {
-                // Abandon the consolidation move: drop any cached
-                // translations of the endpoints, leaving the original
-                // mapping authoritative.
-                let (x, y) = kind.endpoints();
-                for d in [x, y] {
-                    if let Some(h) = self.tables.reverse(d) {
-                        self.translator.invalidate(h);
-                    }
-                }
-            }
-            // A drain whose source vanished (deallocated).
-            _ => {}
         }
-        // Gone for good, like a job cancelled under no particular segment:
-        // a copy's destination reservation is released and the job settles.
-        self.power().job_cancelled(job.id, job.kind, Dsn(u64::MAX), now)
+        self.power().job_rolled_back(job, now)
     }
 
     /// Serves one 64 B access from a host.
@@ -1038,8 +720,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
         kind: AccessKind,
         now: Picos,
     ) -> Result<AccessOutcome, DtlError> {
-        // The dense host table, registered in step with `hosts`: an index,
-        // where the map would hash on every access.
+        // The host table is the registry: an index, nothing hashed.
         if !self.tables.has_host(host) {
             return Err(DtlError::UnknownHost(host));
         }
@@ -1105,46 +786,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
             self.finish_job(done.job.id, done.job.kind, now)?;
         }
         if self.hotness_enabled {
-            let power = &self.power;
-            let plans = self.hotness.pump(now, |c, r| power.lifecycle(c, r) == RankPdState::Active);
-            for plan in plans {
-                let mut count = 0u64;
-                for (v_loc, t_loc) in &plan.swaps {
-                    let (a, b) = (self.geo.dsn(*v_loc), self.geo.dsn(*t_loc));
-                    if self.migrate.involves(a) || self.migrate.involves(b) {
-                        continue;
-                    }
-                    // The TSP may have claimed a slot in a rank that the
-                    // power-down engine has since selected (or drained):
-                    // moving live data there would end up in MPSM.
-                    if self.power.lifecycle(t_loc.channel, t_loc.rank) != RankPdState::Active {
-                        continue;
-                    }
-                    // The victim slot must still hold live, mapped data —
-                    // a deallocation since planning leaves stale pairs.
-                    if !self.alloc.is_allocated(*v_loc) || self.tables.reverse(a).is_none() {
-                        continue;
-                    }
-                    // The counterpart is either live+mapped (full swap),
-                    // free (one-way copy whose destination must be reserved
-                    // *now*, or a concurrent drain could claim it), or an
-                    // unmapped reservation of another migration (skip).
-                    let id = if self.alloc.is_allocated(*t_loc) {
-                        if self.tables.reverse(b).is_none() {
-                            continue; // someone else's reservation
-                        }
-                        self.migrate.enqueue_swap(a, b, now)?
-                    } else {
-                        if !self.alloc.reserve_slot(*t_loc) {
-                            continue; // raced with another reservation
-                        }
-                        self.migrate.enqueue_copy(a, b, now)?
-                    };
-                    self.job_origin.insert(id, JobOrigin::Hotness { channel: plan.channel });
-                    count += 1;
-                }
-                self.power().consolidation_planned(plan.channel, count, now)?;
-            }
+            self.power().consolidate(now)?;
         }
         self.power().pump(now)
     }
@@ -1239,20 +881,13 @@ impl<B: MemoryBackend> DtlDevice<B> {
             Vec::with_capacity((self.geo.channels * self.geo.ranks_per_channel) as usize);
         for c in 0..self.geo.channels {
             for r in 0..self.geo.ranks_per_channel {
-                let hotness = if self.hotness.sr_rank(c) == Some(r) {
-                    HotnessRole::SelfRefreshing
-                } else if self.hotness.victim(c) == Some(r) {
-                    HotnessRole::Victim
-                } else {
-                    HotnessRole::None
-                };
                 let errors = self.health.counters(c, r);
                 ranks.push(RankSnapshot {
                     channel: c,
                     rank: r,
                     power: self.backend.rank_state(c, r),
                     lifecycle: self.power.lifecycle(c, r),
-                    hotness,
+                    hotness: self.hotness.role(c, r),
                     health: self.rank_health(c, r),
                     correctable_errors: errors.correctable,
                     uncorrectable_errors: errors.uncorrectable,
@@ -1262,19 +897,9 @@ impl<B: MemoryBackend> DtlDevice<B> {
                 });
             }
         }
-        let mut hosts: Vec<HostSnapshot> = self
-            .hosts
-            .iter()
-            .map(|(h, state)| HostSnapshot {
-                host: *h,
-                vms: state.vms.len() as u32,
-                aus: state.vms.values().map(|aus| aus.len() as u32).sum(),
-            })
-            .collect();
-        hosts.sort_by_key(|h| h.host);
         DeviceSnapshot {
             ranks,
-            hosts,
+            hosts: self.admission.snapshot(&self.tables),
             mapped_segments: self.tables.mapped_segments(),
             migrations_pending: self.migrations_pending(),
             stats: self.stats,
@@ -1287,31 +912,27 @@ impl<B: MemoryBackend> DtlDevice<B> {
     ///
     /// # Errors
     ///
-    /// [`DtlError::Internal`] describing the first violation:
-    /// * forward/reverse mapping consistency: every reverse entry's forward
-    ///   slot points back at it, the reverse table holds exactly the
-    ///   maintained mapped count, and the forward tables hold as many slots
+    /// [`DtlError::Internal`] describing the first violation of:
+    /// * forward/reverse mapping consistency
     ///   ([`MappingTables::check_consistency`]);
-    /// * allocator free/allocated partitioning: per rank, the allocated
-    ///   count is its bitmap's population count, every free slot is inside
-    ///   the rank, queued once and not allocated, and free + allocated add
-    ///   up to the rank ([`SegmentAllocator::check_consistency`]);
-    /// * in debug builds, the migration engine's endpoint index against a
-    ///   recount of its queues ([`MigrationEngine::check_index`]);
+    /// * allocator free/allocated partitioning
+    ///   ([`SegmentAllocator::check_consistency`]);
+    /// * in debug builds, the migration engine's endpoint index
+    ///   ([`MigrationEngine::check_index`]);
     /// * **no mapped (live) segment may sit in an MPSM rank** — MPSM loses
     ///   data;
     /// * every mapped segment is marked allocated;
     /// * per rank, lifecycle, allocator and backend agree, and every count
     ///   of outstanding drain or consolidation jobs is the number of live
-    ///   jobs it stands for (`RankPower::check`). One plausible relation is
-    ///   left out because it does not hold: the hotness engine's
-    ///   self-refresh rank need not be in `SelfRefresh` at the backend — an
-    ///   access wakes the rank there at once, and the engine hears of it
-    ///   when the device next drains the backend's power events.
+    ///   jobs it stands for (`RankPower::check`, which also names the
+    ///   plausible relation that does not hold);
+    /// * per host, the VMs' AU lists and the free AU ids partition the ids
+    ///   handed out, the tables hold exactly the listed AUs, and the kept
+    ///   count is their number and within the quota (`Admission::check`).
     ///
-    /// Every call visits every rank, every free slot, every segment and
-    /// every live migration job of the device; nothing is remembered
-    /// between calls.
+    /// Every call visits every rank, every free slot, every segment, every
+    /// live migration job and every AU id of the device; nothing is
+    /// remembered between calls.
     pub fn check_invariants(&self) -> Result<(), DtlError> {
         self.tables.check_consistency()?;
         self.alloc.check_consistency()?;
@@ -1319,16 +940,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
         self.migrate.check_index()?;
         for channel in 0..self.geo.channels {
             for rank in 0..self.geo.ranks_per_channel {
-                let mut mapped = self.tables.mapped_in_rank(channel, rank);
-                if self.backend.rank_state(channel, rank) == PowerState::Mpsm {
-                    if let Some((within, hsn)) = mapped.next() {
-                        let loc = SegmentLocation { channel, rank, within };
-                        let dsn = self.geo.dsn(loc);
-                        return Err(DtlError::Internal {
-                            reason: format!("live segment {dsn} ({hsn}) in MPSM rank {loc:?}"),
-                        });
-                    }
-                }
+                let mapped = self.tables.mapped_in_rank(channel, rank);
                 let slots = mapped.map(|(within, _)| within);
                 if let Some(within) = self.alloc.first_unallocated(channel, rank, slots) {
                     let dsn = self.geo.dsn(SegmentLocation { channel, rank, within });
@@ -1338,7 +950,8 @@ impl<B: MemoryBackend> DtlDevice<B> {
                 }
             }
         }
-        self.power.check(&self.backend, &self.alloc, &self.job_origin)
+        self.power.check(&self.backend, &self.alloc, &self.tables, &self.job_origin)?;
+        self.admission.check(&self.tables)
     }
 
     /// Dumps every engine's aggregate statistics into `registry` as
@@ -2052,7 +1665,7 @@ mod fault_tests {
     #[test]
     fn sweep_reports_every_violation_class() {
         type Corruption = fn(&mut DtlDevice<AnalyticBackend>, SegmentLocation);
-        let cases: [(&str, Corruption); 15] = [
+        let cases: [(&str, Corruption); 22] = [
             ("but reverse says", |dev, _| {
                 dev.corrupt_mapping_for_test().unwrap();
             }),
@@ -2106,6 +1719,30 @@ mod fault_tests {
             }),
             ("ch1 consolidation waits for 0 jobs, 1 are live", |dev, _| {
                 dev.job_origin.insert(7, JobOrigin::Hotness { channel: 1 });
+            }),
+            // Admission: the host's AU ids, its VMs, the tables, the kept
+            // count and the quota.
+            ("AU 0 is in 2 of the VM and free lists", |dev, _| {
+                dev.admission.corrupt_for_test(HostId(0)).0.push(AuId(0));
+            }),
+            ("AU 0 is in 0 of the VM and free lists", |dev, _| {
+                dev.admission.corrupt_for_test(HostId(0)).1.clear();
+            }),
+            ("au9 was never handed out", |dev, _| {
+                dev.admission.corrupt_for_test(HostId(0)).0.push(AuId(9));
+            }),
+            ("au0 is in a VM but not in the tables", |dev, _| {
+                dev.tables.remove_au(HostId(0), AuId(0)).unwrap();
+            }),
+            ("VMs list 1 AUs, count 1, tables 2", |dev, _| {
+                let dsns = dev.alloc.allocate_au(dev.config.segments_per_au()).unwrap();
+                dev.tables.create_au(HostId(0), AuId(1), dsns).unwrap();
+            }),
+            ("VMs list 1 AUs, count 2, tables 1", |dev, _| {
+                *dev.admission.corrupt_for_test(HostId(0)).2 += 1;
+            }),
+            ("1 AUs mapped over a quota of 0", |dev, _| {
+                *dev.admission.corrupt_for_test(HostId(0)).3 = Some(0);
             }),
         ];
         for (expected, corrupt) in cases {
@@ -2474,6 +2111,7 @@ mod policy_tests {
     use super::*;
     use crate::backend::AnalyticBackend;
     use dtl_dram::REFRESH_POSTPONE_BUDGET;
+    use std::collections::HashMap;
 
     fn device_with(policy: PowerPolicyKind) -> DtlDevice<AnalyticBackend> {
         let mut cfg = DtlConfig::tiny();

@@ -14,13 +14,22 @@
 //! health of a rank is derived by combining the bucket state with the
 //! rank's power-down lifecycle ([`RankPdState`]), so the two state machines
 //! cannot disagree.
+//!
+//! The faults themselves enter through [`FaultCtl`], one entry per cause —
+//! an ECC error, an explicit retirement, a migration interrupt. Rank
+//! coordinates from outside the device pass one bounds test
+//! (`HealthTracker::check_rank`) and every health transition is reported
+//! from one place (`HealthTracker::transition`).
 
 use dtl_dram::Picos;
-use dtl_telemetry::{EventKind, HealthStateId, Telemetry};
+use dtl_telemetry::{EventKind, FaultKindId, HealthStateId, Telemetry};
 use serde::{Deserialize, Serialize};
 
 use crate::addr::SegmentGeometry;
-use crate::power::RankPdState;
+use crate::backend::MemoryBackend;
+use crate::error::DtlError;
+use crate::migrate::MigrationInterrupt;
+use crate::power::{PowerCtl, RankPdState};
 
 /// Error-health lifecycle of a rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -47,6 +56,17 @@ impl RankHealth {
             RankHealth::Retired => HealthStateId::Retired,
         }
     }
+}
+
+/// Host-visible impact of an injected uncorrectable error
+/// ([`DtlDevice::inject_uncorrectable_error`](crate::DtlDevice::inject_uncorrectable_error)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct UncorrectableReport {
+    /// Live (mapped) segments resident in the faulting rank when the error
+    /// struck — the blast radius reported to hosts as poisoned.
+    pub segments_at_risk: u64,
+    /// The rank's health after recording the error.
+    pub health: RankHealth,
 }
 
 /// Leaky-bucket parameters of the health tracker.
@@ -104,9 +124,7 @@ pub struct HealthStats {
 
 #[derive(Debug, Default, Clone, Copy)]
 struct RankCell {
-    correctable: u64,
-    uncorrectable: u64,
-    bucket: f64,
+    errors: RankErrorRecord,
     last_update: Picos,
     /// Latched once the bucket crosses the degraded threshold.
     degraded: bool,
@@ -137,16 +155,38 @@ impl HealthTracker {
         }
     }
 
-    /// Installs a telemetry handle; the first degraded-latch flip of a rank
-    /// emits a `HealthTransition` event (later lifecycle steps are emitted
-    /// by the device, which owns the drain/retire machinery).
+    /// Installs a telemetry handle: every health transition of a rank is
+    /// emitted through it as a `HealthTransition` event.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
 
-    /// The parameters in effect.
-    pub fn params(&self) -> HealthParams {
-        self.params
+    /// The one bounds test of rank coordinates that arrive from outside the
+    /// device (`rank` = `None`: a channel alone).
+    ///
+    /// # Errors
+    ///
+    /// [`DtlError::Internal`] outside the geometry.
+    pub(crate) fn check_rank(&self, channel: u32, rank: Option<u32>) -> Result<(), DtlError> {
+        if channel < self.geo.channels && rank.is_none_or(|r| r < self.geo.ranks_per_channel) {
+            return Ok(());
+        }
+        let rank = rank.map_or(String::new(), |r| format!("/rk{r}"));
+        Err(DtlError::Internal { reason: format!("ch{channel}{rank} outside the device geometry") })
+    }
+
+    /// The one place a rank's health transition is reported.
+    pub(crate) fn transition(
+        &self,
+        (channel, rank): (u32, u32),
+        (from, to): (RankHealth, RankHealth),
+        now: Picos,
+    ) {
+        if from != to {
+            let (from, to) = (from.telemetry_id(), to.telemetry_id());
+            self.telemetry
+                .emit(now.as_ps(), EventKind::HealthTransition { channel, rank, from, to });
+        }
     }
 
     /// Aggregate statistics.
@@ -158,66 +198,38 @@ impl HealthTracker {
         (channel * self.geo.ranks_per_channel + rank) as usize
     }
 
-    /// Records a correctable error. Returns `true` when this error tripped
-    /// the retirement threshold for the first time.
-    pub fn record_correctable(&mut self, channel: u32, rank: u32, now: Picos) -> bool {
-        self.stats.correctable_errors += 1;
-        let w = self.params.correctable_weight;
-        let i = self.idx(channel, rank);
-        self.cells[i].correctable += 1;
-        self.record(channel, rank, w, now)
-    }
-
-    /// Records an uncorrectable error. Returns `true` when this error
+    /// Records an ECC error, correctable or not. Returns `true` when it
     /// tripped the retirement threshold for the first time.
-    pub fn record_uncorrectable(&mut self, channel: u32, rank: u32, now: Picos) -> bool {
-        self.stats.uncorrectable_errors += 1;
-        let w = self.params.uncorrectable_weight;
+    pub fn record(&mut self, channel: u32, rank: u32, uncorrectable: bool, now: Picos) -> bool {
         let i = self.idx(channel, rank);
-        self.cells[i].uncorrectable += 1;
-        self.record(channel, rank, w, now)
-    }
-
-    fn record(&mut self, channel: u32, rank: u32, weight: f64, now: Picos) -> bool {
-        let i = self.idx(channel, rank);
-        let cell = &mut self.cells[i];
+        let RankCell { errors, last_update, degraded, tripped } = &mut self.cells[i];
+        let weight = if uncorrectable {
+            self.stats.uncorrectable_errors += 1;
+            errors.uncorrectable += 1;
+            self.params.uncorrectable_weight
+        } else {
+            self.stats.correctable_errors += 1;
+            errors.correctable += 1;
+            self.params.correctable_weight
+        };
         // Leak since the last error, then add this one.
-        let dt = now.saturating_sub(cell.last_update).as_secs_f64();
-        cell.bucket = (cell.bucket - dt * self.params.leak_per_sec).max(0.0) + weight;
-        cell.last_update = now;
-        if cell.bucket >= self.params.degraded_threshold && !cell.degraded {
-            cell.degraded = true;
-            self.telemetry.emit(
-                now.as_ps(),
-                EventKind::HealthTransition {
-                    channel,
-                    rank,
-                    from: HealthStateId::Healthy,
-                    to: HealthStateId::Degraded,
-                },
-            );
+        let dt = now.saturating_sub(*last_update).as_secs_f64();
+        errors.bucket = (errors.bucket - dt * self.params.leak_per_sec).max(0.0) + weight;
+        *last_update = now;
+        let degrades = errors.bucket >= self.params.degraded_threshold && !*degraded;
+        let trips = errors.bucket >= self.params.retire_threshold && !*tripped;
+        *degraded |= degrades;
+        *tripped |= trips;
+        self.stats.retire_trips += u64::from(trips);
+        if degrades {
+            self.transition((channel, rank), (RankHealth::Healthy, RankHealth::Degraded), now);
         }
-        if cell.bucket >= self.params.retire_threshold && !cell.tripped {
-            cell.tripped = true;
-            self.stats.retire_trips += 1;
-            return true;
-        }
-        false
+        trips
     }
 
     /// The rank's error counters and bucket level.
     pub fn counters(&self, channel: u32, rank: u32) -> RankErrorRecord {
-        let cell = self.cells[self.idx(channel, rank)];
-        RankErrorRecord {
-            correctable: cell.correctable,
-            uncorrectable: cell.uncorrectable,
-            bucket: cell.bucket,
-        }
-    }
-
-    /// Whether the rank's retirement threshold has tripped.
-    pub fn retire_tripped(&self, channel: u32, rank: u32) -> bool {
-        self.cells[self.idx(channel, rank)].tripped
+        self.cells[self.idx(channel, rank)].errors
     }
 
     /// The rank's effective health, derived from its error history and its
@@ -240,9 +252,87 @@ impl HealthTracker {
     }
 }
 
+/// The fault entries: the [`HealthTracker`] at work on the parts of the
+/// device a fault touches — all of them in the [`PowerCtl`] view, whose
+/// `retire` does the draining — borrowed for one call.
+pub(crate) struct FaultCtl<'a, B> {
+    pub(crate) power: PowerCtl<'a, B>,
+}
+
+impl<B: MemoryBackend> FaultCtl<'_, B> {
+    fn injected(&self, kind: FaultKindId, channel: u32, rank: Option<u32>, now: Picos) {
+        let channel = Some(channel);
+        self.power.telemetry.emit(now.as_ps(), EventKind::FaultInjected { kind, channel, rank });
+    }
+
+    fn health(&self, channel: u32, rank: u32) -> RankHealth {
+        self.power.health.health(channel, rank, self.power.state.lifecycle(channel, rank))
+    }
+
+    /// An ECC error on a rank: it feeds the rank's leaky bucket, and
+    /// crossing the retirement threshold retires the rank — unless the
+    /// channel cannot spare it right now (last active rank, or no capacity
+    /// anywhere to absorb its data): then it stays `Degraded` and serving.
+    /// Reports the rank's health after the error and, for an uncorrectable
+    /// one, the live segments at risk.
+    pub(crate) fn ecc_error(
+        &mut self,
+        uncorrectable: bool,
+        channel: u32,
+        rank: u32,
+        now: Picos,
+    ) -> Result<UncorrectableReport, DtlError> {
+        self.power.health.check_rank(channel, Some(rank))?;
+        let (kind, segments_at_risk) = if uncorrectable {
+            let at_risk = self.power.tables.mapped_in_rank(channel, rank).count() as u64;
+            (FaultKindId::UncorrectableEcc, at_risk)
+        } else {
+            (FaultKindId::CorrectableEcc, 0)
+        };
+        self.injected(kind, channel, Some(rank), now);
+        if self.power.health.record(channel, rank, uncorrectable, now) {
+            match self.retire(channel, rank, now) {
+                Ok(()) => self.power.stats.auto_retirements += 1,
+                Err(DtlError::OutOfCapacity { .. } | DtlError::Internal { .. }) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(UncorrectableReport { segments_at_risk, health: self.health(channel, rank) })
+    }
+
+    /// Retires a rank for good ([`PowerCtl::retire`]) and reports the
+    /// health transition that made.
+    pub(crate) fn retire(&mut self, channel: u32, rank: u32, now: Picos) -> Result<(), DtlError> {
+        self.power.health.check_rank(channel, Some(rank))?;
+        let before = self.health(channel, rank);
+        self.power.retire(channel, rank, now)?;
+        let moved = (before, self.health(channel, rank));
+        self.power.health.transition((channel, rank), moved, now);
+        Ok(())
+    }
+
+    /// Cuts off the channel's in-flight migration mid-transfer. A job the
+    /// engine rolled back for good is the caller's to unwind.
+    pub(crate) fn migration_interrupt(
+        &mut self,
+        channel: u32,
+        now: Picos,
+    ) -> Result<MigrationInterrupt, DtlError> {
+        self.power.health.check_rank(channel, None)?;
+        self.injected(FaultKindId::MigrationInterrupt, channel, None, now);
+        let outcome = self.power.migrate.interrupt_channel(channel, now);
+        self.power.stats.migration_interrupts += u64::from(outcome != MigrationInterrupt::Idle);
+        Ok(outcome)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `record`'s `uncorrectable` argument.
+    const CE: bool = false;
+    const UE: bool = true;
 
     fn tracker() -> HealthTracker {
         let geo = SegmentGeometry { channels: 2, ranks_per_channel: 4, segs_per_rank: 16 };
@@ -254,7 +344,7 @@ mod tests {
         let mut t = tracker();
         // One error every 10 s for a minute: bucket never accumulates.
         for k in 0..6u64 {
-            let tripped = t.record_correctable(0, 0, Picos::from_secs(k * 10));
+            let tripped = t.record(0, 0, CE, Picos::from_secs(k * 10));
             assert!(!tripped);
         }
         assert_eq!(t.health(0, 0, RankPdState::Active), RankHealth::Healthy);
@@ -267,12 +357,11 @@ mod tests {
         let mut t = tracker();
         let mut tripped = false;
         for k in 0..20u64 {
-            tripped |= t.record_correctable(1, 2, Picos::from_ms(k * 10));
+            tripped |= t.record(1, 2, CE, Picos::from_ms(k * 10));
         }
         assert!(tripped);
-        assert!(t.retire_tripped(1, 2));
         // Tripping latches: a later error does not re-trip.
-        assert!(!t.record_correctable(1, 2, Picos::from_secs(1)));
+        assert!(!t.record(1, 2, CE, Picos::from_secs(1)));
         assert_eq!(t.stats().retire_trips, 1);
         // Other ranks are untouched.
         assert_eq!(t.health(1, 3, RankPdState::Active), RankHealth::Healthy);
@@ -281,16 +370,16 @@ mod tests {
     #[test]
     fn uncorrectable_errors_weigh_heavier() {
         let mut t = tracker();
-        assert!(!t.record_uncorrectable(0, 1, Picos::from_ms(1)));
+        assert!(!t.record(0, 1, UE, Picos::from_ms(1)));
         assert_eq!(t.health(0, 1, RankPdState::Active), RankHealth::Degraded);
-        assert!(t.record_uncorrectable(0, 1, Picos::from_ms(2)), "second one trips");
+        assert!(t.record(0, 1, UE, Picos::from_ms(2)), "second one trips");
     }
 
     #[test]
     fn health_follows_lifecycle() {
         let mut t = tracker();
         for k in 0..20u64 {
-            t.record_correctable(0, 0, Picos::from_ms(k));
+            t.record(0, 0, CE, Picos::from_ms(k));
         }
         assert_eq!(t.health(0, 0, RankPdState::Active), RankHealth::Degraded);
         assert_eq!(t.health(0, 0, RankPdState::Draining), RankHealth::Draining);
@@ -303,8 +392,8 @@ mod tests {
     #[test]
     fn stats_aggregate_across_ranks() {
         let mut t = tracker();
-        t.record_correctable(0, 0, Picos::ZERO);
-        t.record_uncorrectable(1, 0, Picos::ZERO);
+        t.record(0, 0, CE, Picos::ZERO);
+        t.record(1, 0, UE, Picos::ZERO);
         assert_eq!(t.stats().correctable_errors, 1);
         assert_eq!(t.stats().uncorrectable_errors, 1);
     }

@@ -44,6 +44,17 @@ impl HotnessParams {
     }
 }
 
+/// Role a rank currently plays in the hotness engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum HotnessRole {
+    /// Not involved.
+    None,
+    /// Selected as the channel's victim (planning or migrating).
+    Victim,
+    /// Parked in self-refresh.
+    SelfRefreshing,
+}
+
 /// Phase of one channel's hotness state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum HotnessPhase {
@@ -209,6 +220,18 @@ impl HotnessEngine {
     /// Current phase of a channel.
     pub fn phase(&self, channel: u32) -> HotnessPhase {
         self.channels[channel as usize].phase
+    }
+
+    /// The role `rank` plays on its channel right now.
+    pub fn role(&self, channel: u32, rank: u32) -> HotnessRole {
+        let ch = &self.channels[channel as usize];
+        if ch.sr_rank == Some(rank) {
+            HotnessRole::SelfRefreshing
+        } else if ch.victim == Some(rank) {
+            HotnessRole::Victim
+        } else {
+            HotnessRole::None
+        }
     }
 
     /// The victim rank of a channel, if one is selected.

@@ -37,6 +37,7 @@
 #![warn(missing_debug_implementations)]
 
 mod addr;
+mod admission;
 mod alloc;
 mod backend;
 mod config;
@@ -56,16 +57,18 @@ mod translate;
 pub use addr::{
     div_rem, AuId, Dsn, HostId, HostPhysAddr, Hsn, SegmentGeometry, SegmentLocation, VmHandle,
 };
+pub use admission::{HostSnapshot, VmAllocation};
 pub use alloc::SegmentAllocator;
 pub use backend::{AnalyticBackend, CycleBackend, MemoryBackend};
 pub use config::DtlConfig;
-pub use device::{
-    AccessOutcome, DeviceSnapshot, DeviceStats, DtlDevice, HostSnapshot, HotnessRole, RankSnapshot,
-    UncorrectableReport, VmAllocation,
-};
+pub use device::{AccessOutcome, DeviceSnapshot, DeviceStats, DtlDevice, RankSnapshot};
 pub use error::DtlError;
-pub use health::{HealthParams, HealthStats, HealthTracker, RankErrorRecord, RankHealth};
-pub use hotness::{HotnessEngine, HotnessParams, HotnessPhase, HotnessPlan, HotnessStats};
+pub use health::{
+    HealthParams, HealthStats, HealthTracker, RankErrorRecord, RankHealth, UncorrectableReport,
+};
+pub use hotness::{
+    HotnessEngine, HotnessParams, HotnessPhase, HotnessPlan, HotnessRole, HotnessStats,
+};
 pub use migrate::{
     CompletedMigration, MigrationEngine, MigrationInterrupt, MigrationJob, MigrationKind,
     MigrationStats, WriteRouting,

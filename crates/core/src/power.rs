@@ -16,22 +16,21 @@
 //! * an allocation short of capacity — [`PowerCtl::wake_for_capacity`];
 //! * a rank leaving service — [`PowerCtl::retire`];
 //! * a migration job gone for good — [`PowerCtl::job_settled`] (finished)
-//!   and [`PowerCtl::job_cancelled`] (cancelled, or rolled back and not
-//!   restarted), which end in `drain_job_settled` or
-//!   `consolidation_job_settled`, one per [`JobOrigin`];
-//! * a consolidation plan handed to the migration engine —
-//!   [`PowerCtl::consolidation_planned`];
+//!   [`PowerCtl::job_cancelled`] and [`PowerCtl::job_rolled_back`] (which
+//!   restarts a drain that must still happen), ending in
+//!   `drain_job_settled` or `consolidation_job_settled`, one per
+//!   [`JobOrigin`];
+//! * the hotness engine finishing a consolidation plan —
+//!   [`PowerCtl::consolidate`], which hands it to the migration engine;
 //! * time passing under a ladder policy — [`PowerCtl::pump`] and
 //!   [`RankPower::next_deadline`];
 //! * a power event the backend raised on its own — [`RankPower::observed`];
 //! * traffic — [`RankPower::note_access`].
 //!
-//! The device keeps the *mapping* half of a job (tables, SMC, command tap)
-//! and the consolidation plan → enqueue loop, which needs tables, allocator
-//! and migration engine together.
+//! The device keeps the *mapping* half of a job (tables, SMC, command tap).
 
 use dtl_dram::{Picos, PolicyEngine, PowerEvent, PowerEventCause, PowerPolicyKind, PowerState};
-use dtl_telemetry::{EventKind, HealthStateId, Telemetry};
+use dtl_telemetry::{EventKind, Telemetry};
 use serde::{Deserialize, Serialize};
 
 use crate::addr::{Dsn, SegmentGeometry, SegmentLocation};
@@ -39,7 +38,7 @@ use crate::alloc::SegmentAllocator;
 use crate::backend::MemoryBackend;
 use crate::device::DeviceStats;
 use crate::error::DtlError;
-use crate::health::HealthTracker;
+use crate::health::{HealthTracker, RankHealth};
 use crate::hotness::HotnessEngine;
 use crate::migrate::{MigrationEngine, MigrationJob, MigrationKind};
 use crate::origin::{JobOrigin, JobOrigins};
@@ -217,7 +216,8 @@ impl RankPower {
     /// * a rank's lifecycle is `Active` exactly when the allocator may place
     ///   data in it;
     /// * the backend holds a rank in MPSM exactly when its lifecycle is
-    ///   `PoweredDown` or `Retired`;
+    ///   `PoweredDown` or `Retired`, and such a rank maps no live segment —
+    ///   MPSM loses data;
     /// * a rank is `Draining` exactly when a drain group owns it, and that
     ///   group still waits for jobs;
     /// * a drain group waits for as many jobs as live jobs name it, and a
@@ -229,7 +229,8 @@ impl RankPower {
     /// backend at once, and the engine only hears of it when the device next
     /// drains the backend's power events.
     ///
-    /// O(ranks + live jobs); nothing per segment.
+    /// O(ranks + live jobs), plus a look at the first mapped segment of
+    /// every rank in MPSM.
     ///
     /// # Errors
     ///
@@ -238,6 +239,7 @@ impl RankPower {
         &self,
         backend: &B,
         alloc: &SegmentAllocator,
+        tables: &MappingTables,
         origins: &JobOrigins,
     ) -> Result<(), DtlError> {
         let broken = |reason: String| Err(DtlError::Internal { reason });
@@ -275,6 +277,12 @@ impl RankPower {
                     ));
                 }
                 let power = backend.rank_state(c, r);
+                let live = || tables.mapped_in_rank(c, r).next();
+                if let Some((within, hsn)) = (power == PowerState::Mpsm).then(live).flatten() {
+                    let loc = SegmentLocation { channel: c, rank: r, within };
+                    let dsn = self.geo.dsn(loc);
+                    return broken(format!("live segment {dsn} ({hsn}) in MPSM rank {loc:?}"));
+                }
                 let parked = matches!(lifecycle, RankPdState::PoweredDown | RankPdState::Retired);
                 if parked != (power == PowerState::Mpsm) {
                     return broken(format!("ch{c}/rk{r} is {lifecycle:?} but in {power:?}"));
@@ -286,21 +294,6 @@ impl RankPower {
             }
         }
         Ok(())
-    }
-
-    /// Hand mutation for the sweep's self-tests: the rank's lifecycle and
-    /// the job count of drain group 0 (opened if there is none).
-    #[cfg(test)]
-    pub(crate) fn corrupt_for_test(
-        &mut self,
-        channel: u32,
-        rank: u32,
-    ) -> (&mut RankPdState, &mut u64) {
-        if self.groups.is_empty() {
-            self.groups.push(DrainGroup::default());
-        }
-        let idx = self.index(channel, rank);
-        (&mut self.ranks[idx].lifecycle, &mut self.groups[0].pending_jobs)
     }
 
     /// The ranks the ladder policy looks at: every rank, or none under the
@@ -365,8 +358,8 @@ pub(crate) struct PowerCtl<'a, B> {
     pub(crate) hotness: &'a mut HotnessEngine,
     pub(crate) origins: &'a mut JobOrigins,
     pub(crate) stats: &'a mut DeviceStats,
-    pub(crate) tables: &'a MappingTables,
-    pub(crate) health: &'a HealthTracker,
+    pub(crate) tables: &'a mut MappingTables,
+    pub(crate) health: &'a mut HealthTracker,
     pub(crate) telemetry: &'a Telemetry,
 }
 
@@ -529,7 +522,7 @@ impl<B: MemoryBackend> PowerCtl<'_, B> {
     }
 
     /// Enqueues one drain copy counted in `group`.
-    pub(crate) fn enqueue_drain(
+    fn enqueue_drain(
         &mut self,
         src: Dsn,
         dst: Dsn,
@@ -646,7 +639,7 @@ impl<B: MemoryBackend> PowerCtl<'_, B> {
                 _ => None,
             };
             let Some((src, dst, group)) = reaim else {
-                self.job_cancelled(job.id, job.kind, Dsn(u64::MAX), now)?;
+                self.job_cancelled(job.id, job.kind, now)?;
                 continue;
             };
             // Find a destination off the retiring rank (migrations are
@@ -725,25 +718,45 @@ impl<B: MemoryBackend> PowerCtl<'_, B> {
         Ok(())
     }
 
-    /// A migration job was cancelled because `freed` was deallocated under
-    /// it (or, with no such DSN, because a retiring rank was an endpoint or
-    /// an interruption rolled it back for good). A cancelled *copy* holds a destination reservation that must be
-    /// released (unless the freed segment itself is the destination, which
-    /// cannot happen: reservations are never part of an AU).
+    /// A migration job was cancelled (a segment was deallocated under it,
+    /// or a retiring rank was an endpoint) or rolled back for good. A
+    /// cancelled *copy* still holds its destination reservation — never part
+    /// of an AU, so never the segment freed under it — which is released.
     pub(crate) fn job_cancelled(
         &mut self,
         id: u64,
         kind: MigrationKind,
-        freed: Dsn,
         now: Picos,
     ) -> Result<(), DtlError> {
         let Some(origin) = self.origins.remove(id) else { return Ok(()) };
         if let MigrationKind::Copy { dst, .. } = kind {
-            if dst != freed {
-                self.alloc.free_segments(&[dst])?;
-            }
+            self.alloc.free_segments(&[dst])?;
         }
         self.job_settled(origin, now)
+    }
+
+    /// A migration job was rolled back after an interruption exhausted its
+    /// retry budget. A drain copy whose source is still live restarts from
+    /// scratch under a fresh id — the rank must still empty; anything else
+    /// (an abandoned consolidation move, a drain whose source was
+    /// deallocated) is gone for good.
+    pub(crate) fn job_rolled_back(
+        &mut self,
+        job: MigrationJob,
+        now: Picos,
+    ) -> Result<(), DtlError> {
+        match (self.origins.get(job.id), job.kind) {
+            (Some(JobOrigin::Drain { .. }), MigrationKind::Swap { .. }) => {
+                Err(DtlError::Internal { reason: "drain job must be a copy".into() })
+            }
+            (Some(JobOrigin::Drain { group }), MigrationKind::Copy { src, dst })
+                if self.tables.reverse(src).is_some() =>
+            {
+                self.origins.remove(job.id);
+                self.enqueue_drain(src, dst, group, now)
+            }
+            _ => self.job_cancelled(job.id, job.kind, now),
+        }
     }
 
     /// What a migration job that is gone for good — finished, cancelled or
@@ -775,20 +788,10 @@ impl<B: MemoryBackend> PowerCtl<'_, B> {
         self.finalize(&ranks, now)?;
         // A drain that ends in retirement is a health event as well; a
         // healthy rank's power-down is not.
-        if self.telemetry.enabled() {
-            for &(c, r) in &ranks {
-                if self.state.lifecycle(c, r) == RankPdState::Retired {
-                    let from = self.health.health(c, r, RankPdState::Draining).telemetry_id();
-                    self.telemetry.emit(
-                        now.as_ps(),
-                        EventKind::HealthTransition {
-                            channel: c,
-                            rank: r,
-                            from,
-                            to: HealthStateId::Retired,
-                        },
-                    );
-                }
+        for &(c, r) in &ranks {
+            if self.state.lifecycle(c, r) == RankPdState::Retired {
+                let from = self.health.health(c, r, RankPdState::Draining);
+                self.health.transition((c, r), (from, RankHealth::Retired), now);
             }
         }
         // The slot keeps the vector for the group that reuses it.
@@ -797,18 +800,55 @@ impl<B: MemoryBackend> PowerCtl<'_, B> {
         Ok(())
     }
 
-    /// `channel`'s consolidation plan went to the migration engine as
-    /// `jobs` jobs; with none to wait for the victim parks at once.
-    pub(crate) fn consolidation_planned(
-        &mut self,
-        channel: u32,
-        jobs: u64,
-        now: Picos,
-    ) -> Result<(), DtlError> {
-        if jobs == 0 {
-            return self.consolidated(channel, 0, now);
+    /// Advances the hotness state machine and hands every consolidation
+    /// plan it finished to the migration engine — the pairs that are still
+    /// worth moving, counted per channel; a plan with none parks its victim
+    /// at once.
+    pub(crate) fn consolidate(&mut self, now: Picos) -> Result<(), DtlError> {
+        let (state, geo) = (&*self.state, self.state.geo);
+        let plans = self.hotness.pump(now, |c, r| state.lifecycle(c, r) == RankPdState::Active);
+        for plan in plans {
+            let mut jobs = 0u64;
+            for (v_loc, t_loc) in &plan.swaps {
+                let (a, b) = (geo.dsn(*v_loc), geo.dsn(*t_loc));
+                if self.migrate.involves(a) || self.migrate.involves(b) {
+                    continue;
+                }
+                // The TSP may have claimed a slot in a rank that has since
+                // been selected for power-down (or drained): moving live
+                // data there would end up in MPSM.
+                if self.state.lifecycle(t_loc.channel, t_loc.rank) != RankPdState::Active {
+                    continue;
+                }
+                // The victim slot must still hold live, mapped data — a
+                // deallocation since planning leaves stale pairs.
+                if !self.alloc.is_allocated(*v_loc) || self.tables.reverse(a).is_none() {
+                    continue;
+                }
+                // The counterpart is either live+mapped (full swap), free
+                // (one-way copy whose destination must be reserved *now*,
+                // or a concurrent drain could claim it), or an unmapped
+                // reservation of another migration (skip).
+                let id = if self.alloc.is_allocated(*t_loc) {
+                    if self.tables.reverse(b).is_none() {
+                        continue; // someone else's reservation
+                    }
+                    self.migrate.enqueue_swap(a, b, now)?
+                } else {
+                    if !self.alloc.reserve_slot(*t_loc) {
+                        continue; // raced with another reservation
+                    }
+                    self.migrate.enqueue_copy(a, b, now)?
+                };
+                self.origins.insert(id, JobOrigin::Hotness { channel: plan.channel });
+                jobs += 1;
+            }
+            if jobs == 0 {
+                self.consolidated(plan.channel, 0, now)?;
+            } else {
+                self.state.consolidating[plan.channel as usize] = Some((jobs, jobs));
+            }
         }
-        self.state.consolidating[channel as usize] = Some((jobs, jobs));
         Ok(())
     }
 
@@ -872,6 +912,23 @@ impl<B: MemoryBackend> PowerCtl<'_, B> {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl RankPower {
+    /// Hand mutation for the sweep's self-tests: the rank's lifecycle and
+    /// the job count of drain group 0 (opened if there is none).
+    pub(crate) fn corrupt_for_test(
+        &mut self,
+        channel: u32,
+        rank: u32,
+    ) -> (&mut RankPdState, &mut u64) {
+        if self.groups.is_empty() {
+            self.groups.push(DrainGroup::default());
+        }
+        let idx = self.index(channel, rank);
+        (&mut self.ranks[idx].lifecycle, &mut self.groups[0].pending_jobs)
     }
 }
 

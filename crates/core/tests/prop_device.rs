@@ -1,8 +1,8 @@
 //! Property tests: the DTL device maintains its cross-structure invariants
 //! (mapping consistency, allocator partitioning, no live data in MPSM, one
 //! agreed state per rank) under arbitrary interleavings of VM lifecycle
-//! events, accesses, faults, power-policy changes and time, starting from
-//! every power policy.
+//! events, quota changes, accesses, faults, power-policy changes and time,
+//! starting from every power policy.
 
 use dtl_core::{DtlConfig, DtlDevice, DtlError, HostId, HostPhysAddr, VmHandle};
 use dtl_dram::{AccessKind, Picos, PowerPolicyKind};
@@ -21,6 +21,7 @@ enum Op {
     Interrupt { channel: u8 },
     PostponeRefresh { channel: u8, rank: u8 },
     RequestPowerDown,
+    SetQuota { aus: Option<u8> },
 }
 
 fn any_op() -> impl Strategy<Value = Op> {
@@ -37,6 +38,7 @@ fn any_op() -> impl Strategy<Value = Op> {
         2 => (0u8..2).prop_map(|channel| Op::Interrupt { channel }),
         1 => (0u8..2, 0u8..4).prop_map(|(channel, rank)| Op::PostponeRefresh { channel, rank }),
         1 => Just(Op::RequestPowerDown),
+        1 => (0u8..12).prop_map(|aus| Op::SetQuota { aus: aus.checked_sub(2) }),
     ]
 }
 
@@ -55,7 +57,7 @@ fn run_ops(ops: &[Op], policy: u8, hotness: bool, powerdown: bool) -> Result<(),
             Op::Alloc { aus } => {
                 match dev.alloc_vm(HostId(0), u64::from(*aus) * cfg.au_bytes, now) {
                     Ok(a) => vms.push((a.handle, a.bytes)),
-                    Err(DtlError::OutOfCapacity { .. }) => {}
+                    Err(DtlError::OutOfCapacity { .. } | DtlError::QuotaExceeded { .. }) => {}
                     Err(e) => return Err(TestCaseError::fail(format!("alloc: {e}"))),
                 }
             }
@@ -94,7 +96,7 @@ fn run_ops(ops: &[Op], policy: u8, hotness: bool, powerdown: bool) -> Result<(),
                 let slot = *idx as usize % vms.len();
                 match dev.grow_vm(vms[slot].0, cfg.au_bytes, now) {
                     Ok(_) => vms[slot].1 += cfg.au_bytes,
-                    Err(DtlError::OutOfCapacity { .. }) => {}
+                    Err(DtlError::OutOfCapacity { .. } | DtlError::QuotaExceeded { .. }) => {}
                     Err(e) => return Err(TestCaseError::fail(format!("grow: {e}"))),
                 }
             }
@@ -132,6 +134,13 @@ fn run_ops(ops: &[Op], policy: u8, hotness: bool, powerdown: bool) -> Result<(),
             Op::RequestPowerDown => {
                 dev.request_power_down(now)
                     .map_err(|e| TestCaseError::fail(format!("power down: {e}")))?;
+            }
+            Op::SetQuota { aus } => {
+                // A quota below what the host already maps is refused.
+                match dev.set_host_quota(HostId(0), aus.map(u32::from)) {
+                    Ok(()) | Err(DtlError::QuotaExceeded { .. }) => {}
+                    Err(e) => return Err(TestCaseError::fail(format!("quota: {e}"))),
+                }
             }
         }
         dev.check_invariants()
