@@ -5,8 +5,8 @@
 //! quiescent month — exactly where the paper's self-refresh savings accrue —
 //! cost wall-clock time proportional to the horizon. This crate provides the
 //! event-driven alternative: a picosecond-keyed [`EventQueue`] with stable
-//! FIFO tie-breaking, an [`EventHandler`] trait, and a [`Simulation`] driver
-//! with a `step_until_no_events`-style loop. Power-state residency and
+//! FIFO tie-breaking and a [`Simulation`] driver — a clock over the queue
+//! that its user pops in a loop. Power-state residency and
 //! energy are *not* accumulated here per event — the analytic backend in
 //! `dtl-core` already integrates them in closed form at state-transition
 //! boundaries, so skipping idle time is exact, not approximate.
@@ -17,7 +17,7 @@
 //!   same picosecond, **post order is pop order** (FIFO). No hash-map or
 //!   pointer order ever influences scheduling.
 //! * [`Simulation::post`] clamps times below `now` up to `now`; time never
-//!   moves backwards. A handler posting "immediately" therefore runs after
+//!   moves backwards. An event posted "immediately" therefore pops after
 //!   every event already queued for the current instant, in post order.
 //! * Cancellation is by tombstone: [`EventQueue::cancel`] marks the entry
 //!   and [`EventQueue::pop`] skips it, so cancelling never perturbs the
@@ -229,67 +229,12 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// Scheduling surface handed to an [`EventHandler`] while an event is being
-/// processed: post and cancel are allowed, popping is not (the driver owns
-/// the pop loop).
-pub struct Sched<'a, E> {
-    now: Picos,
-    queue: &'a mut EventQueue<E>,
-}
-
-impl<E> fmt::Debug for Sched<'_, E> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Sched").field("now", &self.now).field("queue", &self.queue).finish()
-    }
-}
-
-impl<E> Sched<'_, E> {
-    /// Current simulation time (the time of the event being handled).
-    pub fn now(&self) -> Picos {
-        self.now
-    }
-
-    /// Posts an event; times before `now` are clamped to `now` so time
-    /// never runs backwards.
-    pub fn post(&mut self, at: Picos, payload: E) -> EventId {
-        self.queue.push(at.max(self.now), payload)
-    }
-
-    /// Cancels a pending event (see [`EventQueue::cancel`]).
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
-    }
-}
-
-/// A reactor for [`Simulation::step_until_no_events`]: called once per
-/// popped event, in deterministic order.
-pub trait EventHandler<E> {
-    /// Error type surfaced out of the driver loop.
-    type Error;
-
-    /// Handles one event at its scheduled time. More events may be posted
-    /// (or cancelled) through `sched`.
-    ///
-    /// # Errors
-    ///
-    /// An error aborts the driver loop and is returned to the caller.
-    fn on_event(
-        &mut self,
-        now: Picos,
-        event: E,
-        sched: &mut Sched<'_, E>,
-    ) -> Result<(), Self::Error>;
-}
-
 /// Discrete-event simulation driver: a clock plus an [`EventQueue`].
 ///
-/// Two interchangeable driving styles:
-///
-/// * **Pop loop** — `while let Some((at, ev)) = sim.pop_next() { ... }`,
-///   posting follow-ups via [`Simulation::post`]. Preferred in harnesses
-///   that need `?` error propagation and full borrow freedom.
-/// * **Handler loop** — [`Simulation::step_until_no_events`] with an
-///   [`EventHandler`], mirroring dslab's `Simulation::step_until_no_events`.
+/// Driven by a pop loop — `while let Some((at, ev)) = sim.pop_next() { ... }`,
+/// posting follow-ups via [`Simulation::post`] — which leaves its user `?`
+/// error propagation and full borrow freedom. A run up to a horizon pops
+/// while [`Simulation::next_at`] is at or before it.
 pub struct Simulation<E> {
     now: Picos,
     queue: EventQueue<E>,
@@ -357,54 +302,6 @@ impl<E> Simulation<E> {
         self.now = at;
         self.processed += 1;
         Some((at, payload))
-    }
-
-    /// Processes one event through `handler`. Returns `Ok(false)` when the
-    /// queue is empty.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the handler's error.
-    pub fn step<H: EventHandler<E>>(&mut self, handler: &mut H) -> Result<bool, H::Error> {
-        let Some((at, _, payload)) = self.queue.pop() else {
-            return Ok(false);
-        };
-        self.now = at;
-        self.processed += 1;
-        let mut sched = Sched { now: at, queue: &mut self.queue };
-        handler.on_event(at, payload, &mut sched)?;
-        Ok(true)
-    }
-
-    /// Runs until the queue drains (dslab's `step_until_no_events`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the handler's error; remaining events stay queued.
-    pub fn step_until_no_events<H: EventHandler<E>>(
-        &mut self,
-        handler: &mut H,
-    ) -> Result<(), H::Error> {
-        while self.step(handler)? {}
-        Ok(())
-    }
-
-    /// Processes every event scheduled at or before `t`, then advances the
-    /// clock to exactly `t` (even if no event lands there).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the handler's error.
-    pub fn step_until<H: EventHandler<E>>(
-        &mut self,
-        t: Picos,
-        handler: &mut H,
-    ) -> Result<(), H::Error> {
-        while self.queue.peek_at().is_some_and(|at| at <= t) {
-            self.step(handler)?;
-        }
-        self.now = self.now.max(t);
-        Ok(())
     }
 }
 
@@ -480,61 +377,21 @@ mod tests {
         assert_eq!(sim.now(), ps(200));
     }
 
-    /// Handler-driven cascade: each event posts its successor until a
-    /// horizon, exercising `Sched::post` re-entrancy.
+    /// A pop loop up to a horizon: an event may post its successor, events
+    /// past the horizon stay queued, and the clock stops at the last one
+    /// popped.
     #[test]
-    fn handler_cascade_runs_to_completion() {
-        struct Cascade {
-            fired: Vec<Picos>,
-        }
-        impl EventHandler<u64> for Cascade {
-            type Error = std::convert::Infallible;
-            fn on_event(
-                &mut self,
-                now: Picos,
-                step: u64,
-                sched: &mut Sched<'_, u64>,
-            ) -> Result<(), Self::Error> {
-                self.fired.push(now);
-                if step < 5 {
-                    sched.post(now + ps(10), step + 1);
-                }
-                Ok(())
-            }
-        }
+    fn pop_loop_cascades_and_stops_at_the_horizon() {
         let mut sim = Simulation::new(Picos::ZERO);
         sim.post(ps(10), 1u64);
-        let mut h = Cascade { fired: Vec::new() };
-        sim.step_until_no_events(&mut h).unwrap();
-        assert_eq!(h.fired, (1..=5).map(|i| ps(10 * i)).collect::<Vec<_>>());
-        assert_eq!(sim.pending(), 0);
-    }
-
-    #[test]
-    fn step_until_stops_at_barrier_and_lands_on_it() {
-        struct Count(u32);
-        impl EventHandler<()> for Count {
-            type Error = std::convert::Infallible;
-            fn on_event(
-                &mut self,
-                _: Picos,
-                (): (),
-                _: &mut Sched<'_, ()>,
-            ) -> Result<(), Self::Error> {
-                self.0 += 1;
-                Ok(())
-            }
+        let mut fired = Vec::new();
+        while sim.next_at().is_some_and(|at| at <= ps(35)) {
+            let (now, step) = sim.pop_next().unwrap();
+            fired.push(now);
+            sim.post(now + ps(10), step + 1);
         }
-        let mut sim = Simulation::new(Picos::ZERO);
-        for t in [10u64, 20, 30, 40] {
-            sim.post(ps(t), ());
-        }
-        let mut h = Count(0);
-        sim.step_until(ps(25), &mut h).unwrap();
-        assert_eq!(h.0, 2);
-        assert_eq!(sim.now(), ps(25), "clock lands exactly on the barrier");
-        sim.step_until_no_events(&mut h).unwrap();
-        assert_eq!(h.0, 4);
+        assert_eq!(fired, [ps(10), ps(20), ps(30)]);
+        assert_eq!((sim.now(), sim.pending()), (ps(30), 1), "the fourth waits past the horizon");
     }
 
     #[test]
@@ -593,31 +450,5 @@ mod tests {
         assert!(sim.pop_next().is_some());
         let s = sim.queue_stats();
         assert_eq!((s.posted, s.cancelled, s.popped), (2, 1, 1));
-    }
-
-    #[test]
-    fn handler_error_aborts_and_preserves_queue() {
-        struct Fail;
-        impl EventHandler<u32> for Fail {
-            type Error = String;
-            fn on_event(
-                &mut self,
-                _: Picos,
-                ev: u32,
-                _: &mut Sched<'_, u32>,
-            ) -> Result<(), Self::Error> {
-                if ev == 2 {
-                    return Err("boom".into());
-                }
-                Ok(())
-            }
-        }
-        let mut sim = Simulation::new(Picos::ZERO);
-        for (t, ev) in [(10u64, 1u32), (20, 2), (30, 3)] {
-            sim.post(ps(t), ev);
-        }
-        let err = sim.step_until_no_events(&mut Fail).unwrap_err();
-        assert_eq!(err, "boom");
-        assert_eq!(sim.pending(), 1, "events after the failure stay queued");
     }
 }

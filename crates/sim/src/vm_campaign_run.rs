@@ -20,7 +20,7 @@ use dtl_core::{
     AnalyticBackend, DtlConfig, DtlDevice, DtlError, HostId, SegmentGeometry, VmHandle,
 };
 use dtl_dram::{Picos, PowerParams};
-use dtl_event::{EventHandler, EventId, QueueStats, Sched, Simulation};
+use dtl_event::{EventId, QueueStats, Simulation};
 use dtl_telemetry::{
     BacklogSummary, Histogram, LatencySummary, SloReport, Telemetry, TimeSeries, TimeSeriesSink,
 };
@@ -194,70 +194,58 @@ enum HostEv {
     Device,
 }
 
-/// Event handler replaying one host's schedule against its device.
-struct HostRunner<'a> {
-    dev: &'a mut DtlDevice<AnalyticBackend>,
-    events: &'a [dtl_trace::VmEvent],
-    cursor: usize,
-    tenants: Tenants<VmHandle>,
-    /// The in-queue device deadline, so a changed `next_activity_at`
-    /// cancels and re-posts instead of accumulating stale events.
-    device_ev: Option<(Picos, EventId)>,
+/// The instant a schedule event is due.
+fn due_at(ev: &dtl_trace::VmEvent) -> Picos {
+    Picos::from_secs(u64::from(ev.at_min) * 60)
 }
 
-impl HostRunner<'_> {
-    fn apply_due_schedule(&mut self, now: Picos) -> Result<(), DtlError> {
-        while let Some(ev) = self.events.get(self.cursor) {
-            if Picos::from_secs(u64::from(ev.at_min) * 60) > now {
-                break;
-            }
-            self.cursor += 1;
-            self.tenants.apply(self.dev, ev, now)?;
-        }
-        Ok(())
+/// Replays one host's schedule against its device up to `horizon`: a pop
+/// loop over the two deadline kinds. Returns the tenants it placed.
+fn replay_host(
+    sim: &mut Simulation<HostEv>,
+    dev: &mut DtlDevice<AnalyticBackend>,
+    events: &[dtl_trace::VmEvent],
+    horizon: Picos,
+) -> Result<Tenants<VmHandle>, DtlError> {
+    let mut cursor = 0;
+    let mut tenants = Tenants::new(1);
+    // The in-queue device deadline, so a changed `next_activity_at`
+    // cancels and re-posts instead of accumulating stale events.
+    let mut device_ev: Option<(Picos, EventId)> = None;
+    if let Some(ev) = events.first() {
+        sim.post(due_at(ev), HostEv::Schedule);
     }
-
-    /// Re-arms the queue after any work: the next schedule instant (posted
-    /// by the schedule arm only) and the device's current deadline.
-    fn rearm_device(&mut self, now: Picos, sched: &mut Sched<'_, HostEv>) {
-        let want = self.dev.next_activity_at().map(|t| t.max(now));
-        if want == self.device_ev.map(|(t, _)| t) {
-            return;
-        }
-        if let Some((_, id)) = self.device_ev.take() {
-            sched.cancel(id);
-        }
-        if let Some(t) = want {
-            let id = sched.post(t, HostEv::Device);
-            self.device_ev = Some((t, id));
-        }
-    }
-}
-
-impl EventHandler<HostEv> for HostRunner<'_> {
-    type Error = DtlError;
-
-    fn on_event(
-        &mut self,
-        now: Picos,
-        event: HostEv,
-        sched: &mut Sched<'_, HostEv>,
-    ) -> Result<(), DtlError> {
+    // Drains posted by the final deallocation complete microseconds past
+    // the horizon; cut the books at the horizon like every other harness.
+    while sim.next_at().is_some_and(|t| t <= horizon) {
+        let (now, event) = sim.pop_next().expect("an event was due");
         match event {
             HostEv::Schedule => {
-                self.apply_due_schedule(now)?;
-                if let Some(ev) = self.events.get(self.cursor) {
-                    sched.post(Picos::from_secs(u64::from(ev.at_min) * 60), HostEv::Schedule);
+                while let Some(ev) = events.get(cursor).filter(|ev| due_at(ev) <= now) {
+                    cursor += 1;
+                    tenants.apply(dev, ev, now)?;
+                }
+                if let Some(ev) = events.get(cursor) {
+                    sim.post(due_at(ev), HostEv::Schedule);
                 }
             }
             HostEv::Device => {
-                self.device_ev = None;
-                self.dev.tick(now)?;
+                device_ev = None;
+                dev.tick(now)?;
             }
         }
-        self.rearm_device(now, sched);
-        Ok(())
+        // Re-arm after any work: the device's current deadline.
+        let want = dev.next_activity_at().map(|t| t.max(now));
+        if want != device_ev.map(|(t, _)| t) {
+            if let Some((_, id)) = device_ev.take() {
+                sim.cancel(id);
+            }
+            if let Some(t) = want {
+                device_ev = Some((t, sim.post(t, HostEv::Device)));
+            }
+        }
     }
+    Ok(tenants)
 }
 
 /// Replays one host of the fleet, returning its outcome plus the
@@ -290,23 +278,8 @@ fn run_host(
 
     let mut sim = Simulation::new(Picos::ZERO);
     let horizon = cfg.horizon();
-    let (vms_placed, vms_rejected) = {
-        let mut runner = HostRunner {
-            dev: &mut dev,
-            events: schedule.events(),
-            cursor: 0,
-            tenants: Tenants::new(1),
-            device_ev: None,
-        };
-        if let Some(ev) = runner.events.first() {
-            sim.post(Picos::from_secs(u64::from(ev.at_min) * 60), HostEv::Schedule);
-        }
-        // Drains posted by the final deallocation complete microseconds
-        // past the horizon; cut the books at the horizon like every other
-        // harness.
-        sim.step_until(horizon, &mut runner)?;
-        (runner.tenants.placed(), runner.tenants.rejected())
-    };
+    let tenants = replay_host(&mut sim, &mut dev, schedule.events(), horizon)?;
+    let (vms_placed, vms_rejected) = (tenants.placed(), tenants.rejected());
     // Power transitions performed during the final tick sit in the backend
     // until the next drain; flush them so the telemetry stream (and the
     // windowed series folded from it) covers the whole run.
