@@ -7,9 +7,7 @@
 //! * [`RetryEngine`] — the CXL link-layer CRC/ack/replay loop, charging
 //!   exponential-backoff latency and link energy to corrupted transfers;
 //! * [`AmatModel`] — the paper's §6.1 analytical AMAT under DTL address
-//!   translation (Equations 1–2);
-//! * [`RemoteMemory`] — a cycle-level [`dtl_dram::DramSystem`] behind a
-//!   link, reporting host-observed latencies (including retry delays).
+//!   translation (Equations 1–2).
 //!
 //! ```
 //! use dtl_cxl::AmatModel;
@@ -25,9 +23,7 @@
 mod amat;
 mod link;
 mod loaded;
-mod remote;
 
 pub use amat::AmatModel;
 pub use link::{LinkDelivery, LinkModel, LinkRetryStats, RetryEngine, RetryPolicy};
 pub use loaded::LoadedLatencyModel;
-pub use remote::{RemoteMemory, RemoteStats};

@@ -17,7 +17,7 @@
 //! identical event list, bit-for-bit) and consumed through a
 //! [`FaultInjector`], which releases events in timestamp order as simulated
 //! time advances. The plan knows nothing about the device: the harness maps
-//! each [`FaultKind`] onto the corresponding `DtlDevice` / `RemoteMemory`
+//! each [`FaultKind`] onto the corresponding `DtlDevice` / `RetryEngine`
 //! injection hook.
 //!
 //! ```
