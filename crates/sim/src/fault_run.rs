@@ -13,7 +13,7 @@
 //! leave the mapping tables, allocator, or SMC inconsistent fails the run
 //! immediately.
 
-use dtl_core::{DtlError, HealthStats};
+use dtl_core::{DtlDevice, DtlError, HealthStats, MemoryBackend, UncorrectableReport};
 use dtl_cxl::{LinkRetryStats, RetryEngine, RetryPolicy};
 use dtl_dram::Picos;
 use dtl_fault::{FaultInjector, FaultKind, FaultPlanConfig, StormConfig};
@@ -206,7 +206,23 @@ impl Lane<ScheduleDevice> for FaultLane {
 
     fn fire(&mut self, dev: &mut ScheduleDevice, now: Picos) -> Result<(), DtlError> {
         for fault in self.injector.pop_due(now) {
-            apply_fault(dev, &mut self.link, fault.kind, now, &mut self.segments_at_risk)?;
+            match apply_device_fault(dev, fault.kind, now)? {
+                AppliedFault::Device(report) => {
+                    self.segments_at_risk += report.map_or(0, |r| r.segments_at_risk);
+                }
+                AppliedFault::LinkCrc { burst } => {
+                    // The corruption rides the link's own timer queue:
+                    // scheduled at its exact fault instant and released
+                    // immediately (the bulk-traffic model has no
+                    // per-request stream to lag it behind), so the replay
+                    // cost lands in the link's retry accounting. A finer
+                    // traffic model can defer `release_due` to the next
+                    // in-flight request without touching this path.
+                    self.link.schedule_crc_burst(now, burst);
+                    self.link.release_due(now);
+                    self.link.on_submit_at(now);
+                }
+            }
             self.faults_injected += 1;
             dev.check_invariants()?;
         }
@@ -214,37 +230,45 @@ impl Lane<ScheduleDevice> for FaultLane {
     }
 }
 
-fn apply_fault(
-    dev: &mut ScheduleDevice,
-    link: &mut RetryEngine,
+/// What [`apply_device_fault`] did with a fault.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AppliedFault {
+    /// Injected into the device; an uncorrectable error reports its blast
+    /// radius.
+    Device(Option<UncorrectableReport>),
+    /// Not the device's: a CRC burst for the caller's link.
+    LinkCrc {
+        /// Consecutive corrupted flits.
+        burst: u32,
+    },
+}
+
+/// The one place a [`FaultKind`] becomes a `DtlDevice` injection. A link
+/// CRC burst is handed back: each caller has a link of its own kind.
+///
+/// # Errors
+///
+/// Propagates the device's error.
+pub fn apply_device_fault<B: MemoryBackend>(
+    dev: &mut DtlDevice<B>,
     kind: FaultKind,
     now: Picos,
-    segments_at_risk: &mut u64,
-) -> Result<(), DtlError> {
-    match kind {
+) -> Result<AppliedFault, DtlError> {
+    let report = match kind {
         FaultKind::CorrectableEcc { channel, rank } => {
             dev.inject_correctable_error(channel, rank, now)?;
+            None
         }
         FaultKind::UncorrectableEcc { channel, rank } => {
-            let report = dev.inject_uncorrectable_error(channel, rank, now)?;
-            *segments_at_risk += report.segments_at_risk;
+            Some(dev.inject_uncorrectable_error(channel, rank, now)?)
         }
-        FaultKind::LinkCrc { burst } => {
-            // The corruption rides the link's own timer queue: scheduled
-            // at its exact fault instant and released immediately (the
-            // bulk-traffic model has no per-request stream to lag it
-            // behind), so the replay cost lands in the link's retry
-            // accounting. A finer traffic model can defer `release_due`
-            // to the next in-flight request without touching this path.
-            link.schedule_crc_burst(now, burst);
-            link.release_due(now);
-            link.on_submit_at(now);
-        }
+        FaultKind::LinkCrc { burst } => return Ok(AppliedFault::LinkCrc { burst }),
         FaultKind::MigrationInterrupt { channel } => {
             dev.inject_migration_interrupt(channel, now)?;
+            None
         }
-    }
-    Ok(())
+    };
+    Ok(AppliedFault::Device(report))
 }
 
 #[cfg(test)]

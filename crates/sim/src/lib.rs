@@ -33,7 +33,9 @@ mod vm_campaign_run;
 
 pub use check_run::{run_checks, CheckRunConfig, CheckRunResult, SeedResult};
 pub use fabric_run::{placement_label, run_fabric_cell, FabricCellResult, FabricRunConfig};
-pub use fault_run::{run_faulted, FaultRunConfig, FaultRunResult};
+pub use fault_run::{
+    apply_device_fault, run_faulted, AppliedFault, FaultRunConfig, FaultRunResult,
+};
 pub use heartbeat::Heartbeat;
 pub use hotness_run::{
     hotness_savings, run_hotness, run_reentry, HotnessRunConfig, HotnessRunResult, ReentryResult,

@@ -13,9 +13,7 @@ use dtl_core::{DtlConfig, DtlError, HealthStats, HostId, MemoryBackend};
 use dtl_cxl::LinkRetryStats;
 use dtl_dram::{AccessKind, Picos, PowerPolicyKind};
 use dtl_event::QueueStats;
-use dtl_fault::{
-    FaultKind, FaultPlanConfig, PoolFaultInjector, PoolFaultKind, PoolFaultPlanConfig,
-};
+use dtl_fault::{FaultPlanConfig, PoolFaultInjector, PoolFaultKind, PoolFaultPlanConfig};
 use dtl_pool::{
     AnalyticMemoryPool, CoordState, DeviceId, MemoryPool, PlacementPolicy, PoolConfig, PoolStats,
 };
@@ -24,7 +22,7 @@ use dtl_trace::{NodeConfig, VmSchedule};
 use serde::{Deserialize, Serialize};
 
 use crate::scenario::{horizon, replay_epochs, Epoch, EpochHooks, Lane, EPOCH};
-use crate::RunObservations;
+use crate::{apply_device_fault, AppliedFault, RunObservations};
 
 /// Configuration of one pool schedule replay.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -492,25 +490,11 @@ fn apply_pool_fault(
     match kind {
         PoolFaultKind::Device { device, kind } => {
             let id = DeviceId(device);
-            match kind {
-                FaultKind::CorrectableEcc { channel, rank } => {
-                    pool.device_mut(id)
-                        .ok_or(DtlError::Internal { reason: format!("no device {device}") })?
-                        .inject_correctable_error(channel, rank, now)?;
-                }
-                FaultKind::UncorrectableEcc { channel, rank } => {
-                    pool.device_mut(id)
-                        .ok_or(DtlError::Internal { reason: format!("no device {device}") })?
-                        .inject_uncorrectable_error(channel, rank, now)?;
-                }
-                FaultKind::LinkCrc { burst } => {
-                    pool.inject_crc_burst(id, burst)?;
-                }
-                FaultKind::MigrationInterrupt { channel } => {
-                    pool.device_mut(id)
-                        .ok_or(DtlError::Internal { reason: format!("no device {device}") })?
-                        .inject_migration_interrupt(channel, now)?;
-                }
+            let dev = pool
+                .device_mut(id)
+                .ok_or(DtlError::Internal { reason: format!("no device {device}") })?;
+            if let AppliedFault::LinkCrc { burst } = apply_device_fault(dev, kind, now)? {
+                pool.inject_crc_burst(id, burst)?;
             }
             Ok(0)
         }

@@ -12,7 +12,8 @@
 use dtl_core::{DtlConfig, DtlDevice, DtlError, HostId, RankHealth};
 use dtl_cxl::{RetryEngine, RetryPolicy};
 use dtl_dram::{AccessKind, Picos};
-use dtl_fault::{FaultKind, FaultPlanConfig, StormConfig};
+use dtl_fault::{FaultPlanConfig, StormConfig};
+use dtl_sim::{apply_device_fault, AppliedFault};
 
 fn main() -> Result<(), DtlError> {
     let cfg = DtlConfig::tiny();
@@ -53,24 +54,14 @@ fn main() -> Result<(), DtlError> {
     while t < Picos::from_ms(60) {
         t += Picos::from_us(250);
         for ev in injector.pop_due(t) {
-            match ev.kind {
-                FaultKind::CorrectableEcc { channel, rank } => {
-                    dev.inject_correctable_error(channel, rank, t)?;
+            match apply_device_fault(&mut dev, ev.kind, t)? {
+                AppliedFault::Device(Some(report)) => {
+                    println!("  {t}: {:?} — {} segments at risk", ev.kind, report.segments_at_risk)
                 }
-                FaultKind::UncorrectableEcc { channel, rank } => {
-                    let report = dev.inject_uncorrectable_error(channel, rank, t)?;
-                    println!(
-                        "  {t}: uncorrectable error on ch{channel}/rk{rank} — {} segments at risk",
-                        report.segments_at_risk
-                    );
-                }
-                FaultKind::LinkCrc { burst } => {
+                AppliedFault::Device(None) => {}
+                AppliedFault::LinkCrc { burst } => {
                     link.inject_crc_burst(burst);
                     link.on_submit_at(t);
-                }
-                FaultKind::MigrationInterrupt { channel } => {
-                    let outcome = dev.inject_migration_interrupt(channel, t)?;
-                    println!("  {t}: migration interrupt on ch{channel}: {outcome:?}");
                 }
             }
             // Crash consistency: the mapping machinery survives every fault.
