@@ -22,6 +22,25 @@ for f in crates/core/src/*.rs; do
     fi
 done
 
+echo "== DtlDevice is a facade: admission and fault state have one owner each =="
+# No non-test line of device.rs reads or writes host / VM admission state or
+# records an error in the health tracker: those go through admission.rs
+# (DtlDevice::admission()) and health.rs (its entries of DtlDevice::power()).
+# What the facade may read of them is named here: the sweep and snapshot
+# read-outs and the admission SLO read-outs.
+device_lines() {
+    awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' crates/core/src/device.rs
+}
+if device_lines | grep -E 'HashMap|HostState|free_aus|next_au|next_vm|mapped_aus|registered in step' \
+    || device_lines | grep -E 'self\.admission\.' \
+        | grep -vE 'self\.admission\.((check|snapshot)\(|slo$|last_latency$)' \
+    || device_lines | grep -E 'health\.record|\.record_(un)?correctable\('; then
+    echo "device.rs touches admission or health state directly"; exit 1
+fi
+# ... and stays a facade in size (ROADMAP item 2's acceptance line).
+lines=$(device_lines | wc -l)
+[ "$lines" -lt 1000 ] || { echo "device.rs has $lines non-test lines (>= 1000)"; exit 1; }
+
 echo "== cargo test =="
 cargo test -q
 

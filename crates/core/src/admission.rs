@@ -77,7 +77,7 @@ fn event_id(handle: VmHandle) -> u64 {
 }
 
 /// Everything the device remembers about its hosts and their VMs.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Admission {
     /// Indexed by [`HostId`] like the mapping tables' host table, which
     /// says whether an id is registered; an entry below a registered id is
@@ -88,22 +88,9 @@ pub(crate) struct Admission {
     pub(crate) slo: Histogram,
     /// Latency of the most recent successful carve (zero before the first).
     pub(crate) last_latency: Picos,
-    /// MPSM exit penalty charged per capacity wake when modeling admission
-    /// latency (ddr4-2933 txmpsm).
-    wake_exit_latency: Picos,
 }
 
 impl Admission {
-    pub(crate) fn new() -> Self {
-        let t = dtl_dram::TimingParams::ddr4_2933();
-        Admission {
-            hosts: Vec::new(),
-            slo: Histogram::default(),
-            last_latency: Picos::ZERO,
-            wake_exit_latency: t.cycles(t.txmpsm),
-        }
-    }
-
     /// Per-host occupancy of the hosts registered in `tables`, ascending.
     pub(crate) fn snapshot(&self, tables: &MappingTables) -> Vec<HostSnapshot> {
         let hosts = (0u16..).map(HostId).zip(&self.hosts);
@@ -206,7 +193,8 @@ impl<B: MemoryBackend> AdmissionCtl<'_, B> {
     /// all or nothing, waking powered-down rank groups while the active
     /// ranks lack the capacity, and charges the admission latency: one
     /// controller cycle per segment-table entry carved, plus the MPSM exit
-    /// penalty of every group woken. The one place the quota is asked.
+    /// penalty (ddr4-2933 txmpsm) of every group woken. The one place the
+    /// quota is asked.
     fn carve(&mut self, host: HostId, bytes: u64, now: Picos) -> Result<Vec<AuId>, DtlError> {
         let segs = self.config.segments_per_au();
         let n_aus = bytes.div_ceil(self.config.au_bytes).max(1);
@@ -254,8 +242,9 @@ impl<B: MemoryBackend> AdmissionCtl<'_, B> {
             return Err(refusal);
         }
         let wakes = self.power.stats.capacity_wakes - wakes_before;
+        let t = dtl_dram::TimingParams::ddr4_2933();
         self.state.last_latency =
-            self.config.controller_cycle() * (n_aus * segs) + self.state.wake_exit_latency * wakes;
+            self.config.controller_cycle() * (n_aus * segs) + t.cycles(t.txmpsm) * wakes;
         self.state.slo.observe(self.state.last_latency.as_ps());
         Ok(aus)
     }
@@ -292,10 +281,8 @@ impl<B: MemoryBackend> AdmissionCtl<'_, B> {
         state.vms.insert(handle.vm, aus.clone());
         self.power.stats.vms_allocated += 1;
         let n_aus = aus.len() as u64;
-        let segments = n_aus * self.config.segments_per_au();
-        self.power
-            .telemetry
-            .emit(now.as_ps(), EventKind::VmAlloc { vm: event_id(handle), segments });
+        let (vm, segments) = (event_id(handle), n_aus * self.config.segments_per_au());
+        self.power.telemetry.emit(now.as_ps(), EventKind::VmAlloc { vm, segments });
         Ok(VmAllocation { handle, aus, bytes: n_aus * self.config.au_bytes })
     }
 
@@ -338,14 +325,12 @@ impl<B: MemoryBackend> AdmissionCtl<'_, B> {
     pub(crate) fn dealloc_vm(&mut self, handle: VmHandle, now: Picos) -> Result<(), DtlError> {
         let host = self.host(handle.host);
         let aus = host.and_then(|h| h.vms.remove(&handle.vm)).ok_or(DtlError::UnknownVm(handle))?;
-        let segments = aus.len() as u64 * self.config.segments_per_au();
+        let (vm, segments) = (event_id(handle), aus.len() as u64 * self.config.segments_per_au());
         for au in aus {
             self.release_au(handle.host, au, now)?;
         }
         self.power.stats.vms_deallocated += 1;
-        self.power
-            .telemetry
-            .emit(now.as_ps(), EventKind::VmDealloc { vm: event_id(handle), segments });
+        self.power.telemetry.emit(now.as_ps(), EventKind::VmDealloc { vm, segments });
         self.power.plan_power_down(now)
     }
 }
@@ -464,5 +449,44 @@ mod tests {
         // recently freed first.
         let next = dev.alloc_vm(HostId(0), 2 * au, Picos::ZERO).unwrap();
         assert_eq!(next.aus, vec![AuId(6), AuId(7)]);
+    }
+
+    /// AU ids are recycled most recently freed first; the order decides the
+    /// HPA ranges every later VM gets, so it is behaviour.
+    #[test]
+    fn au_ids_come_back_most_recently_freed_first() {
+        let mut dev = device();
+        dev.set_powerdown_enabled(false);
+        let au = dev.config().au_bytes;
+        let first = dev.alloc_vm(HostId(0), 3 * au, Picos::ZERO).unwrap();
+        assert_eq!(first.aus, [0, 1, 2].map(AuId));
+        dev.dealloc_vm(first.handle, Picos::ZERO).unwrap();
+        let second = dev.alloc_vm(HostId(0), 2 * au, Picos::ZERO).unwrap();
+        assert_eq!(second.aus, [2, 1].map(AuId));
+        let third = dev.alloc_vm(HostId(0), 2 * au, Picos::ZERO).unwrap();
+        assert_eq!(third.aus, [0, 3].map(AuId), "then the ids never handed out");
+    }
+
+    /// The mapping tables' host table is the one registry: an id below a
+    /// registered one is not a host, and registering twice changes nothing.
+    #[test]
+    fn an_id_below_a_registered_host_is_not_a_host() {
+        let mut dev = device();
+        let au = dev.config().au_bytes;
+        dev.register_host(HostId(2)).unwrap();
+        let vm = dev.alloc_vm(HostId(2), au, Picos::ZERO).unwrap().handle;
+        dev.register_host(HostId(2)).expect("idempotent");
+        assert_eq!(dev.alloc_vm(HostId(1), au, Picos::ZERO), Err(DtlError::UnknownHost(HostId(1))));
+        let stale = VmHandle { host: HostId(1), vm: 0 };
+        assert_eq!(dev.dealloc_vm(stale, Picos::ZERO), Err(DtlError::UnknownVm(stale)));
+        let hosts: Vec<_> = dev.snapshot().hosts.iter().map(|h| (h.host, h.vms, h.aus)).collect();
+        assert_eq!(hosts, [(HostId(0), 0, 0), (HostId(2), 1, 1)]);
+        let max_hosts = dev.config().max_hosts;
+        assert_eq!(
+            dev.register_host(HostId(max_hosts)),
+            Err(DtlError::TooManyHosts { host: HostId(max_hosts), max_hosts })
+        );
+        dev.dealloc_vm(vm, Picos::ZERO).unwrap();
+        dev.check_invariants().unwrap();
     }
 }

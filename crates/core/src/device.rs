@@ -14,7 +14,8 @@
 use std::sync::Arc;
 
 use dtl_dram::{
-    AccessKind, Picos, PowerEventCause, PowerPolicyKind, PowerReport, PowerState, Priority,
+    AccessKind, Picos, PowerEvent, PowerEventCause, PowerPolicyKind, PowerReport, PowerState,
+    Priority,
 };
 use dtl_telemetry::{Histogram, MetricsRegistry, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -28,8 +29,7 @@ use crate::backend::MemoryBackend;
 use crate::config::DtlConfig;
 use crate::error::DtlError;
 use crate::health::{
-    FaultCtl, HealthParams, HealthStats, HealthTracker, RankErrorRecord, RankHealth,
-    UncorrectableReport,
+    HealthParams, HealthStats, HealthTracker, RankErrorRecord, RankHealth, UncorrectableReport,
 };
 use crate::hotness::{HotnessEngine, HotnessParams, HotnessRole, HotnessStats};
 use crate::migrate::{
@@ -155,7 +155,8 @@ pub struct DtlDevice<B: MemoryBackend> {
     /// Every rank's lifecycle, power state and idle clock: written through
     /// [`DtlDevice::power`] only.
     power: RankPower,
-    /// Error history per rank; faults enter through [`DtlDevice::faults`].
+    /// Error history per rank; faults enter through `health.rs`'s entries of
+    /// [`DtlDevice::power`].
     health: HealthTracker,
     hotness: HotnessEngine,
     hotness_enabled: bool,
@@ -223,7 +224,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
             health: HealthTracker::new(geo, HealthParams::default()),
             hotness: HotnessEngine::new(geo, hotness_params),
             hotness_enabled: true,
-            admission: Admission::new(),
+            admission: Admission::default(),
             job_origin: JobOrigins::default(),
             stats: DeviceStats::default(),
             telemetry: Telemetry::disabled(),
@@ -236,8 +237,8 @@ impl<B: MemoryBackend> DtlDevice<B> {
         }
     }
 
-    /// The admission module at work on this device's parts; the other two
-    /// views are parts of this one.
+    /// The admission module at work on this device's parts, which include
+    /// the whole power view.
     pub(crate) fn admission(&mut self) -> AdmissionCtl<'_, B> {
         AdmissionCtl {
             state: &mut self.admission,
@@ -262,11 +263,6 @@ impl<B: MemoryBackend> DtlDevice<B> {
     /// The rank-power module at work on this device's parts.
     pub(crate) fn power(&mut self) -> PowerCtl<'_, B> {
         self.admission().power
-    }
-
-    /// The fault entries at work on this device's parts.
-    pub(crate) fn faults(&mut self) -> FaultCtl<'_, B> {
-        FaultCtl { power: self.power() }
     }
 
     /// Turns the command-stream tap on or off (off by default). While on,
@@ -604,7 +600,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
     /// * [`DtlError::Internal`] when the rank is already retired/retiring
     ///   or is the channel's last active rank.
     pub fn retire_rank(&mut self, channel: u32, rank: u32, now: Picos) -> Result<(), DtlError> {
-        self.faults().retire(channel, rank, now)
+        self.power().retire_rank(channel, rank, now)
     }
 
     /// Replaces the error-health parameters, resetting all error history.
@@ -646,7 +642,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
         rank: u32,
         now: Picos,
     ) -> Result<RankHealth, DtlError> {
-        Ok(self.faults().ecc_error(false, channel, rank, now)?.health)
+        Ok(self.power().ecc_error(false, channel, rank, now)?.health)
     }
 
     /// Reports an uncorrectable (multi-bit) error on a rank. The mapping
@@ -664,7 +660,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
         rank: u32,
         now: Picos,
     ) -> Result<UncorrectableReport, DtlError> {
-        self.faults().ecc_error(true, channel, rank, now)
+        self.power().ecc_error(true, channel, rank, now)
     }
 
     /// Cuts off the channel's in-flight migration mid-transfer (fault
@@ -685,7 +681,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
         channel: u32,
         now: Picos,
     ) -> Result<MigrationInterrupt, DtlError> {
-        let outcome = self.faults().migration_interrupt(channel, now)?;
+        let outcome = self.power().migration_interrupt(channel, now)?;
         if let MigrationInterrupt::RolledBack { job } = outcome {
             self.rollback_job(job, now)?;
         }
@@ -858,14 +854,8 @@ impl<B: MemoryBackend> DtlDevice<B> {
 
     fn process_events(&mut self) {
         for ev in self.backend.drain_power_events() {
-            self.tap.record(DeviceCommand::PowerTransition {
-                channel: ev.channel,
-                rank: ev.rank,
-                from: ev.from,
-                to: ev.to,
-                cause: ev.cause,
-                at: ev.at,
-            });
+            let PowerEvent { at, channel, rank, from, to, cause } = ev;
+            self.tap.record(DeviceCommand::PowerTransition { channel, rank, from, to, cause, at });
             RankPower::observed(&mut self.hotness, &ev);
         }
     }

@@ -15,8 +15,9 @@
 //! rank's power-down lifecycle ([`RankPdState`]), so the two state machines
 //! cannot disagree.
 //!
-//! The faults themselves enter through [`FaultCtl`], one entry per cause —
-//! an ECC error, an explicit retirement, a migration interrupt. Rank
+//! The faults themselves enter through the [`PowerCtl`] entries at the end
+//! of this module, one per cause — an ECC error, an explicit retirement, a
+//! migration interrupt. Rank
 //! coordinates from outside the device pass one bounds test
 //! (`HealthTracker::check_rank`) and every health transition is reported
 //! from one place (`HealthTracker::transition`).
@@ -252,21 +253,17 @@ impl HealthTracker {
     }
 }
 
-/// The fault entries: the [`HealthTracker`] at work on the parts of the
-/// device a fault touches — all of them in the [`PowerCtl`] view, whose
-/// `retire` does the draining — borrowed for one call.
-pub(crate) struct FaultCtl<'a, B> {
-    pub(crate) power: PowerCtl<'a, B>,
-}
-
-impl<B: MemoryBackend> FaultCtl<'_, B> {
+/// The fault entries. Everything a fault touches is in the [`PowerCtl`]
+/// view, whose `retire` does the draining, so they are entries of that view
+/// kept here, next to the tracker they feed.
+impl<B: MemoryBackend> PowerCtl<'_, B> {
     fn injected(&self, kind: FaultKindId, channel: u32, rank: Option<u32>, now: Picos) {
         let channel = Some(channel);
-        self.power.telemetry.emit(now.as_ps(), EventKind::FaultInjected { kind, channel, rank });
+        self.telemetry.emit(now.as_ps(), EventKind::FaultInjected { kind, channel, rank });
     }
 
-    fn health(&self, channel: u32, rank: u32) -> RankHealth {
-        self.power.health.health(channel, rank, self.power.state.lifecycle(channel, rank))
+    fn rank_health(&self, channel: u32, rank: u32) -> RankHealth {
+        self.health.health(channel, rank, self.state.lifecycle(channel, rank))
     }
 
     /// An ECC error on a rank: it feeds the rank's leaky bucket, and
@@ -282,32 +279,37 @@ impl<B: MemoryBackend> FaultCtl<'_, B> {
         rank: u32,
         now: Picos,
     ) -> Result<UncorrectableReport, DtlError> {
-        self.power.health.check_rank(channel, Some(rank))?;
+        self.health.check_rank(channel, Some(rank))?;
         let (kind, segments_at_risk) = if uncorrectable {
-            let at_risk = self.power.tables.mapped_in_rank(channel, rank).count() as u64;
+            let at_risk = self.tables.mapped_in_rank(channel, rank).count() as u64;
             (FaultKindId::UncorrectableEcc, at_risk)
         } else {
             (FaultKindId::CorrectableEcc, 0)
         };
         self.injected(kind, channel, Some(rank), now);
-        if self.power.health.record(channel, rank, uncorrectable, now) {
-            match self.retire(channel, rank, now) {
-                Ok(()) => self.power.stats.auto_retirements += 1,
+        if self.health.record(channel, rank, uncorrectable, now) {
+            match self.retire_rank(channel, rank, now) {
+                Ok(()) => self.stats.auto_retirements += 1,
                 Err(DtlError::OutOfCapacity { .. } | DtlError::Internal { .. }) => {}
                 Err(e) => return Err(e),
             }
         }
-        Ok(UncorrectableReport { segments_at_risk, health: self.health(channel, rank) })
+        Ok(UncorrectableReport { segments_at_risk, health: self.rank_health(channel, rank) })
     }
 
     /// Retires a rank for good ([`PowerCtl::retire`]) and reports the
     /// health transition that made.
-    pub(crate) fn retire(&mut self, channel: u32, rank: u32, now: Picos) -> Result<(), DtlError> {
-        self.power.health.check_rank(channel, Some(rank))?;
-        let before = self.health(channel, rank);
-        self.power.retire(channel, rank, now)?;
-        let moved = (before, self.health(channel, rank));
-        self.power.health.transition((channel, rank), moved, now);
+    pub(crate) fn retire_rank(
+        &mut self,
+        channel: u32,
+        rank: u32,
+        now: Picos,
+    ) -> Result<(), DtlError> {
+        self.health.check_rank(channel, Some(rank))?;
+        let before = self.rank_health(channel, rank);
+        self.retire(channel, rank, now)?;
+        let moved = (before, self.rank_health(channel, rank));
+        self.health.transition((channel, rank), moved, now);
         Ok(())
     }
 
@@ -318,10 +320,10 @@ impl<B: MemoryBackend> FaultCtl<'_, B> {
         channel: u32,
         now: Picos,
     ) -> Result<MigrationInterrupt, DtlError> {
-        self.power.health.check_rank(channel, None)?;
+        self.health.check_rank(channel, None)?;
         self.injected(FaultKindId::MigrationInterrupt, channel, None, now);
-        let outcome = self.power.migrate.interrupt_channel(channel, now);
-        self.power.stats.migration_interrupts += u64::from(outcome != MigrationInterrupt::Idle);
+        let outcome = self.migrate.interrupt_channel(channel, now);
+        self.stats.migration_interrupts += u64::from(outcome != MigrationInterrupt::Idle);
         Ok(outcome)
     }
 }
@@ -396,5 +398,63 @@ mod tests {
         t.record(1, 0, UE, Picos::ZERO);
         assert_eq!(t.stats().correctable_errors, 1);
         assert_eq!(t.stats().uncorrectable_errors, 1);
+    }
+
+    #[test]
+    fn rank_coordinates_pass_one_bounds_test() {
+        let t = tracker();
+        assert!(t.check_rank(1, Some(3)).is_ok());
+        assert!(t.check_rank(1, None).is_ok());
+        for (channel, rank) in [(2, None), (2, Some(0)), (0, Some(4)), (u32::MAX, Some(u32::MAX))] {
+            let err = t.check_rank(channel, rank).unwrap_err();
+            assert!(matches!(err, DtlError::Internal { .. }), "{err}");
+        }
+    }
+
+    /// Every step of a rank's way out of service is reported once, through
+    /// the tracker's own handle — which new health parameters keep — and a
+    /// rank outside the device is an error, not an index out of bounds.
+    #[test]
+    fn a_retirement_reports_each_health_transition_once() {
+        use crate::{DtlConfig, DtlDevice, HostId};
+        use dtl_telemetry::{RingSink, TelemetrySink};
+        use std::sync::Arc;
+
+        let mut dev = DtlDevice::with_analytic_geometry(DtlConfig::tiny(), 2, 4, 32);
+        dev.set_hotness_enabled(false);
+        let sink = Arc::new(RingSink::with_capacity(4096));
+        dev.set_telemetry(Telemetry::new(sink.clone() as Arc<dyn TelemetrySink>));
+        dev.set_health_params(HealthParams::default());
+        dev.register_host(HostId(0)).unwrap();
+        let vm = dev.alloc_vm(HostId(0), dev.config().au_bytes, Picos::ZERO).unwrap();
+        let dsn = dev.probe_translation(HostId(0), vm.hpa_base(0, dev.config().au_bytes)).unwrap();
+        let victim = dev.geometry().location(dsn);
+        let (c, r) = (victim.channel, victim.rank);
+        for k in 0..2 {
+            dev.inject_uncorrectable_error(c, r, Picos::from_us(1 + k)).unwrap();
+        }
+        assert_eq!(dev.rank_health(c, r), RankHealth::Draining);
+        for ms in 1..20 {
+            dev.tick(Picos::from_ms(ms)).unwrap();
+        }
+        assert_eq!(dev.rank_health(c, r), RankHealth::Retired);
+        let steps: Vec<_> = sink
+            .drain()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::HealthTransition { channel, rank, from, to } => {
+                    assert_eq!((channel, rank), (c, r));
+                    Some((from, to))
+                }
+                _ => None,
+            })
+            .collect();
+        use HealthStateId::{Degraded, Draining, Healthy, Retired};
+        assert_eq!(steps, [(Healthy, Degraded), (Degraded, Draining), (Draining, Retired)]);
+        assert!(matches!(
+            dev.retire_rank(9, 0, Picos::from_ms(20)),
+            Err(DtlError::Internal { .. })
+        ));
+        dev.check_invariants().unwrap();
     }
 }

@@ -538,6 +538,20 @@ mod tests {
     }
 
     #[test]
+    fn a_rank_plays_one_role_at_a_time() {
+        let mut eng = HotnessEngine::new(geo(), params());
+        let roles = |eng: &HotnessEngine| [0, 1, 2, 3].map(|r| eng.role(0, r));
+        assert_eq!(roles(&eng), [HotnessRole::None; 4]);
+        let t1 = enter_planning(&mut eng, 2);
+        assert_eq!(roles(&eng)[2], HotnessRole::Victim);
+        eng.pump(t1 + Picos::from_us(1100), |_, _| true);
+        assert_eq!(roles(&eng)[2], HotnessRole::Victim, "while its plan migrates");
+        eng.on_plan_migrated(0, t1 + Picos::from_us(1200));
+        use HotnessRole::{None, SelfRefreshing};
+        assert_eq!(roles(&eng), [None, None, SelfRefreshing, None]);
+    }
+
+    #[test]
     fn next_deadline_follows_phase_machine() {
         let mut eng = HotnessEngine::new(geo(), params());
         // Sampling from t=0: deadline is the end of the window.

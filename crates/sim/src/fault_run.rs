@@ -276,6 +276,37 @@ mod tests {
     use super::*;
 
     #[test]
+    fn a_fault_kind_becomes_one_device_injection_or_comes_back_for_the_link() {
+        use dtl_core::{DtlConfig, HostId};
+        let mut dev = DtlDevice::with_analytic_geometry(DtlConfig::tiny(), 2, 4, 32);
+        dev.register_host(HostId(0)).unwrap();
+        dev.alloc_vm(HostId(0), dev.config().au_bytes, Picos::ZERO).unwrap();
+        let t = Picos::from_us(1);
+        let (channel, rank) = (0, 0);
+        let applied = apply_device_fault(&mut dev, FaultKind::CorrectableEcc { channel, rank }, t);
+        assert_eq!(applied, Ok(AppliedFault::Device(None)));
+        let applied =
+            apply_device_fault(&mut dev, FaultKind::UncorrectableEcc { channel, rank }, t);
+        let Ok(AppliedFault::Device(Some(report))) = applied else {
+            panic!("no blast radius: {applied:?}");
+        };
+        assert_eq!(
+            report.segments_at_risk,
+            dev.config().segments_per_au() / 2,
+            "one channel's half"
+        );
+        let applied = apply_device_fault(&mut dev, FaultKind::MigrationInterrupt { channel }, t);
+        assert_eq!(applied, Ok(AppliedFault::Device(None)));
+        let errors = dev.health_stats();
+        assert_eq!((errors.correctable_errors, errors.uncorrectable_errors), (1, 1));
+        // The device has no link: a CRC burst is the caller's.
+        let applied = apply_device_fault(&mut dev, FaultKind::LinkCrc { burst: 3 }, t);
+        assert_eq!(applied, Ok(AppliedFault::LinkCrc { burst: 3 }));
+        let outside = FaultKind::CorrectableEcc { channel: 9, rank };
+        assert!(matches!(apply_device_fault(&mut dev, outside, t), Err(DtlError::Internal { .. })));
+    }
+
+    #[test]
     fn a_horizon_that_wraps_picosecond_time_is_a_config_error() {
         let run = PowerDownRunConfig { duration_min: 307_446, ..PowerDownRunConfig::tiny(7, true) };
         let cfg = FaultRunConfig::fault_free(7, run);
