@@ -319,24 +319,22 @@ impl<B: MemoryBackend> DtlDevice<B> {
     #[doc(hidden)]
     pub fn corrupt_power_log_for_test(&mut self, now: Picos) {
         self.process_events();
-        use PowerState::{ActivePowerDown, SelfRefresh, Standby};
         let state = self.backend.rank_state(0, 0);
-        for (from, to) in
-            [(state, Standby), (Standby, ActivePowerDown), (ActivePowerDown, SelfRefresh)]
-        {
-            if from != to {
-                let cause = PowerEventCause::Explicit;
-                let forged = DeviceCommand::PowerTransition {
-                    channel: 0,
-                    rank: 0,
-                    from,
-                    to,
-                    cause,
-                    at: now,
-                };
-                self.tap.record(forged);
-            }
+        let mut forge = |from, to| {
+            self.tap.record(DeviceCommand::PowerTransition {
+                channel: 0,
+                rank: 0,
+                from,
+                to,
+                cause: PowerEventCause::Explicit,
+                at: now,
+            });
+        };
+        if state != PowerState::Standby {
+            forge(state, PowerState::Standby);
         }
+        forge(PowerState::Standby, PowerState::ActivePowerDown);
+        forge(PowerState::ActivePowerDown, PowerState::SelfRefresh);
     }
 
     /// Installs a telemetry handle on the device and every engine it owns
@@ -930,8 +928,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
         self.migrate.check_index()?;
         for channel in 0..self.geo.channels {
             for rank in 0..self.geo.ranks_per_channel {
-                let mapped = self.tables.mapped_in_rank(channel, rank);
-                let slots = mapped.map(|(within, _)| within);
+                let slots = self.tables.mapped_in_rank(channel, rank).map(|(within, _)| within);
                 if let Some(within) = self.alloc.first_unallocated(channel, rank, slots) {
                     let dsn = self.geo.dsn(SegmentLocation { channel, rank, within });
                     return Err(DtlError::Internal {

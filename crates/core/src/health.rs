@@ -17,10 +17,9 @@
 //!
 //! The faults themselves enter through the [`PowerCtl`] entries at the end
 //! of this module, one per cause — an ECC error, an explicit retirement, a
-//! migration interrupt. Rank
-//! coordinates from outside the device pass one bounds test
-//! (`HealthTracker::check_rank`) and every health transition is reported
-//! from one place (`HealthTracker::transition`).
+//! migration interrupt. Rank coordinates from outside the device pass one
+//! bounds test (`HealthTracker::check_rank`) and every health transition is
+//! reported from one place (`HealthTracker::transition`).
 
 use dtl_dram::Picos;
 use dtl_telemetry::{EventKind, FaultKindId, HealthStateId, Telemetry};

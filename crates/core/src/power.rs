@@ -277,11 +277,12 @@ impl RankPower {
                     ));
                 }
                 let power = backend.rank_state(c, r);
-                let live = || tables.mapped_in_rank(c, r).next();
-                if let Some((within, hsn)) = (power == PowerState::Mpsm).then(live).flatten() {
-                    let loc = SegmentLocation { channel: c, rank: r, within };
-                    let dsn = self.geo.dsn(loc);
-                    return broken(format!("live segment {dsn} ({hsn}) in MPSM rank {loc:?}"));
+                if power == PowerState::Mpsm {
+                    if let Some((within, hsn)) = tables.mapped_in_rank(c, r).next() {
+                        let loc = SegmentLocation { channel: c, rank: r, within };
+                        let dsn = self.geo.dsn(loc);
+                        return broken(format!("live segment {dsn} ({hsn}) in MPSM rank {loc:?}"));
+                    }
                 }
                 let parked = matches!(lifecycle, RankPdState::PoweredDown | RankPdState::Retired);
                 if parked != (power == PowerState::Mpsm) {

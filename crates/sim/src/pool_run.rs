@@ -492,7 +492,7 @@ fn apply_pool_fault(
             let id = DeviceId(device);
             let dev = pool
                 .device_mut(id)
-                .ok_or(DtlError::Internal { reason: format!("no device {device}") })?;
+                .ok_or_else(|| DtlError::Internal { reason: format!("no device {device}") })?;
             if let AppliedFault::LinkCrc { burst } = apply_device_fault(dev, kind, now)? {
                 pool.inject_crc_burst(id, burst)?;
             }
