@@ -113,9 +113,9 @@ impl Admission {
         for (host, state) in (0u16..).map(HostId).zip(&self.hosts) {
             let broken =
                 |what: String| Err(DtlError::Internal { reason: format!("{host}: {what}") });
-            let listed = || state.vms.values().flatten();
+            let listed = state.vms.values().flatten();
             let mut lists = vec![0u8; state.next_au as usize];
-            for au in listed().chain(&state.free_aus) {
+            for au in listed.clone().chain(&state.free_aus) {
                 match lists.get_mut(au.0 as usize) {
                     Some(n) => *n += 1,
                     None => return broken(format!("{au} was never handed out")),
@@ -124,15 +124,16 @@ impl Admission {
             if let Some(au) = lists.iter().position(|n| *n != 1) {
                 return broken(format!("AU {au} is in {} of the VM and free lists", lists[au]));
             }
-            let mapped =
-                |au: &&AuId| tables.translate(Hsn { host, au: **au, au_offset: 0 }).is_some();
-            if let Some(au) = listed().find(|au| !mapped(au)) {
-                return broken(format!("{au} is in a VM but not in the tables"));
+            let mut in_vms = 0;
+            for au in listed {
+                in_vms += 1;
+                if tables.translate(Hsn { host, au: *au, au_offset: 0 }).is_none() {
+                    return broken(format!("{au} is in a VM but not in the tables"));
+                }
             }
-            let (listed, kept, mapped) =
-                (listed().count(), state.mapped_aus, tables.au_count(host));
-            if listed != kept as usize || listed != mapped {
-                return broken(format!("VMs list {listed} AUs, count {kept}, tables {mapped}"));
+            let (kept, mapped) = (state.mapped_aus, tables.au_count(host));
+            if in_vms != kept as usize || in_vms != mapped {
+                return broken(format!("VMs list {in_vms} AUs, count {kept}, tables {mapped}"));
             }
             if let Some(quota) = state.quota_aus.filter(|quota| kept > *quota) {
                 return broken(format!("{kept} AUs mapped over a quota of {quota}"));
@@ -253,11 +254,18 @@ impl<B: MemoryBackend> AdmissionCtl<'_, B> {
     /// segments, frees the segments and returns the AU id to the host.
     fn release_au(&mut self, host: HostId, au: AuId, now: Picos) -> Result<(), DtlError> {
         let dsns = self.power.tables.remove_au(host, au)?;
+        // One walk over the AU's segments, on the two parts it needs and
+        // nothing else (it runs a thousand times an AU). What a cancelled
+        // job means for the ranks needs the whole power view, so that waits
+        // for the walk to end; it touches nothing the walk reads.
+        let (migrate, translator) = (&mut *self.power.migrate, &mut *self.translator);
+        let mut cancelled = Vec::new();
         for (off, dsn) in dsns.iter().enumerate() {
-            for job in self.power.migrate.cancel_involving(*dsn) {
-                self.power.job_cancelled(job.id, job.kind, now)?;
-            }
-            self.translator.invalidate(Hsn { host, au, au_offset: off as u32 });
+            cancelled.extend(migrate.cancel_involving(*dsn));
+            translator.invalidate(Hsn { host, au, au_offset: off as u32 });
+        }
+        for job in cancelled {
+            self.power.job_cancelled(job.id, job.kind, now)?;
         }
         self.power.alloc.free_segments(&dsns)?;
         self.tap.record(DeviceCommand::AuRemoved { host, au, dsns, at: now });
