@@ -930,6 +930,10 @@ impl<B: MemoryBackend> DtlDevice<B> {
         self.migrate.check_index()?;
         for channel in 0..self.geo.channels {
             for rank in 0..self.geo.ranks_per_channel {
+                // A rank in MPSM maps nothing (`RankPower::check`, below).
+                if self.backend.rank_state(channel, rank) == PowerState::Mpsm {
+                    continue;
+                }
                 let slots = self.tables.mapped_in_rank(channel, rank).map(|(within, _)| within);
                 if let Some(within) = self.alloc.first_unallocated(channel, rank, slots) {
                     let dsn = self.geo.dsn(SegmentLocation { channel, rank, within });
