@@ -254,18 +254,17 @@ impl<B: MemoryBackend> AdmissionCtl<'_, B> {
     /// segments, frees the segments and returns the AU id to the host.
     fn release_au(&mut self, host: HostId, au: AuId, now: Picos) -> Result<(), DtlError> {
         let dsns = self.power.tables.remove_au(host, au)?;
-        // One walk over the AU's segments, on the two parts it needs and
-        // nothing else (it runs a thousand times an AU). What a cancelled
-        // job means for the ranks needs the whole power view, so that waits
-        // for the walk to end; it touches nothing the walk reads.
-        let (migrate, translator) = (&mut *self.power.migrate, &mut *self.translator);
-        let mut cancelled = Vec::new();
-        for (off, dsn) in dsns.iter().enumerate() {
-            cancelled.extend(migrate.cancel_involving(*dsn));
-            translator.invalidate(Hsn { host, au, au_offset: off as u32 });
+        // Two walks over the AU's segments, one per part: the migration
+        // engine and the SMC know nothing of each other, and one loop making
+        // both calls measured 22.6 ns a segment here against 17.9 for the
+        // two (BENCH.md, PR 20).
+        for dsn in &dsns {
+            for job in self.power.migrate.cancel_involving(*dsn) {
+                self.power.job_cancelled(job.id, job.kind, now)?;
+            }
         }
-        for job in cancelled {
-            self.power.job_cancelled(job.id, job.kind, now)?;
+        for au_offset in 0..dsns.len() as u32 {
+            self.translator.invalidate(Hsn { host, au, au_offset });
         }
         self.power.alloc.free_segments(&dsns)?;
         self.tap.record(DeviceCommand::AuRemoved { host, au, dsns, at: now });

@@ -239,7 +239,6 @@ impl<B: MemoryBackend> DtlDevice<B> {
 
     /// The admission module at work on this device's parts, which include
     /// the whole power view.
-    #[inline]
     pub(crate) fn admission(&mut self) -> AdmissionCtl<'_, B> {
         AdmissionCtl {
             state: &mut self.admission,
@@ -262,7 +261,6 @@ impl<B: MemoryBackend> DtlDevice<B> {
     }
 
     /// The rank-power module at work on this device's parts.
-    #[inline]
     pub(crate) fn power(&mut self) -> PowerCtl<'_, B> {
         self.admission().power
     }
