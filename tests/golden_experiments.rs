@@ -1,8 +1,10 @@
 //! Golden-file regression tests: the tiny fig12 (power-down), fig14 and
 //! fig15 (hotness self-refresh), sec3_4_reentry, pool_scale,
-//! pool_failover, fault_campaign and vm_campaign runs are fully
-//! deterministic, so their JSON outputs are pinned under `results/golden/`
-//! and compared field by field with an explicit numeric tolerance.
+//! pool_failover, fault_campaign and vm_campaign runs, and the three that
+//! go through the cycle-level DRAM model (fig02, sec6_6,
+//! ablate_migration_priority), are fully deterministic, so their JSON
+//! outputs are pinned under `results/golden/` and compared field by field
+//! with an explicit numeric tolerance.
 //!
 //! To regenerate after an intentional model change:
 //!
@@ -16,14 +18,15 @@
 use std::path::{Path, PathBuf};
 
 use dtl_sim::experiments::{
-    fabric_load, fault_campaign, fig12, fig14, fig15, policy_ablation, pool_failover, pool_scale,
-    sec3_4_reentry, vm_campaign,
+    ablate_migration_priority, fabric_load, fault_campaign, fig02, fig12, fig14, fig15,
+    policy_ablation, pool_failover, pool_scale, sec3_4_reentry, sec6_6, vm_campaign,
 };
 use dtl_sim::{
     to_json, FabricRunConfig, FaultRunConfig, Heartbeat, HotnessRunConfig, PoolRunConfig,
     PowerDownRunConfig, VmCampaignConfig,
 };
 use dtl_telemetry::Telemetry;
+use dtl_trace::WorkloadKind;
 use serde::Value;
 
 /// Relative tolerance for float comparisons. The runs are deterministic;
@@ -223,4 +226,27 @@ fn vm_campaign_tiny_matches_golden() {
     let (r, _) = vm_campaign::run(&VmCampaignConfig::tiny(7), 1, None, &Heartbeat::disabled())
         .expect("vm_campaign tiny");
     check_golden("vm_campaign_tiny", &to_json(&r));
+}
+
+// The three below are the registry's `--tiny` runs of the cycle-level DDR4
+// model (the ten above all run the analytic backend): the open-loop
+// foreground stream of `latency_sweep` at two sizes, and the only registry
+// run that puts migration-class requests through the FR-FCFS scheduler.
+
+#[test]
+fn fig02_tiny_matches_golden() {
+    let r = fig02::run(10_000, &WorkloadKind::ALL, 1);
+    check_golden("fig02_tiny", &to_json(&r));
+}
+
+#[test]
+fn sec6_6_tiny_matches_golden() {
+    let r = sec6_6::run(8_000, &WorkloadKind::TRACED, 1);
+    check_golden("sec6_6_tiny", &to_json(&r));
+}
+
+#[test]
+fn ablate_migration_priority_tiny_matches_golden() {
+    let r = ablate_migration_priority::run(5_000, 1);
+    check_golden("ablate_migration_priority_tiny", &to_json(&r));
 }
