@@ -74,6 +74,9 @@ impl NextCommand {
     }
 }
 
+/// One scheduling decision: `(queue_slot, command, issue_time)`.
+type Pick = (QueueSlot, NextCommand, Picos);
+
 /// Age beyond which the oldest request preempts FR-FCFS reordering.
 const STARVATION_CAP: Picos = Picos::from_us(5);
 /// How many queued requests the scheduler scans per decision.
@@ -218,9 +221,20 @@ impl Channel {
     /// Runs the scheduler until `until`, issuing commands and completing
     /// requests. The channel clock never exceeds `until`.
     pub fn advance_to<S: CommandSink>(&mut self, until: Picos, sink: &mut S) {
+        self.advance_with(until, sink, Channel::pick_command);
+    }
+
+    /// [`Channel::advance_to`] with the scheduling decision passed in: the
+    /// tests run a reference scheduler through the same loop.
+    fn advance_with<S: CommandSink>(
+        &mut self,
+        until: Picos,
+        sink: &mut S,
+        pick: impl Fn(&Channel) -> Option<Pick>,
+    ) {
         while self.clock < until {
             self.service_due_refreshes(sink);
-            let Some((qi, cmd, t_issue)) = self.pick_command(until) else {
+            let Some((qi, cmd, t_issue)) = pick(self) else {
                 // Nothing issuable before `until`: fast-forward, batching
                 // refreshes that fall in the idle gap.
                 self.fast_forward_refreshes(until);
@@ -294,11 +308,8 @@ impl Channel {
         }
     }
 
-    /// Chooses the next command: `(queue_slot, command, issue_time)`.
-    ///
-    /// `queue_slot` is an index into the currently active queue (foreground
-    /// if it has an arrived request, else migration).
-    fn pick_command(&self, until: Picos) -> Option<(QueueSlot, NextCommand, Picos)> {
+    /// Chooses the next command.
+    fn pick_command(&self) -> Option<Pick> {
         let fg_has_arrived = self.fg.iter().any(|p| p.req.arrival <= self.clock);
         let fg_candidates = !self.fg.is_empty();
         let mig_candidates = !self.mig.is_empty();
@@ -344,7 +355,6 @@ impl Channel {
             if let Some(oldest) = self.fg.front() {
                 if self.clock.saturating_sub(oldest.req.arrival) > STARVATION_CAP {
                     let (cmd, t) = self.next_command_for(oldest);
-                    let _ = until;
                     return Some((QueueSlot::Fg(0), cmd, t.max(self.clock)));
                 }
             }
@@ -553,6 +563,7 @@ mod tests {
     use crate::config::DramConfig;
     use crate::mapping::{AddressMapper, AddressMapping};
     use crate::request::AccessKind;
+    use proptest::prelude::*;
 
     fn channel() -> (Channel, AddressMapper) {
         let cfg = DramConfig::tiny();
@@ -777,5 +788,334 @@ mod tests {
             ch.enqueue(r, dec);
         }));
         assert!(result.is_err());
+    }
+
+    // ---- the scheduler against the one it replaced ----------------------
+
+    impl Channel {
+        /// `pick_command` as it stood before it learnt to skip requests
+        /// that cannot win, body kept as it was: every candidate in the
+        /// scan window is evaluated, the arrived-foreground test walks the
+        /// whole queue. The reference the lockstep tests compare against.
+        fn pick_command_reference(&self) -> Option<Pick> {
+            let fg_has_arrived = self.fg.iter().any(|p| p.req.arrival <= self.clock);
+            let fg_candidates = !self.fg.is_empty();
+            let mig_candidates = !self.mig.is_empty();
+            if !fg_candidates && !mig_candidates {
+                return None;
+            }
+            // Foreground priority: migration only when no *arrived* foreground
+            // request exists.
+            let mut best: Option<(QueueSlot, NextCommand, Picos, Picos)> = None;
+            let scan_fg = fg_candidates;
+            let scan_mig = mig_candidates && !fg_has_arrived;
+            let mut consider = |slot: QueueSlot, p: &Pending, this: &Channel| {
+                let (cmd, t) = this.next_command_for(p);
+                if t >= Picos::MAX {
+                    return;
+                }
+                let better = match &best {
+                    None => true,
+                    Some((_, bcmd, bt, barr)) => {
+                        // Candidates within one clock of the earliest are peers;
+                        // prefer FR-FCFS class, then age.
+                        let window = this.timing.tck;
+                        if t.checked_add(window).is_some_and(|tw| tw < *bt) {
+                            true
+                        } else if bt.checked_add(window).is_none_or(|bw| bw < t) {
+                            false
+                        } else {
+                            match cmd.class_rank().cmp(&bcmd.class_rank()) {
+                                std::cmp::Ordering::Less => true,
+                                std::cmp::Ordering::Greater => false,
+                                std::cmp::Ordering::Equal => p.req.arrival < *barr,
+                            }
+                        }
+                    }
+                };
+                if better {
+                    best = Some((slot, cmd, t, p.req.arrival));
+                }
+            };
+            if scan_fg {
+                // Starvation guard: if the oldest foreground request has waited
+                // past the cap, schedule only it.
+                if let Some(oldest) = self.fg.front() {
+                    if self.clock.saturating_sub(oldest.req.arrival) > STARVATION_CAP {
+                        let (cmd, t) = self.next_command_for(oldest);
+                        return Some((QueueSlot::Fg(0), cmd, t.max(self.clock)));
+                    }
+                }
+                for (i, p) in self.fg.iter().take(SCAN_WINDOW).enumerate() {
+                    consider(QueueSlot::Fg(i), p, self);
+                }
+            }
+            if scan_mig {
+                for (i, p) in self.mig.iter().take(SCAN_WINDOW).enumerate() {
+                    consider(QueueSlot::Mig(i), p, self);
+                }
+            }
+            best.map(|(slot, cmd, t, _)| (slot, cmd, t.max(self.clock)))
+        }
+    }
+
+    /// One step of a lockstep stream.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// A request; `arrival_ps` is relative to the channel clock, either
+        /// side of it, so a stream holds requests from the past (starved
+        /// ones included), from the far future, and out of arrival order.
+        /// `lottery` decides, with the stream's `disorder`, whether the
+        /// arrival is first raised to the previous one of its class.
+        Enqueue { migration: bool, target: DecodedAddr, write: bool, arrival_ps: i64, lottery: u32 },
+        /// Run the scheduler this far ahead (divided by the stream's pace).
+        Advance(u64),
+        /// An explicit rank power transition (illegal ones are refused by
+        /// the rank and change nothing).
+        Park { rank: u32, state: PowerState },
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        let tck = TimingParams::ddr4_2933().tck.as_ps() as i64;
+        let arrival = prop_oneof![
+            // Whole clocks around now: candidates exactly one clock apart.
+            4 => (-40i64..40).prop_map(move |c| c * tck),
+            3 => -200_000i64..200_000,
+            // Older than STARVATION_CAP on arrival.
+            1 => -12_000_000i64..-5_000_000,
+            // Far ahead of the clock, as an open-loop generator submits.
+            2 => 1_000_000i64..400_000_000,
+        ];
+        // Three rows a bank: hits, misses and conflicts all happen.
+        let target = (0u32..4, 0u32..2, 0u32..2, 0u64..3, 0u64..8).prop_map(
+            |(rank, bank_group, bank, row, column)| DecodedAddr {
+                channel: 0,
+                rank,
+                bank_group,
+                bank,
+                row,
+                column,
+            },
+        );
+        let state = prop_oneof![
+            2 => Just(PowerState::Standby),
+            1 => Just(PowerState::ActivePowerDown),
+            1 => Just(PowerState::PrechargePowerDown),
+            1 => Just(PowerState::SelfRefresh),
+            1 => Just(PowerState::Mpsm),
+        ];
+        prop_oneof![
+            40 => (any::<bool>(), target, any::<bool>(), arrival, 0u32..8).prop_map(
+                |(migration, target, write, arrival_ps, lottery)| Op::Enqueue {
+                    migration,
+                    target,
+                    write,
+                    arrival_ps,
+                    lottery,
+                },
+            ),
+            // A few commands' worth, a queue's worth, an idle gap.
+            4 => (1u64..60).prop_map(move |c| Op::Advance(c * tck as u64)),
+            1 => (1_000_000u64..20_000_000).prop_map(Op::Advance),
+            1 => (100_000_000u64..2_000_000_000).prop_map(Op::Advance),
+            1 => (0u32..4, state).prop_map(|(rank, state)| Op::Park { rank, state }),
+        ]
+    }
+
+    /// What a set of lockstep streams reached, counted per decision.
+    #[derive(Debug, Default, Clone, Copy)]
+    struct Reached {
+        decisions: u64,
+        both_classes_queued: u64,
+        migration_picked: u64,
+        out_of_order_foreground: u64,
+        starved_oldest: u64,
+        power_exits: u64,
+        deeper_than_window: u64,
+        shallower_than_window: u64,
+    }
+
+    impl Reached {
+        fn note(&mut self, ch: &Channel, pick: Option<Pick>) {
+            let sorted = |q: &VecDeque<Pending>| {
+                q.iter().zip(q.iter().skip(1)).all(|(a, b)| a.req.arrival <= b.req.arrival)
+            };
+            self.decisions += 1;
+            self.both_classes_queued += u64::from(!ch.fg.is_empty() && !ch.mig.is_empty());
+            self.out_of_order_foreground += u64::from(!sorted(&ch.fg));
+            self.starved_oldest += u64::from(
+                ch.fg
+                    .front()
+                    .is_some_and(|p| ch.clock.saturating_sub(p.req.arrival) > STARVATION_CAP),
+            );
+            self.deeper_than_window += u64::from(ch.fg.len() > SCAN_WINDOW);
+            self.shallower_than_window += u64::from((1..SCAN_WINDOW).contains(&ch.fg.len()));
+            if let Some((slot, cmd, _)) = pick {
+                self.migration_picked += u64::from(matches!(slot, QueueSlot::Mig(_)));
+                self.power_exits += u64::from(cmd == NextCommand::PowerExit);
+            }
+        }
+
+        fn add(&mut self, o: &Reached) {
+            self.decisions += o.decisions;
+            self.both_classes_queued += o.both_classes_queued;
+            self.migration_picked += o.migration_picked;
+            self.out_of_order_foreground += o.out_of_order_foreground;
+            self.starved_oldest += o.starved_oldest;
+            self.power_exits += o.power_exits;
+            self.deeper_than_window += o.deeper_than_window;
+            self.shallower_than_window += o.shallower_than_window;
+        }
+    }
+
+    /// Feeds `ops` to two channels, one deciding with `pick_command` and
+    /// one with the reference, and compares `(slot, command, time)` at
+    /// every decision of the first and everything observable at the end.
+    /// A stream's advances are shifted right by `pace`: the slower the
+    /// clock, the deeper the queues. `disorder` 0 enqueues every class in
+    /// arrival order (what both registry workloads do), 1 breaks the order
+    /// with one request in eight, 2 takes every arrival as drawn.
+    fn lockstep(
+        policy: PagePolicy,
+        pace: u32,
+        disorder: u32,
+        ops: &[Op],
+    ) -> Result<Reached, String> {
+        let cfg = DramConfig::tiny();
+        let mut fast = Channel::with_policy(0, &cfg.geometry, cfg.timing, cfg.power, policy);
+        let mut model = fast.clone();
+        let mut fast_sink = RecordingSink::default();
+        let mut model_sink = RecordingSink::default();
+        let reached = std::cell::Cell::new(Reached::default());
+        let mismatch = std::cell::RefCell::new(None);
+        let checked = |ch: &Channel| {
+            let pick = ch.pick_command();
+            let expect = ch.pick_command_reference();
+            if pick != expect && mismatch.borrow().is_none() {
+                *mismatch.borrow_mut() =
+                    Some(format!("at {}: picked {pick:?}, reference {expect:?}", ch.clock));
+            }
+            let mut r = reached.get();
+            r.note(ch, pick);
+            reached.set(r);
+            pick
+        };
+        let mut id = 0;
+        let mut last_arrival = [Picos::ZERO; 2];
+        for op in ops {
+            match *op {
+                Op::Enqueue { migration, target, write, arrival_ps, lottery } => {
+                    let mut arrival =
+                        Picos::from_ps(fast.clock.as_ps().saturating_add_signed(arrival_ps));
+                    if disorder == 0 || (disorder == 1 && lottery != 0) {
+                        arrival = arrival.max(last_arrival[usize::from(migration)]);
+                    }
+                    last_arrival[usize::from(migration)] = arrival;
+                    let req = MemRequest {
+                        id,
+                        addr: PhysAddr::new(0),
+                        kind: if write { AccessKind::Write } else { AccessKind::Read },
+                        arrival,
+                        priority: if migration {
+                            Priority::Migration
+                        } else {
+                            Priority::Foreground
+                        },
+                    };
+                    id += 1;
+                    fast.enqueue(req, target);
+                    model.enqueue(req, target);
+                }
+                Op::Advance(ps) => {
+                    let until = fast.clock + Picos::from_ps((ps >> pace).max(1));
+                    fast.advance_with(until, &mut fast_sink, checked);
+                    model.advance_with(until, &mut model_sink, Channel::pick_command_reference);
+                }
+                Op::Park { rank, state } => {
+                    let now = fast.clock;
+                    let a = fast.rank_mut(rank).transition(now, state, &cfg.timing);
+                    let b = model.rank_mut(rank).transition(now, state, &cfg.timing);
+                    if a.ok() != b.ok() {
+                        return Err(format!("rank {rank} -> {state:?} diverged at {now}"));
+                    }
+                }
+            }
+        }
+        // Past the furthest arrival a stream can hold, so both drain.
+        let until = fast.clock + Picos::from_ms(3);
+        fast.advance_with(until, &mut fast_sink, checked);
+        model.advance_with(until, &mut model_sink, Channel::pick_command_reference);
+        if let Some(msg) = mismatch.take() {
+            return Err(msg);
+        }
+        if fast_sink.commands != model_sink.commands {
+            return Err("command streams differ".into());
+        }
+        if fast.drain_completions() != model.drain_completions() {
+            return Err("completions differ".into());
+        }
+        if fast.drain_events() != model.drain_events() {
+            return Err("power events differ".into());
+        }
+        let state = |ch: &Channel| {
+            (ch.clock, ch.pending(), ch.fg_stats, ch.mig_stats, ch.bytes_transferred, ch.bus_free)
+        };
+        if state(&fast) != state(&model) {
+            return Err(format!("end state {:?} vs {:?}", state(&fast), state(&model)));
+        }
+        Ok(reached.get())
+    }
+
+    fn policy_of(closed: bool) -> PagePolicy {
+        if closed {
+            PagePolicy::ClosedPage
+        } else {
+            PagePolicy::OpenPage
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(384))]
+
+        /// The scheduler and the one it replaced agree at every decision,
+        /// and so on every command, completion and power event, over
+        /// foreground + migration mixes, arrivals out of order and far in
+        /// the future, both page policies and ranks parked mid-stream.
+        #[test]
+        fn lockstep_with_the_reference_scheduler(
+            closed in any::<bool>(),
+            pace in 0u32..3,
+            disorder in 0u32..3,
+            ops in prop::collection::vec(op_strategy(), 1..600),
+        ) {
+            let outcome = lockstep(policy_of(closed), 3 * pace, disorder, &ops);
+            prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+    }
+
+    /// The streams above reach what the two registry workloads do not:
+    /// the same generator, counted.
+    #[test]
+    fn lockstep_streams_reach_the_hard_cases() {
+        let mut rng = TestRng::deterministic_for("dtl_dram::channel::reach");
+        let strategy = prop::collection::vec(op_strategy(), 1..600);
+        let mut total = Reached::default();
+        for case in 0..72 {
+            let ops = strategy.generate(&mut rng);
+            let reached = lockstep(policy_of(case % 2 == 1), 3 * (case % 3), case / 3 % 3, &ops);
+            total.add(&reached.unwrap());
+        }
+        assert!(total.decisions > 10_000, "{total:?}");
+        for (what, n) in [
+            ("both classes queued", total.both_classes_queued),
+            ("migration picked", total.migration_picked),
+            ("foreground queue out of arrival order", total.out_of_order_foreground),
+            ("oldest request past STARVATION_CAP", total.starved_oldest),
+            ("power-state exits", total.power_exits),
+            ("queue deeper than SCAN_WINDOW", total.deeper_than_window),
+            ("queue shallower than SCAN_WINDOW", total.shallower_than_window),
+        ] {
+            assert!(n >= 100, "{what}: {n} of {} decisions", total.decisions);
+        }
     }
 }
