@@ -753,6 +753,26 @@ mod tests {
     }
 
     #[test]
+    fn idle_refreshes_are_charged_as_many_as_counted() {
+        // 20 s idle is ~2.56 M refreshes a rank, past the million the
+        // batch used to stop charging at.
+        let cfg = DramConfig::tiny();
+        let power = PowerParams { refresh_nj: 100.0, ..cfg.power };
+        let mut ch = Channel::new(0, &cfg.geometry, cfg.timing, power);
+        ch.advance_to(Picos::from_secs(20), &mut NullSink);
+        for r in 0..ch.rank_count() {
+            let counted = ch.rank(r).counters().refreshes;
+            assert!(counted > 2_500_000, "rank {r}: {counted} refreshes");
+            let charged = ch.rank(r).energy().energy().refresh_mj;
+            let expect = counted as f64 * power.refresh_nj * 1e-6;
+            assert!(
+                (charged - expect).abs() <= 1e-9 * expect,
+                "rank {r}: {charged} mJ charged for {counted} refreshes ({expect} mJ)"
+            );
+        }
+    }
+
+    #[test]
     fn bytes_transferred_counts_lines() {
         let (mut ch, mapper) = channel();
         for i in 0..4u64 {

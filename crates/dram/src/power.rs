@@ -307,6 +307,11 @@ impl EnergyAccount {
         self.energy.refresh_mj += self.params.refresh_nj * 1e-6;
     }
 
+    /// Records `n` explicit REF commands at once.
+    pub fn record_refreshes_bulk(&mut self, n: u64) {
+        self.energy.refresh_mj += self.params.refresh_nj * n as f64 * 1e-6;
+    }
+
     /// Records a fractional ACT/PRE pair (analytic models charging an
     /// average row-open rate per access).
     pub fn record_activate_fractional(&mut self, fraction: f64) {

@@ -249,9 +249,7 @@ impl Rank {
     pub fn do_idle_refreshes(&mut self, n: u64, timing: &TimingParams) {
         self.refresh_due += timing.cycles(timing.trefi) * n;
         self.counters.refreshes += n;
-        for _ in 0..n.min(1_000_000) {
-            self.energy.record_refresh();
-        }
+        self.energy.record_refreshes_bulk(n);
     }
 
     /// Requests a power-state transition at `now`.
