@@ -322,6 +322,16 @@ impl Channel {
         let scan_fg = fg_candidates;
         let scan_mig = mig_candidates && !fg_has_arrived;
         let mut consider = |slot: QueueSlot, p: &Pending, this: &Channel| {
+            // No command issues before its request arrives, so one that
+            // arrives more than a clock after the best so far would lose
+            // the comparison below on time alone, whatever it needs.
+            if let Some((_, _, bt, _)) = &best {
+                if bt.checked_add(this.timing.tck).is_some_and(|bw| bw < p.req.arrival) {
+                    return;
+                }
+            }
+            #[cfg(test)]
+            tests::EVALUATED.with(|n| n.set(n.get() + 1));
             let (cmd, t) = this.next_command_for(p);
             if t >= Picos::MAX {
                 return;
@@ -812,6 +822,12 @@ mod tests {
 
     // ---- the scheduler against the one it replaced ----------------------
 
+    thread_local! {
+        /// Candidates `pick_command` has called `next_command_for` on, on
+        /// this thread (a test runs on one).
+        pub(super) static EVALUATED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
     impl Channel {
         /// `pick_command` as it stood before it learnt to skip requests
         /// that cannot win, body kept as it was: every candidate in the
@@ -877,6 +893,43 @@ mod tests {
             }
             best.map(|(slot, cmd, t, _)| (slot, cmd, t.max(self.clock)))
         }
+    }
+
+    /// The cost of a decision is what the requests that can issue cost, not
+    /// what the queue holds: an open-loop stream submitted up to 512
+    /// requests ahead of the clock, as `latency_sweep` submits it, keeps the
+    /// scan window full of requests from the future (21.9 candidates a
+    /// pick before the arrival bound).
+    #[test]
+    fn candidates_evaluated_per_pick_stay_few_under_an_open_loop_stream() {
+        let (mut ch, mapper) = channel();
+        let picks = std::cell::Cell::new(0u64);
+        let counted = |ch: &Channel| {
+            picks.set(picks.get() + 1);
+            ch.pick_command()
+        };
+        // A fixed stream: 20 ns apart, a new row every
+        // fourth request, banks and ranks in rotation.
+        let mut arrival = Picos::ZERO;
+        for i in 0..6_000u64 {
+            arrival += Picos::from_ns(20);
+            let a = addr_for(&mapper, (i % 4) as u32, (i / 4 % 4) as u32, 0, i / 16 % 64, i % 4);
+            let kind = if i % 5 == 0 { AccessKind::Write } else { AccessKind::Read };
+            let (r, d) = req_at(&ch, &mapper, i, a, kind, arrival, Priority::Foreground);
+            ch.enqueue(r, d);
+            if ch.pending() > 512 {
+                ch.advance_with(arrival, &mut NullSink, counted);
+            }
+        }
+        ch.advance_with(arrival + Picos::from_us(10), &mut NullSink, counted);
+        assert_eq!(ch.drain_completions().len(), 6_000);
+        let evaluated = EVALUATED.with(std::cell::Cell::get);
+        assert!(picks.get() > 12_000, "{} picks", picks.get());
+        assert!(
+            evaluated <= 4 * picks.get(),
+            "{evaluated} candidates evaluated over {} picks",
+            picks.get()
+        );
     }
 
     /// One step of a lockstep stream.
