@@ -310,17 +310,17 @@ impl Channel {
 
     /// Chooses the next command.
     fn pick_command(&self) -> Option<Pick> {
-        let fg_has_arrived = self.fg.iter().any(|p| p.req.arrival <= self.clock);
         let fg_candidates = !self.fg.is_empty();
         let mig_candidates = !self.mig.is_empty();
         if !fg_candidates && !mig_candidates {
             return None;
         }
         // Foreground priority: migration only when no *arrived* foreground
-        // request exists.
+        // request exists (a walk of the foreground queue, made only when
+        // there is migration traffic to hold back).
         let mut best: Option<(QueueSlot, NextCommand, Picos, Picos)> = None;
         let scan_fg = fg_candidates;
-        let scan_mig = mig_candidates && !fg_has_arrived;
+        let scan_mig = mig_candidates && !self.fg.iter().any(|p| p.req.arrival <= self.clock);
         let mut consider = |slot: QueueSlot, p: &Pending, this: &Channel| {
             // No command issues before its request arrives, so one that
             // arrives more than a clock after the best so far would lose
