@@ -54,6 +54,41 @@ struct Pending {
     had_act: bool,
 }
 
+/// The queued requests of one scheduling class, oldest enqueue first.
+#[derive(Debug, Clone)]
+struct RequestQueue {
+    entries: VecDeque<Pending>,
+    /// No entry arrived earlier than the one before it. Callers normally
+    /// enqueue in arrival order (both registry sweeps always do) but
+    /// nothing requires it: an enqueue can clear this, a removal cannot,
+    /// and an empty queue starts over.
+    arrival_ordered: bool,
+}
+
+impl RequestQueue {
+    fn new() -> Self {
+        RequestQueue { entries: VecDeque::new(), arrival_ordered: true }
+    }
+
+    fn push(&mut self, p: Pending) {
+        match self.entries.back() {
+            Some(last) => self.arrival_ordered &= last.req.arrival <= p.req.arrival,
+            None => self.arrival_ordered = true,
+        }
+        self.entries.push_back(p);
+    }
+
+    /// Whether any entry has arrived by `now`: the front one, when it is
+    /// the earliest.
+    fn has_arrived(&self, now: Picos) -> bool {
+        if self.arrival_ordered {
+            self.entries.front().is_some_and(|p| p.req.arrival <= now)
+        } else {
+            self.entries.iter().any(|p| p.req.arrival <= now)
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NextCommand {
     Cas,
@@ -89,8 +124,8 @@ pub struct Channel {
     timing: TimingParams,
     page_policy: PagePolicy,
     ranks: Vec<Rank>,
-    fg: VecDeque<Pending>,
-    mig: VecDeque<Pending>,
+    fg: RequestQueue,
+    mig: RequestQueue,
     clock: Picos,
     bus_free: Picos,
     last_bus_rank: Option<u32>,
@@ -123,8 +158,8 @@ impl Channel {
             timing,
             page_policy,
             ranks,
-            fg: VecDeque::new(),
-            mig: VecDeque::new(),
+            fg: RequestQueue::new(),
+            mig: RequestQueue::new(),
             clock: Picos::ZERO,
             bus_free: Picos::ZERO,
             last_bus_rank: None,
@@ -165,12 +200,12 @@ impl Channel {
 
     /// Queued-but-unfinished request count (both classes).
     pub fn pending(&self) -> usize {
-        self.fg.len() + self.mig.len()
+        self.fg.entries.len() + self.mig.entries.len()
     }
 
     /// Queued migration requests.
     pub fn pending_migration(&self) -> usize {
-        self.mig.len()
+        self.mig.entries.len()
     }
 
     /// Total bytes moved over the data bus so far.
@@ -197,8 +232,8 @@ impl Channel {
         assert_eq!(dec.channel, self.index, "request routed to the wrong channel");
         let p = Pending { req, dec, had_act: false };
         match req.priority {
-            Priority::Foreground => self.fg.push_back(p),
-            Priority::Migration => self.mig.push_back(p),
+            Priority::Foreground => self.fg.push(p),
+            Priority::Migration => self.mig.push(p),
         }
     }
 
@@ -252,12 +287,12 @@ impl Channel {
 
     /// True when both queues are empty.
     pub fn is_idle(&self) -> bool {
-        self.fg.is_empty() && self.mig.is_empty()
+        self.pending() == 0
     }
 
     /// The earliest arrival time among queued requests, if any.
     pub fn earliest_arrival(&self) -> Option<Picos> {
-        self.fg.iter().chain(self.mig.iter()).map(|p| p.req.arrival).min()
+        self.fg.entries.iter().chain(&self.mig.entries).map(|p| p.req.arrival).min()
     }
 
     // ---- internals ----------------------------------------------------
@@ -310,71 +345,65 @@ impl Channel {
 
     /// Chooses the next command.
     fn pick_command(&self) -> Option<Pick> {
-        let fg_candidates = !self.fg.is_empty();
-        let mig_candidates = !self.mig.is_empty();
-        if !fg_candidates && !mig_candidates {
-            return None;
+        // Starvation guard: if the oldest foreground request has waited
+        // past the cap, schedule only it.
+        if let Some(oldest) = self.fg.entries.front() {
+            if self.clock.saturating_sub(oldest.req.arrival) > STARVATION_CAP {
+                let (cmd, t) = self.next_command_for(oldest);
+                return Some((QueueSlot::Fg(0), cmd, t.max(self.clock)));
+            }
         }
         // Foreground priority: migration only when no *arrived* foreground
-        // request exists (a walk of the foreground queue, made only when
-        // there is migration traffic to hold back).
+        // request exists (asked only when there is migration traffic to
+        // hold back).
+        let scan_mig = !self.mig.entries.is_empty() && !self.fg.has_arrived(self.clock);
+        let queues =
+            [(&self.fg, QueueSlot::Fg as fn(usize) -> QueueSlot), (&self.mig, QueueSlot::Mig)];
+        let window = self.timing.tck;
         let mut best: Option<(QueueSlot, NextCommand, Picos, Picos)> = None;
-        let scan_fg = fg_candidates;
-        let scan_mig = mig_candidates && !self.fg.iter().any(|p| p.req.arrival <= self.clock);
-        let mut consider = |slot: QueueSlot, p: &Pending, this: &Channel| {
-            // No command issues before its request arrives, so one that
-            // arrives more than a clock after the best so far would lose
-            // the comparison below on time alone, whatever it needs.
-            if let Some((_, _, bt, _)) = &best {
-                if bt.checked_add(this.timing.tck).is_some_and(|bw| bw < p.req.arrival) {
-                    return;
-                }
-            }
-            #[cfg(test)]
-            tests::EVALUATED.with(|n| n.set(n.get() + 1));
-            let (cmd, t) = this.next_command_for(p);
-            if t >= Picos::MAX {
-                return;
-            }
-            let better = match &best {
-                None => true,
-                Some((_, bcmd, bt, barr)) => {
-                    // Candidates within one clock of the earliest are peers;
-                    // prefer FR-FCFS class, then age.
-                    let window = this.timing.tck;
-                    if t.checked_add(window).is_some_and(|tw| tw < *bt) {
-                        true
-                    } else if bt.checked_add(window).is_none_or(|bw| bw < t) {
-                        false
-                    } else {
-                        match cmd.class_rank().cmp(&bcmd.class_rank()) {
-                            std::cmp::Ordering::Less => true,
-                            std::cmp::Ordering::Greater => false,
-                            std::cmp::Ordering::Equal => p.req.arrival < *barr,
+        for (queue, slot) in &queues[..1 + usize::from(scan_mig)] {
+            for (i, p) in queue.entries.iter().take(SCAN_WINDOW).enumerate() {
+                let arrival = p.req.arrival;
+                // No command issues before its request arrives, so one that
+                // arrives more than a clock after the best so far would lose
+                // the comparison below on time alone, whatever it needs. In
+                // an arrival-ordered queue so would every entry behind it
+                // (the best cannot change while candidates lose).
+                if let Some((_, _, bt, _)) = best {
+                    if bt.checked_add(window).is_some_and(|bw| bw < arrival) {
+                        if queue.arrival_ordered {
+                            break;
                         }
+                        continue;
                     }
                 }
-            };
-            if better {
-                best = Some((slot, cmd, t, p.req.arrival));
-            }
-        };
-        if scan_fg {
-            // Starvation guard: if the oldest foreground request has waited
-            // past the cap, schedule only it.
-            if let Some(oldest) = self.fg.front() {
-                if self.clock.saturating_sub(oldest.req.arrival) > STARVATION_CAP {
-                    let (cmd, t) = self.next_command_for(oldest);
-                    return Some((QueueSlot::Fg(0), cmd, t.max(self.clock)));
+                #[cfg(test)]
+                tests::EVALUATED.with(|n| n.set(n.get() + 1));
+                let (cmd, t) = self.next_command_for(p);
+                if t >= Picos::MAX {
+                    continue;
                 }
-            }
-            for (i, p) in self.fg.iter().take(SCAN_WINDOW).enumerate() {
-                consider(QueueSlot::Fg(i), p, self);
-            }
-        }
-        if scan_mig {
-            for (i, p) in self.mig.iter().take(SCAN_WINDOW).enumerate() {
-                consider(QueueSlot::Mig(i), p, self);
+                let better = match best {
+                    None => true,
+                    // Candidates within one clock of the earliest are peers;
+                    // prefer FR-FCFS class, then age.
+                    Some((_, bcmd, bt, barr)) => {
+                        if t.checked_add(window).is_some_and(|tw| tw < bt) {
+                            true
+                        } else if bt.checked_add(window).is_none_or(|bw| bw < t) {
+                            false
+                        } else {
+                            match cmd.class_rank().cmp(&bcmd.class_rank()) {
+                                std::cmp::Ordering::Less => true,
+                                std::cmp::Ordering::Greater => false,
+                                std::cmp::Ordering::Equal => arrival < barr,
+                            }
+                        }
+                    }
+                };
+                if better {
+                    best = Some((slot(i), cmd, t, arrival));
+                }
             }
         }
         best.map(|(slot, cmd, t, _)| (slot, cmd, t.max(self.clock)))
@@ -439,8 +468,8 @@ impl Channel {
     ) {
         let t = self.timing;
         let p = match slot {
-            QueueSlot::Fg(i) => self.fg[i].clone(),
-            QueueSlot::Mig(i) => self.mig[i].clone(),
+            QueueSlot::Fg(i) => self.fg.entries[i].clone(),
+            QueueSlot::Mig(i) => self.mig.entries[i].clone(),
         };
         let rank_idx = p.dec.rank;
         let rank = &mut self.ranks[rank_idx as usize];
@@ -488,8 +517,8 @@ impl Channel {
                 rank.bank_mut(flat).do_activate(at, p.dec.row, &t);
                 rank.note_activate(at, p.dec.bank_group);
                 match slot {
-                    QueueSlot::Fg(i) => self.fg[i].had_act = true,
-                    QueueSlot::Mig(i) => self.mig[i].had_act = true,
+                    QueueSlot::Fg(i) => self.fg.entries[i].had_act = true,
+                    QueueSlot::Mig(i) => self.mig.entries[i].had_act = true,
                 }
                 sink.on_command(IssuedCommand {
                     at,
@@ -547,10 +576,10 @@ impl Channel {
                 self.completions.push(completion);
                 match slot {
                     QueueSlot::Fg(i) => {
-                        self.fg.remove(i);
+                        self.fg.entries.remove(i);
                     }
                     QueueSlot::Mig(i) => {
-                        self.mig.remove(i);
+                        self.mig.entries.remove(i);
                     }
                 }
                 self.clock = at + t.tck;
@@ -834,9 +863,10 @@ mod tests {
         /// scan window is evaluated, the arrived-foreground test walks the
         /// whole queue. The reference the lockstep tests compare against.
         fn pick_command_reference(&self) -> Option<Pick> {
-            let fg_has_arrived = self.fg.iter().any(|p| p.req.arrival <= self.clock);
-            let fg_candidates = !self.fg.is_empty();
-            let mig_candidates = !self.mig.is_empty();
+            let (fg, mig) = (&self.fg.entries, &self.mig.entries);
+            let fg_has_arrived = fg.iter().any(|p| p.req.arrival <= self.clock);
+            let fg_candidates = !fg.is_empty();
+            let mig_candidates = !mig.is_empty();
             if !fg_candidates && !mig_candidates {
                 return None;
             }
@@ -876,18 +906,18 @@ mod tests {
             if scan_fg {
                 // Starvation guard: if the oldest foreground request has waited
                 // past the cap, schedule only it.
-                if let Some(oldest) = self.fg.front() {
+                if let Some(oldest) = fg.front() {
                     if self.clock.saturating_sub(oldest.req.arrival) > STARVATION_CAP {
                         let (cmd, t) = self.next_command_for(oldest);
                         return Some((QueueSlot::Fg(0), cmd, t.max(self.clock)));
                     }
                 }
-                for (i, p) in self.fg.iter().take(SCAN_WINDOW).enumerate() {
+                for (i, p) in fg.iter().take(SCAN_WINDOW).enumerate() {
                     consider(QueueSlot::Fg(i), p, self);
                 }
             }
             if scan_mig {
-                for (i, p) in self.mig.iter().take(SCAN_WINDOW).enumerate() {
+                for (i, p) in mig.iter().take(SCAN_WINDOW).enumerate() {
                     consider(QueueSlot::Mig(i), p, self);
                 }
             }
@@ -930,6 +960,62 @@ mod tests {
             "{evaluated} candidates evaluated over {} picks",
             picks.get()
         );
+    }
+
+    /// The peer window is closed at both ends: a row hit that can issue
+    /// exactly one clock after the best so far (an ACT) still beats it on
+    /// FR-FCFS class, so the arrival bound may skip only past that.
+    #[test]
+    fn a_candidate_one_clock_after_the_best_is_still_its_peer() {
+        let (mut ch, mapper) = channel();
+        let tck = TimingParams::ddr4_2933().tck;
+        let open = addr_for(&mapper, 0, 0, 0, 5, 0);
+        let (r, d) =
+            req_at(&ch, &mapper, 1, open, AccessKind::Read, Picos::ZERO, Priority::Foreground);
+        ch.enqueue(r, d);
+        ch.advance_to(Picos::from_us(1), &mut NullSink);
+        // Everything is quiet: both requests can issue the instant they arrive.
+        let at = Picos::from_us(2);
+        let miss = addr_for(&mapper, 0, 1, 0, 9, 0);
+        let hit = addr_for(&mapper, 0, 0, 0, 5, 1);
+        for (id, a, arrival) in [(2, miss, at), (3, hit, at + tck)] {
+            let (r, d) =
+                req_at(&ch, &mapper, id, a, AccessKind::Read, arrival, Priority::Foreground);
+            ch.enqueue(r, d);
+        }
+        assert_eq!(ch.pick_command(), Some((QueueSlot::Fg(1), NextCommand::Cas, at + tck)));
+        assert_eq!(ch.pick_command(), ch.pick_command_reference());
+    }
+
+    /// Enqueue order is not arrival order by contract: a request enqueued
+    /// behind ones from the future, itself already due, is found.
+    #[test]
+    fn an_out_of_order_arrival_behind_future_requests_is_found() {
+        let (mut ch, mapper) = channel();
+        for i in 0..4u64 {
+            let a = addr_for(&mapper, 0, i as u32, 0, 1, 0);
+            let arrival = Picos::from_us(50 + i);
+            let (r, d) =
+                req_at(&ch, &mapper, i, a, AccessKind::Read, arrival, Priority::Foreground);
+            ch.enqueue(r, d);
+        }
+        let a = addr_for(&mapper, 1, 0, 0, 1, 0);
+        let (r, d) =
+            req_at(&ch, &mapper, 9, a, AccessKind::Read, Picos::from_ns(10), Priority::Foreground);
+        ch.enqueue(r, d);
+        assert!(!ch.fg.arrival_ordered);
+        assert!(ch.fg.has_arrived(Picos::from_ns(10)));
+        assert_eq!(
+            ch.pick_command(),
+            Some((QueueSlot::Fg(4), NextCommand::Act, Picos::from_ns(10)))
+        );
+        // Draining the queue puts the bool back.
+        ch.advance_to(Picos::from_us(100), &mut NullSink);
+        assert_eq!(ch.drain_completions().len(), 5);
+        let (r, d) =
+            req_at(&ch, &mapper, 10, a, AccessKind::Read, Picos::ZERO, Priority::Foreground);
+        ch.enqueue(r, d);
+        assert!(ch.fg.arrival_ordered);
     }
 
     /// One step of a lockstep stream.
@@ -1002,6 +1088,7 @@ mod tests {
         both_classes_queued: u64,
         migration_picked: u64,
         out_of_order_foreground: u64,
+        ordered_foreground: u64,
         starved_oldest: u64,
         power_exits: u64,
         deeper_than_window: u64,
@@ -1010,19 +1097,24 @@ mod tests {
 
     impl Reached {
         fn note(&mut self, ch: &Channel, pick: Option<Pick>) {
-            let sorted = |q: &VecDeque<Pending>| {
-                q.iter().zip(q.iter().skip(1)).all(|(a, b)| a.req.arrival <= b.req.arrival)
+            let fg = &ch.fg.entries;
+            let sorted = |q: &RequestQueue| {
+                let arrivals = q.entries.iter().map(|p| p.req.arrival);
+                arrivals.clone().zip(arrivals.skip(1)).all(|(a, b)| a <= b)
             };
+            // The bool may be false over a queue that removals have put
+            // back in order; it may never be true over one that is not.
+            assert!(!ch.fg.arrival_ordered || sorted(&ch.fg), "foreground queue: stale bool");
+            assert!(!ch.mig.arrival_ordered || sorted(&ch.mig), "migration queue: stale bool");
             self.decisions += 1;
-            self.both_classes_queued += u64::from(!ch.fg.is_empty() && !ch.mig.is_empty());
+            self.both_classes_queued += u64::from(!fg.is_empty() && !ch.mig.entries.is_empty());
             self.out_of_order_foreground += u64::from(!sorted(&ch.fg));
+            self.ordered_foreground += u64::from(fg.len() > 1 && ch.fg.arrival_ordered);
             self.starved_oldest += u64::from(
-                ch.fg
-                    .front()
-                    .is_some_and(|p| ch.clock.saturating_sub(p.req.arrival) > STARVATION_CAP),
+                fg.front().is_some_and(|p| ch.clock.saturating_sub(p.req.arrival) > STARVATION_CAP),
             );
-            self.deeper_than_window += u64::from(ch.fg.len() > SCAN_WINDOW);
-            self.shallower_than_window += u64::from((1..SCAN_WINDOW).contains(&ch.fg.len()));
+            self.deeper_than_window += u64::from(fg.len() > SCAN_WINDOW);
+            self.shallower_than_window += u64::from((1..SCAN_WINDOW).contains(&fg.len()));
             if let Some((slot, cmd, _)) = pick {
                 self.migration_picked += u64::from(matches!(slot, QueueSlot::Mig(_)));
                 self.power_exits += u64::from(cmd == NextCommand::PowerExit);
@@ -1034,6 +1126,7 @@ mod tests {
             self.both_classes_queued += o.both_classes_queued;
             self.migration_picked += o.migration_picked;
             self.out_of_order_foreground += o.out_of_order_foreground;
+            self.ordered_foreground += o.ordered_foreground;
             self.starved_oldest += o.starved_oldest;
             self.power_exits += o.power_exits;
             self.deeper_than_window += o.deeper_than_window;
@@ -1113,6 +1206,9 @@ mod tests {
                     }
                 }
             }
+            if let Some(msg) = mismatch.take() {
+                return Err(msg);
+            }
         }
         // Past the furthest arrival a stream can hold, so both drain.
         let until = fast.clock + Picos::from_ms(3);
@@ -1183,6 +1279,7 @@ mod tests {
             ("both classes queued", total.both_classes_queued),
             ("migration picked", total.migration_picked),
             ("foreground queue out of arrival order", total.out_of_order_foreground),
+            ("foreground queue of several known to be in order", total.ordered_foreground),
             ("oldest request past STARVATION_CAP", total.starved_oldest),
             ("power-state exits", total.power_exits),
             ("queue deeper than SCAN_WINDOW", total.deeper_than_window),
