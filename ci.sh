@@ -47,11 +47,14 @@ cargo test -q
 # Index arithmetic once more without debug assertions: every structure
 # that replaced a slower one, in lockstep with the one it replaced (dense
 # tables, allocator bitmaps, SMC L1 index, job-origin window; the mixer's
-# lookahead rings) — and the device property, whose sweep cross-checks the
+# lookahead rings; the FR-FCFS pick) — and the device property, whose sweep cross-checks the
 # copies of every rank's state.
-echo "== dtl-core and dtl-trace lockstep proptests, device property (release) =="
-cargo test --release -q -p dtl-core -p dtl-trace --lib lockstep_with_the
+echo "== dtl-core, dtl-trace and dtl-dram lockstep proptests, device property (release) =="
+cargo test --release -q -p dtl-core -p dtl-trace -p dtl-dram --lib lockstep_with_the
 cargo test --release -q -p dtl-core --test prop_device
+# The FR-FCFS pick's work, counted: candidates evaluated per decision on an
+# open-loop stream. A regression fails here by count, not by stopwatch.
+cargo test --release -q -p dtl-dram --lib candidates_evaluated_per_pick
 
 echo "== smoke suite on the parallel path (--jobs 2) =="
 cargo build --release -q -p dtl-bench
@@ -72,6 +75,12 @@ timeout 60 $dtl fig14 --tiny --jobs 2
 timeout 60 $dtl fig15 --tiny --jobs 2
 # The one paper-scale run: fig12 is sub-second per replay.
 timeout 60 $dtl fig12 --jobs 2 > /dev/null
+# The perf ledger's cycle_dram workload through the registry: the cycle-level
+# DDR4 model on the parallel path, byte for byte against its goldens.
+for exp in fig02 sec6_6; do
+    timeout 60 $dtl $exp --tiny --jobs 2 --out /tmp/dtl_ci_$exp.json > /dev/null
+    diff /tmp/dtl_ci_$exp.json results/golden/${exp}_tiny.json
+done
 
 echo "== bad input exits 2 =="
 # A horizon or window width that wraps (or zeroes) picosecond time is a

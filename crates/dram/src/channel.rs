@@ -938,8 +938,8 @@ mod tests {
             picks.set(picks.get() + 1);
             ch.pick_command()
         };
-        // A fixed stream: 20 ns apart, a new row every
-        // fourth request, banks and ranks in rotation.
+        // A fixed stream: 20 ns apart, a new row every fourth request, banks
+        // and ranks in rotation.
         let mut arrival = Picos::ZERO;
         for i in 0..6_000u64 {
             arrival += Picos::from_ns(20);
@@ -1082,7 +1082,7 @@ mod tests {
     }
 
     /// What a set of lockstep streams reached, counted per decision.
-    #[derive(Debug, Default, Clone, Copy)]
+    #[derive(Debug, Default)]
     struct Reached {
         decisions: u64,
         both_classes_queued: u64,
@@ -1120,18 +1120,6 @@ mod tests {
                 self.power_exits += u64::from(cmd == NextCommand::PowerExit);
             }
         }
-
-        fn add(&mut self, o: &Reached) {
-            self.decisions += o.decisions;
-            self.both_classes_queued += o.both_classes_queued;
-            self.migration_picked += o.migration_picked;
-            self.out_of_order_foreground += o.out_of_order_foreground;
-            self.ordered_foreground += o.ordered_foreground;
-            self.starved_oldest += o.starved_oldest;
-            self.power_exits += o.power_exits;
-            self.deeper_than_window += o.deeper_than_window;
-            self.shallower_than_window += o.shallower_than_window;
-        }
     }
 
     /// Feeds `ops` to two channels, one deciding with `pick_command` and
@@ -1140,19 +1128,20 @@ mod tests {
     /// A stream's advances are shifted right by `pace`: the slower the
     /// clock, the deeper the queues. `disorder` 0 enqueues every class in
     /// arrival order (what both registry workloads do), 1 breaks the order
-    /// with one request in eight, 2 takes every arrival as drawn.
+    /// with one request in eight, 2 takes every arrival as drawn. What the
+    /// stream reached is added to `reached`.
     fn lockstep(
         policy: PagePolicy,
         pace: u32,
         disorder: u32,
         ops: &[Op],
-    ) -> Result<Reached, String> {
+        reached: &std::cell::RefCell<Reached>,
+    ) -> Result<(), String> {
         let cfg = DramConfig::tiny();
         let mut fast = Channel::with_policy(0, &cfg.geometry, cfg.timing, cfg.power, policy);
         let mut model = fast.clone();
         let mut fast_sink = RecordingSink::default();
         let mut model_sink = RecordingSink::default();
-        let reached = std::cell::Cell::new(Reached::default());
         let mismatch = std::cell::RefCell::new(None);
         let checked = |ch: &Channel| {
             let pick = ch.pick_command();
@@ -1161,9 +1150,7 @@ mod tests {
                 *mismatch.borrow_mut() =
                     Some(format!("at {}: picked {pick:?}, reference {expect:?}", ch.clock));
             }
-            let mut r = reached.get();
-            r.note(ch, pick);
-            reached.set(r);
+            reached.borrow_mut().note(ch, pick);
             pick
         };
         let mut id = 0;
@@ -1232,7 +1219,7 @@ mod tests {
         if state(&fast) != state(&model) {
             return Err(format!("end state {:?} vs {:?}", state(&fast), state(&model)));
         }
-        Ok(reached.get())
+        Ok(())
     }
 
     fn policy_of(closed: bool) -> PagePolicy {
@@ -1257,7 +1244,7 @@ mod tests {
             disorder in 0u32..3,
             ops in prop::collection::vec(op_strategy(), 1..600),
         ) {
-            let outcome = lockstep(policy_of(closed), 3 * pace, disorder, &ops);
+            let outcome = lockstep(policy_of(closed), 3 * pace, disorder, &ops, &Default::default());
             prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
         }
     }
@@ -1268,12 +1255,12 @@ mod tests {
     fn lockstep_streams_reach_the_hard_cases() {
         let mut rng = TestRng::deterministic_for("dtl_dram::channel::reach");
         let strategy = prop::collection::vec(op_strategy(), 1..600);
-        let mut total = Reached::default();
+        let total = std::cell::RefCell::new(Reached::default());
         for case in 0..72 {
             let ops = strategy.generate(&mut rng);
-            let reached = lockstep(policy_of(case % 2 == 1), 3 * (case % 3), case / 3 % 3, &ops);
-            total.add(&reached.unwrap());
+            lockstep(policy_of(case % 2 == 1), 3 * (case % 3), case / 3 % 3, &ops, &total).unwrap();
         }
+        let total = total.into_inner();
         assert!(total.decisions > 10_000, "{total:?}");
         for (what, n) in [
             ("both classes queued", total.both_classes_queued),

@@ -28,8 +28,8 @@ impl AccessKind {
 pub enum Priority {
     /// Host-issued traffic; always scheduled first.
     Foreground,
-    /// DTL-internal segment migration traffic; issues only when the
-    /// foreground queue of the same channel is empty.
+    /// DTL-internal segment migration traffic; issues only while the
+    /// foreground queue of the same channel holds no arrived request.
     Migration,
 }
 
