@@ -1237,7 +1237,6 @@ mod tests {
         /// and so on every command, completion and power event, over
         /// foreground + migration mixes, arrivals out of order and far in
         /// the future, both page policies and ranks parked mid-stream.
-        #[test]
         fn lockstep_with_the_reference_scheduler(
             closed in any::<bool>(),
             pace in 0u32..3,
