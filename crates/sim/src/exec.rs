@@ -211,7 +211,7 @@ mod tests {
                 }
                 if let Some(reg) = t.metrics() {
                     reg.counter("exec.test.units").inc();
-                    reg.histogram("exec.test.unit_id").observe(u);
+                    reg.histogram("exec.test.unit_id").lock().unwrap().observe(u);
                 }
                 u
             });

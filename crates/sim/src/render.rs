@@ -859,7 +859,7 @@ mod tests {
         assert!(s.contains("admission"));
         assert!(s.contains("fabric_queue"));
         assert!(s.contains("evacuation backlog: -"));
-        let h = dtl_telemetry::Histogram::default();
+        let mut h = dtl_telemetry::Histogram::default();
         h.observe(1_000);
         h.observe(2_000);
         let full = dtl_telemetry::SloReport {

@@ -307,14 +307,10 @@ fn run_host(
             }
         }
     }
-    let admission = Histogram::default();
-    admission.merge_from(dev.admission_histogram());
-    let drain_age = Histogram::default();
-    drain_age.merge_from(dev.drain_age_histogram());
     let obs = HostObservations {
         series: series_sink.map(|s| s.finish(horizon.as_ps())),
-        admission,
-        drain_age,
+        admission: dev.admission_histogram().clone(),
+        drain_age: dev.drain_age_histogram().clone(),
         backlog_high_water: dev.migration_backlog_high_water(),
         queue: sim.queue_stats(),
         residency_ps,
@@ -383,8 +379,8 @@ pub fn run_campaign(
         savings_fraction: 0.0,
         sample: Vec::new(),
     };
-    let admission = Histogram::default();
-    let drain_age = Histogram::default();
+    let mut admission = Histogram::default();
+    let mut drain_age = Histogram::default();
     let mut backlog_high_water = 0u64;
     let mut queue = QueueStats::default();
     let mut series = series_width.map(TimeSeries::new);

@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn summary_reflects_the_histogram() {
-        let h = Histogram::default();
+        let mut h = Histogram::default();
         for v in 1..=1000u64 {
             h.observe(v);
         }
@@ -136,7 +136,7 @@ mod tests {
 
     #[test]
     fn backlog_summary_tracks_age_and_depth() {
-        let h = Histogram::default();
+        let mut h = Histogram::default();
         h.observe(100);
         h.observe(300);
         let b = BacklogSummary::from_parts(&h, 7).unwrap();
@@ -154,7 +154,7 @@ mod tests {
 
     #[test]
     fn report_round_trips_through_json() {
-        let h = Histogram::default();
+        let mut h = Histogram::default();
         h.observe(42);
         let report = SloReport {
             access: LatencySummary::from_histogram(&h),

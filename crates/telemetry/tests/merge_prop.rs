@@ -43,6 +43,7 @@ fn apply(reg: &MetricsRegistry, shard: &Shard) {
         g.add(*d);
     }
     let h = reg.histogram("merge.latency_ps");
+    let mut h = h.lock().unwrap();
     for s in &shard.histogram_samples {
         h.observe(*s);
     }
@@ -131,19 +132,22 @@ fn histogram_merge_matches_direct_observation() {
     let b = MetricsRegistry::new();
     let direct = MetricsRegistry::new();
     for v in [0u64, 1, 3, 900, 70_000] {
-        a.histogram("h").observe(v);
-        direct.histogram("h").observe(v);
+        a.histogram("h").lock().unwrap().observe(v);
+        direct.histogram("h").lock().unwrap().observe(v);
     }
     for v in [2u64, 5, 1_000_000] {
-        b.histogram("h").observe(v);
-        direct.histogram("h").observe(v);
+        b.histogram("h").lock().unwrap().observe(v);
+        direct.histogram("h").lock().unwrap().observe(v);
     }
     let merged = MetricsRegistry::new();
     merged.merge_from(&a);
     merged.merge_from(&b);
     assert_eq!(merged.render_text(), direct.render_text());
-    assert_eq!(merged.histogram("h").count(), 8);
-    assert_eq!(merged.histogram("h").quantile(0.5), direct.histogram("h").quantile(0.5));
+    assert_eq!(merged.histogram("h").lock().unwrap().count(), 8);
+    assert_eq!(
+        merged.histogram("h").lock().unwrap().quantile(0.5),
+        direct.histogram("h").lock().unwrap().quantile(0.5)
+    );
 }
 
 /// A self-merge is a no-op rather than a deadlock or a double-count.
