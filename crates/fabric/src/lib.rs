@@ -37,6 +37,8 @@ use dtl_telemetry::{LatencySummary, Telemetry};
 
 mod fabric;
 pub mod port;
+#[cfg(test)]
+mod reference;
 mod topology;
 
 pub use fabric::{CxlFabric, FabricReport, HostShare};
