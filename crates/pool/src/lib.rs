@@ -303,6 +303,13 @@ pub enum PoolError {
     UnknownDevice(DeviceId),
     /// A host that was never registered with the pool.
     UnknownHost(HostId),
+    /// A host the pool's interconnect has no route for to a member device.
+    UnroutableHost {
+        /// The host.
+        host: HostId,
+        /// The lowest-id device it cannot reach.
+        device: DeviceId,
+    },
     /// An access beyond a VM's allocated size.
     OutOfRange {
         /// The VM.
@@ -341,6 +348,9 @@ impl fmt::Display for PoolError {
             PoolError::UnknownVm(vm) => write!(f, "unknown pool VM {}", vm.0),
             PoolError::UnknownDevice(d) => write!(f, "unknown device {d}"),
             PoolError::UnknownHost(h) => write!(f, "host {h} not registered with the pool"),
+            PoolError::UnroutableHost { host, device } => {
+                write!(f, "{host} has no route to {device} on the pool's interconnect")
+            }
             PoolError::OutOfRange { vm, offset, bytes } => {
                 write!(f, "offset {offset} beyond VM {}'s {bytes} bytes", vm.0)
             }

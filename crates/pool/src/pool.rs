@@ -438,9 +438,16 @@ impl<B: MemoryBackend> MemoryPool<B> {
     ///
     /// # Errors
     ///
+    /// [`PoolError::UnroutableHost`] when the interconnect cannot route the
+    /// host to some device (checked before any device sees the host), or
     /// [`PoolError::Device`] when a device rejects the host (id beyond
     /// `DtlConfig::max_hosts`).
     pub fn register_host(&mut self, host: HostId) -> Result<(), PoolError> {
+        if let Some(device) =
+            self.devices.iter().map(|d| d.id).find(|d| self.ic.route(host, d.0).is_none())
+        {
+            return Err(PoolError::UnroutableHost { host, device });
+        }
         for d in &mut self.devices {
             d.dev.register_host(host).map_err(|e| PoolError::Device { device: d.id, source: e })?;
         }
@@ -1256,6 +1263,25 @@ mod tests {
         assert_eq!(served, [DeviceId(0), DeviceId(1), DeviceId(2)]);
         let err = p.access(vm, 3 * b, AccessKind::Read, secs(1)).unwrap_err();
         assert!(matches!(err, PoolError::OutOfRange { .. }), "{err}");
+    }
+
+    #[test]
+    fn a_host_the_fabric_cannot_route_is_refused_before_any_device_sees_it() {
+        // `FabricRunConfig::tiny`'s shape: two hosts on the fabric, devices
+        // that would accept four.
+        let mut cfg = PoolConfig::tiny(4);
+        cfg.coordinator.enabled = false;
+        let topo = dtl_fabric::TopologyConfig::dual_switch(2, 4);
+        let fabric = dtl_fabric::CxlFabric::new(topo, cfg.link, cfg.retry).unwrap();
+        let mut p = MemoryPool::analytic_with_interconnect(cfg, Box::new(fabric)).unwrap();
+        p.register_host(HostId(1)).unwrap();
+        let err = p.register_host(HostId(2)).unwrap_err();
+        assert_eq!(err, PoolError::UnroutableHost { host: HostId(2), device: DeviceId(0) });
+        assert!(err.to_string().contains("no route"), "{err}");
+        let err = p.alloc_vm(HostId(2), au(&p), Picos::ZERO).unwrap_err();
+        assert_eq!(err, PoolError::UnknownHost(HostId(2)));
+        let dev = p.device_mut(DeviceId(3)).unwrap();
+        assert!(dev.alloc_vm(HostId(2), 1, Picos::ZERO).is_err(), "no device registered it");
     }
 
     #[test]
