@@ -6,7 +6,7 @@
 //! The device chooses migration destinations internally, so a reference
 //! model cannot *predict* DSNs. Instead the [`Oracle`] replays the
 //! device's committed-command stream (the tap on
-//! `DtlDevice::drain_commands`) into flat `HashMap`s, independently
+//! `DtlDevice::drain_commands`) into flat hash maps, independently
 //! validating the stream's coherence as it goes, and the invariant suite
 //! ([`check_device`]) then cross-checks three independent views of the
 //! same state: the tap-built oracle, the device's reverse-table dump, and

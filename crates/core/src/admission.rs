@@ -12,9 +12,7 @@
 //! arrives, grows, shrinks, leaves — over one `carve` (quota, capacity
 //! wakes, all or nothing, admission latency) and one `release_au`.
 
-use std::collections::HashMap;
-
-use dtl_dram::Picos;
+use dtl_dram::{FastMap, Picos};
 use dtl_telemetry::{EventKind, Histogram};
 use serde::{Deserialize, Serialize};
 
@@ -62,7 +60,7 @@ struct Host {
     /// AU ids given back, reused most recently freed first.
     free_aus: Vec<AuId>,
     next_vm: u32,
-    vms: HashMap<u32, Vec<AuId>>,
+    vms: FastMap<u32, Vec<AuId>>,
     /// AUs mapped over all VMs (and, inside `carve`, the ones carved so
     /// far).
     mapped_aus: u32,

@@ -44,6 +44,7 @@ mod channel;
 mod command;
 mod config;
 mod error;
+mod hash;
 mod mapping;
 mod policy;
 mod power;
@@ -58,6 +59,7 @@ pub use channel::{Channel, PowerEvent, PowerEventCause};
 pub use command::{CommandKind, CommandSink, IssuedCommand, NullSink, RecordingSink};
 pub use config::{DramConfig, Geometry, PagePolicy, TimingParams, LINE_BYTES};
 pub use error::DramError;
+pub use hash::{FastHasher, FastMap, FastSet};
 pub use mapping::{AddressMapper, AddressMapping};
 pub use policy::{
     ladder_depth, ladder_next_down, transition_is_legal, PolicyEngine, PowerPolicyKind,

@@ -46,9 +46,10 @@
 #![warn(missing_debug_implementations)]
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::fmt;
 
+use dtl_dram::FastSet;
 pub use dtl_dram::Picos;
 
 /// Handle to a posted event, usable for [`EventQueue::cancel`] /
@@ -132,9 +133,11 @@ impl<E> Ord for Entry<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     /// Sequence numbers of live (posted, not popped, not cancelled)
-    /// entries. Only membership is queried, never iteration order, so a
-    /// `HashSet` cannot leak nondeterminism into scheduling.
-    live: HashSet<u64>,
+    /// entries, hashed by `dtl_dram::FastHasher`: one multiply per lookup
+    /// for a key the queue numbered itself. Only membership and size are
+    /// queried, never iteration order, so the set cannot leak into
+    /// scheduling.
+    live: FastSet<u64>,
     next_seq: u64,
     stats: QueueStats,
 }
@@ -159,7 +162,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            live: HashSet::new(),
+            live: FastSet::default(),
             next_seq: 0,
             stats: QueueStats::default(),
         }

@@ -14,8 +14,8 @@
 use serde::{Deserialize, Serialize};
 
 use dtl_dram::{
-    AccessKind, AddressMapping, CommandSink, DramConfig, DramSystem, Geometry, IssuedCommand,
-    PhysAddr, Picos, PowerParams, PowerState, Priority,
+    AccessKind, AddressMapping, CommandSink, DramConfig, DramSystem, FastMap, Geometry,
+    IssuedCommand, PhysAddr, Picos, PowerParams, PowerState, Priority,
 };
 use dtl_trace::{Mixer, WorkloadKind};
 
@@ -44,7 +44,7 @@ pub struct CkeResult {
 /// Records the issue time of every command, per rank.
 #[derive(Debug, Default)]
 struct GapSink {
-    per_rank: std::collections::HashMap<(u32, u32), Vec<Picos>>,
+    per_rank: FastMap<(u32, u32), Vec<Picos>>,
 }
 
 impl CommandSink for GapSink {

@@ -10,7 +10,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use dtl_dram::{AccessKind, AddressMapping, DramConfig, DramSystem, PhysAddr, Picos, Priority};
+use dtl_dram::{
+    AccessKind, AddressMapping, DramConfig, DramSystem, FastSet, PhysAddr, Picos, Priority,
+};
 use dtl_trace::{TraceGen, WorkloadKind};
 
 /// One policy's foreground latency under a concurrent migration.
@@ -66,7 +68,7 @@ fn run_one(policy_background: bool, requests: u64) -> PriorityRow {
     }
     // Foreground stream at a moderate rate.
     let mut t = Picos::ZERO;
-    let mut fg_ids = std::collections::HashSet::new();
+    let mut fg_ids = FastSet::default();
     for _ in 0..requests {
         let r = gen.next_record();
         t += Picos::from_ns(50);

@@ -23,10 +23,8 @@
 //! fired less than one step earlier) and *before* it otherwise — "all lane
 //! work before the tick" would be a different simulation.
 
-use std::collections::{HashMap, HashSet};
-
 use dtl_core::{DtlDevice, DtlError, HostId, MemoryBackend, VmHandle};
-use dtl_dram::Picos;
+use dtl_dram::{FastMap, FastSet, Picos};
 use dtl_event::{QueueStats, Simulation};
 use dtl_pool::{MemoryPool, PoolError, PoolVmId};
 use dtl_trace::{VmEvent, VmEventKind, VmId, VmSchedule};
@@ -220,8 +218,8 @@ impl Clock {
 #[derive(Debug)]
 pub struct Tenants<V> {
     hosts: u32,
-    live: HashMap<VmId, (V, u32, u64)>,
-    turned_away: HashSet<VmId>,
+    live: FastMap<VmId, (V, u32, u64)>,
+    turned_away: FastSet<VmId>,
     committed_bytes: u64,
     vcpus: u32,
     placed: u64,
@@ -234,8 +232,8 @@ impl<V> Tenants<V> {
     pub fn new(hosts: u16) -> Self {
         Tenants {
             hosts: u32::from(hosts.max(1)),
-            live: HashMap::new(),
-            turned_away: HashSet::new(),
+            live: FastMap::default(),
+            turned_away: FastSet::default(),
             committed_bytes: 0,
             vcpus: 0,
             placed: 0,
