@@ -8,7 +8,8 @@
 //! The driver parses the shared CLI surface, runs the experiment, prints
 //! the rendered tables, and drops machine-readable JSON under `results/`.
 //! A command line that does not parse — an unknown experiment, a
-//! non-numeric `--jobs`, a flag missing its value, a span of simulated time
+//! non-numeric `--jobs` (or `--seeds`, `--ops`, `--campaigns`, `--hosts`),
+//! a flag missing its value, a span of simulated time
 //! that would wrap the picosecond clock — is reported on stderr with exit
 //! code 2, never a panic.
 //!
@@ -120,6 +121,11 @@ impl ExperimentCli {
         let series_width = timeseries_out.as_ref().map(|_| width.as_ps());
         // `vm_campaign --minutes`: the one horizon the command line sets.
         span("--minutes", 60, 0)?;
+        // The experiments read their own integer flags and fall back to a
+        // default on one that does not parse: check them where they enter.
+        for flag in ["--seeds", "--ops", "--campaigns", "--hosts"] {
+            parsed(flag)?;
+        }
         let registry = Arc::new(MetricsRegistry::new());
         let (sink, telemetry) = if trace_out.is_some() || metrics_out.is_some() {
             let sink = Arc::new(RingSink::with_capacity(RING_CAPACITY));
@@ -410,6 +416,17 @@ mod tests {
         let widest = cli(&["--timeseries-out", "/tmp/s.csv", "--timeseries-width-s", "18446744"]);
         assert_eq!(widest.series_width, Some(18_446_744 * 1_000_000_000_000));
         assert_eq!(dtl(&strings(&["vm_campaign", "--tiny", "--minutes", "307446"])), 2);
+    }
+
+    #[test]
+    fn experiment_integer_flags_are_errors_not_default_runs() {
+        let err = |args: &[&str]| ExperimentCli::parse(strings(args)).expect_err("not an integer");
+        for flag in ["--seeds", "--ops", "--campaigns", "--hosts"] {
+            assert_eq!(err(&[flag, "abc"]), format!("{flag} expects an integer, got \"abc\""));
+            assert_eq!(err(&["--tiny", flag]), format!("{flag} expects a value"));
+        }
+        assert_eq!(cli(&["--seeds", "2", "--ops", "30"]).context().value("--ops"), Some("30"));
+        assert_eq!(dtl(&strings(&["diff_fuzz", "--smoke", "--seeds", "abc"])), 2);
     }
 
     #[test]
