@@ -89,7 +89,9 @@ impl ExperimentCli {
         let value_of = |flag: &str| -> Result<Option<&String>, String> {
             match args.iter().position(|a| a == flag) {
                 None => Ok(None),
-                Some(i) => args.get(i + 1).map(Some).ok_or(format!("{flag} expects a value")),
+                Some(i) => {
+                    args.get(i + 1).map(Some).ok_or_else(|| format!("{flag} expects a value"))
+                }
             }
         };
         let parsed = |flag: &str| -> Result<Option<u64>, String> {

@@ -242,7 +242,7 @@ impl MappingTables {
             .get_mut(hsn.au.0 as usize)
             .and_then(Option::as_mut)
             .ok_or(DtlError::UnknownAu { host: hsn.host, au: hsn.au })?;
-        let slot = table.get_mut(hsn.au_offset as usize).ok_or(DtlError::Internal {
+        let slot = table.get_mut(hsn.au_offset as usize).ok_or_else(|| DtlError::Internal {
             reason: format!("AU offset {} out of range", hsn.au_offset),
         })?;
         let old = std::mem::replace(slot, new_dsn);
@@ -284,8 +284,10 @@ impl MappingTables {
         let table = self
             .host_mut(hsn.host)
             .and_then(|aus| aus.get_mut(hsn.au.0 as usize)?.as_mut())
-            .ok_or(DtlError::Internal { reason: format!("dangling reverse entry {hsn}") })?;
-        let slot = table.get_mut(hsn.au_offset as usize).ok_or(DtlError::Internal {
+            .ok_or_else(|| DtlError::Internal {
+                reason: format!("dangling reverse entry {hsn}"),
+            })?;
+        let slot = table.get_mut(hsn.au_offset as usize).ok_or_else(|| DtlError::Internal {
             reason: format!("AU offset {} out of range", hsn.au_offset),
         })?;
         *slot = dsn;
@@ -302,7 +304,7 @@ impl MappingTables {
         let (dsn, hsn) = self.iter_mapped().next()?;
         // A neighbour inside the table, so later updates of the slot stay in range.
         let len = self.reverse.len() as u64;
-        let other = Some(dsn.0 ^ 1).filter(|d| *d < len).or(dsn.0.checked_sub(1))?;
+        let other = Some(dsn.0 ^ 1).filter(|d| *d < len).or_else(|| dsn.0.checked_sub(1))?;
         self.point(hsn, Dsn(other)).ok()?;
         Some(hsn)
     }
@@ -688,7 +690,7 @@ mod tests {
                 aus.get_mut(&hsn.au).ok_or(DtlError::UnknownAu { host: hsn.host, au: hsn.au })?;
             let slot = table
                 .get_mut(hsn.au_offset as usize)
-                .ok_or(DtlError::Internal { reason: "AU offset out of range".into() })?;
+                .ok_or_else(|| DtlError::Internal { reason: "AU offset out of range".into() })?;
             let old = std::mem::replace(slot, new_dsn);
             self.reverse.remove(&old);
             self.reverse.insert(new_dsn, hsn);

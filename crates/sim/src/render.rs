@@ -191,7 +191,7 @@ pub fn fig14(r: &fig14::Fig14Result) -> Table {
             pct(row.allocated_fraction),
             pct(row.additional_saving),
             pct(row.sr_residency),
-            row.warmup_s.map_or("-".into(), f3),
+            row.warmup_s.map_or_else(|| "-".into(), f3),
             row.sr_exits.to_string(),
         ]);
     }
@@ -664,7 +664,11 @@ pub fn loaded_latency(r: &loaded::LoadedLatencyResult) -> Table {
         &["offered_gbps", "measured_ns", "model_ns"],
     );
     for p in &r.points {
-        t.row(&[f1(p.offered / 1e9), f1(p.measured_ns), p.predicted_ns.map_or("-".into(), f1)]);
+        t.row(&[
+            f1(p.offered / 1e9),
+            f1(p.measured_ns),
+            p.predicted_ns.map_or_else(|| "-".into(), f1),
+        ]);
     }
     t
 }

@@ -26,7 +26,7 @@ fn main() {
     println!("  self-refresh residency: {:.1}%", on.sr_residency * 100.0);
     println!(
         "  warmup (first SR entry): {}",
-        on.first_sr_entry.map_or("never".to_string(), |t| t.to_string())
+        on.first_sr_entry.map_or_else(|| "never".to_string(), |t| t.to_string())
     );
     println!(
         "  SR entries/exits: {}/{}; segment migrations: {}",
