@@ -252,18 +252,21 @@ impl<B: MemoryBackend> AdmissionCtl<'_, B> {
     /// segments, frees the segments and returns the AU id to the host.
     fn release_au(&mut self, host: HostId, au: AuId, now: Picos) -> Result<(), DtlError> {
         let dsns = self.power.tables.remove_au(host, au)?;
-        // Two walks over the AU's segments, one per part: the migration
-        // engine and the SMC know nothing of each other, and one loop making
-        // both calls measured 22.6 ns a segment here against 17.9 for the
-        // two (BENCH.md, PR 20).
-        for dsn in &dsns {
-            for job in self.power.migrate.cancel_involving(*dsn) {
-                self.power.job_cancelled(job.id, job.kind, now)?;
-            }
+        // One pass per structure. Every cancel comes before any settling, in
+        // the order a cancel-and-settle per segment had: settling a job frees
+        // a copy's reserved destination and advances its drain group or
+        // consolidation plan (rank power, hotness, telemetry), but never
+        // calls the migration engine — so it can neither enqueue nor cancel
+        // a job, least of all one on these segments, which are unmapped and
+        // not yet free.
+        for job in self.power.migrate.cancel_involving(&dsns) {
+            self.power.job_cancelled(job.id, job.kind, now)?;
         }
-        for au_offset in 0..dsns.len() as u32 {
-            self.translator.invalidate(Hsn { host, au, au_offset });
-        }
+        debug_assert!(
+            !dsns.iter().any(|d| self.power.migrate.involves(*d)),
+            "settling a cancelled job queued another on {host}/{au}"
+        );
+        self.translator.invalidate_au(host, au, dsns.len() as u32);
         self.power.alloc.free_segments(&dsns)?;
         self.tap.record(DeviceCommand::AuRemoved { host, au, dsns, at: now });
         let state = self.host(host).expect("its AU was mapped");

@@ -24,7 +24,7 @@
 
 use std::collections::VecDeque;
 
-use dtl_dram::Picos;
+use dtl_dram::{FastMap, Picos};
 use dtl_telemetry::{EventKind, Telemetry};
 use serde::{Deserialize, Serialize};
 
@@ -59,6 +59,7 @@ impl MigrationKind {
         }
     }
 
+    #[cfg(test)]
     fn touches(&self, dsn: Dsn) -> bool {
         let (x, y) = self.endpoints();
         x == dsn || y == dsn
@@ -594,45 +595,58 @@ impl MigrationEngine {
         MigrationInterrupt::Replayed { id: job.id, retries: job.retries }
     }
 
-    /// Cancels every queued or in-flight job touching `dsn` (used when the
-    /// owning VM deallocates mid-migration). Returns the cancelled jobs so
-    /// the caller can release reservations and fix bookkeeping.
-    pub fn cancel_involving(&mut self, dsn: Dsn) -> Vec<MigrationJob> {
-        if !self.involves(dsn) {
+    /// Cancels every queued or in-flight job touching any of `dsns` — the
+    /// segments of an allocation unit whose VM deallocates mid-migration.
+    /// Returns the cancelled jobs so the caller can release reservations
+    /// and fix bookkeeping, in the order one call per DSN would have: by
+    /// the first position in `dsns` a job touches, then waiting jobs (in
+    /// start order) before the one in flight. DSNs outside the device are
+    /// endpoints of nothing. Each channel that holds a hit is filtered
+    /// once, however many of `dsns` it holds.
+    pub fn cancel_involving(&mut self, dsns: &[Dsn]) -> Vec<MigrationJob> {
+        let mut first: FastMap<Dsn, usize> = FastMap::default();
+        for (i, &dsn) in dsns.iter().enumerate() {
+            if self.involves(dsn) {
+                first.entry(dsn).or_insert(i);
+            }
+        }
+        if first.is_empty() {
             return Vec::new();
         }
         // Migrations are intra-channel: every hit waits or runs on the
-        // segment's own channel.
-        let ch = self.geo.location(dsn).channel as usize;
-        self.cancel_where(ch..ch + 1, |j| j.kind.touches(dsn))
+        // channel of an involved segment.
+        let mut channels: Vec<usize> =
+            first.keys().map(|&d| self.geo.location(d).channel as usize).collect();
+        channels.sort_unstable();
+        channels.dedup();
+        self.cancel_where(channels, |j| {
+            let (x, y) = j.kind.endpoints();
+            [x, y].iter().filter_map(|d| first.get(d)).min().copied()
+        })
     }
 
-    /// Removes the jobs `hits` selects from the given channels: waiting
-    /// jobs first, in the order they would have started, then in-flight
-    /// ones by channel.
-    fn cancel_where(
+    /// Removes the jobs `key` selects from the given channels and returns
+    /// them by key, then waiting before in flight, then in start order
+    /// (ticket for a waiting job, channel for one in flight).
+    fn cancel_where<K: Ord>(
         &mut self,
-        channels: std::ops::Range<usize>,
-        hits: impl Fn(&MigrationJob) -> bool,
+        channels: impl IntoIterator<Item = usize>,
+        key: impl Fn(&MigrationJob) -> Option<K>,
     ) -> Vec<MigrationJob> {
-        let mut waiting = Vec::new();
-        for queue in &mut self.queues[channels.clone()] {
-            queue.retain(|q| {
-                if hits(&q.job) {
-                    waiting.push(*q);
-                    false
-                } else {
-                    true
-                }
+        let mut hits = Vec::new();
+        for ch in channels {
+            self.queues[ch].retain(|q| {
+                let Some(k) = key(&q.job) else { return true };
+                hits.push(((k, false, q.ticket), q.job));
+                false
             });
-        }
-        waiting.sort_by_key(|q| q.ticket);
-        let mut out: Vec<MigrationJob> = waiting.into_iter().map(|q| q.job).collect();
-        for slot in &mut self.in_flight[channels] {
-            if let Some(active) = slot.take_if(|a| hits(&a.job)) {
-                out.push(active.job);
+            if let Some(k) = self.in_flight[ch].as_ref().and_then(|a| key(&a.job)) {
+                let active = self.in_flight[ch].take().expect("read just above");
+                hits.push(((k, true, ch as i64), active.job));
             }
         }
+        hits.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        let out: Vec<MigrationJob> = hits.into_iter().map(|(_, job)| job).collect();
         for job in &out {
             self.unindex(job.kind);
         }
@@ -666,7 +680,7 @@ impl MigrationEngine {
         if ids.is_empty() {
             return Vec::new();
         }
-        self.cancel_where(0..self.queues.len(), |j| ids.contains(&j.id))
+        self.cancel_where(0..self.queues.len(), |j| ids.contains(&j.id).then_some(()))
     }
 
     /// Whether any queued or in-flight job has an endpoint in the given
@@ -1018,8 +1032,8 @@ mod tests {
     fn cancel_involving_out_of_range_dsn_cancels_nothing() {
         let (mut eng, _) = setup();
         eng.enqueue_copy(dsn_ch0(0), dsn_ch0(5), Picos::ZERO).unwrap();
-        assert!(eng.cancel_involving(Dsn(geo().total_segments())).is_empty());
-        assert!(eng.cancel_involving(Dsn(u64::MAX)).is_empty());
+        assert!(eng.cancel_involving(&[Dsn(geo().total_segments()), Dsn(u64::MAX)]).is_empty());
+        assert!(eng.cancel_involving(&[]).is_empty());
         assert_eq!(eng.queued(), 1);
         eng.check_index().unwrap();
     }
@@ -1037,8 +1051,26 @@ mod tests {
         ));
         assert_eq!(eng.queued(), 127, "the refused job left no trace");
         eng.check_index().unwrap();
-        assert_eq!(eng.cancel_involving(dsn_ch0(0)).len(), 127);
+        assert_eq!(eng.cancel_involving(&[dsn_ch0(0)]).len(), 127);
         assert!(!eng.involves(dsn_ch0(0)));
+        eng.check_index().unwrap();
+    }
+
+    #[test]
+    fn cancel_involving_orders_hits_like_one_call_per_dsn() {
+        let (mut eng, mut be) = setup();
+        let a = eng.enqueue_copy(dsn_ch0(0), dsn_ch0(5), Picos::ZERO).unwrap();
+        let d = eng.enqueue_copy(Dsn(3), Dsn(9), Picos::ZERO).unwrap();
+        eng.pump(Picos::ZERO, &mut be);
+        let b = eng.enqueue_copy(dsn_ch0(1), dsn_ch0(6), Picos::ZERO).unwrap();
+        let c = eng.enqueue_swap(dsn_ch0(2), dsn_ch0(0), Picos::ZERO).unwrap();
+        assert_eq!((eng.in_flight(), eng.queued()), (2, 2), "a and d run, b and c wait");
+        // Position 2 (`dsn_ch0(0)`) is the first that c touches and the one
+        // that a touches: waiting c comes before a, in flight on channel 0.
+        let au = [dsn_ch0(1), Dsn(9), dsn_ch0(0), dsn_ch0(2), dsn_ch0(12), Dsn(u64::MAX)];
+        let ids: Vec<u64> = eng.cancel_involving(&au).iter().map(|j| j.id).collect();
+        assert_eq!(ids, [b, d, c, a]);
+        assert!(eng.is_idle());
         eng.check_index().unwrap();
     }
 
@@ -1472,8 +1504,12 @@ mod tests {
         Interrupt {
             ch: u32,
         },
-        CancelInvolving {
-            dsn: u64,
+        /// Cancels on an AU's worth of DSNs. `bracket` picks a live job (in
+        /// flight or waiting) whose two endpoints open and close the slice,
+        /// so that one job is touched at two positions.
+        CancelAu {
+            dsns: Vec<u64>,
+            bracket: Option<usize>,
         },
         CancelIds {
             ids: Vec<u64>,
@@ -1503,7 +1539,9 @@ mod tests {
             6 => (0..PROP_SEGMENTS, any::<bool>(), 0u8..4)
                 .prop_map(|(dsn, last_line, aim)| Op::Write { dsn, last_line, aim }),
             3 => (0..PROP_GEO.channels + 1).prop_map(|ch| Op::Interrupt { ch }),
-            2 => dsn.prop_map(|dsn| Op::CancelInvolving { dsn }),
+            3 => (prop::collection::vec(dsn, 0..8), 0usize..24).prop_map(|(dsns, pick)| {
+                Op::CancelAu { dsns, bracket: (pick < 16).then_some(pick) }
+            }),
             1 => prop::collection::vec(0u64..40, 0..4).prop_map(|ids| Op::CancelIds { ids }),
             1 => (0..PROP_GEO.channels + 1, 0..PROP_GEO.ranks_per_channel + 1)
                 .prop_map(|(ch, rank)| Op::JobsInvolvingRank { ch, rank }),
@@ -1518,7 +1556,7 @@ mod tests {
         /// the same order, report the same state after every step, and make
         /// the same backend calls in the same order.
         #[test]
-        fn matches_the_single_fifo_reference(
+        fn lockstep_with_the_single_fifo_reference(
             retry_limit in 0u32..3,
             steps in prop::collection::vec((op_strategy(), 0u64..150), 1..120),
         ) {
@@ -1567,11 +1605,17 @@ mod tests {
                             model.interrupt_channel(ch, now)
                         );
                     }
-                    Op::CancelInvolving { dsn } => {
-                        prop_assert_eq!(
-                            eng.cancel_involving(Dsn(dsn)),
-                            model.cancel_involving(Dsn(dsn))
-                        );
+                    Op::CancelAu { dsns, bracket } => {
+                        let mut dsns: Vec<Dsn> = dsns.into_iter().map(Dsn).collect();
+                        let live: Vec<MigrationJob> = model.all_jobs().collect();
+                        if let Some(job) = bracket.filter(|_| !live.is_empty()).map(|i| live[i % live.len()]) {
+                            let (x, y) = job.kind.endpoints();
+                            dsns.insert(0, y);
+                            dsns.push(x);
+                        }
+                        let per_dsn: Vec<MigrationJob> =
+                            dsns.iter().flat_map(|&d| model.cancel_involving(d)).collect();
+                        prop_assert_eq!(eng.cancel_involving(&dsns), per_dsn);
                     }
                     Op::CancelIds { ids } => {
                         prop_assert_eq!(eng.cancel_ids(&ids), model.cancel_ids(&ids));

@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::addr::{Dsn, Hsn};
+use crate::addr::{AuId, Dsn, HostId, Hsn};
 
 /// Where a lookup was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -279,6 +279,37 @@ impl SegmentMappingCache {
         any
     }
 
+    /// Invalidates offsets `0..n` of one AU in both levels (called when the
+    /// AU is released), leaving exactly the entries that `n` calls of
+    /// [`SegmentMappingCache::invalidate`] would; returns whether any entry
+    /// was present. One pass over L1 and over each L2 set those offsets
+    /// map to, instead of `n` index probes and `n` set scans.
+    pub fn invalidate_au(&mut self, host: HostId, au: AuId, n: u32) -> bool {
+        let base = Hsn { host, au, au_offset: 0 }.pack();
+        // A key is one of the AU's first `n` offsets iff it lies `< n` above
+        // the AU's offset 0 (offsets are the low bits, `n` fits their field).
+        let hit = |e: &Entry| e.valid && e.key.wrapping_sub(base) < u64::from(n);
+        let mut any = false;
+        for slot in 0..self.l1.len() {
+            if hit(&self.l1[slot]) {
+                self.l1_index.remove(self.l1[slot].key, &self.l1);
+                self.l1[slot].valid = false;
+                any = true;
+            }
+        }
+        // Consecutive keys fill consecutive sets, wrapping after the last.
+        for i in 0..u64::from(n).min(self.l2_sets as u64) {
+            let range = self.l2_set_range(base + i);
+            for e in &mut self.l2[range] {
+                if hit(e) {
+                    e.valid = false;
+                    any = true;
+                }
+            }
+        }
+        any
+    }
+
     fn insert_l1(&mut self, key: u64, dsn: Dsn) {
         let tick = self.tick;
         if let Some(slot) = self.l1_index.find(key, &self.l1) {
@@ -394,6 +425,27 @@ mod tests {
         assert!(smc.invalidate(hsn(1)));
         assert_eq!(smc.lookup(hsn(1)), (SmcOutcome::Miss, None));
         assert!(!smc.invalidate(hsn(1)), "nothing left at either level");
+    }
+
+    #[test]
+    fn invalidate_au_takes_its_offsets_and_nothing_else() {
+        // 4 L2 sets: the AU's six offsets wrap round them.
+        let mut smc = SegmentMappingCache::new(2, 16, 4);
+        let other = |off| Hsn { host: HostId(0), au: AuId(1), au_offset: off };
+        for off in 0..7 {
+            smc.fill(hsn(off), Dsn(u64::from(off)));
+            smc.fill(other(off), Dsn(100 + u64::from(off)));
+        }
+        assert!(smc.invalidate_au(HostId(0), AuId(0), 6));
+        for off in 0..6 {
+            assert_eq!(smc.lookup(hsn(off)), (SmcOutcome::Miss, None), "offset {off}");
+        }
+        assert_eq!(smc.lookup(hsn(6)).1, Some(Dsn(6)), "past the AU's length");
+        for off in 0..7 {
+            assert_eq!(smc.lookup(other(off)).1, Some(Dsn(100 + u64::from(off))));
+        }
+        assert!(!smc.invalidate_au(HostId(0), AuId(0), 6), "nothing left");
+        assert!(!smc.invalidate_au(HostId(0), AuId(2), 7), "never filled");
     }
 
     #[test]
@@ -627,6 +679,9 @@ mod tests {
         /// Also the refill of a resident key with a new DSN.
         Fill(u32, u64),
         Invalidate(u32),
+        /// Host, AU (the universe uses three per host) and offset count,
+        /// reduced to a little past the universe's widest AU.
+        InvalidateAu(u16, u32, u32),
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
@@ -635,6 +690,7 @@ mod tests {
             4 => key().prop_map(Op::Lookup),
             4 => (key(), 0u64..1 << 40).prop_map(|(k, d)| Op::Fill(k, d)),
             2 => key().prop_map(Op::Invalidate),
+            1 => (0u16..2, 0u32..4, key()).prop_map(|(h, a, n)| Op::InvalidateAu(h, a, n)),
         ]
     }
 
@@ -667,6 +723,13 @@ mod tests {
                     Op::Invalidate(k) => {
                         let hsn = prop_key(k % universe);
                         prop_assert_eq!(fast.invalidate(hsn), model.invalidate(hsn), "invalidate {}", hsn);
+                    }
+                    Op::InvalidateAu(host, au, n) => {
+                        let (host, au, n) = (HostId(host), AuId(au), n % (universe / 6 + 3));
+                        let per_key = (0..n).fold(false, |any, au_offset| {
+                            model.invalidate(Hsn { host, au, au_offset }) | any
+                        });
+                        prop_assert_eq!(fast.invalidate_au(host, au, n), per_key, "{} {} x{}", host, au, n);
                     }
                 }
                 prop_assert_eq!(fast.stats(), model.stats);

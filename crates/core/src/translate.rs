@@ -143,6 +143,11 @@ impl Translator {
         self.smc.invalidate(hsn)
     }
 
+    /// Invalidates the translations of offsets `0..n` of a released AU.
+    pub fn invalidate_au(&mut self, host: HostId, au: AuId, n: u32) -> bool {
+        self.smc.invalidate_au(host, au, n)
+    }
+
     /// SMC statistics.
     pub fn stats(&self) -> SmcStats {
         self.smc.stats()
