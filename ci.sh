@@ -82,9 +82,12 @@ timeout 30 $dtl diff_fuzz --tiny --jobs 2 --out /tmp/dtl_ci_diff_fuzz.json > /de
 diff /tmp/dtl_ci_diff_fuzz.json results/golden/diff_fuzz_tiny.json
 timeout 60 $dtl fault_campaign --tiny --jobs 2
 timeout 30 $dtl pool_scale --tiny --jobs 2
-# The perf ledger's claimed workload through the registry: a full pool
-# invariant sweep after every injected fault, sub-second per campaign.
-timeout 60 $dtl pool_failover --tiny --campaigns 2 --jobs 2
+# The perf ledger's pool_failover workload through the registry: failover
+# campaigns that assert the pool's invariants after every injected fault,
+# byte for byte against their golden.
+timeout 60 $dtl pool_failover --tiny --seed 7 --campaigns 2 --jobs 2 \
+    --out /tmp/dtl_ci_pool_failover.json > /dev/null
+diff /tmp/dtl_ci_pool_failover.json results/golden/pool_failover_tiny.json
 timeout 30 $dtl policy_ablation --tiny --jobs 2 > /tmp/dtl_ci_policy.txt
 timeout 30 $dtl vm_campaign --tiny --jobs 2
 # The perf ledger's fabric_load workload through the registry: ports, routes
