@@ -15,7 +15,7 @@ use crate::error::DtlError;
 
 /// One rank's slots: every slot in `0..segs_per_rank` is either queued in
 /// `free` or has its bit set in `allocated`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct RankSlots {
     /// Free slots in hand-out order. A FIFO on purpose: which slot an
     /// allocation pops and where a freed one queues decide the DSNs an AU
@@ -83,11 +83,15 @@ impl RankSlots {
 /// alloc.free_segments(&au)?;
 /// # Ok::<(), dtl_core::DtlError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SegmentAllocator {
     geo: SegmentGeometry,
     /// Channel-major: rank `r` of channel `c` is `ranks[c * ranks_per_channel + r]`.
     ranks: Vec<RankSlots>,
+    /// Moves once at the top of every `&mut self` entry point, so an
+    /// unchanged value means an unchanged allocator (see
+    /// [`SegmentAllocator::generation`]).
+    generation: u64,
 }
 
 impl SegmentAllocator {
@@ -102,7 +106,21 @@ impl SegmentAllocator {
                 active: true,
             })
             .collect();
-        SegmentAllocator { geo, ranks }
+        SegmentAllocator { geo, ranks, generation: 0 }
+    }
+
+    /// A counter that every `&mut self` entry point moves once, before it
+    /// looks at its arguments — failed calls and no-ops included. Equal
+    /// values read from the same allocator mean nothing was changed in
+    /// between, which is what lets the device sweep skip re-proving it.
+    /// Private helpers run only inside those entry points and do not move
+    /// it again.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    fn bump(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
     }
 
     /// The segment geometry.
@@ -135,6 +153,7 @@ impl SegmentAllocator {
 
     /// Marks a rank available/unavailable for allocation (power-down state).
     pub(crate) fn set_rank_active(&mut self, channel: u32, rank: u32, active: bool) {
+        self.bump();
         self.rank_mut(channel, rank).active = active;
     }
 
@@ -200,6 +219,7 @@ impl SegmentAllocator {
     ///   the channels ([`crate::DtlConfig::validate_geometry`] rules that
     ///   out for a device).
     pub fn allocate_au(&mut self, segments_per_au: u64) -> Result<Vec<Dsn>, DtlError> {
+        self.bump();
         let channels = u64::from(self.geo.channels);
         if channels == 0 || !segments_per_au.is_multiple_of(channels) {
             return Err(DtlError::Internal {
@@ -256,6 +276,7 @@ impl SegmentAllocator {
     /// [`DtlError::Internal`] if a segment was not allocated (which
     /// includes every DSN beyond the device).
     pub fn free_segments(&mut self, dsns: &[Dsn]) -> Result<(), DtlError> {
+        self.bump();
         let segments = self.geo.total_segments();
         for d in dsns {
             let loc = (d.0 < segments).then(|| self.geo.location(*d));
@@ -274,12 +295,14 @@ impl SegmentAllocator {
     /// be claimed at planning time or a concurrent drain could take them).
     /// Returns `false` if the slot is not currently free.
     pub fn reserve_slot(&mut self, loc: SegmentLocation) -> bool {
+        self.bump();
         self.rank_mut(loc.channel, loc.rank).take(loc.within)
     }
 
     /// Takes one free slot from a specific rank (migration destination
     /// search). Returns `None` when the rank is full.
     pub fn take_free_in_rank(&mut self, channel: u32, rank: u32) -> Option<SegmentLocation> {
+        self.bump();
         let slots = self.rank_mut(channel, rank);
         let within = slots.free.pop_front()?;
         slots.mark(within);
@@ -294,6 +317,7 @@ impl SegmentAllocator {
     ///
     /// [`DtlError::Internal`] if `src` was not allocated.
     pub fn complete_move(&mut self, src: SegmentLocation) -> Result<(), DtlError> {
+        self.bump();
         if !self.rank_mut(src.channel, src.rank).release(src.within) {
             return Err(DtlError::Internal {
                 reason: format!("move source {src:?} not allocated"),
@@ -305,6 +329,7 @@ impl SegmentAllocator {
     /// Records a hotness swap between two slots where exactly one side may
     /// be free: allocation status is exchanged.
     pub fn swap_status(&mut self, a: SegmentLocation, b: SegmentLocation) {
+        self.bump();
         let a_alloc = self.is_allocated(a);
         let b_alloc = self.is_allocated(b);
         if a_alloc == b_alloc {
@@ -401,6 +426,7 @@ impl SegmentAllocator {
         channel: u32,
         rank: u32,
     ) -> (&mut VecDeque<u64>, &mut u64) {
+        self.bump();
         let slots = self.rank_mut(channel, rank);
         (&mut slots.free, &mut slots.allocated_count)
     }
@@ -971,7 +997,8 @@ mod tests {
         /// and agree on every query — the free FIFOs element for element —
         /// after every step. The one designed difference: a DSN beyond the
         /// device is `Internal` here, where the reference would not survive
-        /// decomposing it.
+        /// decomposing it. A step that leaves the generation where it was
+        /// leaves the allocator exactly as it was.
         #[test]
         fn lockstep_with_the_btreeset_reference(
             steps in prop::collection::vec(op_strategy(), 1..100),
@@ -980,6 +1007,7 @@ mod tests {
             let mut model = ReferenceAllocator::new(PROP_GEO);
             let mut held: Vec<Vec<Dsn>> = Vec::new();
             for op in steps {
+                let (before, generation) = (dense.clone(), dense.generation());
                 match op {
                     Op::AllocateAu { segments } => {
                         let got = dense.allocate_au(segments);
@@ -1023,6 +1051,9 @@ mod tests {
                         dense.set_rank_active(channel, rank, active);
                         model.active[channel as usize][rank as usize] = active;
                     }
+                }
+                if dense.generation() == generation {
+                    prop_assert_eq!(&dense, &before, "changed without a new generation");
                 }
                 prop_assert_eq!(shape(dense.check_consistency()), shape(model.check_consistency()));
                 prop_assert_eq!(dense.free_active_total(), model.free_active_total());

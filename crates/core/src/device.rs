@@ -20,9 +20,7 @@ use dtl_dram::{
 use dtl_telemetry::{Histogram, MetricsRegistry, Telemetry};
 use serde::{Deserialize, Serialize};
 
-use crate::addr::{
-    AuId, Dsn, HostId, HostPhysAddr, Hsn, SegmentGeometry, SegmentLocation, VmHandle,
-};
+use crate::addr::{AuId, Dsn, HostId, HostPhysAddr, Hsn, SegmentGeometry, VmHandle};
 use crate::admission::{Admission, AdmissionCtl, HostSnapshot, VmAllocation};
 use crate::alloc::SegmentAllocator;
 use crate::backend::MemoryBackend;
@@ -38,6 +36,7 @@ use crate::migrate::{
 use crate::origin::{JobOrigin, JobOrigins};
 use crate::power::{PowerCtl, PowerDownStats, RankPdState, RankPower};
 use crate::smc::{SmcOutcome, SmcStats};
+use crate::sweep::CleanSweep;
 use crate::tables::MappingTables;
 use crate::tap::{CommandTap, DeviceCommand};
 use crate::translate::Translator;
@@ -173,6 +172,8 @@ pub struct DtlDevice<B: MemoryBackend> {
     slo_drain_age: Histogram,
     /// Command-stream tap for external checkers (off by default).
     tap: CommandTap,
+    /// What [`DtlDevice::check_invariants`] last proved clean.
+    clean_sweep: CleanSweep,
 }
 
 impl DtlDevice<crate::backend::AnalyticBackend> {
@@ -231,6 +232,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
             translation_hist: None,
             slo_drain_age: Histogram::default(),
             tap: CommandTap::default(),
+            clean_sweep: CleanSweep::default(),
             config,
             geo,
             backend,
@@ -907,11 +909,11 @@ impl<B: MemoryBackend> DtlDevice<B> {
     ///   ([`MappingTables::check_consistency`]);
     /// * allocator free/allocated partitioning
     ///   ([`SegmentAllocator::check_consistency`]);
-    /// * in debug builds, the migration engine's endpoint index
-    ///   ([`MigrationEngine::check_index`]);
     /// * **no mapped (live) segment may sit in an MPSM rank** — MPSM loses
     ///   data;
-    /// * every mapped segment is marked allocated;
+    /// * every other mapped segment is marked allocated;
+    /// * in debug builds, the migration engine's endpoint index
+    ///   ([`MigrationEngine::check_index`]);
     /// * per rank, lifecycle, allocator and backend agree, and every count
     ///   of outstanding drain or consolidation jobs is the number of live
     ///   jobs it stands for (`RankPower::check`, which also names the
@@ -920,31 +922,28 @@ impl<B: MemoryBackend> DtlDevice<B> {
     ///   handed out, the tables hold exactly the listed AUs, and the kept
     ///   count is their number and within the quota (`Admission::check`).
     ///
-    /// Every call visits every rank, every free slot, every segment, every
-    /// live migration job and every AU id of the device; nothing is
-    /// remembered between calls.
+    /// The first four visit every slot and segment of the device. The call
+    /// remembers one thing: the tables' and the allocator's generations and
+    /// the exact set of ranks in MPSM at its last fully clean pass. Those
+    /// are everything the four depend on, and each generation moves on
+    /// every mutation, so while all three are unchanged the four are
+    /// skipped — the same state gives the same answer. The rest visits
+    /// every rank, live migration job and AU id on every call.
     pub fn check_invariants(&self) -> Result<(), DtlError> {
-        self.tables.check_consistency()?;
-        self.alloc.check_consistency()?;
-        #[cfg(debug_assertions)]
-        self.migrate.check_index()?;
-        for channel in 0..self.geo.channels {
-            for rank in 0..self.geo.ranks_per_channel {
-                // A rank in MPSM maps nothing (`RankPower::check`, below).
-                if self.backend.rank_state(channel, rank) == PowerState::Mpsm {
-                    continue;
-                }
-                let slots = self.tables.mapped_in_rank(channel, rank).map(|(within, _)| within);
-                if let Some(within) = self.alloc.first_unallocated(channel, rank, slots) {
-                    let dsn = self.geo.dsn(SegmentLocation { channel, rank, within });
-                    return Err(DtlError::Internal {
-                        reason: format!("mapped segment {dsn} not marked allocated"),
-                    });
-                }
-            }
-        }
-        self.power.check(&self.backend, &self.alloc, &self.tables, &self.job_origin)?;
-        self.admission.check(&self.tables)
+        self.clean_sweep.check(&self.backend, &self.tables, &self.alloc, || {
+            #[cfg(debug_assertions)]
+            self.migrate.check_index()?;
+            self.power.check(&self.backend, &self.alloc, &self.job_origin)?;
+            self.admission.check(&self.tables)
+        })
+    }
+
+    /// Forgets what [`DtlDevice::check_invariants`] last proved clean, so
+    /// the next call sweeps every segment — for tests that hold the
+    /// remembered verdict against a full one.
+    #[doc(hidden)]
+    pub fn forget_clean_sweep(&self) {
+        self.clean_sweep.forget();
     }
 
     /// Dumps every engine's aggregate statistics into `registry` as
@@ -1498,6 +1497,7 @@ mod retirement_tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
+    use crate::addr::SegmentLocation;
     use crate::backend::AnalyticBackend;
 
     fn device() -> DtlDevice<AnalyticBackend> {
@@ -1753,6 +1753,30 @@ mod fault_tests {
                 }
                 other => panic!("{expected:?} went unreported: {other:?}"),
             }
+        }
+    }
+
+    /// The sweep remembers the set of ranks in MPSM with its last clean
+    /// pass: parking a rank that still maps a live segment, at the backend
+    /// only, moves neither the tables' nor the allocator's generation, and
+    /// is still reported.
+    #[test]
+    fn sweep_sees_a_rank_parked_at_the_backend_only() {
+        let mut dev = device();
+        dev.set_hotness_enabled(false);
+        dev.set_powerdown_enabled(false);
+        let vm = dev.alloc_vm(HostId(0), au_bytes(), Picos::ZERO).unwrap();
+        let dsn = dev.probe_translation(HostId(0), vm.hpa_base(0, au_bytes())).unwrap();
+        let live = dev.geo.location(dsn);
+        dev.check_invariants().unwrap();
+        let generations = (dev.tables.generation(), dev.alloc.generation());
+        dev.power().commit(live.channel, live.rank, PowerState::Mpsm, Picos::from_us(5)).unwrap();
+        assert_eq!((dev.tables.generation(), dev.alloc.generation()), generations);
+        match dev.check_invariants() {
+            Err(DtlError::Internal { reason }) => {
+                assert!(reason.contains("in MPSM rank"), "{reason}")
+            }
+            other => panic!("a live segment in MPSM went unreported: {other:?}"),
         }
     }
 

@@ -50,6 +50,7 @@ mod origin;
 mod overhead;
 mod power;
 mod smc;
+mod sweep;
 mod tables;
 mod tap;
 mod translate;

@@ -216,8 +216,7 @@ impl RankPower {
     /// * a rank's lifecycle is `Active` exactly when the allocator may place
     ///   data in it;
     /// * the backend holds a rank in MPSM exactly when its lifecycle is
-    ///   `PoweredDown` or `Retired`, and such a rank maps no live segment —
-    ///   MPSM loses data;
+    ///   `PoweredDown` or `Retired`;
     /// * a rank is `Draining` exactly when a drain group owns it, and that
     ///   group still waits for jobs;
     /// * a drain group waits for as many jobs as live jobs name it, and a
@@ -229,8 +228,11 @@ impl RankPower {
     /// backend at once, and the engine only hears of it when the device next
     /// drains the backend's power events.
     ///
-    /// O(ranks + live jobs), plus a look at the first mapped segment of
-    /// every rank in MPSM.
+    /// That a rank in MPSM maps no live segment (MPSM loses data) is the
+    /// device sweep's per-segment pass (`sweep.rs`), not this check: it
+    /// reads the rank's whole stride of the reverse table.
+    ///
+    /// O(ranks + live jobs).
     ///
     /// # Errors
     ///
@@ -239,7 +241,6 @@ impl RankPower {
         &self,
         backend: &B,
         alloc: &SegmentAllocator,
-        tables: &MappingTables,
         origins: &JobOrigins,
     ) -> Result<(), DtlError> {
         let broken = |reason: String| Err(DtlError::Internal { reason });
@@ -277,13 +278,6 @@ impl RankPower {
                     ));
                 }
                 let power = backend.rank_state(c, r);
-                if power == PowerState::Mpsm {
-                    if let Some((within, hsn)) = tables.mapped_in_rank(c, r).next() {
-                        let loc = SegmentLocation { channel: c, rank: r, within };
-                        let dsn = self.geo.dsn(loc);
-                        return broken(format!("live segment {dsn} ({hsn}) in MPSM rank {loc:?}"));
-                    }
-                }
                 let parked = matches!(lifecycle, RankPdState::PoweredDown | RankPdState::Retired);
                 if parked != (power == PowerState::Mpsm) {
                     return broken(format!("ch{c}/rk{r} is {lifecycle:?} but in {power:?}"));

@@ -42,7 +42,7 @@ type HostTable = Vec<Option<AuTable>>;
 /// assert_eq!(t.reverse(Dsn(2)), Some(hsn));
 /// # Ok::<(), dtl_core::DtlError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MappingTables {
     segments_per_au: u64,
     geo: SegmentGeometry,
@@ -58,6 +58,10 @@ pub struct MappingTables {
     reverse: Vec<u64>,
     /// Non-zero entries of `reverse`, kept in step by every mutation.
     mapped: u64,
+    /// Moves once at the top of every `&mut self` entry point, so an
+    /// unchanged value means unchanged tables (see
+    /// [`MappingTables::generation`]).
+    generation: u64,
 }
 
 /// Decodes one reverse-table entry.
@@ -90,11 +94,32 @@ impl MappingTables {
         let max_aus = geo.total_segments() / segments_per_au;
         // Strictly below: the largest packed key plus one must not wrap.
         assert!(max_aus < 1 << Hsn::AU_BITS, "{max_aus} AUs overflow the AU id field");
-        MappingTables { segments_per_au, geo, hosts: Vec::new(), reverse: Vec::new(), mapped: 0 }
+        MappingTables {
+            segments_per_au,
+            geo,
+            hosts: Vec::new(),
+            reverse: Vec::new(),
+            mapped: 0,
+            generation: 0,
+        }
+    }
+
+    /// A counter that every `&mut self` entry point moves once, before it
+    /// looks at its arguments — failed calls included. Equal values read
+    /// from the same tables mean nothing was changed in between, which is
+    /// what lets the device sweep skip re-proving them. Private helpers run
+    /// only inside those entry points and do not move it again.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    fn bump(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
     }
 
     /// Registers a host (idempotent).
     pub fn register_host(&mut self, host: HostId) {
+        self.bump();
         let i = usize::from(host.0);
         if i >= self.hosts.len() {
             self.hosts.resize(i + 1, None);
@@ -146,6 +171,7 @@ impl MappingTables {
     ///   exists or its id is beyond the AUs the device can hold, or a DSN
     ///   is already mapped, listed twice, or beyond the device.
     pub fn create_au(&mut self, host: HostId, au: AuId, dsns: Vec<Dsn>) -> Result<(), DtlError> {
+        self.bump();
         if dsns.len() as u64 != self.segments_per_au {
             return Err(DtlError::Internal {
                 reason: format!("AU needs {} segments, got {}", self.segments_per_au, dsns.len()),
@@ -199,6 +225,7 @@ impl MappingTables {
     ///
     /// [`DtlError::UnknownHost`] / [`DtlError::UnknownAu`] when absent.
     pub fn remove_au(&mut self, host: HostId, au: AuId) -> Result<Vec<Dsn>, DtlError> {
+        self.bump();
         let aus = self.host_mut(host).ok_or(DtlError::UnknownHost(host))?;
         let table = aus
             .get_mut(au.0 as usize)
@@ -230,6 +257,7 @@ impl MappingTables {
     ///   [`DtlError::Internal`] when the HSN is not currently mapped, or the
     ///   destination is occupied by another HSN or beyond the device.
     pub fn remap(&mut self, hsn: Hsn, new_dsn: Dsn) -> Result<Dsn, DtlError> {
+        self.bump();
         if let Some(owner) = owner(*self.entry_mut(new_dsn)?) {
             if owner != hsn {
                 return Err(DtlError::Internal {
@@ -261,6 +289,7 @@ impl MappingTables {
     /// mapped HSN's forward entry is inconsistent with the reverse table
     /// (indicates a bug).
     pub fn swap(&mut self, a: Dsn, b: Dsn) -> Result<(Option<Hsn>, Option<Hsn>), DtlError> {
+        self.bump();
         let ea = *self.entry_mut(a)?;
         let eb = *self.entry_mut(b)?;
         let (ha, hb) = (owner(ea), owner(eb));
@@ -301,6 +330,7 @@ impl MappingTables {
     /// corrupted HSN, or `None` when nothing is mapped.
     #[doc(hidden)]
     pub fn corrupt_first_forward_slot(&mut self) -> Option<Hsn> {
+        self.bump();
         let (dsn, hsn) = self.iter_mapped().next()?;
         // A neighbour inside the table, so later updates of the slot stay in range.
         let len = self.reverse.len() as u64;
@@ -394,6 +424,7 @@ impl MappingTables {
     /// The maintained mapped count, for the device sweep's self-tests to
     /// corrupt.
     pub(crate) fn mapped_count_for_test(&mut self) -> &mut u64 {
+        self.bump();
         &mut self.mapped
     }
 }
@@ -803,7 +834,8 @@ mod tests {
         /// and answer every probe alike after every step. The one designed
         /// difference: an id beyond the device, or a DSN listed twice,
         /// which the reference would accept, is `Internal` here and changes
-        /// nothing.
+        /// nothing. A step that leaves the generation where it was leaves
+        /// the tables exactly as they were.
         #[test]
         fn lockstep_with_the_hash_map_reference(
             steps in prop::collection::vec(op_strategy(), 1..80),
@@ -814,6 +846,7 @@ mod tests {
             model.register_host(HostId(0));
             let beyond = |d: &Dsn| d.0 >= PROP_SEGMENTS;
             for op in steps {
+                let (before, generation) = (dense.clone(), dense.generation());
                 match op {
                     Op::Register { host } => {
                         dense.register_host(HostId(host));
@@ -868,6 +901,9 @@ mod tests {
                             prop_assert_eq!(got, shape(model.swap(Dsn(a), Dsn(b))));
                         }
                     }
+                }
+                if dense.generation() == generation {
+                    prop_assert_eq!(&dense, &before, "changed without a new generation");
                 }
                 prop_assert_eq!(shape(dense.check_consistency()), shape(model.check_consistency()));
                 prop_assert_eq!(dense.mapped_segments(), model.reverse.len() as u64);

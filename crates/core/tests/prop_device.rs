@@ -2,7 +2,8 @@
 //! (mapping consistency, allocator partitioning, no live data in MPSM, one
 //! agreed state per rank) under arbitrary interleavings of VM lifecycle
 //! events, quota changes, accesses, faults, power-policy changes and time,
-//! starting from every power policy.
+//! starting from every power policy — and the sweep that checks them gives
+//! the same verdict whether or not it remembers its last clean pass.
 
 use dtl_core::{DtlConfig, DtlDevice, DtlError, HostId, HostPhysAddr, VmHandle};
 use dtl_dram::{AccessKind, Picos, PowerPolicyKind};
@@ -143,8 +144,13 @@ fn run_ops(ops: &[Op], policy: u8, hotness: bool, powerdown: bool) -> Result<(),
                 }
             }
         }
-        dev.check_invariants()
-            .map_err(|e| TestCaseError::fail(format!("invariant after {op:?}: {e}")))?;
+        // The sweep skips its per-segment pass when tables, allocator and
+        // the set of ranks in MPSM are what its last clean pass saw: that
+        // verdict must be the one a full pass gives.
+        let remembered = dev.check_invariants();
+        dev.forget_clean_sweep();
+        prop_assert_eq!(&remembered, &dev.check_invariants(), "memoized verdict after {:?}", op);
+        remembered.map_err(|e| TestCaseError::fail(format!("invariant after {op:?}: {e}")))?;
     }
     // Drain: run migrations out and re-check.
     for _ in 0..50 {
