@@ -1104,10 +1104,22 @@ impl<B: MemoryBackend> MemoryPool<B> {
             d.dev.check_invariants().map_err(|e| PoolError::Device { device: d.id, source: e })?;
         }
         let mut per_device = vec![0u32; self.devices.len()];
+        // Counts `aus` against `device`; false for a device outside the pool.
+        let mut book = |device: DeviceId, aus: u32| {
+            per_device.get_mut(usize::from(device.0)).map(|n| *n += aus).is_some()
+        };
+        let outside =
+            |owner: String, device| internal(format!("{owner} names {device}, outside the pool"));
         let mut per_host: BTreeMap<u16, u32> = BTreeMap::new();
-        for v in self.vms.values() {
+        for (&id, v) in &self.vms {
+            let vm = PoolVmId(id);
+            if !self.hosts.contains_key(&v.host.0) {
+                return Err(internal(format!("{vm} runs on unregistered {}", v.host)));
+            }
             for s in &v.shards {
-                per_device[usize::from(s.device.0)] += s.aus();
+                if !book(s.device, s.aus()) {
+                    return Err(outside(format!("a shard of {vm}"), s.device));
+                }
             }
             *per_host.entry(v.host.0).or_default() += v.total_aus();
         }
@@ -1116,7 +1128,9 @@ impl<B: MemoryBackend> MemoryPool<B> {
                 return Err(internal(format!("evacuation references dead VM {}", j.vm)));
             }
             for (id, alloc) in &j.dst {
-                per_device[usize::from(id.0)] += alloc.aus.len() as u32;
+                if !book(*id, alloc.aus.len() as u32) {
+                    return Err(outside(format!("the evacuation of {}", j.vm), *id));
+                }
             }
         }
         for (d, &counted) in self.devices.iter().zip(per_device.iter()) {
@@ -1367,6 +1381,44 @@ mod tests {
                 source: dtl_core::DtlError::Internal { .. }
             })
         ));
+    }
+
+    fn violation(p: &MemoryPool<AnalyticBackend>) -> String {
+        match p.check_invariants() {
+            Err(PoolError::InvalidConfig { reason }) => reason,
+            other => panic!("the corruption went unreported: {other:?}"),
+        }
+    }
+
+    /// A shard or an evacuation destination on a device the pool does not
+    /// have is reported, not an index panic.
+    #[test]
+    fn sweep_reports_a_device_outside_the_pool() {
+        let mut p = pool(2);
+        let vm = p.alloc_vm(HostId(0), au(&p), Picos::ZERO).unwrap();
+        p.check_invariants().unwrap();
+        p.vms.get_mut(&vm.0).unwrap().shards[0].device = DeviceId(9);
+        assert_eq!(violation(&p), format!("a shard of {vm} names dev9, outside the pool"));
+
+        let mut p = pool(3);
+        p.alloc_vm(HostId(0), au(&p), Picos::ZERO).unwrap();
+        p.retire_device(DeviceId(0), secs(1)).unwrap();
+        p.check_invariants().unwrap();
+        let job = p.evac.front_mut().expect("retiring dev0 evacuates its shard");
+        job.dst[0].0 = DeviceId(7);
+        let vm = job.vm;
+        assert_eq!(violation(&p), format!("the evacuation of {vm} names dev7, outside the pool"));
+    }
+
+    /// A VM whose host the pool never registered is reported: its AUs
+    /// would otherwise be counted against no host's books.
+    #[test]
+    fn sweep_reports_a_vm_on_an_unregistered_host() {
+        let mut p = pool(2);
+        let vm = p.alloc_vm(HostId(0), au(&p), Picos::ZERO).unwrap();
+        p.check_invariants().unwrap();
+        p.vms.get_mut(&vm.0).unwrap().host = HostId(5);
+        assert_eq!(violation(&p), format!("{vm} runs on unregistered host5"));
     }
 
     #[test]
