@@ -1,8 +1,17 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, and the full test suite.
 # Run from the repository root: ./ci.sh
+# ./ci.sh --mutants also runs the source-mutant suite (./mutants.sh), which
+# rebuilds once per mutant and so stays out of the default run.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+mutants=0
+case "${1:-}" in
+    "") ;;
+    --mutants) mutants=1 ;;
+    *) echo "usage: ./ci.sh [--mutants]"; exit 2 ;;
+esac
 
 echo "== cargo fmt --check =="
 cargo fmt --check
@@ -72,6 +81,11 @@ cargo test --release -q -p dtl-core --test prop_device
 # The FR-FCFS pick's work, counted: candidates evaluated per decision on an
 # open-loop stream. A regression fails here by count, not by stopwatch.
 cargo test --release -q -p dtl-dram --lib candidates_evaluated_per_pick
+
+if [ "$mutants" -eq 1 ]; then
+    echo "== source mutants: each one caught by the test it names (release) =="
+    ./mutants.sh
+fi
 
 echo "== smoke suite on the parallel path (--jobs 2) =="
 cargo build --release -q -p dtl-bench
