@@ -13,7 +13,8 @@
 # builds fails the run with "refresh this mutant".
 #
 # Usage: ./mutants.sh [tests/mutants/NN-name.patch ...]   (default: all)
-# Scratch space: $MUTANTS_DIR, else a new directory under ${TMPDIR:-/tmp}.
+# Scratch space (tree copies, build output, one log per mutant):
+# $MUTANTS_DIR, else ${TMPDIR:-/tmp}/dtl-mutants, reused from run to run.
 # Each copy rebuilds the workspace crates its test needs, about half a
 # minute a mutant on two cores.
 set -euo pipefail
@@ -22,7 +23,7 @@ repo=$(pwd)
 
 patches=("$@")
 [ ${#patches[@]} -gt 0 ] || patches=(tests/mutants/*.patch)
-scratch=${MUTANTS_DIR:-$(mktemp -d "${TMPDIR:-/tmp}/dtl-mutants.XXXXXX")}
+scratch=${MUTANTS_DIR:-${TMPDIR:-/tmp}/dtl-mutants}
 mkdir -p "$scratch"
 work="$scratch/tree"
 export CARGO_TARGET_DIR="$scratch/target"
