@@ -70,9 +70,10 @@ cargo test -q
 
 # Index arithmetic once more without debug assertions: every structure
 # that replaced a slower one, in lockstep with the one it replaced (dense
-# tables, allocator bitmaps, SMC L1 index, job-origin window; the mixer's
-# lookahead rings; the FR-FCFS pick; the fabric's dense routes and ledgers;
-# the plain-value histogram against its samples) — and the device property,
+# tables, the allocator's free runs and bitmaps, SMC L1 index, job-origin
+# window; the mixer's lookahead rings; the FR-FCFS pick; the fabric's dense
+# routes and ledgers; the plain-value histogram against its samples) — and
+# the device property,
 # whose sweep cross-checks the copies of every rank's state.
 echo "== lockstep proptests, device property (release) =="
 cargo test --release -q -p dtl-core -p dtl-trace -p dtl-dram -p dtl-fabric -p dtl-telemetry \
@@ -81,6 +82,9 @@ cargo test --release -q -p dtl-core --test prop_device
 # The FR-FCFS pick's work, counted: candidates evaluated per decision on an
 # open-loop stream. A regression fails here by count, not by stopwatch.
 cargo test --release -q -p dtl-dram --lib candidates_evaluated_per_pick
+# A fresh paper-geometry device's heap, counted by a global allocator: a
+# per-segment cost at build time fails here by bytes, not by stopwatch.
+cargo test --release -q -p dtl-core --test device_footprint
 
 if [ "$mutants" -eq 1 ]; then
     echo "== source mutants: each one caught by the test it names (release) =="

@@ -4,6 +4,7 @@ use dtl_dram::{DramConfig, Picos, PowerPolicyKind};
 use serde::{Deserialize, Serialize};
 
 use crate::addr::{Hsn, SegmentGeometry};
+use crate::alloc::rank_too_large;
 use crate::error::DtlError;
 
 /// Configuration of the DRAM Translation Layer.
@@ -149,8 +150,9 @@ impl DtlConfig {
     /// [`DtlError::InvalidConfig`] when an AU is not a whole number of
     /// segments per channel, an AU holds more than 2²⁰ segments (its offset
     /// would alias another key's AU id), the device holds 2²⁸ AUs or more
-    /// (an AU id would alias another key's host id), or the device's
-    /// segments do not fit a table index.
+    /// (an AU id would alias another key's host id), the device's segments
+    /// do not fit a table index, or a rank holds 2³² segments or more (the
+    /// allocator's free runs name a slot in a `u32`).
     pub fn validate_geometry(&self, geo: &SegmentGeometry) -> Result<(), DtlError> {
         let invalid = |reason: String| Err(DtlError::InvalidConfig { reason });
         if self.segment_bytes == 0 || self.au_bytes < self.segment_bytes {
@@ -186,6 +188,9 @@ impl DtlConfig {
                 segments / per_au,
                 Hsn::AU_BITS
             ));
+        }
+        if u32::try_from(geo.segs_per_rank).is_err() {
+            return invalid(rank_too_large(geo.segs_per_rank));
         }
         Ok(())
     }
@@ -269,6 +274,18 @@ mod tests {
         assert!(reason(small_au, many).contains("AU id"));
         small_au
             .validate_geometry(&SegmentGeometry { segs_per_rank: (1 << 28) - 1, ..many })
+            .unwrap();
+
+        // 2^32 segments a rank: a free run's u32 slot would wrap.
+        let deep = SegmentGeometry { channels: 1, ranks_per_channel: 1, segs_per_rank: 1 << 33 };
+        assert_eq!(
+            reason(DtlConfig::paper(), deep),
+            "a rank of 8589934592 segments overflows the 32-bit slots of the allocator's free runs"
+        );
+        assert!(reason(DtlConfig::paper(), SegmentGeometry { segs_per_rank: 1 << 32, ..deep })
+            .contains("32-bit slots"));
+        DtlConfig::paper()
+            .validate_geometry(&SegmentGeometry { segs_per_rank: u32::MAX.into(), ..deep })
             .unwrap();
 
         // A segment count that wraps u64, and one whose table would not fit

@@ -1,10 +1,13 @@
 //! The device sweep's per-segment pass, and the memo that lets a sweep skip
 //! it when nothing it reads has changed.
 //!
-//! The pass proves four things, each a walk over every segment or slot:
-//! the mapping tables are consistent, the allocator tiles every rank, a
-//! rank the backend holds in MPSM maps nothing (MPSM loses data), and every
-//! other rank's mapped segments are allocated. Its verdict is a function of
+//! The pass proves four things: the mapping tables are consistent (a walk
+//! of the forward tables and of the reverse table, which reaches only as
+//! far as the highest DSN ever mapped), the allocator tiles every rank (a
+//! walk of each rank's free runs and bitmap words), a rank the backend
+//! holds in MPSM maps nothing (MPSM loses data), and every other rank's
+//! mapped segments are allocated (those two read each rank's stride of the
+//! reverse table, one step a segment). Its verdict is a function of
 //! the tables, the allocator and the set of ranks in MPSM, and of nothing
 //! else. Both structures carry a generation that every `&mut self` entry
 //! point moves, so (tables generation, allocator generation, exact MPSM
