@@ -198,8 +198,11 @@ pub struct MigrationEngine {
     channel_free_at: Vec<Picos>,
     /// Energy of aborted partial copies, charged at the next pump.
     pending_charges: Vec<(SegmentLocation, SegmentLocation, u64)>,
-    /// Endpoint index: endpoints of queued or in-flight jobs on each DSN.
-    /// One byte per device segment; enqueue refuses a job that would wrap it.
+    /// Endpoint index: endpoints of queued or in-flight jobs on each DSN,
+    /// one byte each; enqueue refuses a job that would wrap it. Reaches only
+    /// as far as the highest DSN any job ever named (enqueue grows it, and
+    /// nothing shrinks it); every DSN past its end is an endpoint of
+    /// nothing. A fresh engine therefore allocates nothing per segment.
     dsn_jobs: Vec<u8>,
     /// Endpoint index: job endpoints in each (channel, rank). Two per job,
     /// so a `u64` outlives any run.
@@ -235,7 +238,7 @@ impl MigrationEngine {
             in_flight: vec![None; channels],
             channel_free_at: vec![Picos::ZERO; channels],
             pending_charges: Vec::new(),
-            dsn_jobs: vec![0; geo.total_segments() as usize],
+            dsn_jobs: Vec::new(),
             rank_endpoints: vec![0; channels * geo.ranks_per_channel as usize],
             copies: 0,
             next_id: 0,
@@ -311,6 +314,10 @@ impl MigrationEngine {
             return Err(DtlError::Internal {
                 reason: format!("cross-channel migration {x} -> {y} (ch{cx} vs ch{cy})"),
             });
+        }
+        let top = x.0.max(y.0) as usize;
+        if self.dsn_jobs.len() <= top {
+            self.dsn_jobs.resize(top + 1, 0);
         }
         // A job adds one per endpoint, two when both are the same segment.
         if let Some(d) = [x, y].into_iter().find(|d| self.dsn_jobs[d.0 as usize] > u8::MAX - 2) {
@@ -718,7 +725,10 @@ impl MigrationEngine {
                 if self.geo.location(d).channel as usize != ch {
                     return broken(format!("job {} ({d}) held by channel {ch}", job.id));
                 }
-                dsn_jobs[d.0 as usize] += 1;
+                let Some(n) = dsn_jobs.get_mut(d.0 as usize) else {
+                    return broken(format!("job {} ({d}) lies past the endpoint index", job.id));
+                };
+                *n += 1;
                 rank_endpoints[self.rank_slot(d)] += 1;
             }
             copies += u64::from(matches!(job.kind, MigrationKind::Copy { .. }));
@@ -1026,6 +1036,88 @@ mod tests {
         assert!(!eng.involves(Dsn(u64::MAX)));
         assert!(!eng.involves_rank(geo().channels, 0));
         assert!(!eng.involves_rank(0, geo().ranks_per_channel), "not channel 1, rank 0");
+    }
+
+    // --- the endpoint index grows on demand ------------------------------
+
+    #[test]
+    fn a_fresh_engine_holds_an_empty_index() {
+        // The paper device: 4 channels x 8 ranks x 6 144 segments.
+        let paper = SegmentGeometry { channels: 4, ranks_per_channel: 8, segs_per_rank: 6144 };
+        let eng = MigrationEngine::new(paper, 2 << 20, 3);
+        assert_eq!(eng.dsn_jobs.capacity(), 0, "nothing allocated per segment");
+        assert!(!eng.involves(Dsn(0)));
+        assert!(!eng.involves(Dsn(paper.total_segments() - 1)));
+        eng.check_index().unwrap();
+    }
+
+    #[test]
+    fn an_index_shorter_than_the_device_audits_through_every_exit() {
+        let (mut eng, mut be) = setup();
+        let total = geo().total_segments();
+        // Completion: one copy runs to its end.
+        eng.enqueue_copy(dsn_ch0(0), dsn_ch0(5), Picos::ZERO).unwrap();
+        assert_eq!(eng.dsn_jobs.len() as u64, dsn_ch0(5).0 + 1, "grown to the higher endpoint");
+        eng.pump(Picos::ZERO, &mut be);
+        assert_eq!(eng.pump(Picos::from_ms(10), &mut be).len(), 1);
+        eng.check_index().unwrap();
+        // Cancellation: one queued behind one in flight, cancelled by id.
+        eng.enqueue_copy(dsn_ch0(1), dsn_ch0(6), Picos::from_ms(10)).unwrap();
+        let queued = eng.enqueue_swap(dsn_ch0(2), dsn_ch0(9), Picos::from_ms(10)).unwrap();
+        eng.pump(Picos::from_ms(10), &mut be);
+        eng.check_index().unwrap();
+        assert_eq!(eng.cancel_ids(&[queued]).len(), 1);
+        eng.check_index().unwrap();
+        // Rollback: the in-flight copy interrupted past its retry budget.
+        // Each replay restarts when its backoff ends; cut it 1 us in.
+        let dur = Picos::from_ps((SEG as f64 / (4.6e9 / 2.0) * 1e12) as u64);
+        let mut restart = Picos::from_ms(10);
+        let mut rolled = None;
+        for k in 1..=4u32 {
+            eng.pump(restart, &mut be);
+            let at = restart + Picos::from_us(1);
+            if let MigrationInterrupt::RolledBack { job } = eng.interrupt_channel(0, at) {
+                rolled = Some(job);
+            }
+            restart = at + dur * (1u64 << k);
+        }
+        assert!(rolled.is_some(), "the copy rolled back");
+        assert!(eng.is_idle());
+        let len = eng.dsn_jobs.len() as u64;
+        assert!(len < total, "the index ({len}) stays shorter than the device ({total})");
+        eng.check_index().unwrap();
+        for d in [len, total - 1, total] {
+            assert!(!eng.involves(Dsn(d)), "dsn{d} past the index's end");
+        }
+    }
+
+    #[test]
+    fn a_job_at_the_device_s_last_dsn_grows_the_index_to_the_device() {
+        let (mut eng, mut be) = setup();
+        let last = Dsn(geo().total_segments() - 1);
+        let peer = Dsn(last.0 - u64::from(geo().channels));
+        eng.enqueue_copy(peer, last, Picos::ZERO).unwrap();
+        assert_eq!(eng.dsn_jobs.len() as u64, geo().total_segments());
+        assert!(eng.involves(last) && eng.involves(peer));
+        eng.check_index().unwrap();
+        eng.pump(Picos::ZERO, &mut be);
+        assert_eq!(eng.pump(Picos::from_ms(10), &mut be).len(), 1);
+        assert!(!eng.involves(last));
+        eng.check_index().unwrap();
+    }
+
+    #[test]
+    fn a_dsn_takes_254_job_endpoints_and_refuses_the_next() {
+        let (mut eng, _) = setup();
+        let hub = dsn_ch0(0);
+        for i in 0..254 {
+            eng.enqueue_copy(hub, dsn_ch0(1 + i % 4), Picos::ZERO).unwrap();
+        }
+        let err = eng.enqueue_copy(hub, dsn_ch0(9), Picos::ZERO);
+        assert!(matches!(err, Err(DtlError::Internal { .. })), "{err:?}");
+        assert!(!eng.involves(dsn_ch0(9)), "the refused job left nothing behind");
+        assert_eq!(eng.queued(), 254);
+        eng.check_index().unwrap();
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! walk of each rank's free runs and bitmap words), a rank the backend
 //! holds in MPSM maps nothing (MPSM loses data), and every other rank's
 //! mapped segments are allocated (those two read each rank's stride of the
-//! reverse table, one step a segment). Its verdict is a function of
+//! reverse table, one step a segment, up to the table's end: a fresh
+//! device's first pass reads none). Its verdict is a function of
 //! the tables, the allocator and the set of ranks in MPSM, and of nothing
 //! else. Both structures carry a generation that every `&mut self` entry
 //! point moves, so (tables generation, allocator generation, exact MPSM
@@ -60,6 +61,13 @@ impl SweepKey {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Per-segment passes [`CleanSweep::check`] has run on this thread, not
+    /// counting the ones debug builds run behind a remembered key.
+    pub(crate) static FULL_PASSES: Cell<u64> = const { Cell::new(0) };
+}
+
 /// The key of the device's last sweep that passed as a whole.
 #[derive(Debug, Default)]
 pub(crate) struct CleanSweep(Cell<Option<SweepKey>>);
@@ -89,6 +97,8 @@ impl CleanSweep {
                 panic!("the sweep memo skipped a violation: {e}");
             }
         } else {
+            #[cfg(test)]
+            FULL_PASSES.with(|n| n.set(n.get() + 1));
             per_segment(backend, tables, alloc)?;
         }
         rest()?;
@@ -140,8 +150,12 @@ fn per_segment<B: MemoryBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::SegmentGeometry;
+    use crate::addr::{HostId, SegmentGeometry};
     use crate::backend::AnalyticBackend;
+    use crate::config::DtlConfig;
+    use crate::device::DtlDevice;
+    use crate::tables::SLOTS_READ;
+    use dtl_dram::Picos;
 
     fn key(channels: u32, ranks_per_channel: u32) -> Option<SweepKey> {
         let geo = SegmentGeometry { channels, ranks_per_channel, segs_per_rank: 4 };
@@ -153,5 +167,49 @@ mod tests {
     fn a_geometry_past_the_bitset_is_never_remembered() {
         assert!(key(2, 64).is_some());
         assert_eq!(key(2, 65), None);
+    }
+
+    // --- the sweep's work, counted ----------------------------------------
+
+    fn full_passes() -> u64 {
+        FULL_PASSES.with(Cell::get)
+    }
+
+    fn slots_read_by(sweep: impl FnOnce()) -> u64 {
+        SLOTS_READ.with(|n| n.set(0));
+        sweep();
+        SLOTS_READ.with(Cell::get)
+    }
+
+    #[test]
+    fn a_second_sweep_of_an_unchanged_device_runs_no_full_pass() {
+        let cfg = DtlConfig::tiny();
+        let mut dev = DtlDevice::with_analytic_geometry(cfg, 2, 4, 32);
+        dev.register_host(HostId(0)).unwrap();
+        dev.alloc_vm(HostId(0), cfg.au_bytes, Picos::ZERO).unwrap();
+        let before = full_passes();
+        dev.check_invariants().unwrap();
+        assert_eq!(full_passes(), before + 1, "the first sweep runs the pass");
+        dev.check_invariants().unwrap();
+        dev.check_invariants().unwrap();
+        assert_eq!(full_passes(), before + 1, "an unchanged device is not swept again");
+        dev.alloc_vm(HostId(0), cfg.au_bytes, Picos::from_us(1)).unwrap();
+        dev.check_invariants().unwrap();
+        assert_eq!(full_passes(), before + 2, "a changed one is");
+    }
+
+    #[test]
+    fn a_fresh_paper_device_s_first_sweep_reads_no_reverse_slot() {
+        let cfg = DtlConfig::paper();
+        // The Figure 12 node: 4 channels x 8 ranks of 12 GiB in 2 MiB segments.
+        let mut dev = DtlDevice::with_analytic_geometry(cfg, 4, 8, 6144);
+        assert_eq!(slots_read_by(|| dev.check_invariants().unwrap()), 0);
+        dev.register_host(HostId(0)).unwrap();
+        dev.alloc_vm(HostId(0), cfg.au_bytes, Picos::ZERO).unwrap();
+        assert_eq!(cfg.segments_per_au(), 1024);
+        // Without the bound the pass reads every rank's whole stride:
+        // 196 608 slots.
+        let read = slots_read_by(|| dev.check_invariants().unwrap());
+        assert!((1..=1024).contains(&read), "one AU's sweep read {read} slots");
     }
 }

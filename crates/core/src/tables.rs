@@ -64,6 +64,13 @@ pub struct MappingTables {
     generation: u64,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Reverse-table slots [`MappingTables::mapped_in_rank`] has read on
+    /// this thread: the sweep's work, counted rather than timed.
+    pub(crate) static SLOTS_READ: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Decodes one reverse-table entry.
 #[inline]
 fn owner(entry: u64) -> Option<Hsn> {
@@ -346,8 +353,10 @@ impl MappingTables {
 
     /// The mapped segments of one rank as (within-rank slot, owner) pairs,
     /// ascending: a strided read of the rank's own reverse-table entries,
-    /// not a filter over the whole device. Empty for a rank outside the
-    /// geometry.
+    /// not a filter over the whole device. The read stops at the reverse
+    /// table's end, past which nothing is mapped: a rank wholly past it
+    /// costs nothing, so a fresh device's ranks read no entry at all.
+    /// Empty for a rank outside the geometry.
     pub(crate) fn mapped_in_rank(
         &self,
         channel: u32,
@@ -355,8 +364,18 @@ impl MappingTables {
     ) -> impl Iterator<Item = (u64, Hsn)> + '_ {
         let geo = self.geo;
         let in_range = channel < geo.channels && rank < geo.ranks_per_channel;
-        let slots = if in_range { geo.segs_per_rank } else { 0 };
+        let slots = if in_range {
+            // Slot `within` is DSN `base + within * channels`, so the slots
+            // inside the table are the first ⌈(len − base) / channels⌉.
+            let base = geo.dsn(SegmentLocation { channel, rank, within: 0 }).0;
+            let inside = (self.reverse.len() as u64).saturating_sub(base);
+            geo.segs_per_rank.min(inside.div_ceil(u64::from(geo.channels)))
+        } else {
+            0
+        };
         (0..slots).filter_map(move |within| {
+            #[cfg(test)]
+            SLOTS_READ.with(|n| n.set(n.get() + 1));
             let dsn = geo.dsn(SegmentLocation { channel, rank, within });
             Some((within, owner(*self.reverse.get(dsn.0 as usize)?)?))
         })
@@ -609,6 +628,32 @@ mod tests {
             }
         }
         assert_eq!(seen, all.len(), "every mapped segment is in exactly one rank");
+    }
+
+    #[test]
+    fn mapped_in_rank_stops_at_the_reverse_table_s_end() {
+        let mut t = tables();
+        // The table ends at dsn 71 (channel 1, rank 2, slot 3): mid-stride.
+        t.remap(hsn(1, 0, 1), Dsn(71)).unwrap();
+        assert_eq!(t.reverse.len(), 72);
+        let read = |t: &MappingTables, channel, rank| {
+            SLOTS_READ.with(|n| n.set(0));
+            let got: Vec<u64> = t.mapped_in_rank(channel, rank).map(|(w, _)| w).collect();
+            (got, SLOTS_READ.with(std::cell::Cell::get))
+        };
+        // Rank 0 lies wholly inside the table: its whole stride. Rank 2
+        // reads up to dsn 71 on channel 1 (dsn 70 on channel 0), rank 3
+        // nothing.
+        assert_eq!(read(&t, 0, 0), (vec![0, 1, 5, 6], 16));
+        assert_eq!(read(&t, 1, 0), (vec![0, 1, 6], 16));
+        assert_eq!(read(&t, 1, 2), (vec![3], 4));
+        assert_eq!(read(&t, 0, 2), (vec![], 4));
+        assert_eq!(read(&t, 1, 3), (vec![], 0));
+        // A fresh table reads no slot at all.
+        let fresh = MappingTables::new(4, GEO);
+        for (channel, rank) in [(0, 0), (1, 0), (1, 3)] {
+            assert_eq!(read(&fresh, channel, rank), (vec![], 0));
+        }
     }
 
     // --- check_consistency has teeth: one hand mutation per violation ----

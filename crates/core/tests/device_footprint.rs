@@ -1,9 +1,12 @@
 //! The heap a fresh paper-geometry device holds, counted by a global
 //! allocator: what the device costs before it holds anything must not
-//! scale with its capacity. Per segment, the mapping tables allocate
-//! nothing at build time and the allocator keeps each rank's free FIFO as
-//! runs (one for a fresh rank), so the fixed cost is per rank and per
-//! structure. A regression fails here by count, not by stopwatch.
+//! scale with its capacity. Per segment, the mapping tables' reverse table
+//! and the migration engine's endpoint index allocate nothing at build time
+//! (each grows to the highest DSN it is handed), and the allocator keeps
+//! each rank's free FIFO as runs (one for a fresh rank), so the fixed cost
+//! is per rank and per structure: the allocator's bitmaps (one bit a
+//! segment, 24 KiB) and the SMC are the largest. A regression fails here by
+//! count, not by stopwatch.
 //!
 //! One test in its own binary, so no other test allocates while it counts.
 
@@ -52,7 +55,7 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 #[test]
-fn a_fresh_paper_device_holds_under_half_a_mib_of_heap() {
+fn a_fresh_paper_device_holds_under_128_kib_of_heap() {
     let config = DtlConfig::paper();
     // The Figure 12 node: 4 channels x 8 ranks of 12 GiB in 2 MiB segments.
     let segs_per_rank = (12 << 30) / config.segment_bytes;
@@ -61,5 +64,6 @@ fn a_fresh_paper_device_holds_under_half_a_mib_of_heap() {
     let device = DtlDevice::with_analytic_geometry(config, 4, 8, segs_per_rank);
     let grown = LIVE.load(Ordering::Relaxed) - before;
     device.check_invariants().unwrap();
-    assert!(grown < 512 << 10, "a fresh paper device holds {grown} bytes of heap");
+    // 73 232 bytes; 269 840 while the endpoint index held a byte a segment.
+    assert!(grown < 128 << 10, "a fresh paper device holds {grown} bytes of heap");
 }
