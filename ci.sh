@@ -125,6 +125,13 @@ timeout 60 $dtl fig15 --tiny --jobs 2
 # cancel-on-deallocate path (the tiny run never cancels a job there).
 timeout 60 $dtl fig12 --jobs 2 --out /tmp/dtl_ci_fig12_paper.json > /dev/null
 diff /tmp/dtl_ci_fig12_paper.json results/golden/fig12_paper.json
+# The perf ledger's fleet_events run through the registry: four hosts over
+# two weeks of VM arrivals and departures (about 0.1 s), pinning admission,
+# dealloc-driven drains and capacity wakes at fleet scale, where the tiny
+# golden covers eight hosts for one day.
+timeout 60 $dtl vm_campaign --hosts 4 --minutes 20160 --jobs 2 \
+    --out /tmp/dtl_ci_vm_campaign_fleet.json > /dev/null
+diff /tmp/dtl_ci_vm_campaign_fleet.json results/golden/vm_campaign_fleet.json
 # The perf ledger's cycle_dram workload through the registry: the cycle-level
 # DDR4 model on the parallel path, byte for byte against its goldens.
 for exp in fig02 sec6_6; do
