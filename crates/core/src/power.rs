@@ -44,6 +44,14 @@ use crate::migrate::{MigrationEngine, MigrationJob, MigrationKind};
 use crate::origin::{JobOrigin, JobOrigins};
 use crate::tables::MappingTables;
 
+#[cfg(test)]
+thread_local! {
+    /// Drain-destination rank choices made on this thread: drain planning's
+    /// work, counted rather than timed.
+    pub(crate) static DESTINATION_CHOICES: std::cell::Cell<u64> =
+        const { std::cell::Cell::new(0) };
+}
+
 /// Power-down lifecycle of one rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RankPdState {
@@ -463,29 +471,57 @@ impl<B: MemoryBackend> PowerCtl<'_, B> {
         for &(c, victim) in victims {
             self.set_lifecycle(c, victim, RankPdState::Draining);
             self.state.entry(c, victim).retiring = retire;
-            let live: Vec<u64> = self.alloc.allocated_slots(c, victim).collect();
-            for within in live {
-                let src = geo.dsn(SegmentLocation { channel: c, rank: victim, within });
-                let dst = self.pick_destination(c, None).expect("spare capacity verified");
-                copies.push((src, geo.dsn(dst)));
-            }
+            // The victim is draining, so no destination lands in it: its
+            // live slots are the same before and after the reservation.
+            let live = self.alloc.allocated_in_rank(c, victim);
+            let dsts = self.reserve_destinations(c, None, live);
+            assert_eq!(dsts.len() as u64, live, "spare capacity verified");
+            let srcs = self
+                .alloc
+                .allocated_slots(c, victim)
+                .map(|within| geo.dsn(SegmentLocation { channel: c, rank: victim, within }));
+            copies.extend(srcs.zip(dsts));
         }
         self.state.stats.segments_drained += copies.len() as u64;
         copies
     }
 
     /// Picks (and reserves) a drain destination in channel `c`, outside
-    /// rank `exclude`: the most utilized active rank with free space (the
-    /// allocator's packing preference).
-    fn pick_destination(&mut self, c: u32, exclude: Option<u32>) -> Option<SegmentLocation> {
-        let rank = (0..self.state.geo.ranks_per_channel)
-            .filter(|r| {
-                Some(*r) != exclude
-                    && self.state.lifecycle(c, *r) == RankPdState::Active
-                    && self.alloc.free_in_rank(c, *r) > 0
-            })
-            .max_by_key(|r| (self.alloc.allocated_in_rank(c, *r), u32::MAX - *r))?;
-        self.alloc.take_free_in_rank(c, rank)
+    /// rank `exclude`: [`PowerCtl::reserve_destinations`] for one.
+    fn pick_destination(&mut self, c: u32, exclude: Option<u32>) -> Option<Dsn> {
+        self.reserve_destinations(c, exclude, 1).pop()
+    }
+
+    /// Reserves up to `n` drain destinations in channel `c`, outside rank
+    /// `exclude`, in the order `n` calls to
+    /// [`PowerCtl::pick_destination`] would: from the most utilized active
+    /// rank with free space (the allocator's packing preference), a free
+    /// run at a time, choosing again only when that rank runs out — it
+    /// only gets fuller, so it stays the choice. Fewer than `n` when the
+    /// channel's active ranks hold fewer.
+    fn reserve_destinations(&mut self, c: u32, exclude: Option<u32>, n: u64) -> Vec<Dsn> {
+        let geo = self.state.geo;
+        let mut dsts = Vec::with_capacity(n as usize);
+        while (dsts.len() as u64) < n {
+            let rank = (0..geo.ranks_per_channel)
+                .filter(|r| {
+                    Some(*r) != exclude
+                        && self.state.lifecycle(c, *r) == RankPdState::Active
+                        && self.alloc.free_in_rank(c, *r) > 0
+                })
+                .max_by_key(|r| (self.alloc.allocated_in_rank(c, *r), u32::MAX - *r));
+            let Some(rank) = rank else { break };
+            #[cfg(test)]
+            DESTINATION_CHOICES.with(|n| n.set(n.get() + 1));
+            while let Some((first, run)) =
+                self.alloc.take_free_run_in_rank(c, rank, n - dsts.len() as u64)
+            {
+                // The next slot of a rank is the DSN C further on.
+                let first = geo.dsn(first).0;
+                dsts.extend((0..run).map(|j| Dsn(first + j * u64::from(geo.channels))));
+            }
+        }
+        dsts
     }
 
     /// Starts a planned drain: its copies go to the migration engine under
@@ -666,7 +702,7 @@ impl<B: MemoryBackend> PowerCtl<'_, B> {
             };
             self.origins.remove(job.id);
             self.alloc.free_segments(&[dst])?;
-            self.enqueue_drain(src, self.state.geo.dsn(new_dst), group, now)?;
+            self.enqueue_drain(src, new_dst, group, now)?;
         }
         // A self-refreshing victim must wake (and the hotness engine must
         // forget it) before its data can move.
@@ -1219,6 +1255,86 @@ mod tests {
         assert_eq!(dev.powerdown_stats().segments_drained, 32_000);
         assert_eq!(dev.power().state.groups.len(), 1, "one live group at a time needs one slot");
         dev.check_invariants().unwrap();
+    }
+
+    /// A paper device (4 x 8 x 6 144, AUs of 1 024 segments) whose first 48
+    /// AUs filled ranks 0 and 1 of every channel and whose next 20 put
+    /// 5 120 segments in rank 2; every other one of the 48 came back, last
+    /// first, so ranks 0 and 1 each queue twelve 256-slot runs in
+    /// descending order. Every empty rank group is powered down, and the
+    /// next victim group, rank 0 of each channel with 3 072 live segments,
+    /// is returned unplanned.
+    fn fragmented_paper_victims(pd: &mut Ctl<'_>) -> Vec<(u32, u32)> {
+        let aus = pd.alloc.allocate_aus(1024, 68).unwrap();
+        for au in aus[..48].iter().step_by(2).rev() {
+            pd.alloc.free_segments(au).unwrap();
+        }
+        loop {
+            let group = pd.pick_victims().expect("room to drain");
+            if group.iter().any(|&(c, r)| pd.alloc.allocated_in_rank(c, r) > 0) {
+                assert_eq!(group, (0..4).map(|c| (c, 0)).collect::<Vec<_>>());
+                return group;
+            }
+            let copies = pd.plan_drain(&group, false);
+            pd.launch(&group, &copies, T).unwrap();
+        }
+    }
+
+    fn paper() -> Dev {
+        DtlDevice::with_analytic_geometry(DtlConfig::paper(), 4, 8, 6144)
+    }
+
+    /// Drain planning's work, counted: a channel chooses a destination rank
+    /// once per rank it reserves in, at most seven (its other ranks), not
+    /// once per live segment. Here 3 072 segments a channel fill the 1 024
+    /// free slots of rank 2 and 2 048 of rank 1's: two choices a channel,
+    /// where one per segment made 3 072.
+    #[test]
+    fn a_drain_chooses_a_destination_rank_once_per_rank_it_fills() {
+        let mut dev = paper();
+        let mut pd = dev.power();
+        let victims = fragmented_paper_victims(&mut pd);
+        let before = DESTINATION_CHOICES.with(std::cell::Cell::get);
+        let copies = pd.plan_drain(&victims, false);
+        let choices = DESTINATION_CHOICES.with(std::cell::Cell::get) - before;
+        assert_eq!(copies.len(), 4 * 3072);
+        assert_eq!(choices, 4 * 2);
+        pd.alloc.check_consistency().unwrap();
+    }
+
+    /// Reserving a drain's destinations a run at a time pairs every live
+    /// segment with the destination that choosing a rank and taking one
+    /// slot per segment reserves, on free FIFOs that hold many runs out of
+    /// slot order.
+    #[test]
+    fn a_drain_reserves_what_one_pick_a_segment_would() {
+        let mut dev = paper();
+        let mut pd = dev.power();
+        let victims = fragmented_paper_victims(&mut pd);
+        let mut replay = pd.alloc.clone();
+        let copies = pd.plan_drain(&victims, false);
+        let geo = pd.state.geo;
+        let mut expected = Vec::new();
+        for &(c, victim) in &victims {
+            replay.set_rank_active(c, victim, false);
+            let live: Vec<u64> = replay.allocated_slots(c, victim).collect();
+            for within in live {
+                let rank = (0..geo.ranks_per_channel)
+                    .filter(|r| replay.is_rank_active(c, *r) && replay.free_in_rank(c, *r) > 0)
+                    .max_by_key(|r| (replay.allocated_in_rank(c, *r), u32::MAX - *r))
+                    .unwrap();
+                let dst = replay.take_free_in_rank(c, rank).unwrap();
+                let src = SegmentLocation { channel: c, rank: victim, within };
+                expected.push((geo.dsn(src), geo.dsn(dst)));
+            }
+        }
+        assert_eq!(copies, expected);
+        for c in 0..geo.channels {
+            for r in 0..geo.ranks_per_channel {
+                assert!(pd.alloc.allocated_slots(c, r).eq(replay.allocated_slots(c, r)));
+                assert_eq!(pd.alloc.free_in_rank(c, r), replay.free_in_rank(c, r));
+            }
+        }
     }
 
     #[test]
