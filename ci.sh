@@ -85,8 +85,11 @@ cargo test --release -q -p dtl-dram --lib candidates_evaluated_per_pick
 # A fresh paper-geometry device's heap, counted by a global allocator: a
 # per-segment cost at build time fails here by bytes, not by stopwatch. The
 # same at rack scale: a 4-device pool, a fabric_load cell, a vm_campaign host.
+# And the allocations one vm_campaign host replay makes: a per-AU or
+# per-event heap cost in admission, release or drains fails here by count.
 cargo test --release -q -p dtl-core --test device_footprint
 cargo test --release -q -p dtl-sim --test rack_footprint
+cargo test --release -q -p dtl-sim --test fleet_allocations
 
 if [ "$mutants" -eq 1 ]; then
     echo "== source mutants: each one caught by the test it names (release) =="

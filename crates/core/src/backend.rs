@@ -206,6 +206,26 @@ impl AnalyticBackend {
             }
         }
     }
+
+    /// Takes the buffered power events, emitting each as telemetry.
+    fn take_power_events(&mut self) -> Vec<PowerEvent> {
+        let events = std::mem::take(&mut self.events);
+        if self.telemetry.enabled() {
+            for ev in &events {
+                self.telemetry.emit(
+                    ev.at.as_ps(),
+                    EventKind::RankPowerTransition {
+                        channel: ev.channel,
+                        rank: ev.rank,
+                        from: ev.from.telemetry_id(),
+                        to: ev.to.telemetry_id(),
+                        auto_exit: ev.cause == PowerEventCause::AutoExit,
+                    },
+                );
+            }
+        }
+        events
+    }
 }
 
 impl MemoryBackend for AnalyticBackend {
@@ -341,23 +361,14 @@ impl MemoryBackend for AnalyticBackend {
         PowerReport { at: now, per_rank, total, residency }
     }
 
+    /// The common case, no event since the last drain, is one emptiness
+    /// check inlined into the caller (every access drains).
+    #[inline]
     fn drain_power_events(&mut self) -> Vec<PowerEvent> {
-        let events = std::mem::take(&mut self.events);
-        if self.telemetry.enabled() {
-            for ev in &events {
-                self.telemetry.emit(
-                    ev.at.as_ps(),
-                    EventKind::RankPowerTransition {
-                        channel: ev.channel,
-                        rank: ev.rank,
-                        from: ev.from.telemetry_id(),
-                        to: ev.to.telemetry_id(),
-                        auto_exit: ev.cause == PowerEventCause::AutoExit,
-                    },
-                );
-            }
+        if self.events.is_empty() {
+            return Vec::new();
         }
-        events
+        self.take_power_events()
     }
 
     fn est_access_latency(&self) -> Picos {

@@ -854,6 +854,7 @@ impl<B: MemoryBackend> DtlDevice<B> {
         self.power().job_settled(origin, now)
     }
 
+    #[inline]
     fn process_events(&mut self) {
         for ev in self.backend.drain_power_events() {
             let PowerEvent { at, channel, rank, from, to, cause } = ev;
@@ -1729,7 +1730,7 @@ mod fault_tests {
                 dev.tables.remove_au(HostId(0), AuId(0)).unwrap();
             }),
             ("VMs list 1 AUs, count 1, tables 2", |dev, _| {
-                let dsns = dev.alloc.allocate_au(dev.config.segments_per_au()).unwrap();
+                let dsns = dev.alloc.allocate_one_au(dev.config.segments_per_au()).unwrap();
                 dev.tables.create_au(HostId(0), AuId(1), dsns).unwrap();
             }),
             ("VMs list 1 AUs, count 2, tables 1", |dev, _| {

@@ -1053,7 +1053,7 @@ mod tests {
         // the fifth spills into a second rank. Deallocating three of the
         // packed AUs leaves two partially-loaded active ranks after the two
         // empty ranks power down — forcing a victim with live data.
-        let aus: Vec<Vec<Dsn>> = (0..5).map(|_| pd.alloc.allocate_au(8).unwrap()).collect();
+        let aus: Vec<Vec<Dsn>> = (0..5).map(|_| pd.alloc.allocate_one_au(8).unwrap()).collect();
         for au in &aus[1..4] {
             pd.alloc.free_segments(au).unwrap();
         }
@@ -1093,7 +1093,7 @@ mod tests {
         // allocate 14 AUs of 8 = 112 segments, leaving 16 free (1 rank per
         // channel would need 16 per channel; we have 8 per channel).
         for _ in 0..14 {
-            pd.alloc.allocate_au(8).unwrap();
+            pd.alloc.allocate_one_au(8).unwrap();
         }
         assert!(plan(&mut pd).is_none());
     }
@@ -1186,7 +1186,7 @@ mod tests {
         let mut dev = setup();
         let mut pd = dev.power();
         // Load one rank per channel so the victim has live data to drain.
-        let aus: Vec<Vec<Dsn>> = (0..5).map(|_| pd.alloc.allocate_au(8).unwrap()).collect();
+        let aus: Vec<Vec<Dsn>> = (0..5).map(|_| pd.alloc.allocate_one_au(8).unwrap()).collect();
         for au in &aus[1..4] {
             pd.alloc.free_segments(au).unwrap();
         }
@@ -1265,7 +1265,8 @@ mod tests {
     /// next victim group, rank 0 of each channel with 3 072 live segments,
     /// is returned unplanned.
     fn fragmented_paper_victims(pd: &mut Ctl<'_>) -> Vec<(u32, u32)> {
-        let aus = pd.alloc.allocate_aus(1024, 68).unwrap();
+        let mut aus = Vec::new();
+        pd.alloc.allocate_aus(1024, 68, &mut aus).unwrap();
         for au in aus[..48].iter().step_by(2).rev() {
             pd.alloc.free_segments(au).unwrap();
         }
@@ -1323,7 +1324,7 @@ mod tests {
                     .filter(|r| replay.is_rank_active(c, *r) && replay.free_in_rank(c, *r) > 0)
                     .max_by_key(|r| (replay.allocated_in_rank(c, *r), u32::MAX - *r))
                     .unwrap();
-                let dst = replay.take_free_in_rank(c, rank).unwrap();
+                let (dst, _) = replay.take_free_run_in_rank(c, rank, 1).unwrap();
                 let src = SegmentLocation { channel: c, rank: victim, within };
                 expected.push((geo.dsn(src), geo.dsn(dst)));
             }
@@ -1346,7 +1347,7 @@ mod tests {
     fn reactivated_draining_rank_does_not_power_down() {
         let mut dev = setup();
         let mut pd = dev.power();
-        let aus: Vec<Vec<Dsn>> = (0..5).map(|_| pd.alloc.allocate_au(8).unwrap()).collect();
+        let aus: Vec<Vec<Dsn>> = (0..5).map(|_| pd.alloc.allocate_one_au(8).unwrap()).collect();
         for au in &aus[1..4] {
             pd.alloc.free_segments(au).unwrap();
         }

@@ -12,6 +12,13 @@ use serde::{Deserialize, Serialize};
 
 use crate::addr::{AuId, Dsn, HostId, Hsn};
 
+#[cfg(test)]
+thread_local! {
+    /// L1 slots [`SegmentMappingCache::invalidate_au`] has scanned on this
+    /// thread: a release's SMC work, counted rather than timed.
+    pub(crate) static L1_SLOTS_SCANNED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Where a lookup was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SmcOutcome {
@@ -175,6 +182,9 @@ pub struct SegmentMappingCache {
     l2: Vec<Entry>,
     l2_sets: usize,
     l2_ways: usize,
+    /// Valid entries over both levels: at 0 an invalidation has nothing
+    /// to find and returns at once.
+    valid: usize,
     tick: u64,
     stats: SmcStats,
 }
@@ -197,6 +207,7 @@ impl SegmentMappingCache {
             l2: vec![INVALID; l2_entries],
             l2_sets,
             l2_ways,
+            valid: 0,
             tick: 0,
             stats: SmcStats::default(),
         }
@@ -262,10 +273,14 @@ impl SegmentMappingCache {
     /// Invalidates an HSN in both levels (called on remap); returns whether
     /// any entry was present.
     pub fn invalidate(&mut self, hsn: Hsn) -> bool {
+        if self.valid == 0 {
+            return false;
+        }
         let key = hsn.pack();
         let mut any = false;
         if let Some(slot) = self.l1_index.remove(key, &self.l1) {
             self.l1[slot].valid = false;
+            self.valid -= 1;
             any = true;
         }
         // A key only ever lives in its own L2 set (where `insert_l2` put it).
@@ -273,6 +288,7 @@ impl SegmentMappingCache {
         for e in &mut self.l2[range] {
             if e.valid && e.key == key {
                 e.valid = false;
+                self.valid -= 1;
                 any = true;
             }
         }
@@ -283,8 +299,15 @@ impl SegmentMappingCache {
     /// AU is released), leaving exactly the entries that `n` calls of
     /// [`SegmentMappingCache::invalidate`] would; returns whether any entry
     /// was present. One pass over L1 and over each L2 set those offsets
-    /// map to, instead of `n` index probes and `n` set scans.
+    /// map to, instead of `n` index probes and `n` set scans; none at all
+    /// while the cache holds no valid entry (a device that has served no
+    /// access).
     pub fn invalidate_au(&mut self, host: HostId, au: AuId, n: u32) -> bool {
+        if self.valid == 0 {
+            return false;
+        }
+        #[cfg(test)]
+        L1_SLOTS_SCANNED.with(|c| c.set(c.get() + self.l1.len() as u64));
         let base = Hsn { host, au, au_offset: 0 }.pack();
         // A key is one of the AU's first `n` offsets iff it lies `< n` above
         // the AU's offset 0 (offsets are the low bits, `n` fits their field).
@@ -294,6 +317,7 @@ impl SegmentMappingCache {
             if hit(&self.l1[slot]) {
                 self.l1_index.remove(self.l1[slot].key, &self.l1);
                 self.l1[slot].valid = false;
+                self.valid -= 1;
                 any = true;
             }
         }
@@ -303,6 +327,7 @@ impl SegmentMappingCache {
             for e in &mut self.l2[range] {
                 if hit(e) {
                     e.valid = false;
+                    self.valid -= 1;
                     any = true;
                 }
             }
@@ -328,6 +353,8 @@ impl SegmentMappingCache {
             .expect("l1 non-empty");
         if self.l1[victim].valid {
             self.l1_index.remove(self.l1[victim].key, &self.l1);
+        } else {
+            self.valid += 1;
         }
         self.l1[victim] = Entry { key, dsn, lru: tick, valid: true };
         self.l1_index.insert(key, victim);
@@ -346,6 +373,9 @@ impl SegmentMappingCache {
             .iter_mut()
             .min_by_key(|e| if e.valid { e.lru + 1 } else { 0 })
             .expect("set non-empty");
+        if !victim.valid {
+            self.valid += 1;
+        }
         *victim = Entry { key, dsn, lru: tick, valid: true };
     }
 }
@@ -504,10 +534,13 @@ mod tests {
 
     impl SegmentMappingCache {
         /// The index holds exactly the valid L1 entries, each reachable
-        /// from its key.
+        /// from its key, and the kept count is the valid entries of both
+        /// levels.
         fn check_index(&self) {
             let indexed = self.l1_index.buckets.iter().filter(|b| **b != 0).count();
             assert_eq!(indexed, self.l1.iter().filter(|e| e.valid).count(), "indexed vs valid");
+            let valid = self.l1.iter().chain(&self.l2).filter(|e| e.valid).count();
+            assert_eq!(self.valid, valid, "kept valid count");
             for (slot, e) in self.l1.iter().enumerate().filter(|(_, e)| e.valid) {
                 assert_eq!(self.l1_index.find(e.key, &self.l1), Some(slot), "key {:#x}", e.key);
             }
@@ -682,6 +715,9 @@ mod tests {
         /// Host, AU (the universe uses three per host) and offset count,
         /// reduced to a little past the universe's widest AU.
         InvalidateAu(u16, u32, u32),
+        /// Releases every AU of the universe, which empties the cache, then
+        /// the given host's AU again: the release that finds nothing.
+        Empty(u16, u32),
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
@@ -691,6 +727,7 @@ mod tests {
             4 => (key(), 0u64..1 << 40).prop_map(|(k, d)| Op::Fill(k, d)),
             2 => key().prop_map(Op::Invalidate),
             1 => (0u16..2, 0u32..4, key()).prop_map(|(h, a, n)| Op::InvalidateAu(h, a, n)),
+            1 => (0u16..2, 0u32..4).prop_map(|(h, a)| Op::Empty(h, a)),
         ]
     }
 
@@ -730,6 +767,20 @@ mod tests {
                             model.invalidate(Hsn { host, au, au_offset }) | any
                         });
                         prop_assert_eq!(fast.invalidate_au(host, au, n), per_key, "{} {} x{}", host, au, n);
+                    }
+                    Op::Empty(again_host, again_au) => {
+                        // Every key of the universe has an offset below this.
+                        let n = universe / 6 + 1;
+                        for (host, au) in (0..2).flat_map(|h| (0..3).map(move |a| (HostId(h), AuId(a)))) {
+                            let per_key = (0..n).fold(false, |any, au_offset| {
+                                model.invalidate(Hsn { host, au, au_offset }) | any
+                            });
+                            prop_assert_eq!(fast.invalidate_au(host, au, n), per_key, "{} {}", host, au);
+                        }
+                        prop_assert_eq!(fast.valid, 0, "the universe released");
+                        let (host, au) = (HostId(again_host), AuId(again_au));
+                        prop_assert!(!fast.invalidate_au(host, au, n), "an empty cache finds nothing");
+                        prop_assert!(!fast.invalidate(Hsn { host, au, au_offset: 0 }));
                     }
                 }
                 prop_assert_eq!(fast.stats(), model.stats);

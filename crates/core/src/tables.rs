@@ -446,6 +446,12 @@ impl MappingTables {
         self.bump();
         &mut self.mapped
     }
+
+    /// Where an AU's forward table is stored, to tell a reused buffer
+    /// from a new one.
+    pub(crate) fn au_table_ptr(&self, host: HostId, au: AuId) -> Option<*const Dsn> {
+        Some(self.host(host)?.get(au.0 as usize)?.as_ref()?.as_ptr())
+    }
 }
 
 #[cfg(test)]
