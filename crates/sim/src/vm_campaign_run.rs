@@ -171,8 +171,10 @@ pub struct CampaignObservations {
     /// Merged windowed time series when a window width was requested.
     pub series: Option<TimeSeries>,
     /// Fleet-wide per-state rank residency from the end-of-run power
-    /// reports, picoseconds — the reconciliation anchor for the series.
-    pub residency_ps: [u64; 5],
+    /// reports, picoseconds — the reconciliation anchor for the series. A
+    /// `u128` each: one two-week paper host's 32 ranks already pass
+    /// `u64::MAX` picoseconds.
+    pub residency_ps: [u128; 5],
 }
 
 /// What one host replay observed about itself, beside its [`HostOutcome`].
@@ -182,7 +184,7 @@ struct HostObservations {
     drain_age: Histogram,
     backlog_high_water: u64,
     queue: QueueStats,
-    residency_ps: [u64; 5],
+    residency_ps: [u128; 5],
 }
 
 /// The two deadline kinds a host queue holds.
@@ -299,11 +301,11 @@ fn run_host(
         energy_mj: report.total.total_mj(),
         background_mj: report.total.background_mj,
     };
-    let mut residency_ps = [0u64; 5];
+    let mut residency_ps = [0u128; 5];
     for ch in &report.residency {
         for rank in ch {
             for (total, p) in residency_ps.iter_mut().zip(rank.iter()) {
-                *total += p.as_ps();
+                *total += u128::from(p.as_ps());
             }
         }
     }
@@ -384,7 +386,7 @@ pub fn run_campaign(
     let mut backlog_high_water = 0u64;
     let mut queue = QueueStats::default();
     let mut series = series_width.map(TimeSeries::new);
-    let mut residency_ps = [0u64; 5];
+    let mut residency_ps = [0u128; 5];
     for outcome in outcomes {
         let (h, host_obs) = outcome?;
         out.vms_placed += h.vms_placed;
@@ -473,13 +475,13 @@ mod tests {
         let series = obs.series.expect("a width was requested");
         assert_eq!(series.residency_totals_ps(), obs.residency_ps);
         let geo = cfg.geometry();
-        let ranks = u64::from(geo.channels) * u64::from(geo.ranks_per_channel) * 2;
+        let ranks = u128::from(geo.channels) * u128::from(geo.ranks_per_channel) * 2;
         // The residency clock may run ahead of the horizon by at most one
         // in-flight exit latency per rank (`residency_slack`).
-        let total = series.residency_totals_ps().iter().sum::<u64>();
-        let floor = cfg.horizon().as_ps() * ranks;
+        let total = series.residency_totals_ps().iter().sum::<u128>();
+        let floor = u128::from(cfg.horizon().as_ps()) * ranks;
         assert!(
-            total >= floor && total - floor <= ranks * Picos::from_ns(200).as_ps(),
+            total >= floor && total - floor <= ranks * u128::from(Picos::from_ns(200).as_ps()),
             "every rank accounts the full horizon: {total} vs {floor}"
         );
         assert!(r.vms_placed > 0);

@@ -169,12 +169,13 @@ impl TimeSeries {
 
     /// Total per-state residency summed over every window, indexed like
     /// [`PowerStateId::ALL`] — the reconciliation hook against the
-    /// end-of-run power report.
-    pub fn residency_totals_ps(&self) -> [u64; 5] {
-        let mut out = [0u64; 5];
+    /// end-of-run power report. A `u128` each: a two-week horizon over 32
+    /// ranks is already past `u64::MAX` picoseconds.
+    pub fn residency_totals_ps(&self) -> [u128; 5] {
+        let mut out = [0u128; 5];
         for w in &self.windows {
             for (total, r) in out.iter_mut().zip(w.residency_ps.iter()) {
-                *total += r;
+                *total += u128::from(*r);
             }
         }
         out
@@ -396,7 +397,7 @@ mod tests {
         assert_eq!(w[2].residency_ps[PowerStateId::SelfRefresh.index()], 50);
         assert_eq!(w[3].residency_ps[PowerStateId::SelfRefresh.index()], 100);
         assert_eq!(w[2].power_transitions, 1);
-        assert_eq!(series.residency_totals_ps().iter().sum::<u64>(), 400);
+        assert_eq!(series.residency_totals_ps().iter().sum::<u128>(), 400);
     }
 
     #[test]
@@ -418,10 +419,10 @@ mod tests {
             sink.fold(ev);
         }
         let series = sink.finish(horizon);
-        let mut expected = [0u64; 5];
+        let mut expected = [0u128; 5];
         for (c, r) in timeline.rank_ids() {
             for (total, res) in expected.iter_mut().zip(timeline.residency_ps(c, r).iter()) {
-                *total += res;
+                *total += u128::from(*res);
             }
         }
         assert_eq!(series.residency_totals_ps(), expected);

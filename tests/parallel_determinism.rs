@@ -149,9 +149,10 @@ fn pool_scale_timeseries_csv_jobs4_is_byte_identical_to_jobs1() {
     // events landing on unregistered channels would inflate this, so it
     // also pins the per-device channel-offset registration.
     let cfg = PoolRunConfig::tiny(7);
-    let ranks = u64::from(cfg.devices) * u64::from(cfg.channels) * u64::from(cfg.ranks_per_channel);
-    let horizon = u64::from(cfg.duration_min) * 60 * 1_000_000_000_000;
-    let total: u64 = s1.residency_totals_ps().iter().sum();
+    let ranks =
+        u128::from(cfg.devices) * u128::from(cfg.channels) * u128::from(cfg.ranks_per_channel);
+    let horizon = u128::from(cfg.duration_min) * 60 * 1_000_000_000_000;
+    let total: u128 = s1.residency_totals_ps().iter().sum();
     let floor = horizon * ranks;
     assert!(
         total >= floor && total - floor <= ranks * 200_000,
